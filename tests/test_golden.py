@@ -1,0 +1,159 @@
+"""Golden outputs: sha256 digests of CLI outputs, pinned across refactors.
+
+A rerun-equals-rerun check cannot see a refactor that moves a byte on every
+run alike, so these digests were recorded once and every change is compared
+against them. If a change moves an output on purpose, it records the new
+digest and CHANGES.md says which bytes moved and why.
+
+The inline ``yarn_dype`` config pins each way a per-axis schedule is derived:
+yarn on the target grid with ratio_h != ratio_w, a sega method and a yarn
+baseline on the train grid, dype with its time schedule, the log anchor form
+and an explicit radial bin count. ``modulate`` and ``entropy`` pin the
+derivation from a latent file's own shape.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+import sega
+from sega import LatentGrid, write_latent
+from sega.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
+
+TRAJECTORY_FILES = (
+    "scaling_map_H.csv",
+    "scaling_map_W.csv",
+    "entropy_trace.csv",
+    "spectral_heatmap.csv",
+    "summary.json",
+)
+HEATMAP_FILES = ("spectral_heatmap.csv", "summary.json")
+
+YARN_DYPE = {
+    "rope": {
+        "dim": 16, "method": "yarn", "ratio_h": 2.0, "ratio_w": 1.5,
+        "yarn_alpha": 0.5, "yarn_beta": 8.0, "dype_p": 2.0, "dype_strong": True,
+    },
+    "sega": {"ref_form": "log", "n_bins_iso": 5},
+    "trajectory": {
+        "steps": 3, "seed": 5, "height": 16, "width": 14, "channels": 2,
+        "structure_kind": "sinusoid", "structure_params": {"cycles_h": 2.0, "cycles_w": 3.0},
+        "methods": [
+            {"name": "yarn_sega", "rope": "yarn", "scaling": "sega"},
+            {"name": "train_sega", "rope": "dype", "scaling": "sega", "grid": "train"},
+            {"name": "dype_fixed", "rope": "dype", "scaling": "fixed", "temperature": True},
+        ],
+        "baseline": {"name": "baseline", "rope": "yarn", "scaling": "none", "grid": "train"},
+    },
+}
+
+# (case, argv with {placeholders}, files written into {out}; None means stdout)
+CASES = (
+    ("trajectory_small",
+     ["trajectory", "--config", "{trajectory_small}", "--out-dir", "{out}"], TRAJECTORY_FILES),
+    ("heatmap_small",
+     ["heatmap", "--config", "{trajectory_small}", "--out-dir", "{out}"], HEATMAP_FILES),
+    ("heatmap_noise",
+     ["heatmap", "--config", "{heatmap_noise}", "--out-dir", "{out}"], HEATMAP_FILES),
+    ("trajectory_yarn_dype",
+     ["trajectory", "--config", "{yarn_dype}", "--out-dir", "{out}"], TRAJECTORY_FILES),
+    ("modulate", ["modulate", "--latent", "{latent}"], None),
+    ("modulate_yarn_ratio",
+     ["modulate", "--latent", "{latent}", "--config", "{yarn_dype}", "--ratio", "3"], None),
+    ("entropy_sega", ["entropy", "--latent", "{latent}", "--scaling", "sega"], None),
+    ("entropy_sega_yarn",
+     ["entropy", "--latent", "{latent}", "--config", "{yarn_dype}", "--scaling", "sega"], None),
+)
+
+DIGESTS = {
+    "trajectory_small": {
+        "scaling_map_H.csv": "4a48202672bc1b0dd7da8dd7b9f156abf928364b911ac35a7a41ad0f41308721",
+        "scaling_map_W.csv": "50f10a5fc08ee173936056b0d59aaeeec875a9bf9ea0da7eb8002c660ba6ba28",
+        "entropy_trace.csv": "50d2eaf3b8353cb18e01bdd44b089e761670c544d784489a9f12f67c4e58897f",
+        "spectral_heatmap.csv": "30308edcb8719629e921f2c6115573a0ec168e03bc58c771962d51c07b4e66f5",
+        "summary.json": "7082f0ccea398026db7078cf76ccbbde2e49db01c4953496a621700adccebd34",
+    },
+    "heatmap_small": {
+        "spectral_heatmap.csv": "30308edcb8719629e921f2c6115573a0ec168e03bc58c771962d51c07b4e66f5",
+        "summary.json": "de211a745730891a3ecc948811ede729b900ddf61addc66eb59f32a748c9c24b",
+    },
+    "heatmap_noise": {
+        "spectral_heatmap.csv": "390e1407072308ed08d82a8eb45154f39c554ea7aa3fe161b1954517bbd4dced",
+        "summary.json": "cbffa4e4232715321fe4593e19b0f92cafcf8641cc62d285e100fa130558c90f",
+    },
+    "trajectory_yarn_dype": {
+        "scaling_map_H.csv": "53e4c58c65843c4b337837eafe18434e8036198e8110ee2dd881923252daed93",
+        "scaling_map_W.csv": "03662dd8a6089f730a13b2b0116bf2227f4a466a06748f5db037f653f3dccc2f",
+        "entropy_trace.csv": "0b924d193dd17fb64bfc1c303c0153a9373b4a8a5ef694d26d2f8c6156e4c748",
+        "spectral_heatmap.csv": "15191ad94520e64badf20c61efb6b1cbd3170d29202877fe3bdd9ff204f7a7df",
+        "summary.json": "1eea27e745b3dcaee2d52d54e4fa66dba4953baa378973a31ef6ab2b24596349",
+    },
+    "modulate": {
+        "stdout": "2fb5b6fa2071ebdf15c793d3b8340258d6d87c900fbbdf2901684d89f605a720",
+    },
+    "modulate_yarn_ratio": {
+        "stdout": "36443044125825c6d98cb42218d0784a465f42806802a2b188c2be9ac0d8d895",
+    },
+    "entropy_sega": {
+        "stdout": "8eb3fca571039c55c8a2fe7b13b5770d31189bf08e9c3768abd0f01661283df5",
+    },
+    "entropy_sega_yarn": {
+        "stdout": "c2fd025b05350e1343430b874e426c813e2704e27bebea0bb9b1ce63da8e3a38",
+    },
+}
+
+
+def _inputs(tmp_path):
+    latent = tmp_path / "latent.segl"
+    grid = LatentGrid.from_array(np.random.default_rng(31).standard_normal((16, 12, 3)))
+    write_latent(grid, latent)
+    yarn_dype = tmp_path / "yarn_dype.json"
+    yarn_dype.write_text(json.dumps(YARN_DYPE))
+    return {
+        "trajectory_small": str(REPO / "configs" / "trajectory_small.json"),
+        "heatmap_noise": str(REPO / "configs" / "heatmap_noise.json"),
+        "yarn_dype": str(yarn_dype),
+        "latent": str(latent),
+        "out": str(tmp_path / "out"),
+    }
+
+
+def _argv(case, tmp_path):
+    _, template, files = next(c for c in CASES if c[0] == case)
+    inputs = _inputs(tmp_path)
+    return [arg.format(**inputs) for arg in template], files, Path(inputs["out"])
+
+
+def _digests(files, out, stdout):
+    if files is None:
+        return {"stdout": hashlib.sha256(stdout).hexdigest()}
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in files}
+
+
+@pytest.mark.parametrize("case", [c[0] for c in CASES])
+def test_cli_output_matches_golden(case, tmp_path):
+    argv, files, out = _argv(case, tmp_path)
+    res = CliRunner().invoke(main, argv)
+    assert res.exit_code == 0, res.output
+    assert _digests(files, out, res.stdout_bytes) == DIGESTS[case]
+
+
+def test_single_blas_thread_matches_golden(tmp_path):
+    argv, files, out = _argv("trajectory_small", tmp_path)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(sega.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "sega.cli", *argv], env=env, capture_output=True, timeout=300
+    )
+    assert res.returncode == 0, res.stderr.decode()
+    assert _digests(files, out, res.stdout) == DIGESTS["trajectory_small"]
