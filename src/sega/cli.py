@@ -7,6 +7,7 @@ significant digits so identical configs yield byte-identical files.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -16,7 +17,7 @@ from . import spectral
 from .attention import attend_rotary, attention_entropy, grid_positions
 from .config import ConfigError, ExperimentConfig, load_experiment_config
 from .fmtio import canonical_json, csv_line, write_csv, write_json
-from .harness import entropy_trace, spectral_heatmap
+from .harness import axis_schedules, entropy_trace, heatmap_rows, scaling_vectors, spectral_heatmap
 from .rope import METHODS, YarnParams, base_frequencies, make_schedule, yarn_ramp
 from .tensorio import LatentIOError, read_latent, token_features
 
@@ -38,11 +39,18 @@ def _load_config(path: str | None) -> ExperimentConfig:
         raise click.UsageError(str(exc))
 
 
-def _read_latent(path: str):
+@contextmanager
+def _io_errors():
+    """Report latent-file and filesystem failures as exit code 3."""
     try:
-        return read_latent(path)
+        yield
     except (LatentIOError, OSError) as exc:
         raise FileError(str(exc))
+
+
+def _read_latent(path: str):
+    with _io_errors():
+        return read_latent(path)
 
 
 def _rope_flag_schedules(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p, dype_strong):
@@ -138,22 +146,11 @@ def modulate(latent_path, config_path, ratio):
     """Emit per-axis scaling vectors for one latent as JSON."""
     cfg = _load_config(config_path)
     grid = _read_latent(latent_path)
-    rope_p = cfg.rope
-    ratio_h = ratio if ratio is not None else rope_p.ratio_h
-    ratio_w = ratio if ratio is not None else rope_p.ratio_w
+    ratio_h = ratio if ratio is not None else cfg.rope.ratio_h
+    ratio_w = ratio if ratio is not None else cfg.rope.ratio_w
     if ratio_h < 1.0:
         raise click.UsageError("--ratio must be >= 1")
-    t_h = grid.height / ratio_h
-    t_w = grid.width / ratio_w
-    try:
-        yarn_h = YarnParams(rope_p.yarn_alpha, rope_p.yarn_beta, t_h) if cfg.rope_method == "yarn" else None
-        yarn_w = YarnParams(rope_p.yarn_alpha, rope_p.yarn_beta, t_w) if cfg.rope_method == "yarn" else None
-        sched_h = make_schedule("H", rope_p.dim, rope_p.base, cfg.rope_method, ratio_h,
-                                yarn_h, 0.0, rope_p.dype_p, rope_p.dype_strong)
-        sched_w = make_schedule("W", rope_p.dim, rope_p.base, cfg.rope_method, ratio_w,
-                                yarn_w, 0.0, rope_p.dype_p, rope_p.dype_strong)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    sched_h, sched_w = _schedules(cfg, grid, ratio_h, ratio_w)
     result = spectral.modulate_detailed(
         grid, sched_h, sched_w, float(np.sqrt(ratio_h * ratio_w)), cfg.sega
     )
@@ -189,39 +186,22 @@ def spectrum(latent_path, bins):
         click.echo(csv_line(["radial", i, val, int(profiles.occupied[i])]))
 
 
+def _schedules(cfg: ExperimentConfig, grid, ratio_h: float, ratio_w: float):
+    try:
+        return axis_schedules(cfg.rope, cfg.rope_method, grid.height, grid.width, ratio_h, ratio_w)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
 def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed, logit_scale):
     cfg = _load_config(config_path)
     rope_p = cfg.rope
-    try:
-        yarn_h = (
-            YarnParams(rope_p.yarn_alpha, rope_p.yarn_beta, grid.height / rope_p.ratio_h)
-            if cfg.rope_method == "yarn"
-            else None
-        )
-        yarn_w = (
-            YarnParams(rope_p.yarn_alpha, rope_p.yarn_beta, grid.width / rope_p.ratio_w)
-            if cfg.rope_method == "yarn"
-            else None
-        )
-        sched_h = make_schedule("H", rope_p.dim, rope_p.base, cfg.rope_method, rope_p.ratio_h,
-                                yarn_h, 0.0, rope_p.dype_p, rope_p.dype_strong)
-        sched_w = make_schedule("W", rope_p.dim, rope_p.base, cfg.rope_method, rope_p.ratio_w,
-                                yarn_w, 0.0, rope_p.dype_p, rope_p.dype_strong)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    half = rope_p.dim // 2
-    if scaling == "none":
-        m_h = m_w = np.ones(half)
-    elif scaling == "fixed":
-        value = fixed_value if fixed_value is not None else spectral.reference_scale(
-            rope_p.ratio_scalar, cfg.sega
-        )
-        if value <= 0:
-            raise click.UsageError("--fixed-value must be positive")
-        m_h = m_w = np.full(half, value)
-    else:
-        res = spectral.modulate_detailed(grid, sched_h, sched_w, rope_p.ratio_scalar, cfg.sega)
-        m_h, m_w = res.vec_h.m, res.vec_w.m
+    sched_h, sched_w = _schedules(cfg, grid, rope_p.ratio_h, rope_p.ratio_w)
+    if scaling == "fixed" and fixed_value is not None and fixed_value <= 0:
+        raise click.UsageError("--fixed-value must be positive")
+    _, m_h, m_w = scaling_vectors(
+        scaling, grid, sched_h, sched_w, rope_p.ratio_scalar, cfg.sega, fixed_value
+    )
     feats = token_features(grid, 2 * rope_p.dim, feature_seed, 0)
     positions = grid_positions(grid.height, grid.width)
     _, field = attend_rotary(
@@ -278,6 +258,14 @@ def entropy(latent_path, config_path, scaling, fixed_value, feature_seed, logit_
     click.echo(csv_line(["mean", "", "", mean]))
 
 
+def _write_heatmap(out: Path, heat: np.ndarray) -> None:
+    write_csv(
+        out / "spectral_heatmap.csv",
+        ["step"] + [f"bin_{b}" for b in range(heat.shape[1])],
+        [[t] + [heat[t, b] for b in range(heat.shape[1])] for t in range(heat.shape[0])],
+    )
+
+
 def _prepare_out_dir(out_dir: str) -> Path:
     path = Path(out_dir)
     try:
@@ -297,12 +285,11 @@ def trajectory(config_path, out_dir):
     """Run a full simulated trajectory; write scaling maps, heatmap, entropy trace, summary."""
     cfg = _load_config(config_path)
     out = _prepare_out_dir(out_dir)
-    deltas, names, record = entropy_trace(
-        cfg.trajectory, list(cfg.methods), cfg.baseline, cfg.sega, cfg.rope
-    )
-    heat, degenerate = spectral_heatmap(
-        cfg.trajectory, cfg.sega.bins_for(cfg.trajectory.height, cfg.trajectory.width)
-    )
+    with _io_errors():
+        deltas, names, record = entropy_trace(
+            cfg.trajectory, list(cfg.methods), cfg.baseline, cfg.sega, cfg.rope
+        )
+    heat, degenerate = heatmap_rows([s.radial for s in record.steps])
 
     map_method = next((m.name for m in cfg.methods if m.scaling == "sega"), cfg.methods[0].name)
     half = cfg.rope.dim // 2
@@ -319,11 +306,7 @@ def trajectory(config_path, out_dir):
         ["step"] + names,
         [[t] + [deltas[t, j] for j in range(len(names))] for t in range(deltas.shape[0])],
     )
-    write_csv(
-        out / "spectral_heatmap.csv",
-        ["step"] + [f"bin_{b}" for b in range(heat.shape[1])],
-        [[t] + [heat[t, b] for b in range(heat.shape[1])] for t in range(heat.shape[0])],
-    )
+    _write_heatmap(out, heat)
 
     abs_means = {name: float(np.mean(np.abs(deltas[:, j]))) for j, name in enumerate(names)}
     directional = None
@@ -370,14 +353,11 @@ def heatmap(config_path, out_dir):
     """Write the per-step normalized radial spectrum matrix."""
     cfg = _load_config(config_path)
     out = _prepare_out_dir(out_dir)
-    heat, degenerate = spectral_heatmap(
-        cfg.trajectory, cfg.sega.bins_for(cfg.trajectory.height, cfg.trajectory.width)
-    )
-    write_csv(
-        out / "spectral_heatmap.csv",
-        ["step"] + [f"bin_{b}" for b in range(heat.shape[1])],
-        [[t] + [heat[t, b] for b in range(heat.shape[1])] for t in range(heat.shape[0])],
-    )
+    with _io_errors():
+        heat, degenerate = spectral_heatmap(
+            cfg.trajectory, cfg.sega.bins_for(cfg.trajectory.height, cfg.trajectory.width)
+        )
+    _write_heatmap(out, heat)
     write_json(
         out / "summary.json",
         {"config": cfg.snapshot(), "degenerate_heatmap_rows": degenerate},

@@ -7,10 +7,11 @@ silently fall back to a default.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .harness import MethodSpec, RopeParams
+from .harness import MethodSpec, RopeParams, train_shape
 from .rope import METHODS
 from .spectral import SegaConfig
 from .tensorio import TrajectoryConfig
@@ -47,25 +48,12 @@ class ExperimentConfig:
     def snapshot(self) -> dict:
         """Fully resolved config echo for summaries."""
         return {
-            "rope": {**self.rope.to_dict(), "method": self.rope_method},
-            "sega": {
-                "kappa": self.sega.kappa,
-                "gamma": self.sega.gamma,
-                "ref_form": self.sega.ref_form,
-                "eps": self.sega.eps,
-                "n_bins_iso": self.sega.n_bins_iso,
-            },
+            "rope": {**asdict(self.rope), "method": self.rope_method},
+            "sega": asdict(self.sega),
             "trajectory": {
-                "steps": self.trajectory.steps,
-                "seed": self.trajectory.seed,
-                "height": self.trajectory.height,
-                "width": self.trajectory.width,
-                "channels": self.trajectory.channels,
-                "structure_kind": self.trajectory.structure_kind,
-                "structure_params": dict(self.trajectory.structure_params),
-                "noise_blend": dict(self.trajectory.noise_blend),
-                "methods": [m.to_dict() for m in self.methods],
-                "baseline": self.baseline.to_dict(),
+                **asdict(self.trajectory),
+                "methods": [asdict(m) for m in self.methods],
+                "baseline": asdict(self.baseline),
             },
             "output": {"dir": self.output_dir},
         }
@@ -75,6 +63,21 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+
+
+def _section(raw: dict, name: str, allowed: set) -> dict:
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object")
+    _check_keys(section, allowed, name)
+    return section
+
+
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds a non-finite number: {token}")
+    return value
 
 
 def _method_spec(raw: dict, default_rope: str, where: str) -> MethodSpec:
@@ -100,30 +103,26 @@ def load_experiment_config(source) -> ExperimentConfig:
     else:
         try:
             text = Path(source).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(raw, _TOP_KEYS, "config")
 
-    rope_raw = dict(raw.get("rope", {}))
-    sega_raw = dict(raw.get("sega", {}))
-    traj_raw = dict(raw.get("trajectory", {}))
-    out_raw = dict(raw.get("output", {}))
-    _check_keys(rope_raw, _ROPE_KEYS, "rope")
-    _check_keys(sega_raw, _SEGA_KEYS, "sega")
-    _check_keys(traj_raw, _TRAJ_KEYS, "trajectory")
-    _check_keys(out_raw, _OUTPUT_KEYS, "output")
+    rope_raw = _section(raw, "rope", _ROPE_KEYS)
+    sega_raw = _section(raw, "sega", _SEGA_KEYS)
+    traj_raw = _section(raw, "trajectory", _TRAJ_KEYS)
+    out_raw = _section(raw, "output", _OUTPUT_KEYS)
 
-    ratio = float(rope_raw.get("ratio", 2.0))
     rope_method = rope_raw.get("method", "ntk_strong")
     if rope_method not in METHODS:
         raise ConfigError(f"rope.method must be one of {METHODS}")
     try:
+        ratio = float(rope_raw.get("ratio", 2.0))
         rope = RopeParams(
             dim=int(rope_raw.get("dim", 64)),
             base=float(rope_raw.get("base", 10000.0)),
@@ -183,6 +182,23 @@ def load_experiment_config(source) -> ExperimentConfig:
     )
     if baseline.name in names:
         raise ConfigError("baseline name collides with a method name")
+    runs = (*methods, baseline)
+    used = {rope_method, *(m.rope for m in runs)}
+    if "yarn" in used and not 0.0 < rope.yarn_alpha < rope.yarn_beta:
+        raise ConfigError("a yarn method needs 0 < rope.yarn_alpha < rope.yarn_beta")
+    if "dype" in used and rope.dype_p <= 0:
+        raise ConfigError("a dype method needs rope.dype_p > 0")
+    shape = (trajectory.height, trajectory.width)
+    if (
+        trajectory.structure_kind == "file"
+        and any(m.grid == "train" for m in runs)
+        and train_shape(trajectory, rope) != shape
+    ):
+        raise ConfigError(
+            "structure_kind 'file' cannot run on a train grid: the file holds the "
+            f"{shape[0]}x{shape[1]} target field only; give every method and the "
+            "baseline grid 'target'"
+        )
 
     return ExperimentConfig(
         trajectory=trajectory,

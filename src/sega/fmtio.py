@@ -40,7 +40,7 @@ def write_csv(path, header: Iterable[Any], rows: Iterable[Iterable[Any]]) -> Non
 
 
 def canonical_json(obj: Any, indent: int = 0) -> str:
-    """Serialize dicts/lists/scalars with fmt() floats; key order is insertion order."""
+    """Serialize dicts/lists/arrays/scalars with fmt() floats; key order is insertion order."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -48,6 +48,8 @@ def canonical_json(obj: Any, indent: int = 0) -> str:
             return "{}"
         items = [f'{inner}{json.dumps(str(k))}: {canonical_json(v, indent + 1)}' for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, np.ndarray):
+        return canonical_json(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"

@@ -11,7 +11,7 @@ scaling without a learned model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import spectral
 from .attention import attend_rotary, attention_entropy, grid_positions
 from .rope import METHODS, RopeSchedule, YarnParams, make_schedule, yarn_temperature
 from .spectral import SegaConfig, reference_scale
-from .tensorio import TrajectoryConfig, generate_latent, token_features
+from .tensorio import LatentGrid, TrajectoryConfig, generate_latent, token_features
 from .fmtio import canonical_json
 
 SCALING_MODES = ("none", "fixed", "sega")
@@ -52,15 +52,6 @@ class MethodSpec:
         if self.grid not in GRID_KINDS:
             raise ValueError(f"unknown grid kind {self.grid!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "rope": self.rope,
-            "scaling": self.scaling,
-            "temperature": self.temperature,
-            "grid": self.grid,
-        }
-
 
 @dataclass(frozen=True)
 class RopeParams:
@@ -78,6 +69,8 @@ class RopeParams:
     def __post_init__(self):
         if self.dim < 4 or self.dim % 2 != 0:
             raise ValueError("dim must be an even integer >= 4")
+        if self.base <= 0:
+            raise ValueError("base must be positive")
         if self.ratio_h < 1.0 or self.ratio_w < 1.0:
             raise ValueError("ratios must be >= 1")
 
@@ -85,18 +78,6 @@ class RopeParams:
     def ratio_scalar(self) -> float:
         """Single resolution ratio feeding m_ref; geometric mean when axes differ."""
         return math.sqrt(self.ratio_h * self.ratio_w)
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "base": self.base,
-            "ratio_h": self.ratio_h,
-            "ratio_w": self.ratio_w,
-            "yarn_alpha": self.yarn_alpha,
-            "yarn_beta": self.yarn_beta,
-            "dype_p": self.dype_p,
-            "dype_strong": self.dype_strong,
-        }
 
 
 @dataclass
@@ -106,14 +87,6 @@ class MethodStepRecord:
     m_w: np.ndarray
     mean_entropy: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "m_ref": self.m_ref,
-            "m_h": [float(x) for x in self.m_h],
-            "m_w": [float(x) for x in self.m_w],
-            "mean_entropy": self.mean_entropy,
-        }
-
 
 @dataclass
 class StepRecord:
@@ -122,17 +95,8 @@ class StepRecord:
     time: float
     flatness: float
     sigma: float
+    radial: np.ndarray  # the target latent's radial profile, unnormalized
     methods: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "alpha": self.alpha,
-            "time": self.time,
-            "flatness": self.flatness,
-            "sigma": self.sigma,
-            "methods": {name: rec.to_dict() for name, rec in self.methods.items()},
-        }
 
 
 @dataclass
@@ -140,51 +104,58 @@ class TrajectoryRecord:
     config: dict
     steps: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {"config": self.config, "steps": [s.to_dict() for s in self.steps]}
-
     def to_json_bytes(self) -> bytes:
-        return (canonical_json(self.to_dict()) + "\n").encode("utf-8")
+        return (canonical_json(asdict(self)) + "\n").encode("utf-8")
 
 
-def _axis_schedule(axis, axis_ratio, train_len, method_name, rope: RopeParams, t) -> RopeSchedule:
-    yarn = None
-    if method_name == "yarn":
-        yarn = YarnParams(alpha=rope.yarn_alpha, beta=rope.yarn_beta, train_len=train_len)
-    return make_schedule(
-        axis=axis,
-        dim=rope.dim,
-        base=rope.base,
-        method=method_name,
-        ratio=axis_ratio,
-        yarn=yarn,
-        dype_time=t,
-        dype_p=rope.dype_p,
-        dype_strong=rope.dype_strong,
-    )
+def axis_schedules(
+    rope: RopeParams, method: str, height: int, width: int,
+    ratio_h: float, ratio_w: float, t: float = 0.0,
+) -> tuple[RopeSchedule, RopeSchedule]:
+    """Per-axis schedules for a height x width grid extrapolated by (ratio_h, ratio_w).
+
+    yarn's training length on each axis is that axis's length over its ratio;
+    t is the denoising time that drives dype.
+    """
+
+    def one(axis: str, length: int, ratio: float) -> RopeSchedule:
+        yarn = YarnParams(rope.yarn_alpha, rope.yarn_beta, length / ratio) if method == "yarn" else None
+        return make_schedule(
+            axis, rope.dim, rope.base, method, ratio, yarn, t, rope.dype_p, rope.dype_strong
+        )
+
+    return one("H", height, ratio_h), one("W", width, ratio_w)
 
 
-def _train_shape(cfg: TrajectoryConfig, rope: RopeParams) -> tuple[int, int]:
+def scaling_vectors(
+    scaling: str,
+    grid: LatentGrid,
+    sched_h: RopeSchedule,
+    sched_w: RopeSchedule,
+    ratio: float,
+    sega_cfg: SegaConfig,
+    fixed_value: float | None = None,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(m_ref, m_h, m_w) for one scaling mode; "none" reports m_ref as 1.0.
+
+    "fixed" fills every dimension with fixed_value, or with m_ref when it is None.
+    """
+    half = sched_h.dim // 2
+    if scaling == "none":
+        return 1.0, np.ones(half), np.ones(half)
+    m_ref = reference_scale(ratio, sega_cfg)
+    if scaling == "fixed":
+        value = m_ref if fixed_value is None else fixed_value
+        return m_ref, np.full(half, value), np.full(half, value)
+    result = spectral.modulate_detailed(grid, sched_h, sched_w, ratio, sega_cfg)
+    return m_ref, result.vec_h.m, result.vec_w.m
+
+
+def train_shape(cfg: TrajectoryConfig, rope: RopeParams) -> tuple[int, int]:
+    """The training-scale grid: each axis divided by its ratio, at least 2 tokens."""
     th = max(2, round(cfg.height / rope.ratio_h))
     tw = max(2, round(cfg.width / rope.ratio_w))
     return th, tw
-
-
-def method_schedules(
-    method: MethodSpec, cfg: TrajectoryConfig, rope: RopeParams, step: int
-) -> tuple[RopeSchedule, RopeSchedule]:
-    """Per-axis schedules for one method at one step (time feeds dype)."""
-    t = cfg.time(step)
-    if method.grid == "train":
-        rh = rw = 1.0
-        lh, lw = _train_shape(cfg, rope)
-    else:
-        rh, rw = rope.ratio_h, rope.ratio_w
-        lh = cfg.height / rope.ratio_h
-        lw = cfg.width / rope.ratio_w
-    sched_h = _axis_schedule("H", rh, lh, method.rope, rope, t)
-    sched_w = _axis_schedule("W", rw, lw, method.rope, rope, t)
-    return sched_h, sched_w
 
 
 def run_trajectory(
@@ -201,29 +172,13 @@ def run_trajectory(
     if len(set(names)) != len(names):
         raise ValueError("method names must be unique")
 
-    train_h, train_w = _train_shape(cfg, rope)
-    train_cfg = cfg.with_shape(train_h, train_w)
+    train_cfg = cfg.with_shape(*train_shape(cfg, rope))
     record = TrajectoryRecord(
         config={
-            "trajectory": {
-                "steps": cfg.steps,
-                "seed": cfg.seed,
-                "height": cfg.height,
-                "width": cfg.width,
-                "channels": cfg.channels,
-                "structure_kind": cfg.structure_kind,
-                "structure_params": dict(cfg.structure_params),
-                "noise_blend": dict(cfg.noise_blend),
-            },
-            "rope": rope.to_dict(),
-            "sega": {
-                "kappa": sega_cfg.kappa,
-                "gamma": sega_cfg.gamma,
-                "ref_form": sega_cfg.ref_form,
-                "eps": sega_cfg.eps,
-                "n_bins_iso": sega_cfg.n_bins_iso,
-            },
-            "methods": [m.to_dict() for m in methods],
+            "trajectory": asdict(cfg),
+            "rope": asdict(rope),
+            "sega": asdict(sega_cfg),
+            "methods": [asdict(m) for m in methods],
             "with_attention": with_attention,
         }
     )
@@ -243,27 +198,22 @@ def run_trajectory(
             time=cfg.time(step),
             flatness=flatness,
             sigma=spectral.amplitude_factor(flatness, sega_cfg.gamma),
+            radial=profiles.radial,
             methods={},
         )
 
         for method in methods:
             latent = latents[method.grid]
-            sched_h, sched_w = method_schedules(method, cfg, rope, step)
-            ratio = rope.ratio_scalar if method.grid == "target" else 1.0
-            m_ref = reference_scale(ratio, sega_cfg)
-            half = rope.dim // 2
-            if method.scaling == "none":
-                m_h = np.ones(half)
-                m_w = np.ones(half)
-                rec_m_ref = 1.0
-            elif method.scaling == "fixed":
-                m_h = np.full(half, m_ref)
-                m_w = np.full(half, m_ref)
-                rec_m_ref = m_ref
+            if method.grid == "target":
+                ratio_h, ratio_w, ratio = rope.ratio_h, rope.ratio_w, rope.ratio_scalar
             else:
-                result = spectral.modulate_detailed(latent, sched_h, sched_w, ratio, sega_cfg)
-                m_h, m_w = result.vec_h.m, result.vec_w.m
-                rec_m_ref = m_ref
+                ratio_h = ratio_w = ratio = 1.0
+            sched_h, sched_w = axis_schedules(
+                rope, method.rope, latent.height, latent.width, ratio_h, ratio_w, step_rec.time
+            )
+            m_ref, m_h, m_w = scaling_vectors(
+                method.scaling, latent, sched_h, sched_w, ratio, sega_cfg
+            )
 
             mean_entropy = None
             if with_attention:
@@ -276,32 +226,36 @@ def run_trajectory(
                 mean_entropy = attention_entropy(fld)[1]
 
             step_rec.methods[method.name] = MethodStepRecord(
-                m_ref=rec_m_ref, m_h=m_h, m_w=m_w, mean_entropy=mean_entropy
+                m_ref=m_ref, m_h=m_h, m_w=m_w, mean_entropy=mean_entropy
             )
         record.steps.append(step_rec)
     return record
 
 
-def spectral_heatmap(
-    cfg: TrajectoryConfig, n_bins: int | None = None
-) -> tuple[np.ndarray, list]:
-    """Per-step radial profiles, each row normalized to sum 1.
+def heatmap_rows(radials: list) -> tuple[np.ndarray, list]:
+    """Stack per-step radial profiles, each row normalized to sum 1.
 
     Rows with no spectral energy at all (possible for degenerate structure
     fields) are left as zeros and their step indices returned as flags.
     """
-    if n_bins is None:
-        n_bins = max(2, min(cfg.height, cfg.width) // 2)
-    rows = np.zeros((cfg.steps, n_bins), dtype=np.float64)
+    rows = np.zeros((len(radials), len(radials[0])), dtype=np.float64)
     degenerate = []
-    for step in range(cfg.steps):
-        profiles = spectral.analyze(generate_latent(cfg, step), n_bins)
-        total = profiles.radial.sum()
+    for step, radial in enumerate(radials):
+        total = radial.sum()
         if total <= 0.0:
             degenerate.append(step)
             continue
-        rows[step] = profiles.radial / total
+        rows[step] = radial / total
     return rows, degenerate
+
+
+def spectral_heatmap(
+    cfg: TrajectoryConfig, n_bins: int | None = None
+) -> tuple[np.ndarray, list]:
+    """Per-step normalized radial profiles of a trajectory's target latents."""
+    return heatmap_rows(
+        [spectral.analyze(generate_latent(cfg, step), n_bins).radial for step in range(cfg.steps)]
+    )
 
 
 def entropy_trace(

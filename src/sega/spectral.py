@@ -210,13 +210,15 @@ def per_dim_correction(
 
 
 def spectral_flatness(e_iso: np.ndarray, occupied: np.ndarray, eps: float = 1e-12) -> float:
-    """Geometric over arithmetic mean of the occupied radial bins, floored at eps."""
+    """Geometric over arithmetic mean of the occupied radial bins, floored at eps, at most 1."""
     e_iso = np.asarray(e_iso, dtype=np.float64)
     occupied = np.asarray(occupied, dtype=bool)
     if not occupied.any():
         raise ValueError("flatness needs at least one occupied bin")
     vals = np.maximum(e_iso[occupied], eps)
-    return float(np.exp(np.mean(np.log(vals))) / np.mean(vals))
+    # The geometric mean never exceeds the arithmetic mean; equal values
+    # (a constant latent) can round the ratio to just above 1.
+    return min(float(np.exp(np.mean(np.log(vals))) / np.mean(vals)), 1.0)
 
 
 def amplitude_factor(flatness: float, gamma: float) -> float:

@@ -149,7 +149,11 @@ class TrajectoryConfig:
             raise ValueError("grid must be at least 2x2x1")
         if self.structure_kind not in STRUCTURE_KINDS:
             raise ValueError(f"unknown structure_kind {self.structure_kind!r}")
-        alphas = [self._blend_at(t) for t in range(self.steps)]
+        _structure_params(self.structure_kind, self.structure_params)
+        try:
+            alphas = [self._blend_at(t) for t in range(self.steps)]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed noise_blend {self.noise_blend!r}") from exc
         if any(a < 0.0 or a > 1.0 for a in alphas):
             raise ValueError("blend weights must lie in [0, 1]")
         if any(b > a + 1e-12 for a, b in zip(alphas, alphas[1:])):
@@ -200,52 +204,63 @@ def _normalize_field(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _structure_params(kind: str, params: dict) -> dict:
+    """One structure kind's parameters with defaults filled in, checked for type and range."""
+    try:
+        if kind == "sinusoid":
+            return {
+                "cycles_h": float(params.get("cycles_h", 0.0)),
+                "cycles_w": float(params.get("cycles_w", 4.0)),
+                "phase": float(params.get("phase", 0.0)),
+            }
+        if kind == "checker":
+            bh, bw = int(params.get("block_h", 1)), int(params.get("block_w", 1))
+            if bh < 1 or bw < 1:
+                raise ValueError("checker blocks must be >= 1")
+            return {"block_h": bh, "block_w": bw}
+        if kind == "band_limited":
+            low, high = float(params.get("low", 0.0)), float(params.get("high", 0.25))
+            if not 0.0 <= low < high <= 1.0:
+                raise ValueError("band edges must satisfy 0 <= low < high <= 1")
+            return {"low": low, "high": high}
+        if params.get("path") is None:
+            raise ValueError("structure_kind 'file' requires a 'path' parameter")
+        return {"path": params["path"]}
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"structure_params for {kind!r}: {exc}") from exc
+
+
 def structure_field(cfg: TrajectoryConfig) -> np.ndarray:
     """The deterministic structure component, normalized, shape (H, W, C)."""
     h_idx = np.arange(cfg.height, dtype=np.float64)[:, None]
     w_idx = np.arange(cfg.width, dtype=np.float64)[None, :]
-    params = cfg.structure_params
+    params = _structure_params(cfg.structure_kind, cfg.structure_params)
     kind = cfg.structure_kind
 
     if kind == "sinusoid":
-        cyc_h = float(params.get("cycles_h", 0.0))
-        cyc_w = float(params.get("cycles_w", 4.0))
-        phase = float(params.get("phase", 0.0))
-        plane = np.cos(2.0 * np.pi * (cyc_h * h_idx / cfg.height + cyc_w * w_idx / cfg.width) + phase)
-        field2d = plane
+        cyc_h, cyc_w, phase = params["cycles_h"], params["cycles_w"], params["phase"]
+        field2d = np.cos(2.0 * np.pi * (cyc_h * h_idx / cfg.height + cyc_w * w_idx / cfg.width) + phase)
     elif kind == "checker":
-        bh = int(params.get("block_h", 1))
-        bw = int(params.get("block_w", 1))
-        if bh < 1 or bw < 1:
-            raise ValueError("checker blocks must be >= 1")
+        bh, bw = params["block_h"], params["block_w"]
         parity = (h_idx.astype(int) // bh + w_idx.astype(int) // bw) % 2
         field2d = np.where(parity == 0, 1.0, -1.0)
     elif kind == "band_limited":
-        low = float(params.get("low", 0.0))
-        high = float(params.get("high", 0.25))
-        if not 0.0 <= low < high <= 1.0:
-            raise ValueError("band edges must satisfy 0 <= low < high <= 1")
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _STREAM_STRUCTURE]))
         noise = rng.standard_normal((cfg.height, cfg.width))
         spec = np.fft.fft2(noise)
         u = np.minimum(h_idx, cfg.height - h_idx) / cfg.height
         v = np.minimum(w_idx, cfg.width - w_idx) / cfg.width
         rho = np.sqrt(u**2 + v**2) / np.sqrt(0.5)
-        mask = (rho >= low) & (rho <= high)
+        mask = (rho >= params["low"]) & (rho <= params["high"])
         field2d = np.fft.ifft2(spec * mask).real
-    elif kind == "file":
-        path = params.get("path")
-        if path is None:
-            raise ValueError("structure_kind 'file' requires a 'path' parameter")
-        grid = read_latent(path)
+    else:  # file
+        grid = read_latent(params["path"])
         if (grid.height, grid.width, grid.channels) != (cfg.height, cfg.width, cfg.channels):
             raise LatentIOError(
                 f"structure file shape {grid.height}x{grid.width}x{grid.channels} does not "
                 f"match config {cfg.height}x{cfg.width}x{cfg.channels}"
             )
         return _normalize_field(grid.values.astype(np.float64))
-    else:  # pragma: no cover - guarded by TrajectoryConfig
-        raise ValueError(f"unknown structure_kind {kind!r}")
 
     field3d = np.broadcast_to(field2d[:, :, None], (cfg.height, cfg.width, cfg.channels)).copy()
     return _normalize_field(field3d)

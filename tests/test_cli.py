@@ -293,3 +293,96 @@ class TestHeatmapCommand:
         assert (out1 / "spectral_heatmap.csv").read_bytes() == (out2 / "spectral_heatmap.csv").read_bytes()
         summary = json.loads((out1 / "summary.json").read_text())
         assert summary["degenerate_heatmap_rows"] == []
+
+
+SMALL_TRAJECTORY = {"steps": 3, "seed": 1, "height": 8, "width": 8, "channels": 1}
+TARGET_BASELINE = {"name": "baseline", "rope": "none", "scaling": "none", "grid": "target"}
+FILE_STRUCTURE = {"structure_kind": "file", "structure_params": {"path": "{dir}/s4.segl"}}
+
+
+def small_config(trajectory=None, rope=None):
+    return {"rope": {"dim": 8, **(rope or {})}, "trajectory": {**SMALL_TRAJECTORY, **(trajectory or {})}}
+
+
+def run_config(runner, tmp_path, command, cfg):
+    """Write cfg ({dir} standing for tmp_path) beside a 4x4x1 latent and run command on it."""
+    write_latent(LatentGrid.from_array(np.random.default_rng(3).standard_normal((4, 4, 1))),
+                 tmp_path / "s4.segl")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace("{dir}", str(tmp_path)))
+    out = tmp_path / "out"
+    return runner.invoke(main, [command, "--config", str(path), "--out-dir", str(out)]), out
+
+
+# Each config is malformed in one way; (config, exit code) with 3 for file faults.
+MALFORMED_CONFIGS = {
+    "missing_structure_file": (small_config(
+        {"structure_kind": "file", "structure_params": {"path": "{dir}/nope.segl"},
+         "baseline": TARGET_BASELINE}), 3),
+    "structure_file_shape": (small_config({**FILE_STRUCTURE, "baseline": TARGET_BASELINE}), 3),
+    "file_structure_on_train_grid": (small_config({**FILE_STRUCTURE, "height": 4, "width": 4}), 2),
+    "file_structure_without_path": (small_config(
+        {"structure_kind": "file", "structure_params": {}, "baseline": TARGET_BASELINE}), 2),
+    "constant_blend_without_value": (small_config({"noise_blend": {"kind": "constant"}}), 2),
+    "table_blend_without_values": (small_config({"noise_blend": {"kind": "table"}}), 2),
+    "checker_block_zero": (small_config(
+        {"structure_kind": "checker", "structure_params": {"block_h": 0}}), 2),
+    "cycles_not_a_number": (small_config({"structure_params": {"cycles_w": "x"}}), 2),
+    "band_low_not_below_high": (small_config(
+        {"structure_kind": "band_limited", "structure_params": {"low": 0.5, "high": 0.2}}), 2),
+    "yarn_alpha_not_below_beta": (small_config(
+        rope={"method": "yarn", "yarn_alpha": 40.0, "yarn_beta": 32.0}), 2),
+    "dype_p_zero": (small_config(rope={"method": "dype", "dype_p": 0}), 2),
+    "ratio_not_a_number": (small_config(rope={"ratio": "x"}), 2),
+    "ratio_nan": (small_config(rope={"ratio": float("nan")}), 2),
+    "base_zero": (small_config(rope={"base": 0}), 2),
+    "rope_not_an_object": ({"rope": 5}, 2),
+}
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize("command", ["trajectory", "heatmap"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_exit_code_without_traceback(self, runner, tmp_path, command, case):
+        cfg, code = MALFORMED_CONFIGS[case]
+        res, _ = run_config(runner, tmp_path, command, cfg)
+        assert res.exit_code == code, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+
+    def test_file_structure_on_train_grid_is_named(self, runner, tmp_path):
+        res, _ = run_config(runner, tmp_path, "trajectory",
+                            MALFORMED_CONFIGS["file_structure_on_train_grid"][0])
+        assert "structure_kind 'file' cannot run on a train grid" in res.output
+
+    @pytest.mark.parametrize("rope, baseline", [
+        ({"ratio": 1.0}, {}),  # the train grid is the target grid
+        ({"ratio": 2.0}, {"baseline": TARGET_BASELINE}),
+    ])
+    def test_file_structure_runs_where_the_file_fits(self, runner, tmp_path, rope, baseline):
+        cfg = small_config({**FILE_STRUCTURE, "height": 4, "width": 4, **baseline}, rope)
+        res, out = run_config(runner, tmp_path, "trajectory", cfg)
+        assert res.exit_code == 0, res.output
+        assert (out / "summary.json").exists()
+
+
+class TestConstantLatent:
+    def test_modulate_and_entropy_succeed(self, runner, tmp_path):
+        path = tmp_path / "const.segl"
+        write_latent(LatentGrid.from_array(np.full((8, 8, 2), 0.5)), path)
+        res = runner.invoke(main, ["modulate", "--latent", str(path)])
+        assert res.exit_code == 0, res.output
+        for axis in json.loads(res.output)["axes"]:
+            assert axis["SF"] == 1 and axis["sigma"] == 0
+            assert all(m == axis["m_ref"] for m in axis["m"])
+        res = runner.invoke(main, ["entropy", "--latent", str(path), "--scaling", "sega"])
+        assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("command", ["trajectory", "heatmap"])
+    def test_constant_step_reported_degenerate(self, runner, tmp_path, command):
+        # One checker block covers the grid, so the last, pure-structure step is constant.
+        cfg = small_config({"structure_kind": "checker",
+                            "structure_params": {"block_h": 8, "block_w": 8}})
+        res, out = run_config(runner, tmp_path, command, cfg)
+        assert res.exit_code == 0, res.output
+        assert json.loads((out / "summary.json").read_text())["degenerate_heatmap_rows"] == [2]

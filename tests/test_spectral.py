@@ -237,6 +237,13 @@ class TestFlatness:
         with pytest.raises(ValueError):
             spectral_flatness(np.zeros(4), np.zeros(4, dtype=bool))
 
+    def test_all_floored_bins_give_exactly_one(self):
+        # Every bin at the eps floor (a constant latent): the ratio of means
+        # rounds to 1.000000000000001 unless capped at 1.
+        e = np.zeros(32)
+        occ = np.ones(32, dtype=bool)
+        assert spectral_flatness(e, occ) == 1.0
+
 
 class TestAmplitude:
     def test_flat_gives_zero_exactly(self):
@@ -315,6 +322,14 @@ class TestModulate:
         np.testing.assert_array_equal(a.vec_h.m, b.vec_h.m)
         np.testing.assert_array_equal(a.vec_w.s_corr, b.vec_w.s_corr)
         assert a.flatness == b.flatness
+
+    def test_constant_latent_keeps_the_reference(self):
+        sh, sw = self.make_scheds(16)
+        result = modulate_detailed(LatentGrid.from_array(np.full((8, 8, 2), 0.5)), sh, sw, 2.0)
+        assert result.flatness == 1.0
+        for vec in (result.vec_h, result.vec_w):
+            assert vec.sigma == 0.0
+            np.testing.assert_array_equal(vec.m, vec.m_ref)
 
     def test_default_bin_count_tracks_grid(self):
         cfg = SegaConfig()
