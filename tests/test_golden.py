@@ -8,8 +8,9 @@ digest and CHANGES.md says which bytes moved and why.
 The inline ``yarn_dype`` config pins each way a per-axis schedule is derived:
 yarn on the target grid with ratio_h != ratio_w, a sega method and a yarn
 baseline on the train grid, dype with its time schedule, the log anchor form
-and an explicit radial bin count. ``modulate`` and ``entropy`` pin the
-derivation from a latent file's own shape.
+and an explicit radial bin count. ``modulate``, ``entropy`` and ``attn-map``
+pin the derivation from a latent file's own shape; the two ``attn-map`` cases
+pin one query row under sega and under unit scaling.
 """
 
 import hashlib
@@ -72,6 +73,12 @@ CASES = (
     ("entropy_sega", ["entropy", "--latent", "{latent}", "--scaling", "sega"], None),
     ("entropy_sega_yarn",
      ["entropy", "--latent", "{latent}", "--config", "{yarn_dype}", "--scaling", "sega"], None),
+    ("attn_map_sega",
+     ["attn-map", "--latent", "{latent}", "--query-h", "5", "--query-w", "7",
+      "--scaling", "sega"], None),
+    ("attn_map_none",
+     ["attn-map", "--latent", "{latent}", "--query-h", "0", "--query-w", "11",
+      "--scaling", "none"], None),
 )
 
 DIGESTS = {
@@ -108,6 +115,12 @@ DIGESTS = {
     },
     "entropy_sega_yarn": {
         "stdout": "c2fd025b05350e1343430b874e426c813e2704e27bebea0bb9b1ce63da8e3a38",
+    },
+    "attn_map_sega": {
+        "stdout": "52cfbf3c5d410c7d04d68f80d30f847f7ffbcd83f4dfd2413537f08e4885d91a",
+    },
+    "attn_map_none": {
+        "stdout": "1ce1e83f5ca210e40c05ac33e97627cd405805cbbe27944b370ed70158302c45",
     },
 }
 
