@@ -5,7 +5,8 @@ Library layout:
 * :mod:`sega.tensorio`  - latent grids, SEGL files, synthetic generators
 * :mod:`sega.rope`      - frequency schedules, extrapolation variants, rotation
 * :mod:`sega.spectral`  - spectra, profiles, flatness, the scaling modulator
-* :mod:`sega.attention` - dense rotary attention and entropy metrics
+* :mod:`sega.attention` - blocked rotary attention entropy (the CLI path) and
+  the dense reference oracle
 * :mod:`sega.harness`   - simulated denoising trajectories and traces
 * :mod:`sega.cli`       - the `sega` command
 """
@@ -17,6 +18,8 @@ from .attention import (
     attention_entropy,
     entropy_delta,
     grid_positions,
+    rotary_attention_row,
+    rotary_entropy,
 )
 from .harness import MethodSpec, RopeParams, TrajectoryRecord, entropy_trace, run_trajectory, spectral_heatmap
 from .rope import (

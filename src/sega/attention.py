@@ -1,7 +1,13 @@
-"""Dense scaled dot-product attention over 2D token grids, plus entropy metrics.
+"""Single-head rotary self-attention over 2D token grids, plus entropy metrics.
 
-Desk-scale only: the full row-stochastic weight matrix is materialized so it
-can be inspected, mapped back onto the grid, and measured. Single head.
+The CLI and the harness use the blocked path: :func:`rotary_entropy` takes
+each query row's entropy from one block of logits at a time, and
+:func:`rotary_attention_row` computes the one row ``sega attn-map`` prints.
+Neither forms the N x N weight matrix, so memory stays O(block * N).
+
+The dense path (:func:`attend`, :func:`attend_rotary`, :class:`AttentionField`,
+:func:`attention_entropy`) materializes the full row-stochastic matrix. It is
+kept as the reference oracle the blocked path is tested against.
 """
 
 from __future__ import annotations
@@ -11,6 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rope import RopeSchedule, axial_rotary
+
+# Logits per query block of rotary_entropy: 2 MiB of float64, 64 rows at N=4096.
+BLOCK_LOGITS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +108,86 @@ def attend_rotary(
     q_rot = axial_rotary(q, ph, pw, sched_h, sched_w, scale_h, scale_w)
     k_rot = axial_rotary(k, ph, pw, sched_h, sched_w, scale_h, scale_w)
     return attend(q_rot, k_rot, v, logit_scale=extra_logit_scale)
+
+
+def _rotated_keys(
+    x, positions, sched_h, sched_w, scale_h, scale_w, logit_scale
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate the shared Q = K features once; return them and the keys pre-scaled
+    by logit_scale / sqrt(D), so that x_rot @ keys are the logits."""
+    x = np.asarray(x, dtype=np.float64)
+    positions = np.asarray(positions)
+    if x.ndim != 2:
+        raise ValueError("features must be a 2D matrix")
+    if positions.ndim != 2 or positions.shape[1] != 2:
+        raise ValueError("positions must have shape (N, 2)")
+    if positions.shape[0] != x.shape[0]:
+        raise ValueError("positions must cover every query and key token")
+    if not logit_scale > 0:
+        raise ValueError("logit_scale must be positive")
+    x_rot = axial_rotary(x, positions[:, 0], positions[:, 1], sched_h, sched_w, scale_h, scale_w)
+    if not np.all(np.isfinite(x_rot)):
+        raise ValueError("rotated features contain non-finite values")
+    return x_rot, x_rot.T * (logit_scale / np.sqrt(x.shape[1]))
+
+
+def _check_finite(values: np.ndarray) -> np.ndarray:
+    """Shifted logits or entropies; a non-finite one means the logits overflowed."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("attention logits overflowed; lower the logit or rotary scale")
+    return values
+
+
+def rotary_entropy(
+    x: np.ndarray,
+    positions: np.ndarray,
+    sched_h: RopeSchedule,
+    sched_w: RopeSchedule,
+    scale_h: np.ndarray | None = None,
+    scale_w: np.ndarray | None = None,
+    logit_scale: float = 1.0,
+) -> tuple[np.ndarray, float]:
+    """Per-row entropy (natural log) and mean of rotary self-attention with Q = K = x.
+
+    Equals attention_entropy(attend_rotary(x, x, x, ...)[1]) without forming
+    the N x N matrix: per block of query rows, with l the row-max-shifted
+    logits, H = log Z - sum(e^l * l) / Z where Z = sum(e^l).
+    """
+    x_rot, keys = _rotated_keys(x, positions, sched_h, sched_w, scale_h, scale_w, logit_scale)
+    n = x_rot.shape[0]
+    step = max(1, BLOCK_LOGITS // n)
+    per_row = np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        for start in range(0, n, step):
+            logits = x_rot[start : start + step] @ keys
+            logits -= logits.max(axis=1, keepdims=True)
+            e = np.exp(logits)
+            z = e.sum(axis=1)
+            e *= logits
+            per_row[start : start + step] = np.log(z) - e.sum(axis=1) / z
+    _check_finite(per_row)
+    return per_row, float(per_row.mean())
+
+
+def rotary_attention_row(
+    x: np.ndarray,
+    positions: np.ndarray,
+    sched_h: RopeSchedule,
+    sched_w: RopeSchedule,
+    scale_h: np.ndarray | None = None,
+    scale_w: np.ndarray | None = None,
+    logit_scale: float = 1.0,
+    *,
+    query: int,
+) -> np.ndarray:
+    """One query token's attention weights over all N tokens, in O(N * D)."""
+    x_rot, keys = _rotated_keys(x, positions, sched_h, sched_w, scale_h, scale_w, logit_scale)
+    if not 0 <= query < x_rot.shape[0]:
+        raise ValueError("query index outside the token range")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        logits = x_rot[query] @ keys
+        logits -= logits.max()
+    return softmax_rows(_check_finite(logits))
 
 
 def attention_entropy(field: AttentionField) -> tuple[np.ndarray, float]:

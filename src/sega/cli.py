@@ -14,7 +14,7 @@ import click
 import numpy as np
 
 from . import spectral
-from .attention import attend_rotary, attention_entropy, grid_positions
+from .attention import grid_positions, rotary_attention_row, rotary_entropy
 from .config import ConfigError, ExperimentConfig, load_experiment_config
 from .fmtio import canonical_json, csv_line, write_csv, write_json
 from .harness import axis_schedules, entropy_trace, heatmap_rows, scaling_vectors, spectral_heatmap
@@ -46,6 +46,21 @@ def _io_errors():
         yield
     except (LatentIOError, OSError) as exc:
         raise FileError(str(exc))
+
+
+@contextmanager
+def _usage_errors():
+    """Report a ValueError (a flag combination the math rejects) as exit code 2."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
+def _positive_finite(ctx, param, value):
+    if value is not None and not (np.isfinite(value) and value > 0):
+        raise click.BadParameter("must be finite and > 0")
+    return value
 
 
 def _read_latent(path: str):
@@ -193,21 +208,17 @@ def _schedules(cfg: ExperimentConfig, grid, ratio_h: float, ratio_w: float):
         raise click.UsageError(str(exc))
 
 
-def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed, logit_scale):
+def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed):
+    """(features, positions, sched_h, sched_w, m_h, m_w) for the blocked attention calls."""
     cfg = _load_config(config_path)
     rope_p = cfg.rope
     sched_h, sched_w = _schedules(cfg, grid, rope_p.ratio_h, rope_p.ratio_w)
-    if scaling == "fixed" and fixed_value is not None and fixed_value <= 0:
-        raise click.UsageError("--fixed-value must be positive")
     _, m_h, m_w = scaling_vectors(
         scaling, grid, sched_h, sched_w, rope_p.ratio_scalar, cfg.sega, fixed_value
     )
     feats = token_features(grid, 2 * rope_p.dim, feature_seed, 0)
     positions = grid_positions(grid.height, grid.width)
-    _, field = attend_rotary(
-        feats, feats, feats, positions, sched_h, sched_w, m_h, m_w, logit_scale
-    )
-    return field
+    return feats, positions, sched_h, sched_w, m_h, m_w
 
 
 @main.command("attn-map", epilog=CONFIG_EPILOG)
@@ -217,20 +228,22 @@ def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed, logi
 @click.option("--config", "config_path", default=None, help="Experiment config JSON.")
 @click.option("--scaling", type=click.Choice(["none", "fixed", "sega"]), default="none",
               show_default=True, help="Rotary magnitude mode.")
-@click.option("--fixed-value", type=float, default=None,
+@click.option("--fixed-value", type=float, default=None, callback=_positive_finite,
               help="Uniform magnitude for --scaling fixed (default: the reference scale).")
-@click.option("--feature-seed", type=int, default=0, show_default=True,
+@click.option("--feature-seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="Seed for the token feature projection.")
 @click.option("--logit-scale", type=float, default=1.0, show_default=True,
-              help="Extra uniform logit factor.")
+              callback=_positive_finite, help="Extra uniform logit factor.")
 def attn_map(latent_path, query_h, query_w, config_path, scaling, fixed_value,
              feature_seed, logit_scale):
     """Emit one query token's attention weights over the 2D grid as CSV."""
     grid = _read_latent(latent_path)
     if not (0 <= query_h < grid.height and 0 <= query_w < grid.width):
         raise click.UsageError("query position outside the grid")
-    field = _attention_setup(grid, config_path, scaling, fixed_value, feature_seed, logit_scale)
-    row = field.weights[query_h * grid.width + query_w].reshape(grid.height, grid.width)
+    args = _attention_setup(grid, config_path, scaling, fixed_value, feature_seed)
+    with _usage_errors():
+        row = rotary_attention_row(*args, logit_scale, query=query_h * grid.width + query_w)
+    row = row.reshape(grid.height, grid.width)
     click.echo(csv_line(["h"] + [f"w{j}" for j in range(grid.width)]))
     for h in range(grid.height):
         click.echo(csv_line([h] + [row[h, j] for j in range(grid.width)]))
@@ -241,17 +254,18 @@ def attn_map(latent_path, query_h, query_w, config_path, scaling, fixed_value,
 @click.option("--config", "config_path", default=None, help="Experiment config JSON.")
 @click.option("--scaling", type=click.Choice(["none", "fixed", "sega"]), default="none",
               show_default=True, help="Rotary magnitude mode.")
-@click.option("--fixed-value", type=float, default=None,
+@click.option("--fixed-value", type=float, default=None, callback=_positive_finite,
               help="Uniform magnitude for --scaling fixed (default: the reference scale).")
-@click.option("--feature-seed", type=int, default=0, show_default=True,
+@click.option("--feature-seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="Seed for the token feature projection.")
 @click.option("--logit-scale", type=float, default=1.0, show_default=True,
-              help="Extra uniform logit factor.")
+              callback=_positive_finite, help="Extra uniform logit factor.")
 def entropy(latent_path, config_path, scaling, fixed_value, feature_seed, logit_scale):
     """Emit per-token attention entropies as CSV, with a trailing mean row."""
     grid = _read_latent(latent_path)
-    field = _attention_setup(grid, config_path, scaling, fixed_value, feature_seed, logit_scale)
-    per_row, mean = attention_entropy(field)
+    args = _attention_setup(grid, config_path, scaling, fixed_value, feature_seed)
+    with _usage_errors():
+        per_row, mean = rotary_entropy(*args, logit_scale)
     click.echo(csv_line(["token", "h", "w", "entropy"]))
     for idx, val in enumerate(per_row):
         click.echo(csv_line([idx, idx // grid.width, idx % grid.width, val]))

@@ -11,7 +11,7 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .harness import MethodSpec, RopeParams, train_shape
+from .harness import MethodSpec, RopeParams, axis_schedules, train_shape
 from .rope import METHODS
 from .spectral import SegaConfig
 from .tensorio import TrajectoryConfig
@@ -188,6 +188,15 @@ def load_experiment_config(source) -> ExperimentConfig:
         raise ConfigError("a yarn method needs 0 < rope.yarn_alpha < rope.yarn_beta")
     if "dype" in used and rope.dype_p <= 0:
         raise ConfigError("a dype method needs rope.dype_p > 0")
+    # Build each target-grid schedule once, at the last step: its denoising time is
+    # the smallest, so dype's effective ratio is the largest.
+    last_t = trajectory.time(trajectory.steps - 1)
+    for name in dict.fromkeys(m.rope for m in runs if m.grid == "target"):
+        try:
+            axis_schedules(rope, name, trajectory.height, trajectory.width,
+                           rope.ratio_h, rope.ratio_w, last_t)
+        except ValueError as exc:
+            raise ConfigError(f"rope method {name!r}: {exc}") from exc
     shape = (trajectory.height, trajectory.width)
     if (
         trajectory.structure_kind == "file"

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import spectral
-from .attention import attend_rotary, attention_entropy, grid_positions
+from .attention import grid_positions, rotary_entropy
 from .rope import METHODS, RopeSchedule, YarnParams, make_schedule, yarn_temperature
 from .spectral import SegaConfig, reference_scale
 from .tensorio import LatentGrid, TrajectoryConfig, generate_latent, token_features
@@ -220,10 +220,9 @@ def run_trajectory(
                 feats = token_features(latent, 2 * rope.dim, cfg.seed, step)
                 positions = grid_positions(latent.height, latent.width)
                 tau = yarn_temperature(ratio) if method.temperature else 1.0
-                _, fld = attend_rotary(
-                    feats, feats, feats, positions, sched_h, sched_w, m_h, m_w, tau
-                )
-                mean_entropy = attention_entropy(fld)[1]
+                mean_entropy = rotary_entropy(
+                    feats, positions, sched_h, sched_w, m_h, m_w, tau
+                )[1]
 
             step_rec.methods[method.name] = MethodStepRecord(
                 m_ref=m_ref, m_h=m_h, m_w=m_w, mean_entropy=mean_entropy

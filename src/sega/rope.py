@@ -99,7 +99,13 @@ def ntk_base(base: float, ratio: float, dim: int, strong: bool = False) -> float
     if ratio < 1.0:
         raise ValueError("ratio must be >= 1")
     exponent = (2.0 if strong else 1.0) * dim / (dim - 2)
-    return base * ratio**exponent
+    try:
+        enlarged = base * ratio**exponent
+    except OverflowError:
+        enlarged = math.inf
+    if not math.isfinite(enlarged):
+        raise ValueError(f"ntk base overflows at ratio {ratio:g}")
+    return enlarged
 
 
 def yarn_ramp(r, params: YarnParams):

@@ -1,10 +1,11 @@
 """Attention contracts: stochasticity, entropy bounds, rotary composition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sega import (
@@ -16,7 +17,8 @@ from sega import (
     grid_positions,
     make_schedule,
 )
-from sega.attention import softmax_rows
+from sega import attention
+from sega.attention import rotary_attention_row, rotary_entropy, softmax_rows
 
 
 def uniform_field(n):
@@ -168,3 +170,99 @@ class TestEntropy:
             AttentionField(np.array([[0.7, 0.7], [0.5, 0.5]]))
         with pytest.raises(ValueError):
             AttentionField(np.array([[1.2, -0.2], [0.5, 0.5]]))
+
+
+def dense_rotary(feats, pos, sh, sw, mh=None, mw=None, logit_scale=1.0):
+    return attend_rotary(feats, feats, feats, pos, sh, sw, mh, mw, logit_scale)[1]
+
+
+class TestBlockedRotary:
+    """rotary_entropy and rotary_attention_row against the dense oracle."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.integers(2, 12),
+        st.sampled_from([4, 8, 16]),
+        st.floats(0.1, 4.0),
+    )
+    @example(seed=7, height=24, width=25, dim=16, logit_scale=1.3)  # 600 tokens: blocks of 436 + 164
+    @settings(max_examples=30, deadline=None)
+    def test_entropy_matches_dense(self, seed, height, width, dim, logit_scale):
+        gen = np.random.default_rng(seed)
+        sh = make_schedule("H", dim, method="ntk", ratio=2.0)
+        sw = make_schedule("W", dim, method="pi", ratio=1.5)
+        mh, mw = gen.uniform(0.05, 3.0, dim // 2), gen.uniform(0.05, 3.0, dim // 2)
+        feats = gen.standard_normal((height * width, 2 * dim))
+        pos = grid_positions(height, width)
+        dense, dense_mean = attention_entropy(dense_rotary(feats, pos, sh, sw, mh, mw, logit_scale))
+        per_row, mean = rotary_entropy(feats, pos, sh, sw, mh, mw, logit_scale)
+        np.testing.assert_allclose(per_row, dense, rtol=0, atol=1e-12)
+        assert abs(mean - dense_mean) <= 1e-12
+
+    def test_many_small_blocks_match_dense(self, rng, monkeypatch):
+        # 7 rows per block on 24 x 25 tokens: 85 full blocks and a last one of 5 rows
+        monkeypatch.setattr(attention, "BLOCK_LOGITS", 7 * 600)
+        sh, sw = make_schedule("H", 8), make_schedule("W", 8)
+        feats = rng.standard_normal((600, 16))
+        pos = grid_positions(24, 25)
+        dense, _ = attention_entropy(dense_rotary(feats, pos, sh, sw, logit_scale=2.0))
+        per_row, _ = rotary_entropy(feats, pos, sh, sw, logit_scale=2.0)
+        np.testing.assert_allclose(per_row, dense, rtol=0, atol=1e-12)
+
+    def test_attention_row_matches_dense(self, rng):
+        sh = make_schedule("H", 8, method="ntk_strong", ratio=2.0)
+        sw = make_schedule("W", 8, method="ntk_strong", ratio=2.0)
+        mh, mw = rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4)
+        feats = rng.standard_normal((63, 16))
+        pos = grid_positions(7, 9)
+        weights = dense_rotary(feats, pos, sh, sw, mh, mw, 1.7).weights
+        for query in (0, 31, 62):
+            row = rotary_attention_row(feats, pos, sh, sw, mh, mw, 1.7, query=query)
+            np.testing.assert_allclose(row, weights[query], rtol=0, atol=1e-12)
+
+    def test_memory_stays_blocked(self, rng):
+        # dense attention at 64 x 64 traces ~513 MiB; one 2 MiB logit block needs far less
+        sh, sw = make_schedule("H", 16), make_schedule("W", 16)
+        feats = rng.standard_normal((4096, 32))
+        pos = grid_positions(64, 64)
+        tracemalloc.start()
+        try:
+            rotary_entropy(feats, pos, sh, sw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("fn", [rotary_entropy, rotary_attention_row])
+    def test_validation(self, rng, fn):
+        sh, sw = make_schedule("H", 8), make_schedule("W", 8)
+        feats = rng.standard_normal((16, 16))
+        pos = grid_positions(4, 4)
+        kw = {"query": 3} if fn is rotary_attention_row else {}
+        bad = feats.copy()
+        bad[2, 5] = np.nan
+        cases = [
+            dict(x=bad, positions=pos),
+            dict(x=feats, positions=pos[:8]),
+            dict(x=feats, positions=pos[:, :1]),
+            dict(x=feats, positions=pos, logit_scale=0.0),
+            dict(x=feats, positions=pos, logit_scale=float("nan")),
+            dict(x=feats, positions=pos, logit_scale=1e308),  # logits overflow
+            dict(x=feats, positions=pos, scale_h=np.full(4, 1e300), scale_w=np.ones(4)),
+        ]
+        for case in cases:
+            with pytest.raises(ValueError):
+                fn(sched_h=sh, sched_w=sw, **case, **kw)
+        if fn is rotary_attention_row:
+            with pytest.raises(ValueError):
+                fn(feats, pos, sh, sw, query=16)
+
+    def test_uniform_and_one_hot_limits(self):
+        sh, sw = make_schedule("H", 4), make_schedule("W", 4)
+        pos = grid_positions(3, 3)
+        per_row, mean = rotary_entropy(np.zeros((9, 8)), pos, sh, sw)
+        np.testing.assert_allclose(per_row, math.log(9), rtol=0, atol=1e-15)
+        # orthogonal, large features: every row attends to itself alone
+        per_row, _ = rotary_entropy(100.0 * np.eye(9, 8), pos[:9], sh, sw, logit_scale=50.0)
+        assert np.all(per_row[:8] >= 0) and np.all(per_row[:8] < 1e-12)

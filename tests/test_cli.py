@@ -336,6 +336,7 @@ MALFORMED_CONFIGS = {
     "ratio_not_a_number": (small_config(rope={"ratio": "x"}), 2),
     "ratio_nan": (small_config(rope={"ratio": float("nan")}), 2),
     "base_zero": (small_config(rope={"base": 0}), 2),
+    "ratio_overflows_ntk_base": (small_config(rope={"ratio": 1e300}), 2),
     "rope_not_an_object": ({"rope": 5}, 2),
 }
 
@@ -364,6 +365,53 @@ class TestMalformedConfigs:
         res, out = run_config(runner, tmp_path, "trajectory", cfg)
         assert res.exit_code == 0, res.output
         assert (out / "summary.json").exists()
+
+
+QUERY = ["--query-h", "3", "--query-w", "5"]
+
+# Each flag set is rejected up front or overflows the logits; all exit 2.
+FLAG_FAULTS = {
+    "attn_map_logit_scale_zero": ["attn-map", *QUERY, "--logit-scale", "0"],
+    "entropy_logit_scale_negative": ["entropy", "--logit-scale", "-1"],
+    "entropy_logit_scale_nan": ["entropy", "--logit-scale", "nan"],
+    "entropy_logit_scale_inf": ["entropy", "--logit-scale", "inf"],
+    "entropy_logit_scale_overflow": ["entropy", "--logit-scale", "1e308"],
+    "attn_map_logit_scale_overflow": ["attn-map", *QUERY, "--logit-scale", "1e308"],
+    "entropy_fixed_value_nan": ["entropy", "--scaling", "fixed", "--fixed-value", "nan"],
+    "attn_map_fixed_value_inf": ["attn-map", *QUERY, "--scaling", "fixed", "--fixed-value", "inf"],
+    "entropy_fixed_value_overflow": ["entropy", "--scaling", "fixed", "--fixed-value", "1e300"],
+    "entropy_feature_seed_negative": ["entropy", "--feature-seed", "-1"],
+    "attn_map_feature_seed_negative": ["attn-map", *QUERY, "--feature-seed", "-1"],
+}
+
+
+class TestFlagFaults:
+    @pytest.mark.parametrize("case", sorted(FLAG_FAULTS))
+    def test_exit_2_without_traceback(self, runner, noise_latent, case):
+        command, *flags = FLAG_FAULTS[case]
+        res = runner.invoke(main, [command, "--latent", str(noise_latent), *flags])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+
+    def test_rope_table_ntk_overflow_exits_2(self, runner):
+        res = runner.invoke(main, ["rope-table", "--dim", "8", "--method", "ntk", "--ratio", "1e300"])
+        assert res.exit_code == 2, res.output
+        assert "overflows" in res.output
+
+    def test_cli_never_builds_the_dense_matrix(self, runner, noise_latent, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense N x N attention on a CLI path")
+
+        monkeypatch.setattr("sega.attention.attend", refuse)
+        latent = ["--latent", str(noise_latent)]
+        for argv in (
+            ["trajectory", "--config", str(TRAJECTORY_CONFIG), "--out-dir", str(tmp_path / "t")],
+            ["entropy", *latent, "--scaling", "sega"],
+            ["attn-map", *latent, *QUERY, "--scaling", "fixed"],
+        ):
+            res = runner.invoke(main, argv)
+            assert res.exit_code == 0, (argv[0], res.output)
 
 
 class TestConstantLatent:

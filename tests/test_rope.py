@@ -90,6 +90,12 @@ class TestNtk:
         with pytest.raises(ValueError):
             ntk_base(10000.0, 2.0, 2)
 
+    @pytest.mark.parametrize("ratio, strong", [(1e300, False), (1e200, True), (1e298, False)])
+    def test_overflow_is_a_value_error(self, ratio, strong):
+        # ratio**exponent raises OverflowError, or the product with base is inf
+        with pytest.raises(ValueError, match="overflows"):
+            ntk_base(10000.0, ratio, 64, strong=strong)
+
 
 class TestYarn:
     PARAMS = YarnParams(alpha=1.0, beta=32.0, train_len=64.0)
