@@ -10,7 +10,11 @@ yarn on the target grid with ratio_h != ratio_w, a sega method and a yarn
 baseline on the train grid, dype with its time schedule, the log anchor form
 and an explicit radial bin count. ``modulate``, ``entropy`` and ``attn-map``
 pin the derivation from a latent file's own shape; the two ``attn-map`` cases
-pin one query row under sega and under unit scaling.
+pin one query row under sega and under unit scaling. The 16x12 latent is too
+small for ``entropy`` to split its rows into blocks, so ``entropy`` is also
+pinned on a 64x64 latent (several blocks of whole rows) and on a 48x64 latent
+(blocks that do not divide the row count). ``spectrum`` and three
+``rope-table`` schedules pin the remaining stdout writers.
 """
 
 import hashlib
@@ -79,6 +83,14 @@ CASES = (
     ("attn_map_none",
      ["attn-map", "--latent", "{latent}", "--query-h", "0", "--query-w", "11",
       "--scaling", "none"], None),
+    ("entropy_sega_64x64", ["entropy", "--latent", "{latent_64x64}", "--scaling", "sega"], None),
+    ("entropy_sega_48x64", ["entropy", "--latent", "{latent_48x64}", "--scaling", "sega"], None),
+    ("spectrum", ["spectrum", "--latent", "{latent}"], None),
+    ("rope_table_none", ["rope-table", "--dim", "64", "--method", "none"], None),
+    ("rope_table_ntk_strong",
+     ["rope-table", "--dim", "64", "--method", "ntk_strong", "--ratio", "4"], None),
+    ("rope_table_yarn",
+     ["rope-table", "--dim", "64", "--method", "yarn", "--ratio", "4", "--train-len", "64"], None),
 )
 
 DIGESTS = {
@@ -122,6 +134,24 @@ DIGESTS = {
     "attn_map_none": {
         "stdout": "1ce1e83f5ca210e40c05ac33e97627cd405805cbbe27944b370ed70158302c45",
     },
+    "entropy_sega_64x64": {
+        "stdout": "3289499c0a54c464db46dd5a6b641481c055e41f5b418249d893a692fd31baf5",
+    },
+    "entropy_sega_48x64": {
+        "stdout": "a2172c813687c93f96b917095f4b9bf705691006d21ef5f7d8d48f5139058f06",
+    },
+    "spectrum": {
+        "stdout": "739e77e82e13b6d2dd2f6fa1a13ccb50dc99817280dc9f89e721ff6ce846986b",
+    },
+    "rope_table_none": {
+        "stdout": "d93a383d7231e8ee417de3729167d2e86608bbdf832ca44539af575b6a171806",
+    },
+    "rope_table_ntk_strong": {
+        "stdout": "e2bdcce0f457d9f5fb9b05aee74ef8ae20b9c6c140e390f825e7edaec59acc51",
+    },
+    "rope_table_yarn": {
+        "stdout": "6a970488b6ebe23b0b9119e7896461f44f17f064ee681cbef14febbc2d60d706",
+    },
 }
 
 
@@ -129,6 +159,9 @@ def _inputs(tmp_path):
     latent = tmp_path / "latent.segl"
     grid = LatentGrid.from_array(np.random.default_rng(31).standard_normal((16, 12, 3)))
     write_latent(grid, latent)
+    for seed, (height, width) in ((64, (64, 64)), (48, (48, 64))):
+        values = np.random.default_rng(seed).standard_normal((height, width, 4))
+        write_latent(LatentGrid.from_array(values), tmp_path / f"latent_{height}x{width}.segl")
     yarn_dype = tmp_path / "yarn_dype.json"
     yarn_dype.write_text(json.dumps(YARN_DYPE))
     return {
@@ -136,6 +169,8 @@ def _inputs(tmp_path):
         "heatmap_noise": str(REPO / "configs" / "heatmap_noise.json"),
         "yarn_dype": str(yarn_dype),
         "latent": str(latent),
+        "latent_64x64": str(tmp_path / "latent_64x64.segl"),
+        "latent_48x64": str(tmp_path / "latent_48x64.segl"),
         "out": str(tmp_path / "out"),
     }
 
