@@ -7,6 +7,7 @@ significant digits so identical configs yield byte-identical files.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import spectral
 from .attention import grid_positions, rotary_attention_row, rotary_entropy
 from .config import ConfigError, ExperimentConfig, load_experiment_config
-from .fmtio import canonical_json, csv_line, write_csv, write_json
+from .fmtio import canonical_json, csv_text, fmt_floats, write_csv, write_json
 from .harness import axis_schedules, entropy_trace, heatmap_rows, scaling_vectors, spectral_heatmap
 from .rope import METHODS, YarnParams, base_frequencies, make_schedule, yarn_ramp
 from .tensorio import LatentIOError, read_latent, token_features
@@ -55,6 +56,16 @@ def _usage_errors():
         yield
     except ValueError as exc:
         raise click.UsageError(str(exc))
+
+
+def _emit(text: str) -> None:
+    """Write a command's whole stdout in one write.
+
+    The stream is passed explicitly: given none, click caches each stdout it
+    sees in a way that keeps the stream alive, so every in-process call with
+    a captured stdout would leak its buffer.
+    """
+    click.echo(text, file=sys.stdout, nl=False)
 
 
 def _positive_finite(ctx, param, value):
@@ -143,14 +154,12 @@ def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p,
         raise click.UsageError(str(exc))
     wavelengths = 2.0 * np.pi / theta0
     header = ["d", "theta", "theta_prime", "wavelength"]
+    rows = [[d, theta0[d], sched_h.theta[d], wavelengths[d]] for d in range(dim // 2)]
     if method == "yarn":
         header.append("lambda")
-    click.echo(csv_line(header))
-    for d in range(dim // 2):
-        row = [d, theta0[d], sched_h.theta[d], wavelengths[d]]
-        if method == "yarn":
+        for d, row in enumerate(rows):
             row.append(yarn_ramp(wavelengths[d] / yarn.train_len, yarn))
-        click.echo(csv_line(row))
+    _emit(csv_text(header, rows))
 
 
 @main.command(epilog=CONFIG_EPILOG)
@@ -163,7 +172,7 @@ def modulate(latent_path, config_path, ratio):
     grid = _read_latent(latent_path)
     ratio_h = ratio if ratio is not None else cfg.rope.ratio_h
     ratio_w = ratio if ratio is not None else cfg.rope.ratio_w
-    if ratio_h < 1.0:
+    if not ratio_h >= 1.0:  # NaN fails this test too
         raise click.UsageError("--ratio must be >= 1")
     sched_h, sched_w = _schedules(cfg, grid, ratio_h, ratio_w)
     result = spectral.modulate_detailed(
@@ -181,7 +190,7 @@ def modulate(latent_path, config_path, ratio):
                 "m": [float(x) for x in vec.m],
             }
         )
-    click.echo(canonical_json(payload))
+    _emit(canonical_json(payload) + "\n")
 
 
 @main.command()
@@ -193,12 +202,13 @@ def spectrum(latent_path, bins):
     if bins is not None and bins < 2:
         raise click.UsageError("--bins must be >= 2")
     profiles = spectral.analyze(grid, bins)
-    click.echo(csv_line(["profile", "bin", "energy", "occupied"]))
-    for name, arr in (("axis_h", profiles.axis_h), ("axis_w", profiles.axis_w)):
-        for i, val in enumerate(arr):
-            click.echo(csv_line([name, i, val, 1]))
-    for i, val in enumerate(profiles.radial):
-        click.echo(csv_line(["radial", i, val, int(profiles.occupied[i])]))
+    rows = [
+        [name, i, val, 1]
+        for name, arr in (("axis_h", profiles.axis_h), ("axis_w", profiles.axis_w))
+        for i, val in enumerate(arr)
+    ]
+    rows.extend(["radial", i, val, int(profiles.occupied[i])] for i, val in enumerate(profiles.radial))
+    _emit(csv_text(["profile", "bin", "energy", "occupied"], rows))
 
 
 def _schedules(cfg: ExperimentConfig, grid, ratio_h: float, ratio_w: float):
@@ -243,10 +253,12 @@ def attn_map(latent_path, query_h, query_w, config_path, scaling, fixed_value,
     args = _attention_setup(grid, config_path, scaling, fixed_value, feature_seed)
     with _usage_errors():
         row = rotary_attention_row(*args, logit_scale, query=query_h * grid.width + query_w)
-    row = row.reshape(grid.height, grid.width)
-    click.echo(csv_line(["h"] + [f"w{j}" for j in range(grid.width)]))
-    for h in range(grid.height):
-        click.echo(csv_line([h] + [row[h, j] for j in range(grid.width)]))
+    cells = fmt_floats(row)
+    width = grid.width
+    _emit(csv_text(
+        ["h"] + [f"w{j}" for j in range(width)],
+        ([h] + cells[h * width : (h + 1) * width] for h in range(grid.height)),
+    ))
 
 
 @main.command(epilog=CONFIG_EPILOG)
@@ -266,10 +278,10 @@ def entropy(latent_path, config_path, scaling, fixed_value, feature_seed, logit_
     args = _attention_setup(grid, config_path, scaling, fixed_value, feature_seed)
     with _usage_errors():
         per_row, mean = rotary_entropy(*args, logit_scale)
-    click.echo(csv_line(["token", "h", "w", "entropy"]))
-    for idx, val in enumerate(per_row):
-        click.echo(csv_line([idx, idx // grid.width, idx % grid.width, val]))
-    click.echo(csv_line(["mean", "", "", mean]))
+    width = grid.width
+    rows = [(idx, idx // width, idx % width, cell) for idx, cell in enumerate(fmt_floats(per_row))]
+    rows.append(("mean", "", "", mean))
+    _emit(csv_text(["token", "h", "w", "entropy"], rows))
 
 
 def _write_heatmap(out: Path, heat: np.ndarray) -> None:
@@ -278,6 +290,10 @@ def _write_heatmap(out: Path, heat: np.ndarray) -> None:
         ["step"] + [f"bin_{b}" for b in range(heat.shape[1])],
         [[t] + [heat[t, b] for b in range(heat.shape[1])] for t in range(heat.shape[0])],
     )
+
+
+def _emit_wrote(out: Path, *names: str) -> None:
+    _emit("".join(f"wrote {out / name}\n" for name in names))
 
 
 def _prepare_out_dir(out_dir: str) -> Path:
@@ -353,11 +369,8 @@ def trajectory(config_path, out_dir):
         "degenerate_heatmap_rows": degenerate,
     }
     write_json(out / "summary.json", summary)
-    click.echo(f"wrote {out / 'scaling_map_H.csv'}")
-    click.echo(f"wrote {out / 'scaling_map_W.csv'}")
-    click.echo(f"wrote {out / 'entropy_trace.csv'}")
-    click.echo(f"wrote {out / 'spectral_heatmap.csv'}")
-    click.echo(f"wrote {out / 'summary.json'}")
+    _emit_wrote(out, "scaling_map_H.csv", "scaling_map_W.csv", "entropy_trace.csv",
+                "spectral_heatmap.csv", "summary.json")
 
 
 @main.command(epilog=CONFIG_EPILOG)
@@ -376,8 +389,7 @@ def heatmap(config_path, out_dir):
         out / "summary.json",
         {"config": cfg.snapshot(), "degenerate_heatmap_rows": degenerate},
     )
-    click.echo(f"wrote {out / 'spectral_heatmap.csv'}")
-    click.echo(f"wrote {out / 'summary.json'}")
+    _emit_wrote(out, "spectral_heatmap.csv", "summary.json")
 
 
 if __name__ == "__main__":

@@ -16,6 +16,8 @@ import numpy as np
 
 def fmt(value: Any) -> str:
     """Render one cell: floats at 9 significant digits, everything else as str."""
+    if type(value) in (str, int):  # the common table cells; bool is not an exact int
+        return str(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, np.integer):
@@ -28,15 +30,33 @@ def fmt(value: Any) -> str:
     return str(value)
 
 
+def fmt_floats(values) -> list[str]:
+    """fmt() of every element of a float array (flattened in C order).
+
+    Finiteness is checked once for the whole array, so a long column costs one
+    format call per element.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"refusing to serialize non-finite value {float(values[bad][0])!r}")
+    return [f"{v:.9g}" for v in values.tolist()]
+
+
 def csv_line(cells: Iterable[Any]) -> str:
-    return ",".join(fmt(c) for c in cells)
+    return ",".join(map(fmt, cells))
+
+
+def csv_text(header: Iterable[Any], rows: Iterable[Iterable[Any]]) -> str:
+    """A whole CSV document: the header line, one line per row, a final newline."""
+    lines = [csv_line(header)]
+    lines.extend(csv_line(row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def write_csv(path, header: Iterable[Any], rows: Iterable[Iterable[Any]]) -> None:
-    lines = [csv_line(header)]
-    lines.extend(csv_line(row) for row in rows)
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text(header, rows))
 
 
 def canonical_json(obj: Any, indent: int = 0) -> str:

@@ -71,7 +71,7 @@ class RopeParams:
             raise ValueError("dim must be an even integer >= 4")
         if self.base <= 0:
             raise ValueError("base must be positive")
-        if self.ratio_h < 1.0 or self.ratio_w < 1.0:
+        if not (self.ratio_h >= 1.0 and self.ratio_w >= 1.0):
             raise ValueError("ratios must be >= 1")
 
     @property

@@ -59,7 +59,7 @@ class RopeSchedule:
             raise ValueError(f"axis must be one of {AXES}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.ratio < 1.0:
+        if not self.ratio >= 1.0:
             raise ValueError("ratio must be >= 1")
         theta = np.ascontiguousarray(self.theta, dtype=np.float64)
         if theta.shape != (self.dim // 2,):
@@ -87,7 +87,7 @@ def base_frequencies(dim: int, base: float) -> np.ndarray:
 
 def pi_frequencies(theta: np.ndarray, ratio: float) -> np.ndarray:
     """Uniform contraction theta_d / ratio (position interpolation)."""
-    if ratio < 1.0:
+    if not ratio >= 1.0:
         raise ValueError("ratio must be >= 1")
     return np.asarray(theta, dtype=np.float64) / ratio
 
@@ -96,7 +96,7 @@ def ntk_base(base: float, ratio: float, dim: int, strong: bool = False) -> float
     """Enlarged rotary base: base * ratio**(D/(D-2)), or 2D/(D-2) for the strong variant."""
     if dim <= 2:
         raise ValueError("dim must exceed 2 for base modification")
-    if ratio < 1.0:
+    if not ratio >= 1.0:
         raise ValueError("ratio must be >= 1")
     exponent = (2.0 if strong else 1.0) * dim / (dim - 2)
     try:
@@ -124,7 +124,7 @@ def yarn_frequencies(theta: np.ndarray, ratio: float, params: YarnParams) -> np.
     lam is the ramp evaluated at the normalized wavelength ratio
     r_d = T_d / train_len with T_d = 2*pi / theta_d.
     """
-    if ratio < 1.0:
+    if not ratio >= 1.0:
         raise ValueError("ratio must be >= 1")
     theta = np.asarray(theta, dtype=np.float64)
     r = (2.0 * np.pi / theta) / params.train_len
@@ -134,7 +134,7 @@ def yarn_frequencies(theta: np.ndarray, ratio: float, params: YarnParams) -> np.
 
 def yarn_temperature(ratio: float) -> float:
     """Uniform logit scaling 0.1 * ln(ratio) + 1 that sharpens attention under extrapolation."""
-    if ratio < 1.0:
+    if not ratio >= 1.0:
         raise ValueError("ratio must be >= 1")
     return 0.1 * math.log(ratio) + 1.0
 
@@ -147,7 +147,7 @@ def dype_ratio(ratio: float, t: float, p: float = 1.0) -> float:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    if ratio < 1.0:
+    if not ratio >= 1.0:
         raise ValueError("ratio must be >= 1")
     if p <= 0:
         raise ValueError("p must be positive")

@@ -232,7 +232,7 @@ def amplitude_factor(flatness: float, gamma: float) -> float:
 
 def reference_scale(ratio: float, cfg: SegaConfig) -> float:
     """Shared anchor magnitude: ratio**kappa, or 1 + kappa*ln(ratio) for the log form."""
-    if ratio < 1.0:
+    if not ratio >= 1.0:
         raise ValueError("ratio must be >= 1")
     if cfg.ref_form == "power":
         return ratio**cfg.kappa

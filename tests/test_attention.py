@@ -210,6 +210,26 @@ class TestBlockedRotary:
         per_row, _ = rotary_entropy(feats, pos, sh, sw, logit_scale=2.0)
         np.testing.assert_allclose(per_row, dense, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("height, width", [(24, 25), (64, 64)])
+    def test_reduction_slices_are_bitwise_equal(self, rng, monkeypatch, height, width):
+        # Every row takes the same operations in the same order whatever the
+        # reduction slice, so one-row slices, the default and whole blocks agree
+        # exactly, not within a tolerance.
+        n = height * width
+        sh = make_schedule("H", 16, method="ntk", ratio=2.0)
+        sw = make_schedule("W", 16, method="pi", ratio=1.5)
+        mh, mw = rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8)
+        feats = rng.standard_normal((n, 32))
+        pos = grid_positions(height, width)
+        results = []
+        for reduce_logits in (n, attention.REDUCE_LOGITS, n * n):
+            monkeypatch.setattr(attention, "REDUCE_LOGITS", reduce_logits)
+            results.append(rotary_entropy(feats, pos, sh, sw, mh, mw, 1.5))
+        (one_row, one_mean), *others = results
+        for per_row, mean in others:
+            assert np.array_equal(per_row, one_row)
+            assert mean == one_mean
+
     def test_attention_row_matches_dense(self, rng):
         sh = make_schedule("H", 8, method="ntk_strong", ratio=2.0)
         sw = make_schedule("W", 8, method="ntk_strong", ratio=2.0)

@@ -1,7 +1,11 @@
 """CLI surface: flags, exit codes, output formats, run-to-run determinism."""
 
+import contextlib
+import gc
+import io
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +403,20 @@ class TestFlagFaults:
         assert res.exit_code == 2, res.output
         assert "overflows" in res.output
 
+    @pytest.mark.parametrize("command, flags", [
+        ("rope-table", ["--method", "none"]),
+        ("rope-table", ["--method", "pi"]),
+        ("rope-table", ["--method", "ntk"]),
+        ("rope-table", ["--method", "yarn", "--train-len", "8"]),
+        ("modulate", []),
+    ], ids=["rope_table_none", "rope_table_pi", "rope_table_ntk", "rope_table_yarn", "modulate"])
+    def test_nan_ratio_exits_2(self, runner, noise_latent, command, flags):
+        # NaN compares false with everything, so a `ratio < 1` check lets it through
+        source = ["--dim", "8"] if command == "rope-table" else ["--latent", str(noise_latent)]
+        res = runner.invoke(main, [command, *source, *flags, "--ratio", "nan"])
+        assert res.exit_code == 2, res.output
+        assert "ratio must be >= 1" in res.output
+
     def test_cli_never_builds_the_dense_matrix(self, runner, noise_latent, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("dense N x N attention on a CLI path")
@@ -434,3 +452,31 @@ class TestConstantLatent:
         res, out = run_config(runner, tmp_path, command, cfg)
         assert res.exit_code == 0, res.output
         assert json.loads((out / "summary.json").read_text())["degenerate_heatmap_rows"] == [2]
+
+
+class TestInProcessStdout:
+    @pytest.mark.parametrize("command", [
+        "rope-table", "modulate", "spectrum", "attn-map", "entropy", "trajectory", "heatmap",
+    ])
+    def test_captured_stdout_is_released(self, noise_latent, tmp_path, command):
+        # An in-process call must not keep the stream it wrote to alive; each
+        # retained capture would grow a long-lived caller's memory.
+        latent = ["--latent", str(noise_latent)]
+        out = ["--out-dir", str(tmp_path / "out")]
+        argv = {
+            "rope-table": ["--dim", "8"],
+            "modulate": latent,
+            "spectrum": latent,
+            "attn-map": [*latent, *QUERY],
+            "entropy": latent,
+            "trajectory": ["--config", str(TRAJECTORY_CONFIG), *out],
+            "heatmap": ["--config", str(HEATMAP_CONFIG), *out],
+        }[command]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main.main([command, *argv], standalone_mode=False)
+        assert buf.getvalue()
+        ref = weakref.ref(buf)
+        del buf
+        gc.collect()
+        assert ref() is None

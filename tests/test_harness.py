@@ -105,6 +105,11 @@ class TestRunTrajectory:
         with pytest.raises(ValueError):
             run_trajectory(small_cfg(), [SEGA_METHOD, SEGA_METHOD], rope=ROPE)
 
+    @pytest.mark.parametrize("ratio_h, ratio_w", [(0.5, 2.0), (2.0, math.nan), (math.nan, 2.0)])
+    def test_rope_params_reject_bad_ratios(self, ratio_h, ratio_w):
+        with pytest.raises(ValueError, match="ratios must be >= 1"):
+            RopeParams(dim=16, ratio_h=ratio_h, ratio_w=ratio_w)
+
     def test_logit_temperature_sharpens_attention(self):
         cfg = small_cfg(seed=8)
         warm = MethodSpec("warm", rope="yarn", scaling="none", temperature=False)

@@ -265,6 +265,19 @@ class TestScheduleInvariants:
         sched = make_schedule("H", 64, method="yarn", ratio=ratio, yarn=yarn)
         assert np.all(np.diff(sched.theta) <= 1e-15)
 
+    @pytest.mark.parametrize("check", [
+        lambda r: make_schedule("H", 8, method="none", ratio=r),
+        lambda r: pi_frequencies(np.array([1.0]), r),
+        lambda r: ntk_base(10000.0, r, 8),
+        lambda r: yarn_frequencies(np.array([1.0]), r, YarnParams(1.0, 32.0, 64.0)),
+        lambda r: yarn_temperature(r),
+        lambda r: dype_ratio(r, 0.5),
+    ], ids=["schedule", "pi", "ntk", "yarn", "yarn_temperature", "dype"])
+    def test_nan_ratio_rejected(self, check):
+        # NaN compares false with everything, so `ratio < 1` would let it through
+        with pytest.raises(ValueError, match="ratio must be >= 1"):
+            check(float("nan"))
+
     def test_all_schedules_positive(self):
         yarn = YarnParams(alpha=1.0, beta=32.0, train_len=64.0)
         for method in ("none", "pi", "ntk", "ntk_strong", "yarn", "dype"):

@@ -274,8 +274,9 @@ class TestReferenceScale:
         assert math.isclose(got, reference_scale_direct(ratio, form), rel_tol=1e-12)
 
     def test_rejects_sub_one_ratio(self):
-        with pytest.raises(ValueError):
-            reference_scale(0.9, SegaConfig())
+        for ratio in (0.9, math.nan):  # NaN compares false, so `ratio < 1` would pass it
+            with pytest.raises(ValueError):
+                reference_scale(ratio, SegaConfig())
 
 
 class TestModulate:
