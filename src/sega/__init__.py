@@ -5,22 +5,13 @@ Library layout:
 * :mod:`sega.tensorio`  - latent grids, SEGL files, synthetic generators
 * :mod:`sega.rope`      - frequency schedules, extrapolation variants, rotation
 * :mod:`sega.spectral`  - spectra, profiles, flatness, the scaling modulator
-* :mod:`sega.attention` - blocked rotary attention entropy (the CLI path) and
-  the dense reference oracle
+* :mod:`sega.attention` - blocked rotary attention: per-token entropy and one
+  query's weight row, never the N x N matrix
 * :mod:`sega.harness`   - simulated denoising trajectories and traces
 * :mod:`sega.cli`       - the `sega` command
 """
 
-from .attention import (
-    AttentionField,
-    attend,
-    attend_rotary,
-    attention_entropy,
-    entropy_delta,
-    grid_positions,
-    rotary_attention_row,
-    rotary_entropy,
-)
+from .attention import grid_positions, rotary_attention_row, rotary_entropy
 from .harness import MethodSpec, RopeParams, TrajectoryRecord, entropy_trace, run_trajectory, spectral_heatmap
 from .rope import (
     RopeSchedule,
@@ -44,7 +35,6 @@ from .spectral import (
     analyze,
     axis_profiles,
     band_lookup,
-    modulate,
     modulate_detailed,
     per_dim_correction,
     power_spectrum_2d,

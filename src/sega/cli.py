@@ -199,8 +199,9 @@ def modulate(latent_path, config_path, ratio):
 def spectrum(latent_path, bins):
     """Emit axis-wise and radial energy profiles as CSV (profile,bin,energy,occupied)."""
     grid = _read_latent(latent_path)
-    if bins is not None and bins < 2:
-        raise click.UsageError("--bins must be >= 2")
+    tokens = grid.height * grid.width  # past this count every extra bin is empty
+    if bins is not None and not 2 <= bins <= tokens:
+        raise click.UsageError(f"--bins must lie in [2, {tokens}], the latent's token count")
     profiles = spectral.analyze(grid, bins)
     rows = [
         [name, i, val, 1]

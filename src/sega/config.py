@@ -157,6 +157,9 @@ def load_experiment_config(source) -> ExperimentConfig:
             raise
         raise ConfigError(str(exc)) from exc
 
+    if sega.n_bins_iso is not None and sega.n_bins_iso > trajectory.height * trajectory.width:
+        raise ConfigError("sega.n_bins_iso must not exceed trajectory height * width")
+
     methods_raw = traj_raw.get(
         "methods",
         [
@@ -186,7 +189,7 @@ def load_experiment_config(source) -> ExperimentConfig:
     used = {rope_method, *(m.rope for m in runs)}
     if "yarn" in used and not 0.0 < rope.yarn_alpha < rope.yarn_beta:
         raise ConfigError("a yarn method needs 0 < rope.yarn_alpha < rope.yarn_beta")
-    if "dype" in used and rope.dype_p <= 0:
+    if "dype" in used and not 0.0 < rope.dype_p < math.inf:
         raise ConfigError("a dype method needs rope.dype_p > 0")
     # Build each target-grid schedule once, at the last step: its denoising time is
     # the smallest, so dype's effective ratio is the largest.

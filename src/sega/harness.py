@@ -69,8 +69,8 @@ class RopeParams:
     def __post_init__(self):
         if self.dim < 4 or self.dim % 2 != 0:
             raise ValueError("dim must be an even integer >= 4")
-        if self.base <= 0:
-            raise ValueError("base must be positive")
+        if not 0.0 < self.base < math.inf:
+            raise ValueError("base must be finite and > 0")
         if not (self.ratio_h >= 1.0 and self.ratio_w >= 1.0):
             raise ValueError("ratios must be >= 1")
 

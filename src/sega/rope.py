@@ -24,6 +24,13 @@ AXES = ("H", "W")
 METHODS = ("none", "pi", "ntk", "ntk_strong", "yarn", "dype")
 
 
+def _check_ratio(ratio: float) -> None:
+    if not ratio >= 1.0:  # NaN fails this test too
+        raise ValueError("ratio must be >= 1")
+    if ratio == math.inf:
+        raise ValueError("ratio must be finite")
+
+
 @dataclass(frozen=True)
 class YarnParams:
     """Wavelength ramp bounds (in units of wavelength / train length) and train length."""
@@ -35,8 +42,8 @@ class YarnParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < self.beta:
             raise ValueError("need 0 < alpha < beta")
-        if self.train_len <= 0:
-            raise ValueError("train_len must be positive")
+        if not 0.0 < self.train_len < math.inf:
+            raise ValueError("train_len must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,14 +60,13 @@ class RopeSchedule:
     def __post_init__(self):
         if self.dim < 2 or self.dim % 2 != 0:
             raise ValueError("dim must be an even integer >= 2")
-        if self.base <= 0:
-            raise ValueError("base must be positive")
+        if not 0.0 < self.base < math.inf:
+            raise ValueError("base must be finite and > 0")
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.ratio >= 1.0:
-            raise ValueError("ratio must be >= 1")
+        _check_ratio(self.ratio)
         theta = np.ascontiguousarray(self.theta, dtype=np.float64)
         if theta.shape != (self.dim // 2,):
             raise ValueError(f"theta must have length {self.dim // 2}")
@@ -79,16 +85,15 @@ def base_frequencies(dim: int, base: float) -> np.ndarray:
     """theta_d = base ** (-2d / dim) for d in 0 .. dim/2 - 1."""
     if dim < 2 or dim % 2 != 0:
         raise ValueError("dim must be an even integer >= 2")
-    if base <= 0:
-        raise ValueError("base must be positive")
+    if not 0.0 < base < math.inf:
+        raise ValueError("base must be finite and > 0")
     d = np.arange(dim // 2, dtype=np.float64)
     return base ** (-2.0 * d / dim)
 
 
 def pi_frequencies(theta: np.ndarray, ratio: float) -> np.ndarray:
     """Uniform contraction theta_d / ratio (position interpolation)."""
-    if not ratio >= 1.0:
-        raise ValueError("ratio must be >= 1")
+    _check_ratio(ratio)
     return np.asarray(theta, dtype=np.float64) / ratio
 
 
@@ -96,8 +101,7 @@ def ntk_base(base: float, ratio: float, dim: int, strong: bool = False) -> float
     """Enlarged rotary base: base * ratio**(D/(D-2)), or 2D/(D-2) for the strong variant."""
     if dim <= 2:
         raise ValueError("dim must exceed 2 for base modification")
-    if not ratio >= 1.0:
-        raise ValueError("ratio must be >= 1")
+    _check_ratio(ratio)
     exponent = (2.0 if strong else 1.0) * dim / (dim - 2)
     try:
         enlarged = base * ratio**exponent
@@ -124,8 +128,7 @@ def yarn_frequencies(theta: np.ndarray, ratio: float, params: YarnParams) -> np.
     lam is the ramp evaluated at the normalized wavelength ratio
     r_d = T_d / train_len with T_d = 2*pi / theta_d.
     """
-    if not ratio >= 1.0:
-        raise ValueError("ratio must be >= 1")
+    _check_ratio(ratio)
     theta = np.asarray(theta, dtype=np.float64)
     r = (2.0 * np.pi / theta) / params.train_len
     lam = yarn_ramp(r, params)
@@ -134,8 +137,7 @@ def yarn_frequencies(theta: np.ndarray, ratio: float, params: YarnParams) -> np.
 
 def yarn_temperature(ratio: float) -> float:
     """Uniform logit scaling 0.1 * ln(ratio) + 1 that sharpens attention under extrapolation."""
-    if not ratio >= 1.0:
-        raise ValueError("ratio must be >= 1")
+    _check_ratio(ratio)
     return 0.1 * math.log(ratio) + 1.0
 
 
@@ -147,10 +149,9 @@ def dype_ratio(ratio: float, t: float, p: float = 1.0) -> float:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    if not ratio >= 1.0:
-        raise ValueError("ratio must be >= 1")
-    if p <= 0:
-        raise ValueError("p must be positive")
+    _check_ratio(ratio)
+    if not 0.0 < p < math.inf:
+        raise ValueError("dype_p must be finite and > 0")
     return 1.0 + (ratio - 1.0) * (1.0 - t) ** p
 
 

@@ -291,15 +291,3 @@ def modulate_detailed(
     vec_h = _scaling_vector("H", profiles.axis_h, grid.height, sched_h, sigma, m_ref, cfg.eps)
     vec_w = _scaling_vector("W", profiles.axis_w, grid.width, sched_w, sigma, m_ref, cfg.eps)
     return ModulationResult(vec_h=vec_h, vec_w=vec_w, flatness=flatness, profiles=profiles)
-
-
-def modulate(
-    grid: LatentGrid,
-    sched_h: RopeSchedule,
-    sched_w: RopeSchedule,
-    ratio: float,
-    cfg: SegaConfig | None = None,
-) -> tuple[ScalingVector, ScalingVector]:
-    """Per-axis scaling vectors for one latent under the given schedules."""
-    result = modulate_detailed(grid, sched_h, sched_w, ratio, cfg)
-    return result.vec_h, result.vec_w

@@ -1,8 +1,10 @@
 """Independent reference implementations used only by the tests.
 
-Nothing in here calls into the package's own numerics: the DFT is the direct
-double-sum definition, the closed forms are re-derived with plain math, and
-the expected reference-scale anchors are frozen constants.
+Nothing in here calls into the package's own numerics, and nothing imports
+``sega``: the DFT is the direct double-sum definition, the closed forms are
+re-derived with plain math, the expected reference-scale anchors are frozen
+constants, and dense attention is a plain softmax over features the caller has
+already rotated.
 """
 
 from __future__ import annotations
@@ -45,6 +47,22 @@ def naive_dft2(map2d: np.ndarray) -> np.ndarray:
     eh = np.exp(-2j * np.pi * np.outer(i, i) / h)   # (freq_row, h)
     ew = np.exp(-2j * np.pi * np.outer(j, j) / w)   # (freq_col, w)
     return eh @ map2d.astype(complex) @ ew.T
+
+
+def dense_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, shifted by each row's max."""
+    logits = np.asarray(logits, dtype=np.float64)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def dense_entropy(x_rot: np.ndarray, logit_scale: float = 1.0) -> tuple[np.ndarray, float]:
+    """Per-row entropy (natural log) of the full N x N self-attention matrix with
+    Q = K = x_rot and logits logit_scale * x_rot x_rot^T / sqrt(D); plus the mean."""
+    x_rot = np.asarray(x_rot, dtype=np.float64)
+    w = dense_softmax(logit_scale * (x_rot @ x_rot.T) / np.sqrt(x_rot.shape[1]))
+    per_row = -np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0).sum(axis=1)
+    return per_row, float(per_row.mean())
 
 
 # Anchor magnitudes at kappa = 0.08 for ratios 1..32: ratio**0.08 (power) and

@@ -22,28 +22,26 @@ from sega import (
     TrajectoryConfig,
     amplitude_factor,
     apply_rotary,
-    attend,
-    attend_rotary,
-    attention_entropy,
+    axial_rotary,
     band_lookup,
     center_map,
     grid_positions,
     make_schedule,
-    modulate,
     modulate_detailed,
     power_spectrum_2d,
     radial_profile,
     reference_scale,
+    rotary_attention_row,
+    rotary_entropy,
     run_trajectory,
     spectral_flatness,
     write_latent,
     yarn_ramp,
     YarnParams,
 )
-from sega.attention import softmax_rows
 from sega.cli import main as cli_main
 from conftest import noise_grid, sinusoid_grid
-from oracles import REFERENCE_SCALE_TABLE, naive_dft2
+from oracles import REFERENCE_SCALE_TABLE, dense_softmax, naive_dft2
 
 REPO = Path(__file__).resolve().parents[1]
 TRAJECTORY_CONFIG = REPO / "configs" / "trajectory_small.json"
@@ -91,8 +89,8 @@ def test_zero_sum_redistribution():
             sched_h = make_schedule("H", 64)
             sched_w = make_schedule("W", 64)
             ratio = float(rng.choice([1.0, 2.0, 4.0, 8.0]))
-            vec_h, vec_w = modulate(grid, sched_h, sched_w, ratio, sega_cfg)
-            for vec in (vec_h, vec_w):
+            result = modulate_detailed(grid, sched_h, sched_w, ratio, sega_cfg)
+            for vec in (result.vec_h, result.vec_w):
                 assert abs(vec.s_corr.sum()) <= 1e-9 * half
                 assert abs(vec.m.mean() - vec.m_ref) <= 1e-9
 
@@ -239,40 +237,47 @@ def test_attention_contracts():
     """Stochastic rows, entropy bounds, unit temperature, unit-scaling equivalence."""
     with budget(30.0):
         rng = np.random.default_rng(777)
-        # row-stochasticity and entropy bounds over random fields
+        sched_h = make_schedule("H", 4)
+        sched_w = make_schedule("W", 4)
+        # row-stochasticity and entropy bounds over random grids of 2..40 tokens
         for _ in range(20):
-            n = int(rng.integers(2, 40))
-            q = rng.normal(0, 3, (n, 8))
-            kmat = rng.normal(0, 3, (n, 8))
-            v = rng.standard_normal((n, 8))
-            _, field = attend(q, kmat, v)
-            assert np.max(np.abs(field.weights.sum(axis=1) - 1.0)) < 1e-5
-            per_row, mean = attention_entropy(field)
+            height, width = int(rng.integers(1, 5)), int(rng.integers(2, 11))
+            n = height * width
+            feats = rng.normal(0, 3, (n, 8))
+            positions = grid_positions(height, width)
+            for query in range(n):
+                row = rotary_attention_row(feats, positions, sched_h, sched_w, query=query)
+                assert abs(row.sum() - 1.0) < 1e-5
+            per_row, mean = rotary_entropy(feats, positions, sched_h, sched_w)
             assert np.all(per_row >= -1e-12)
             assert np.all(per_row <= np.log(n) + 1e-9)
             assert -1e-12 <= mean <= np.log(n) + 1e-9
 
         # tau = 1 reproduces the unscaled definition
-        q = rng.standard_normal((10, 6))
-        kmat = rng.standard_normal((10, 6))
-        v = rng.standard_normal((10, 6))
-        _, scaled = attend(q, kmat, v, logit_scale=1.0)
-        np.testing.assert_allclose(
-            scaled.weights, softmax_rows((q @ kmat.T) / np.sqrt(6)), atol=1e-12
-        )
+        positions = grid_positions(2, 5)
+        feats = rng.standard_normal((10, 8))
+        x_rot = axial_rotary(feats, positions[:, 0], positions[:, 1], sched_h, sched_w)
+        expected = dense_softmax((x_rot @ x_rot.T) / np.sqrt(8))
+        for query in range(10):
+            row = rotary_attention_row(
+                feats, positions, sched_h, sched_w, logit_scale=1.0, query=query
+            )
+            np.testing.assert_allclose(row, expected[query], atol=1e-12)
 
         # unit per-dimension scaling is bit-identical to plain rotary attention
         sched_h = make_schedule("H", 8)
         sched_w = make_schedule("W", 8)
         positions = grid_positions(6, 6)
         feats = np.random.default_rng(123).standard_normal((36, 16))
-        out_plain, f_plain = attend_rotary(feats, feats, feats, positions, sched_h, sched_w)
         ones = np.ones(4)
-        out_unit, f_unit = attend_rotary(
-            feats, feats, feats, positions, sched_h, sched_w, ones, ones
-        )
-        assert np.array_equal(f_plain.weights, f_unit.weights)
-        assert np.array_equal(out_plain, out_unit)
+        plain = rotary_entropy(feats, positions, sched_h, sched_w)
+        unit = rotary_entropy(feats, positions, sched_h, sched_w, ones, ones)
+        assert np.array_equal(plain[0], unit[0]) and plain[1] == unit[1]
+        for query in range(36):
+            assert np.array_equal(
+                rotary_attention_row(feats, positions, sched_h, sched_w, query=query),
+                rotary_attention_row(feats, positions, sched_h, sched_w, ones, ones, query=query),
+            )
 
 
 def test_cli_regression(tmp_path):

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -13,8 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 from sega import LatentGrid, write_latent
-from sega.attention import softmax_rows
 from sega.cli import main
+from oracles import dense_softmax
 
 REPO = Path(__file__).resolve().parents[1]
 TRAJECTORY_CONFIG = REPO / "configs" / "trajectory_small.json"
@@ -144,6 +145,18 @@ class TestSpectrum:
         assert profiles == {"axis_h", "axis_w", "radial"}
         assert all(float(r[2]) >= 0 for r in rows)
 
+    @pytest.mark.parametrize("bins", ["1", "257", "100000000000000000000"])
+    def test_bins_outside_token_count_exit_2(self, runner, noise_latent, bins):
+        # past the 256 tokens of a 16 x 16 latent every extra bin is empty
+        res = runner.invoke(main, ["spectrum", "--latent", str(noise_latent), "--bins", bins])
+        assert res.exit_code == 2, res.output
+        assert "--bins must lie in [2, 256]" in res.output
+
+    def test_bins_up_to_token_count_accepted(self, runner, noise_latent):
+        res = runner.invoke(main, ["spectrum", "--latent", str(noise_latent), "--bins", "256"])
+        assert res.exit_code == 0, res.output
+        assert sum(r[0] == "radial" for r in parse_csv(res.output)[1]) == 256
+
 
 class TestAttnMapAndEntropy:
     def test_attn_map_shape_and_normalization(self, runner, noise_latent):
@@ -181,7 +194,7 @@ class TestAttnMapAndEntropy:
         _, rows_b = parse_csv(scaled.output)
         w1 = np.array([[float(x) for x in row[1:]] for row in rows_a]).ravel()
         w2 = np.array([[float(x) for x in row[1:]] for row in rows_b]).ravel()
-        expected = softmax_rows(c**2 * np.log(w1)[None, :])[0]
+        expected = dense_softmax(c**2 * np.log(w1))
         np.testing.assert_allclose(w2, expected, atol=5e-6)
 
     def test_entropy_rows_and_mean(self, runner, noise_latent):
@@ -342,6 +355,8 @@ MALFORMED_CONFIGS = {
     "base_zero": (small_config(rope={"base": 0}), 2),
     "ratio_overflows_ntk_base": (small_config(rope={"ratio": 1e300}), 2),
     "rope_not_an_object": ({"rope": 5}, 2),
+    "n_bins_iso_above_tokens": ({**small_config(), "sega": {"n_bins_iso": 65}}, 2),
+    "n_bins_iso_overflows": ({**small_config(), "sega": {"n_bins_iso": 10**20}}, 2),
 }
 
 
@@ -359,6 +374,13 @@ class TestMalformedConfigs:
         res, _ = run_config(runner, tmp_path, "trajectory",
                             MALFORMED_CONFIGS["file_structure_on_train_grid"][0])
         assert "structure_kind 'file' cannot run on a train grid" in res.output
+
+    def test_n_bins_iso_bound_is_the_token_count(self, runner, tmp_path):
+        res, _ = run_config(runner, tmp_path, "heatmap", {**small_config(), "sega": {"n_bins_iso": 65}})
+        assert "sega.n_bins_iso must not exceed trajectory height * width" in res.output
+        res, out = run_config(runner, tmp_path, "heatmap", {**small_config(), "sega": {"n_bins_iso": 64}})
+        assert res.exit_code == 0, res.output
+        assert (out / "spectral_heatmap.csv").read_text().splitlines()[0].count(",bin_") == 64
 
     @pytest.mark.parametrize("rope, baseline", [
         ({"ratio": 1.0}, {}),  # the train grid is the target grid
@@ -417,19 +439,38 @@ class TestFlagFaults:
         assert res.exit_code == 2, res.output
         assert "ratio must be >= 1" in res.output
 
-    def test_cli_never_builds_the_dense_matrix(self, runner, noise_latent, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("dense N x N attention on a CLI path")
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "dype", "--ratio", "2", "--dype-p", "nan"], "dype_p must be finite"),
+        (["--method", "dype", "--ratio", "2", "--dype-p", "inf", "--dype-t", "0.5"],
+         "dype_p must be finite"),
+        (["--method", "yarn", "--ratio", "2", "--train-len", "inf"], "train_len must be finite"),
+        (["--method", "pi", "--ratio", "inf"], "ratio must be finite"),
+        (["--method", "dype", "--ratio", "inf", "--dype-t", "1"], "ratio must be finite"),
+        (["--base", "nan"], "base must be finite"),
+    ], ids=["dype_p_nan", "dype_p_inf", "train_len_inf", "pi_ratio_inf", "dype_ratio_inf",
+            "base_nan"])
+    def test_non_finite_rope_flag_exits_2(self, runner, flags, message):
+        res = runner.invoke(main, ["rope-table", "--dim", "8", *flags])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
 
-        monkeypatch.setattr("sega.attention.attend", refuse)
-        latent = ["--latent", str(noise_latent)]
-        for argv in (
-            ["trajectory", "--config", str(TRAJECTORY_CONFIG), "--out-dir", str(tmp_path / "t")],
-            ["entropy", *latent, "--scaling", "sega"],
-            ["attn-map", *latent, *QUERY, "--scaling", "fixed"],
-        ):
-            res = runner.invoke(main, argv)
-            assert res.exit_code == 0, (argv[0], res.output)
+    def test_cli_never_builds_the_dense_matrix(self, tmp_path):
+        # One float64 N x N matrix at N = 4096 is 128 MiB; the blocked path peaks
+        # near 17 MiB on a 64 x 64 latent.
+        path = tmp_path / "big.segl"
+        write_latent(LatentGrid.from_array(np.random.default_rng(5).standard_normal((64, 64, 4))), path)
+        latent = ["--latent", str(path)]
+        for argv in (["entropy", *latent, "--scaling", "sega"], ["attn-map", *latent, *QUERY]):
+            buf = io.StringIO()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(buf):
+                    main.main(argv, standalone_mode=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert buf.getvalue()
+            assert peak < 48 * 2**20, (argv[0], peak)
 
 
 class TestConstantLatent:

@@ -184,8 +184,10 @@ class TestEntropyTrace:
 
     def test_uniform_standins_differ_by_log_ratio(self):
         # closed-form sanity: uniform attention at N1 vs N2 -> ln N1 - ln N2
-        from sega import AttentionField, entropy_delta
+        # (zero features make every logit 0, on a 4x4 and a 2x2 grid)
+        from sega import grid_positions, make_schedule, rotary_entropy
 
-        f1 = AttentionField(np.full((16, 16), 1 / 16))
-        f2 = AttentionField(np.full((4, 4), 1 / 4))
-        assert math.isclose(entropy_delta(f1, f2), math.log(16) - math.log(4), rel_tol=1e-12)
+        sh, sw = make_schedule("H", 4), make_schedule("W", 4)
+        _, h16 = rotary_entropy(np.zeros((16, 8)), grid_positions(4, 4), sh, sw)
+        _, h4 = rotary_entropy(np.zeros((4, 8)), grid_positions(2, 2), sh, sw)
+        assert math.isclose(h16 - h4, math.log(16) - math.log(4), rel_tol=1e-12)

@@ -1,5 +1,8 @@
 """Sanity checks on the reference implementations themselves."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -70,3 +73,12 @@ class TestRelativePositionOracle:
         sched = make_schedule("H", 16, method="pi", ratio=4.0)
         reports = relative_position_reports(self.rotate, 16, sched, rng, 200, 1e-5)
         assert all(r.passed for r in reports)
+
+
+def test_oracles_do_not_import_the_package():
+    # An oracle that called sega's numerics would check the package against itself.
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0] == "sega"]

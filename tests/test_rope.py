@@ -38,8 +38,9 @@ class TestBaseFrequencies:
     def test_rejects_odd_dim_and_bad_base(self):
         with pytest.raises(ValueError):
             base_frequencies(5, 10000.0)
-        with pytest.raises(ValueError):
-            base_frequencies(8, -1.0)
+        for base in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="base must be finite and > 0"):
+                base_frequencies(8, base)
 
 
 class TestPi:

@@ -15,7 +15,6 @@ from sega import (
     band_lookup,
     center_map,
     make_schedule,
-    modulate,
     modulate_detailed,
     per_dim_correction,
     power_spectrum_2d,
@@ -286,8 +285,8 @@ class TestModulate:
     def test_mean_scaling_equals_reference(self, rng):
         sh, sw = self.make_scheds()
         grid = noise_grid(0)
-        vh, vw = modulate(grid, sh, sw, 2.0)
-        for vec in (vh, vw):
+        result = modulate_detailed(grid, sh, sw, 2.0)
+        for vec in (result.vec_h, result.vec_w):
             assert abs(vec.m.mean() - vec.m_ref) < 1e-9
             assert abs(vec.s_corr.sum()) < 1e-9 * len(vec.s_corr)
             assert np.all(vec.m > 0)
@@ -296,7 +295,7 @@ class TestModulate:
         sh, sw = self.make_scheds()
         devs = []
         for seed in range(32):
-            vh, _ = modulate(noise_grid(seed), sh, sw, 2.0)
+            vh = modulate_detailed(noise_grid(seed), sh, sw, 2.0).vec_h
             devs.append(np.mean(np.abs(vh.m - vh.m_ref)) / vh.m_ref)
         assert float(np.mean(devs)) < 0.1
 
