@@ -13,7 +13,9 @@ pin the derivation from a latent file's own shape; the two ``attn-map`` cases
 pin one query row under sega and under unit scaling. The 16x12 latent is too
 small for ``entropy`` to split its rows into blocks, so ``entropy`` is also
 pinned on a 64x64 latent (several blocks of whole rows) and on a 48x64 latent
-(blocks that do not divide the row count). ``spectrum`` and three
+(blocks that do not divide the row count). ``modulate`` and ``entropy`` are
+also pinned on a 15x13 latent, where both axes are odd and a profile's length
+is not half its axis. ``spectrum`` and three
 ``rope-table`` schedules pin the remaining stdout writers.
 """
 
@@ -86,6 +88,8 @@ CASES = (
     ("entropy_sega_64x64", ["entropy", "--latent", "{latent_64x64}", "--scaling", "sega"], None),
     ("entropy_sega_48x64", ["entropy", "--latent", "{latent_48x64}", "--scaling", "sega"], None),
     ("spectrum", ["spectrum", "--latent", "{latent}"], None),
+    ("modulate_15x13", ["modulate", "--latent", "{latent_15x13}"], None),
+    ("entropy_sega_15x13", ["entropy", "--latent", "{latent_15x13}", "--scaling", "sega"], None),
     ("rope_table_none", ["rope-table", "--dim", "64", "--method", "none"], None),
     ("rope_table_ntk_strong",
      ["rope-table", "--dim", "64", "--method", "ntk_strong", "--ratio", "4"], None),
@@ -143,6 +147,12 @@ DIGESTS = {
     "spectrum": {
         "stdout": "739e77e82e13b6d2dd2f6fa1a13ccb50dc99817280dc9f89e721ff6ce846986b",
     },
+    "modulate_15x13": {
+        "stdout": "615273dfb37d33cc6fcf5ecc25d55b521703431c36b205c59945577ade4c2af0",
+    },
+    "entropy_sega_15x13": {
+        "stdout": "0b94464bfa0dbefaf371c26c5d371b18c856f8893d249d1826a9a4c8f8c7da02",
+    },
     "rope_table_none": {
         "stdout": "d93a383d7231e8ee417de3729167d2e86608bbdf832ca44539af575b6a171806",
     },
@@ -162,6 +172,8 @@ def _inputs(tmp_path):
     for seed, (height, width) in ((64, (64, 64)), (48, (48, 64))):
         values = np.random.default_rng(seed).standard_normal((height, width, 4))
         write_latent(LatentGrid.from_array(values), tmp_path / f"latent_{height}x{width}.segl")
+    odd = np.random.default_rng(15).standard_normal((15, 13, 3))
+    write_latent(LatentGrid.from_array(odd), tmp_path / "latent_15x13.segl")
     yarn_dype = tmp_path / "yarn_dype.json"
     yarn_dype.write_text(json.dumps(YARN_DYPE))
     return {
@@ -171,6 +183,7 @@ def _inputs(tmp_path):
         "latent": str(latent),
         "latent_64x64": str(tmp_path / "latent_64x64.segl"),
         "latent_48x64": str(tmp_path / "latent_48x64.segl"),
+        "latent_15x13": str(tmp_path / "latent_15x13.segl"),
         "out": str(tmp_path / "out"),
     }
 
