@@ -12,7 +12,7 @@ Library layout:
 """
 
 from .attention import grid_positions, rotary_attention_row, rotary_entropy
-from .harness import MethodSpec, RopeParams, TrajectoryRecord, entropy_trace, run_trajectory, spectral_heatmap
+from .harness import MethodSpec, RopeParams, entropy_trace, run_trajectory, spectral_heatmap
 from .rope import (
     RopeSchedule,
     YarnParams,

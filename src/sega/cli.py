@@ -16,7 +16,7 @@ import numpy as np
 
 from . import spectral
 from .attention import grid_positions, rotary_attention_row, rotary_entropy
-from .config import ConfigError, ExperimentConfig, load_experiment_config
+from .config import ExperimentConfig, load_experiment_config
 from .fmtio import canonical_json, csv_text, fmt_floats, write_csv, write_json
 from .harness import axis_schedules, entropy_trace, heatmap_rows, scaling_vectors, spectral_heatmap
 from .rope import METHODS, YarnParams, base_frequencies, make_schedule, yarn_ramp
@@ -33,13 +33,6 @@ class FileError(click.ClickException):
     exit_code = 3
 
 
-def _load_config(path: str | None) -> ExperimentConfig:
-    try:
-        return load_experiment_config(path if path is not None else {})
-    except ConfigError as exc:
-        raise click.UsageError(str(exc))
-
-
 @contextmanager
 def _io_errors():
     """Report latent-file and filesystem failures as exit code 3."""
@@ -51,11 +44,16 @@ def _io_errors():
 
 @contextmanager
 def _usage_errors():
-    """Report a ValueError (a flag combination the math rejects) as exit code 2."""
+    """Report a ValueError (a config fault, or a flag combination the math rejects) as exit code 2."""
     try:
         yield
     except ValueError as exc:
         raise click.UsageError(str(exc))
+
+
+def _load_config(path: str | None) -> ExperimentConfig:
+    with _usage_errors():  # a ConfigError is a ValueError
+        return load_experiment_config(path if path is not None else {})
 
 
 def _emit(text: str) -> None:
@@ -79,38 +77,29 @@ def _read_latent(path: str):
         return read_latent(path)
 
 
-def _rope_flag_schedules(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p, dype_strong):
-    """Validate the rope flag combination and build one schedule per axis."""
+def _rope_flag_schedule(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p, dype_strong):
+    """Validate the rope flag combination and build the schedule it describes."""
     if method != "yarn" and any(v is not None for v in (alpha, beta, train_len)):
         raise click.UsageError("--alpha/--beta/--train-len are only valid with --method yarn")
     if method != "dype" and any(v is not None for v in (dype_t, dype_p)):
         raise click.UsageError("--dype-t/--dype-p are only valid with --method dype")
-    yarn = None
-    if method == "yarn":
-        if train_len is None:
-            raise click.UsageError("--method yarn requires --train-len")
-        try:
+    if method == "yarn" and train_len is None:
+        raise click.UsageError("--method yarn requires --train-len")
+    with _usage_errors():
+        yarn = None
+        if method == "yarn":
             yarn = YarnParams(
                 alpha=alpha if alpha is not None else 1.0,
                 beta=beta if beta is not None else 32.0,
                 train_len=train_len,
             )
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-    kwargs = dict(
-        dim=dim,
-        base=base,
-        method=method,
-        ratio=ratio,
-        yarn=yarn,
-        dype_time=dype_t if dype_t is not None else 0.0,
-        dype_p=dype_p if dype_p is not None else 1.0,
-        dype_strong=dype_strong,
-    )
-    try:
-        return make_schedule("H", **kwargs), make_schedule("W", **kwargs), yarn
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+        sched = make_schedule(
+            "H", dim, base, method, ratio, yarn,
+            dype_time=dype_t if dype_t is not None else 0.0,
+            dype_p=dype_p if dype_p is not None else 1.0,
+            dype_strong=dype_strong,
+        )
+    return sched, yarn
 
 
 def rope_flags(fn):
@@ -145,16 +134,13 @@ def main():
 @rope_flags
 def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p, dype_strong):
     """Dump (d, theta, theta', wavelength[, lambda]) for a schedule as CSV."""
-    sched_h, _, yarn = _rope_flag_schedules(
+    sched, yarn = _rope_flag_schedule(
         dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p, dype_strong
     )
-    try:
-        theta0 = base_frequencies(dim, base)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    theta0 = base_frequencies(dim, base)  # make_schedule has checked dim and base
     wavelengths = 2.0 * np.pi / theta0
     header = ["d", "theta", "theta_prime", "wavelength"]
-    rows = [[d, theta0[d], sched_h.theta[d], wavelengths[d]] for d in range(dim // 2)]
+    rows = [[d, theta0[d], sched.theta[d], wavelengths[d]] for d in range(dim // 2)]
     if method == "yarn":
         header.append("lambda")
         for d, row in enumerate(rows):
@@ -176,7 +162,8 @@ def modulate(latent_path, config_path, ratio):
         raise click.UsageError("--ratio must be >= 1")
     sched_h, sched_w = _schedules(cfg, grid, ratio_h, ratio_w)
     result = spectral.modulate_detailed(
-        grid, sched_h, sched_w, float(np.sqrt(ratio_h * ratio_w)), cfg.sega
+        spectral.analyze(grid, cfg.sega.n_bins_iso),
+        sched_h, sched_w, float(np.sqrt(ratio_h * ratio_w)), cfg.sega,
     )
     payload = {"axes": []}
     for vec in (result.vec_h, result.vec_w):
@@ -213,10 +200,8 @@ def spectrum(latent_path, bins):
 
 
 def _schedules(cfg: ExperimentConfig, grid, ratio_h: float, ratio_w: float):
-    try:
+    with _usage_errors():
         return axis_schedules(cfg.rope, cfg.rope_method, grid.height, grid.width, ratio_h, ratio_w)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
 
 
 def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed):
@@ -224,8 +209,9 @@ def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed):
     cfg = _load_config(config_path)
     rope_p = cfg.rope
     sched_h, sched_w = _schedules(cfg, grid, rope_p.ratio_h, rope_p.ratio_w)
-    _, m_h, m_w = scaling_vectors(
-        scaling, grid, sched_h, sched_w, rope_p.ratio_scalar, cfg.sega, fixed_value
+    profiles = spectral.analyze(grid, cfg.sega.n_bins_iso) if scaling == "sega" else None
+    m_h, m_w = scaling_vectors(
+        scaling, profiles, sched_h, sched_w, rope_p.ratio_scalar, cfg.sega, fixed_value
     )
     feats = token_features(grid, 2 * rope_p.dim, feature_seed, 0)
     positions = grid_positions(grid.height, grid.width)
@@ -317,16 +303,16 @@ def trajectory(config_path, out_dir):
     cfg = _load_config(config_path)
     out = _prepare_out_dir(out_dir)
     with _io_errors():
-        deltas, names, record = entropy_trace(
+        deltas, names, steps = entropy_trace(
             cfg.trajectory, list(cfg.methods), cfg.baseline, cfg.sega, cfg.rope
         )
-    heat, degenerate = heatmap_rows([s.radial for s in record.steps])
+    heat, degenerate = heatmap_rows([s.radial for s in steps])
 
     map_method = next((m.name for m in cfg.methods if m.scaling == "sega"), cfg.methods[0].name)
     half = cfg.rope.dim // 2
     for axis, key in (("H", "m_h"), ("W", "m_w")):
         rows = []
-        for step_rec in record.steps:
+        for step_rec in steps:
             vec = getattr(step_rec.methods[map_method], key)
             rows.append([step_rec.step] + [float(x) for x in vec])
         write_csv(out / f"scaling_map_{axis}.csv",
@@ -363,7 +349,7 @@ def trajectory(config_path, out_dir):
                 "sigma": s.sigma,
                 "mean_entropy": {name: rec.mean_entropy for name, rec in s.methods.items()},
             }
-            for s in record.steps
+            for s in steps
         ],
         "entropy_delta_abs_mean": abs_means,
         "entropy_shift_comparison": directional,
@@ -382,9 +368,7 @@ def heatmap(config_path, out_dir):
     cfg = _load_config(config_path)
     out = _prepare_out_dir(out_dir)
     with _io_errors():
-        heat, degenerate = spectral_heatmap(
-            cfg.trajectory, cfg.sega.bins_for(cfg.trajectory.height, cfg.trajectory.width)
-        )
+        heat, degenerate = spectral_heatmap(cfg.trajectory, cfg.sega.n_bins_iso)
     _write_heatmap(out, heat)
     write_json(
         out / "summary.json",

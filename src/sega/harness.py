@@ -11,16 +11,15 @@ scaling without a learned model.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
 from .attention import grid_positions, rotary_entropy
 from .rope import METHODS, RopeSchedule, YarnParams, make_schedule, yarn_temperature
-from .spectral import SegaConfig, reference_scale
-from .tensorio import LatentGrid, TrajectoryConfig, generate_latent, token_features
-from .fmtio import canonical_json
+from .spectral import SegaConfig, SpectralProfiles, reference_scale
+from .tensorio import TrajectoryConfig, generate_latent, token_features
 
 SCALING_MODES = ("none", "fixed", "sega")
 GRID_KINDS = ("target", "train")
@@ -82,10 +81,9 @@ class RopeParams:
 
 @dataclass
 class MethodStepRecord:
-    m_ref: float
     m_h: np.ndarray
     m_w: np.ndarray
-    mean_entropy: float | None
+    mean_entropy: float
 
 
 @dataclass
@@ -97,15 +95,6 @@ class StepRecord:
     sigma: float
     radial: np.ndarray  # the target latent's radial profile, unnormalized
     methods: dict
-
-
-@dataclass
-class TrajectoryRecord:
-    config: dict
-    steps: list = field(default_factory=list)
-
-    def to_json_bytes(self) -> bytes:
-        return (canonical_json(asdict(self)) + "\n").encode("utf-8")
 
 
 def axis_schedules(
@@ -129,26 +118,25 @@ def axis_schedules(
 
 def scaling_vectors(
     scaling: str,
-    grid: LatentGrid,
+    profiles: SpectralProfiles | None,
     sched_h: RopeSchedule,
     sched_w: RopeSchedule,
     ratio: float,
     sega_cfg: SegaConfig,
     fixed_value: float | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(m_ref, m_h, m_w) for one scaling mode; "none" reports m_ref as 1.0.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(m_h, m_w) for one scaling mode; only "sega" reads the latent's profiles.
 
     "fixed" fills every dimension with fixed_value, or with m_ref when it is None.
     """
     half = sched_h.dim // 2
     if scaling == "none":
-        return 1.0, np.ones(half), np.ones(half)
-    m_ref = reference_scale(ratio, sega_cfg)
+        return np.ones(half), np.ones(half)
     if scaling == "fixed":
-        value = m_ref if fixed_value is None else fixed_value
-        return m_ref, np.full(half, value), np.full(half, value)
-    result = spectral.modulate_detailed(grid, sched_h, sched_w, ratio, sega_cfg)
-    return m_ref, result.vec_h.m, result.vec_w.m
+        value = reference_scale(ratio, sega_cfg) if fixed_value is None else fixed_value
+        return np.full(half, value), np.full(half, value)
+    result = spectral.modulate_detailed(profiles, sched_h, sched_w, ratio, sega_cfg)
+    return result.vec_h.m, result.vec_w.m
 
 
 def train_shape(cfg: TrajectoryConfig, rope: RopeParams) -> tuple[int, int]:
@@ -163,72 +151,59 @@ def run_trajectory(
     methods: list,
     sega_cfg: SegaConfig | None = None,
     rope: RopeParams | None = None,
-    with_attention: bool = True,
-) -> TrajectoryRecord:
-    """Evaluate every method at every step of one simulated denoising run."""
+) -> list:
+    """Evaluate every method at every step of one simulated denoising run.
+
+    Each step generates each latent once, analyzes the target (and the train
+    latent only when a sega method runs on it) once, and draws the token
+    features and positions of each grid a method runs on once; the methods on a
+    grid share them. Returns one StepRecord per step.
+    """
     sega_cfg = sega_cfg or SegaConfig()
     rope = rope or RopeParams()
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
         raise ValueError("method names must be unique")
 
-    train_cfg = cfg.with_shape(*train_shape(cfg, rope))
-    record = TrajectoryRecord(
-        config={
-            "trajectory": asdict(cfg),
-            "rope": asdict(rope),
-            "sega": asdict(sega_cfg),
-            "methods": [asdict(m) for m in methods],
-            "with_attention": with_attention,
-        }
-    )
+    used = {m.grid for m in methods}
+    grids = {"target": (cfg, rope.ratio_h, rope.ratio_w, rope.ratio_scalar)}
+    if "train" in used:
+        grids["train"] = (cfg.with_shape(*train_shape(cfg, rope)), 1.0, 1.0, 1.0)
+    analyzed = {"target"} | {m.grid for m in methods if m.scaling == "sega"}
 
+    steps = []
     for step in range(cfg.steps):
-        latents = {"target": generate_latent(cfg, step)}
-        if any(m.grid == "train" for m in methods):
-            latents["train"] = generate_latent(train_cfg, step)
+        time = cfg.time(step)
+        inputs = {}
+        for kind, (grid_cfg, *ratios) in grids.items():
+            latent = generate_latent(grid_cfg, step)
+            profiles = spectral.analyze(latent, sega_cfg.n_bins_iso) if kind in analyzed else None
+            feats = token_features(latent, 2 * rope.dim, cfg.seed, step) if kind in used else None
+            positions = grid_positions(latent.height, latent.width)
+            inputs[kind] = (latent, profiles, feats, positions, *ratios)
 
-        profiles = spectral.analyze(
-            latents["target"], sega_cfg.bins_for(cfg.height, cfg.width)
-        )
-        flatness = spectral.spectral_flatness(profiles.radial, profiles.occupied, sega_cfg.eps)
+        target = inputs["target"][1]
+        flatness = spectral.spectral_flatness(target.radial, target.occupied, sega_cfg.eps)
         step_rec = StepRecord(
             step=step,
             alpha=cfg.alpha(step),
-            time=cfg.time(step),
+            time=time,
             flatness=flatness,
             sigma=spectral.amplitude_factor(flatness, sega_cfg.gamma),
-            radial=profiles.radial,
+            radial=target.radial,
             methods={},
         )
-
         for method in methods:
-            latent = latents[method.grid]
-            if method.grid == "target":
-                ratio_h, ratio_w, ratio = rope.ratio_h, rope.ratio_w, rope.ratio_scalar
-            else:
-                ratio_h = ratio_w = ratio = 1.0
+            latent, profiles, feats, positions, ratio_h, ratio_w, ratio = inputs[method.grid]
             sched_h, sched_w = axis_schedules(
-                rope, method.rope, latent.height, latent.width, ratio_h, ratio_w, step_rec.time
+                rope, method.rope, latent.height, latent.width, ratio_h, ratio_w, time
             )
-            m_ref, m_h, m_w = scaling_vectors(
-                method.scaling, latent, sched_h, sched_w, ratio, sega_cfg
-            )
-
-            mean_entropy = None
-            if with_attention:
-                feats = token_features(latent, 2 * rope.dim, cfg.seed, step)
-                positions = grid_positions(latent.height, latent.width)
-                tau = yarn_temperature(ratio) if method.temperature else 1.0
-                mean_entropy = rotary_entropy(
-                    feats, positions, sched_h, sched_w, m_h, m_w, tau
-                )[1]
-
-            step_rec.methods[method.name] = MethodStepRecord(
-                m_ref=m_ref, m_h=m_h, m_w=m_w, mean_entropy=mean_entropy
-            )
-        record.steps.append(step_rec)
-    return record
+            m_h, m_w = scaling_vectors(method.scaling, profiles, sched_h, sched_w, ratio, sega_cfg)
+            tau = yarn_temperature(ratio) if method.temperature else 1.0
+            mean_entropy = rotary_entropy(feats, positions, sched_h, sched_w, m_h, m_w, tau)[1]
+            step_rec.methods[method.name] = MethodStepRecord(m_h, m_w, mean_entropy)
+        steps.append(step_rec)
+    return steps
 
 
 def heatmap_rows(radials: list) -> tuple[np.ndarray, list]:
@@ -263,16 +238,16 @@ def entropy_trace(
     baseline: MethodSpec,
     sega_cfg: SegaConfig | None = None,
     rope: RopeParams | None = None,
-) -> tuple[np.ndarray, list, TrajectoryRecord]:
+) -> tuple[np.ndarray, list, list]:
     """Per-step mean-entropy deltas of each method against the baseline.
 
     The baseline is usually evaluated at the training-scale grid; deltas are
     method minus baseline, so positive means the method is more diffuse.
     """
-    record = run_trajectory(cfg, [*methods, baseline], sega_cfg, rope, with_attention=True)
+    steps = run_trajectory(cfg, [*methods, baseline], sega_cfg, rope)
     deltas = np.zeros((cfg.steps, len(methods)), dtype=np.float64)
-    for t, step_rec in enumerate(record.steps):
+    for t, step_rec in enumerate(steps):
         base_e = step_rec.methods[baseline.name].mean_entropy
         for j, m in enumerate(methods):
             deltas[t, j] = step_rec.methods[m.name].mean_entropy - base_e
-    return deltas, [m.name for m in methods], record
+    return deltas, [m.name for m in methods], steps

@@ -56,20 +56,21 @@ class SegaConfig:
         if self.n_bins_iso is not None and self.n_bins_iso < 2:
             raise ValueError("n_bins_iso must be >= 2")
 
-    def bins_for(self, height: int, width: int) -> int:
-        if self.n_bins_iso is not None:
-            return self.n_bins_iso
-        return max(2, min(height, width) // 2)
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralProfiles:
-    """Axis-marginalized and radial energy profiles of one latent."""
+    """Axis-marginalized and radial energy profiles of one height x width latent.
+
+    The axis lengths are kept because band lookup needs them: a profile holds
+    floor(L/2) bins, so its length alone cannot tell an odd axis from an even one.
+    """
 
     axis_h: np.ndarray
     axis_w: np.ndarray
     radial: np.ndarray
     occupied: np.ndarray
+    height: int
+    width: int
 
     def __post_init__(self):
         for name in ("axis_h", "axis_w", "radial"):
@@ -84,6 +85,8 @@ class SpectralProfiles:
         if occ.shape != self.radial.shape:
             raise ValueError("occupied mask must match radial profile length")
         object.__setattr__(self, "occupied", occ)
+        if (self.axis_h.size, self.axis_w.size) != (self.height // 2, self.width // 2):
+            raise ValueError("axis profiles must hold floor(height/2) and floor(width/2) bins")
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,17 +249,16 @@ def analyze(grid: LatentGrid, n_bins: int | None = None) -> SpectralProfiles:
     if n_bins is None:
         n_bins = max(2, min(grid.height, grid.width) // 2)
     e_iso, occupied = radial_profile(spectrum, n_bins)
-    return SpectralProfiles(axis_h=e_h, axis_w=e_w, radial=e_iso, occupied=occupied)
+    return SpectralProfiles(e_h, e_w, e_iso, occupied, grid.height, grid.width)
 
 
 @dataclass(frozen=True, eq=False)
 class ModulationResult:
-    """Both axis scaling vectors plus shared diagnostics."""
+    """Both axis scaling vectors plus the flatness that gated them."""
 
     vec_h: ScalingVector
     vec_w: ScalingVector
     flatness: float
-    profiles: SpectralProfiles
 
 
 def _scaling_vector(axis, profile, axis_len, schedule, sigma, m_ref, eps) -> ScalingVector:
@@ -276,18 +278,17 @@ def _scaling_vector(axis, profile, axis_len, schedule, sigma, m_ref, eps) -> Sca
 
 
 def modulate_detailed(
-    grid: LatentGrid,
+    profiles: SpectralProfiles,
     sched_h: RopeSchedule,
     sched_w: RopeSchedule,
     ratio: float,
     cfg: SegaConfig | None = None,
 ) -> ModulationResult:
-    """Full pipeline on one latent, returning vectors plus diagnostics."""
+    """Scaling vectors for both axes from one latent's profiles (see :func:`analyze`)."""
     cfg = cfg or SegaConfig()
-    profiles = analyze(grid, cfg.bins_for(grid.height, grid.width))
     flatness = spectral_flatness(profiles.radial, profiles.occupied, cfg.eps)
     sigma = amplitude_factor(flatness, cfg.gamma)
     m_ref = reference_scale(ratio, cfg)
-    vec_h = _scaling_vector("H", profiles.axis_h, grid.height, sched_h, sigma, m_ref, cfg.eps)
-    vec_w = _scaling_vector("W", profiles.axis_w, grid.width, sched_w, sigma, m_ref, cfg.eps)
-    return ModulationResult(vec_h=vec_h, vec_w=vec_w, flatness=flatness, profiles=profiles)
+    vec_h = _scaling_vector("H", profiles.axis_h, profiles.height, sched_h, sigma, m_ref, cfg.eps)
+    vec_w = _scaling_vector("W", profiles.axis_w, profiles.width, sched_w, sigma, m_ref, cfg.eps)
+    return ModulationResult(vec_h=vec_h, vec_w=vec_w, flatness=flatness)

@@ -8,6 +8,7 @@ here, not deferred to later calibration.
 import json
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from sega import (
     SegaConfig,
     TrajectoryConfig,
     amplitude_factor,
+    analyze,
     apply_rotary,
     axial_rotary,
     band_lookup,
@@ -40,6 +42,7 @@ from sega import (
     YarnParams,
 )
 from sega.cli import main as cli_main
+from sega.fmtio import canonical_json
 from conftest import noise_grid, sinusoid_grid
 from oracles import REFERENCE_SCALE_TABLE, dense_softmax, naive_dft2
 
@@ -89,7 +92,7 @@ def test_zero_sum_redistribution():
             sched_h = make_schedule("H", 64)
             sched_w = make_schedule("W", 64)
             ratio = float(rng.choice([1.0, 2.0, 4.0, 8.0]))
-            result = modulate_detailed(grid, sched_h, sched_w, ratio, sega_cfg)
+            result = modulate_detailed(analyze(grid), sched_h, sched_w, ratio, sega_cfg)
             for vec in (result.vec_h, result.vec_w):
                 assert abs(vec.s_corr.sum()) <= 1e-9 * half
                 assert abs(vec.m.mean() - vec.m_ref) <= 1e-9
@@ -194,7 +197,7 @@ def test_sinusoid_redistribution():
         grid = sinusoid_grid(cycles_w=float(k))
         sched_h = make_schedule("H", 64)
         sched_w = make_schedule("W", 64)
-        result = modulate_detailed(grid, sched_h, sched_w, 2.0)
+        result = modulate_detailed(analyze(grid), sched_h, sched_w, 2.0)
         vec = result.vec_w
         bins = [band_lookup(t, grid.width) for t in sched_w.theta]
         hot_dims = [d for d, b in enumerate(bins) if b == k]
@@ -223,14 +226,12 @@ def test_scaling_map_fingerprint():
 
         rec_a = run_trajectory(config(5.0), [method], rope=rope)
         rec_b = run_trajectory(config(1.0), [method], rope=rope)
-        final_a = np.concatenate([rec_a.steps[-1].methods["sega"].m_h,
-                                  rec_a.steps[-1].methods["sega"].m_w])
-        final_b = np.concatenate([rec_b.steps[-1].methods["sega"].m_h,
-                                  rec_b.steps[-1].methods["sega"].m_w])
+        final_a = np.concatenate([rec_a[-1].methods["sega"].m_h, rec_a[-1].methods["sega"].m_w])
+        final_b = np.concatenate([rec_b[-1].methods["sega"].m_h, rec_b[-1].methods["sega"].m_w])
         assert np.linalg.norm(final_a - final_b) > 1e-3
 
         rec_a2 = run_trajectory(config(5.0), [method], rope=rope)
-        assert rec_a.to_json_bytes() == rec_a2.to_json_bytes()
+        assert canonical_json([asdict(s) for s in rec_a]) == canonical_json([asdict(s) for s in rec_a2])
 
 
 def test_attention_contracts():

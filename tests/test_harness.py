@@ -1,6 +1,7 @@
 """Trajectory simulation: determinism, invariants, heatmaps, entropy traces."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,11 +9,18 @@ import pytest
 from sega import (
     MethodSpec,
     RopeParams,
+    SegaConfig,
     TrajectoryConfig,
+    analyze,
     entropy_trace,
+    generate_latent,
+    make_schedule,
+    modulate_detailed,
+    reference_scale,
     run_trajectory,
     spectral_heatmap,
 )
+from sega.fmtio import canonical_json
 from conftest import SEEDS_16
 
 
@@ -35,8 +43,8 @@ class TestRunTrajectory:
     def test_record_length_and_fields(self):
         cfg = small_cfg()
         rec = run_trajectory(cfg, [SEGA_METHOD, FIXED_METHOD], rope=ROPE)
-        assert len(rec.steps) == cfg.steps
-        for step in rec.steps:
+        assert len(rec) == cfg.steps
+        for step in rec:
             assert 0.0 <= step.sigma <= 1.0
             assert 0.0 < step.flatness <= 1.0
             assert set(step.methods) == {"sega", "fixed"}
@@ -49,57 +57,63 @@ class TestRunTrajectory:
         cfg = small_cfg(seed=3)
         a = run_trajectory(cfg, [SEGA_METHOD], rope=ROPE)
         b = run_trajectory(cfg, [SEGA_METHOD], rope=ROPE)
-        assert a.to_json_bytes() == b.to_json_bytes()
+        assert canonical_json([asdict(s) for s in a]) == canonical_json([asdict(s) for s in b])
 
     def test_different_structures_diverge(self):
         # cycles 5 and 1 land in bands sampled by dims 0 and 1 of this schedule
         cfg_a = small_cfg(height=32, width=32, structure_params={"cycles_w": 5.0})
         cfg_b = small_cfg(height=32, width=32, structure_params={"cycles_w": 1.0})
-        rec_a = run_trajectory(cfg_a, [SEGA_METHOD], rope=ROPE, with_attention=False)
-        rec_b = run_trajectory(cfg_b, [SEGA_METHOD], rope=ROPE, with_attention=False)
-        m_a = np.asarray(rec_a.steps[-1].methods["sega"].m_w)
-        m_b = np.asarray(rec_b.steps[-1].methods["sega"].m_w)
+        rec_a = run_trajectory(cfg_a, [SEGA_METHOD], rope=ROPE)
+        rec_b = run_trajectory(cfg_b, [SEGA_METHOD], rope=ROPE)
+        m_a = np.asarray(rec_a[-1].methods["sega"].m_w)
+        m_b = np.asarray(rec_b[-1].methods["sega"].m_w)
         assert np.linalg.norm(m_a - m_b) > 1e-3
 
-    def test_pure_noise_sigma_stays_small(self):
-        sigmas = []
+    # The two pure-noise tests check spectral properties of trajectory latents,
+    # so they run the trajectory's analysis and modulator without attention.
+    @staticmethod
+    def pure_noise_modulations():
+        sched_h = make_schedule("H", ROPE.dim, method="ntk_strong", ratio=ROPE.ratio_h)
+        sched_w = make_schedule("W", ROPE.dim, method="ntk_strong", ratio=ROPE.ratio_w)
         for seed in SEEDS_16:
             cfg = TrajectoryConfig(
                 steps=2, seed=seed, height=64, width=64, channels=4,
                 noise_blend={"kind": "constant", "value": 1.0},
             )
-            rec = run_trajectory(cfg, [FIXED_METHOD], rope=ROPE, with_attention=False)
-            sigmas.append([s.sigma for s in rec.steps])
+            yield [
+                modulate_detailed(
+                    analyze(generate_latent(cfg, step)), sched_h, sched_w, ROPE.ratio_scalar
+                )
+                for step in range(cfg.steps)
+            ]
+
+    def test_pure_noise_sigma_stays_small(self):
+        sigmas = [[r.vec_h.sigma for r in run] for run in self.pure_noise_modulations()]
         per_step = np.asarray(sigmas).mean(axis=0)
         assert np.all(per_step < 0.2)
 
     def test_pure_noise_scaling_hugs_reference(self):
         devs = []
-        for seed in SEEDS_16:
-            cfg = TrajectoryConfig(
-                steps=2, seed=seed, height=64, width=64, channels=4,
-                noise_blend={"kind": "constant", "value": 1.0},
-            )
-            rec = run_trajectory(cfg, [SEGA_METHOD], rope=ROPE, with_attention=False)
-            for step in rec.steps:
-                m = np.asarray(step.methods["sega"].m_h)
-                m_ref = step.methods["sega"].m_ref
+        for run in self.pure_noise_modulations():
+            for result in run:
+                m, m_ref = result.vec_h.m, result.vec_h.m_ref
                 devs.append(np.mean(np.abs(m - m_ref)) / m_ref)
         assert float(np.mean(devs)) < 0.15
 
     def test_structure_emerges_late(self):
         # noise -> sinusoid: sigma rises and the hot band dims end below m_ref
         cfg = small_cfg(steps=5, height=32, width=32, structure_params={"cycles_w": 5.0})
-        rec = run_trajectory(cfg, [SEGA_METHOD], rope=ROPE, with_attention=False)
-        assert rec.steps[-1].sigma > rec.steps[0].sigma
-        from sega import band_lookup, make_schedule
+        rec = run_trajectory(cfg, [SEGA_METHOD], rope=ROPE)
+        assert rec[-1].sigma > rec[0].sigma
+        from sega import band_lookup
 
         sched_w = make_schedule("W", ROPE.dim, method="ntk_strong", ratio=2.0)
         hot = [d for d in range(ROPE.dim // 2) if band_lookup(sched_w.theta[d], 32) == 5]
         assert hot
-        final = rec.steps[-1].methods["sega"]
+        final = rec[-1].methods["sega"]
+        m_ref = reference_scale(ROPE.ratio_scalar, SegaConfig())
         for d in hot:
-            assert final.m_w[d] < final.m_ref
+            assert final.m_w[d] < m_ref
 
     def test_duplicate_method_names_rejected(self):
         with pytest.raises(ValueError):
@@ -115,7 +129,7 @@ class TestRunTrajectory:
         warm = MethodSpec("warm", rope="yarn", scaling="none", temperature=False)
         cool = MethodSpec("cool", rope="yarn", scaling="none", temperature=True)
         rec = run_trajectory(cfg, [warm, cool], rope=ROPE)
-        for step in rec.steps:
+        for step in rec:
             assert step.methods["cool"].mean_entropy < step.methods["warm"].mean_entropy
 
 
@@ -178,7 +192,7 @@ class TestEntropyTrace:
         assert deltas.shape == (3, 2)
         assert names == ["sega", "fixed"]
         # baseline attends over an 8x8 grid, methods over 16x16
-        for step in record.steps:
+        for step in record:
             assert step.methods["baseline"].mean_entropy <= math.log(64) + 1e-9
             assert step.methods["sega"].mean_entropy <= math.log(256) + 1e-9
 
@@ -191,3 +205,33 @@ class TestEntropyTrace:
         _, h16 = rotary_entropy(np.zeros((16, 8)), grid_positions(4, 4), sh, sw)
         _, h4 = rotary_entropy(np.zeros((4, 8)), grid_positions(2, 2), sh, sw)
         assert math.isclose(h16 - h4, math.log(16) - math.log(4), rel_tol=1e-12)
+
+
+class TestOneAnalysisPerLatent:
+    @staticmethod
+    def counter(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_each_latent_is_analyzed_and_featurized_once_per_step(self, monkeypatch):
+        import sega.harness
+        import sega.spectral
+
+        analyses = self.counter(monkeypatch, sega.spectral, "analyze")
+        draws = self.counter(monkeypatch, sega.harness, "token_features")
+        cfg = small_cfg(steps=3)
+        run_trajectory(cfg, [SEGA_METHOD, FIXED_METHOD, BASELINE], rope=ROPE)
+        assert (len(analyses), len(draws)) == (3, 6)
+
+        analyses.clear()
+        draws.clear()
+        train_sega = MethodSpec("train_sega", rope="ntk_strong", scaling="sega", grid="train")
+        run_trajectory(cfg, [SEGA_METHOD, FIXED_METHOD, train_sega, BASELINE], rope=ROPE)
+        assert (len(analyses), len(draws)) == (6, 6)

@@ -11,6 +11,7 @@ from sega import (
     LatentGrid,
     SegaConfig,
     amplitude_factor,
+    analyze,
     axis_profiles,
     band_lookup,
     center_map,
@@ -285,7 +286,7 @@ class TestModulate:
     def test_mean_scaling_equals_reference(self, rng):
         sh, sw = self.make_scheds()
         grid = noise_grid(0)
-        result = modulate_detailed(grid, sh, sw, 2.0)
+        result = modulate_detailed(analyze(grid), sh, sw, 2.0)
         for vec in (result.vec_h, result.vec_w):
             assert abs(vec.m.mean() - vec.m_ref) < 1e-9
             assert abs(vec.s_corr.sum()) < 1e-9 * len(vec.s_corr)
@@ -295,14 +296,14 @@ class TestModulate:
         sh, sw = self.make_scheds()
         devs = []
         for seed in range(32):
-            vh = modulate_detailed(noise_grid(seed), sh, sw, 2.0).vec_h
+            vh = modulate_detailed(analyze(noise_grid(seed)), sh, sw, 2.0).vec_h
             devs.append(np.mean(np.abs(vh.m - vh.m_ref)) / vh.m_ref)
         assert float(np.mean(devs)) < 0.1
 
     def test_sinusoid_band_is_suppressed(self):
         sh, sw = self.make_scheds()
         grid = sinusoid_grid(cycles_w=4.0)
-        result = modulate_detailed(grid, sh, sw, 2.0)
+        result = modulate_detailed(analyze(grid), sh, sw, 2.0)
         bins = [band_lookup(t, grid.width) for t in sw.theta]
         hot_dims = [d for d, b in enumerate(bins) if b == 4]
         cold_dims = [d for d, b in enumerate(bins) if b != 4]
@@ -317,22 +318,25 @@ class TestModulate:
     def test_deterministic(self):
         sh, sw = self.make_scheds()
         grid = noise_grid(5)
-        a = modulate_detailed(grid, sh, sw, 2.0)
-        b = modulate_detailed(grid, sh, sw, 2.0)
+        a = modulate_detailed(analyze(grid), sh, sw, 2.0)
+        b = modulate_detailed(analyze(grid), sh, sw, 2.0)
         np.testing.assert_array_equal(a.vec_h.m, b.vec_h.m)
         np.testing.assert_array_equal(a.vec_w.s_corr, b.vec_w.s_corr)
         assert a.flatness == b.flatness
 
     def test_constant_latent_keeps_the_reference(self):
         sh, sw = self.make_scheds(16)
-        result = modulate_detailed(LatentGrid.from_array(np.full((8, 8, 2), 0.5)), sh, sw, 2.0)
+        constant = LatentGrid.from_array(np.full((8, 8, 2), 0.5))
+        result = modulate_detailed(analyze(constant), sh, sw, 2.0)
         assert result.flatness == 1.0
         for vec in (result.vec_h, result.vec_w):
             assert vec.sigma == 0.0
             np.testing.assert_array_equal(vec.m, vec.m_ref)
 
     def test_default_bin_count_tracks_grid(self):
-        cfg = SegaConfig()
-        assert cfg.bins_for(64, 64) == 32
-        assert cfg.bins_for(8, 64) == 4
-        assert cfg.bins_for(2, 2) == 2
+        def bins(h, w):
+            return analyze(LatentGrid.from_array(np.zeros((h, w)))).radial.size
+
+        assert bins(64, 64) == 32
+        assert bins(8, 64) == 4
+        assert bins(2, 2) == 2
