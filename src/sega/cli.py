@@ -44,7 +44,7 @@ def _io_errors():
 
 @contextmanager
 def _usage_errors():
-    """Report a ValueError (a config fault, or a flag combination the math rejects) as exit code 2."""
+    """Report a ValueError (a config fault or a flag combination the math rejects) as exit 2."""
     try:
         yield
     except ValueError as exc:
@@ -75,31 +75,6 @@ def _positive_finite(ctx, param, value):
 def _read_latent(path: str):
     with _io_errors():
         return read_latent(path)
-
-
-def _rope_flag_schedule(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p, dype_strong):
-    """Validate the rope flag combination and build the schedule it describes."""
-    if method != "yarn" and any(v is not None for v in (alpha, beta, train_len)):
-        raise click.UsageError("--alpha/--beta/--train-len are only valid with --method yarn")
-    if method != "dype" and any(v is not None for v in (dype_t, dype_p)):
-        raise click.UsageError("--dype-t/--dype-p are only valid with --method dype")
-    if method == "yarn" and train_len is None:
-        raise click.UsageError("--method yarn requires --train-len")
-    with _usage_errors():
-        yarn = None
-        if method == "yarn":
-            yarn = YarnParams(
-                alpha=alpha if alpha is not None else 1.0,
-                beta=beta if beta is not None else 32.0,
-                train_len=train_len,
-            )
-        sched = make_schedule(
-            "H", dim, base, method, ratio, yarn,
-            dype_time=dype_t if dype_t is not None else 0.0,
-            dype_p=dype_p if dype_p is not None else 1.0,
-            dype_strong=dype_strong,
-        )
-    return sched, yarn
 
 
 def rope_flags(fn):
@@ -134,9 +109,26 @@ def main():
 @rope_flags
 def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p, dype_strong):
     """Dump (d, theta, theta', wavelength[, lambda]) for a schedule as CSV."""
-    sched, yarn = _rope_flag_schedule(
-        dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p, dype_strong
-    )
+    if method != "yarn" and any(v is not None for v in (alpha, beta, train_len)):
+        raise click.UsageError("--alpha/--beta/--train-len are only valid with --method yarn")
+    if method != "dype" and any(v is not None for v in (dype_t, dype_p)):
+        raise click.UsageError("--dype-t/--dype-p are only valid with --method dype")
+    if method == "yarn" and train_len is None:
+        raise click.UsageError("--method yarn requires --train-len")
+    with _usage_errors():
+        yarn = None
+        if method == "yarn":
+            yarn = YarnParams(
+                alpha=alpha if alpha is not None else 1.0,
+                beta=beta if beta is not None else 32.0,
+                train_len=train_len,
+            )
+        sched = make_schedule(
+            "H", dim, base, method, ratio, yarn,
+            dype_time=dype_t if dype_t is not None else 0.0,
+            dype_p=dype_p if dype_p is not None else 1.0,
+            dype_strong=dype_strong,
+        )
     theta0 = base_frequencies(dim, base)  # make_schedule has checked dim and base
     wavelengths = 2.0 * np.pi / theta0
     header = ["d", "theta", "theta_prime", "wavelength"]
@@ -302,7 +294,7 @@ def trajectory(config_path, out_dir):
     """Run a full simulated trajectory; write scaling maps, heatmap, entropy trace, summary."""
     cfg = _load_config(config_path)
     out = _prepare_out_dir(out_dir)
-    with _io_errors():
+    with _io_errors(), _usage_errors():
         deltas, names, steps = entropy_trace(
             cfg.trajectory, list(cfg.methods), cfg.baseline, cfg.sega, cfg.rope
         )

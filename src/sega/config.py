@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .harness import MethodSpec, RopeParams, axis_schedules, train_shape
 from .rope import METHODS
-from .spectral import SegaConfig
+from .spectral import SegaConfig, reference_scale
 from .tensorio import TrajectoryConfig
 
 
@@ -80,16 +81,39 @@ def _finite(token: str) -> float:
     return value
 
 
+# JSON values are checked for type, never coerced: "false" is not False, 16.9 is not 16.
+def _integer(section: dict, key: str, default: int | None, where: str) -> int:
+    value = section.get(key, default)
+    if type(value) is not int:
+        raise ConfigError(f"{where}.{key} must be an integer")
+    return value
+
+
+def _number(section: dict, key: str, default: float, where: str) -> float:
+    value = section.get(key, default)
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where}.{key} must be a finite number")
+    return float(value)
+
+
+def _flag(section: dict, key: str, default: bool, where: str) -> bool:
+    value = section.get(key, default)
+    if type(value) is not bool:
+        raise ConfigError(f"{where}.{key} must be true or false")
+    return value
+
+
 def _method_spec(raw: dict, default_rope: str, where: str) -> MethodSpec:
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object")
     _check_keys(raw, _METHOD_KEYS, where)
+    temperature = _flag(raw, "temperature", False, where)
     try:
         return MethodSpec(
             name=raw.get("name", ""),
             rope=raw.get("rope", default_rope),
             scaling=raw.get("scaling", "sega"),
-            temperature=bool(raw.get("temperature", False)),
+            temperature=temperature,
             grid=raw.get("grid", "target"),
         )
     except ValueError as exc:
@@ -122,32 +146,33 @@ def load_experiment_config(source) -> ExperimentConfig:
     if rope_method not in METHODS:
         raise ConfigError(f"rope.method must be one of {METHODS}")
     try:
-        ratio = float(rope_raw.get("ratio", 2.0))
+        ratio = _number(rope_raw, "ratio", 2.0, "rope")
         rope = RopeParams(
-            dim=int(rope_raw.get("dim", 64)),
-            base=float(rope_raw.get("base", 10000.0)),
-            ratio_h=float(rope_raw.get("ratio_h", ratio)),
-            ratio_w=float(rope_raw.get("ratio_w", ratio)),
-            yarn_alpha=float(rope_raw.get("yarn_alpha", 1.0)),
-            yarn_beta=float(rope_raw.get("yarn_beta", 32.0)),
-            dype_p=float(rope_raw.get("dype_p", 1.0)),
-            dype_strong=bool(rope_raw.get("dype_strong", False)),
+            dim=_integer(rope_raw, "dim", 64, "rope"),
+            base=_number(rope_raw, "base", 10000.0, "rope"),
+            ratio_h=_number(rope_raw, "ratio_h", ratio, "rope"),
+            ratio_w=_number(rope_raw, "ratio_w", ratio, "rope"),
+            yarn_alpha=_number(rope_raw, "yarn_alpha", 1.0, "rope"),
+            yarn_beta=_number(rope_raw, "yarn_beta", 32.0, "rope"),
+            dype_p=_number(rope_raw, "dype_p", 1.0, "rope"),
+            dype_strong=_flag(rope_raw, "dype_strong", False, "rope"),
         )
         sega = SegaConfig(
-            kappa=float(sega_raw.get("kappa", 0.08)),
-            gamma=float(sega_raw.get("gamma", 1.5)),
+            kappa=_number(sega_raw, "kappa", 0.08, "sega"),
+            gamma=_number(sega_raw, "gamma", 1.5, "sega"),
             ref_form=sega_raw.get("ref_form", "power"),
-            eps=float(sega_raw.get("eps", 1e-12)),
+            eps=_number(sega_raw, "eps", 1e-12, "sega"),
             n_bins_iso=(
-                None if sega_raw.get("n_bins_iso") is None else int(sega_raw["n_bins_iso"])
+                None if sega_raw.get("n_bins_iso") is None
+                else _integer(sega_raw, "n_bins_iso", None, "sega")
             ),
         )
         trajectory = TrajectoryConfig(
-            steps=int(traj_raw.get("steps", 8)),
-            seed=int(traj_raw.get("seed", 0)),
-            height=int(traj_raw.get("height", 64)),
-            width=int(traj_raw.get("width", 64)),
-            channels=int(traj_raw.get("channels", 4)),
+            steps=_integer(traj_raw, "steps", 8, "trajectory"),
+            seed=_integer(traj_raw, "seed", 0, "trajectory"),
+            height=_integer(traj_raw, "height", 64, "trajectory"),
+            width=_integer(traj_raw, "width", 64, "trajectory"),
+            channels=_integer(traj_raw, "channels", 4, "trajectory"),
             structure_kind=traj_raw.get("structure_kind", "sinusoid"),
             structure_params=dict(traj_raw.get("structure_params", {"cycles_w": 4.0})),
             noise_blend=dict(traj_raw.get("noise_blend", {"kind": "linear"})),
@@ -159,6 +184,10 @@ def load_experiment_config(source) -> ExperimentConfig:
 
     if sega.n_bins_iso is not None and sega.n_bins_iso > trajectory.height * trajectory.width:
         raise ConfigError("sega.n_bins_iso must not exceed trajectory height * width")
+    try:
+        reference_scale(rope.ratio_scalar, sega)
+    except ValueError as exc:
+        raise ConfigError(f"sega.kappa: {exc}") from exc
 
     methods_raw = traj_raw.get(
         "methods",

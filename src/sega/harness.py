@@ -42,8 +42,8 @@ class MethodSpec:
     grid: str = "target"
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("method needs a name")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError("method name must be a nonempty string")
         if self.rope not in METHODS:
             raise ValueError(f"unknown rope method {self.rope!r}")
         if self.scaling not in SCALING_MODES:
@@ -184,15 +184,8 @@ def run_trajectory(
 
         target = inputs["target"][1]
         flatness = spectral.spectral_flatness(target.radial, target.occupied, sega_cfg.eps)
-        step_rec = StepRecord(
-            step=step,
-            alpha=cfg.alpha(step),
-            time=time,
-            flatness=flatness,
-            sigma=spectral.amplitude_factor(flatness, sega_cfg.gamma),
-            radial=target.radial,
-            methods={},
-        )
+        sigma = spectral.amplitude_factor(flatness, sega_cfg.gamma)
+        step_rec = StepRecord(step, cfg.alpha(step), time, flatness, sigma, target.radial, {})
         for method in methods:
             latent, profiles, feats, positions, ratio_h, ratio_w, ratio = inputs[method.grid]
             sched_h, sched_w = axis_schedules(

@@ -237,9 +237,13 @@ def reference_scale(ratio: float, cfg: SegaConfig) -> float:
     """Shared anchor magnitude: ratio**kappa, or 1 + kappa*ln(ratio) for the log form."""
     if not ratio >= 1.0:
         raise ValueError("ratio must be >= 1")
-    if cfg.ref_form == "power":
-        return ratio**cfg.kappa
-    return 1.0 + cfg.kappa * math.log(ratio)
+    try:
+        m_ref = ratio**cfg.kappa if cfg.ref_form == "power" else 1.0 + cfg.kappa * math.log(ratio)
+    except OverflowError:
+        m_ref = math.inf
+    if not m_ref < math.inf:
+        raise ValueError(f"reference scale overflows at ratio {ratio:g} and kappa {cfg.kappa:g}")
+    return m_ref
 
 
 def analyze(grid: LatentGrid, n_bins: int | None = None) -> SpectralProfiles:

@@ -15,6 +15,7 @@ SEGL format (little-endian throughout)::
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -147,6 +148,8 @@ class TrajectoryConfig:
             raise ValueError("seed must be unsigned")
         if self.height < 2 or self.width < 2 or self.channels < 1:
             raise ValueError("grid must be at least 2x2x1")
+        if self.height * self.width * self.channels * 8 > sys.maxsize:
+            raise ValueError("height * width * channels * 8 bytes exceeds the addressable size")
         if self.structure_kind not in STRUCTURE_KINDS:
             raise ValueError(f"unknown structure_kind {self.structure_kind!r}")
         _structure_params(self.structure_kind, self.structure_params)
@@ -154,7 +157,7 @@ class TrajectoryConfig:
             alphas = [self._blend_at(t) for t in range(self.steps)]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed noise_blend {self.noise_blend!r}") from exc
-        if any(a < 0.0 or a > 1.0 for a in alphas):
+        if not all(0.0 <= a <= 1.0 for a in alphas):  # NaN fails this test too
             raise ValueError("blend weights must lie in [0, 1]")
         if any(b > a + 1e-12 for a, b in zip(alphas, alphas[1:])):
             raise ValueError("blend weights must be non-increasing in step index")
@@ -214,10 +217,10 @@ def _structure_params(kind: str, params: dict) -> dict:
                 "phase": float(params.get("phase", 0.0)),
             }
         if kind == "checker":
-            bh, bw = int(params.get("block_h", 1)), int(params.get("block_w", 1))
-            if bh < 1 or bw < 1:
-                raise ValueError("checker blocks must be >= 1")
-            return {"block_h": bh, "block_w": bw}
+            blocks = {key: params.get(key, 1) for key in ("block_h", "block_w")}
+            if not all(type(b) is int and b >= 1 for b in blocks.values()):
+                raise ValueError("block_h and block_w must be integers >= 1")
+            return blocks
         if kind == "band_limited":
             low, high = float(params.get("low", 0.0)), float(params.get("high", 0.25))
             if not 0.0 <= low < high <= 1.0:

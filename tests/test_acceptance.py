@@ -231,7 +231,10 @@ def test_scaling_map_fingerprint():
         assert np.linalg.norm(final_a - final_b) > 1e-3
 
         rec_a2 = run_trajectory(config(5.0), [method], rope=rope)
-        assert canonical_json([asdict(s) for s in rec_a]) == canonical_json([asdict(s) for s in rec_a2])
+        def dump(steps):
+            return canonical_json([asdict(s) for s in steps])
+
+        assert dump(rec_a) == dump(rec_a2)
 
 
 def test_attention_contracts():

@@ -359,6 +359,30 @@ MALFORMED_CONFIGS = {
     "n_bins_iso_overflows": ({**small_config(), "sega": {"n_bins_iso": 10**20}}, 2),
 }
 
+# Each config holds one value of the wrong JSON type, or one that overflows at load;
+# (config, the key its message names). All exit 2.
+TYPED_FAULTS = {
+    "dype_strong_string": (small_config(rope={"dype_strong": "false"}), "rope.dype_strong"),
+    "temperature_string": (small_config({"methods": [{"name": "a", "temperature": "no"}]}),
+                           "trajectory.methods[0].temperature"),
+    "height_fraction": (small_config({"height": 16.9}), "trajectory.height"),
+    "dim_fraction": (small_config(rope={"dim": 16.5}), "rope.dim"),
+    "steps_bool": (small_config({"steps": True}), "trajectory.steps"),
+    "height_string": (small_config({"height": "16"}), "trajectory.height"),
+    "ratio_numeric_string": (small_config(rope={"ratio": "2"}), "rope.ratio"),
+    "kappa_string_nan": ({**small_config(), "sega": {"kappa": "nan"}}, "sega.kappa"),
+    "gamma_string_inf": ({**small_config(), "sega": {"gamma": "inf"}}, "sega.gamma"),
+    "eps_string_nan": ({**small_config(), "sega": {"eps": "nan"}}, "sega.eps"),
+    "kappa_overflows_reference": ({**small_config(), "sega": {"kappa": 1e308}}, "sega.kappa"),
+    # rejected from the sizes alone, before anything is allocated
+    "grid_past_addressable": (small_config({"height": 2**32, "width": 2**32}),
+                              "height * width * channels"),
+    "method_name_list": (small_config({"methods": [{"name": ["a"]}]}), "trajectory.methods[0]"),
+    "checker_block_fraction": (small_config(
+        {"structure_kind": "checker", "structure_params": {"block_h": 1.5}}), "block_h"),
+}
+MALFORMED_CONFIGS.update({case: (cfg, 2) for case, (cfg, _) in TYPED_FAULTS.items()})
+
 
 class TestMalformedConfigs:
     @pytest.mark.parametrize("command", ["trajectory", "heatmap"])
@@ -369,6 +393,20 @@ class TestMalformedConfigs:
         assert res.exit_code == code, res.output
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("case", sorted(TYPED_FAULTS))
+    def test_typed_fault_names_its_key(self, runner, tmp_path, case):
+        cfg, key = TYPED_FAULTS[case]
+        res, _ = run_config(runner, tmp_path, "trajectory", cfg)
+        assert key in res.output
+
+    def test_logit_overflow_during_a_run_exits_2(self, runner, tmp_path):
+        # m_ref = 2**1000 is finite, so the config loads; the squared logits are not
+        cfg = {**small_config(), "sega": {"kappa": 1000}}
+        res, _ = run_config(runner, tmp_path, "trajectory", cfg)
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "attention logits overflowed" in res.output
 
     def test_file_structure_on_train_grid_is_named(self, runner, tmp_path):
         res, _ = run_config(runner, tmp_path, "trajectory",

@@ -235,3 +235,8 @@ class TestOneAnalysisPerLatent:
         train_sega = MethodSpec("train_sega", rope="ntk_strong", scaling="sega", grid="train")
         run_trajectory(cfg, [SEGA_METHOD, FIXED_METHOD, train_sega, BASELINE], rope=ROPE)
         assert (len(analyses), len(draws)) == (6, 6)
+
+        analyses.clear()
+        draws.clear()
+        run_trajectory(cfg, [BASELINE], rope=ROPE)  # the target is analyzed, never attended
+        assert (len(analyses), len(draws)) == (3, 3)

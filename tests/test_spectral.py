@@ -273,6 +273,12 @@ class TestReferenceScale:
         got = reference_scale(ratio, SegaConfig(ref_form=form))
         assert math.isclose(got, reference_scale_direct(ratio, form), rel_tol=1e-12)
 
+    @pytest.mark.parametrize("form, ratio", [("power", 2.0), ("log", 1e10)])
+    def test_overflow_is_a_value_error(self, form, ratio):
+        # ratio**kappa raises OverflowError; kappa * ln(ratio) is inf
+        with pytest.raises(ValueError, match="overflows"):
+            reference_scale(ratio, SegaConfig(kappa=1e308, ref_form=form))
+
     def test_rejects_sub_one_ratio(self):
         for ratio in (0.9, math.nan):  # NaN compares false, so `ratio < 1` would pass it
             with pytest.raises(ValueError):

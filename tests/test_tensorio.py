@@ -133,6 +133,20 @@ class TestTrajectoryConfig:
     def test_blend_range_checked(self):
         with pytest.raises(ValueError):
             TrajectoryConfig(steps=2, seed=0, noise_blend={"kind": "constant", "value": 1.5})
+        nan_blend = {"kind": "constant", "value": float("nan")}  # NaN compares false
+        with pytest.raises(ValueError, match="blend weights"):
+            TrajectoryConfig(steps=2, seed=0, noise_blend=nan_blend)
+
+    def test_grid_past_addressable_size_rejected(self):
+        # checked from the sizes alone: nothing is allocated
+        with pytest.raises(ValueError, match="addressable"):
+            TrajectoryConfig(steps=1, seed=0, height=2**32, width=2**32, channels=1)
+
+    @pytest.mark.parametrize("block", [1.5, True, "2", 0])
+    def test_checker_blocks_are_positive_integers(self, block):
+        with pytest.raises(ValueError, match="block_h and block_w"):
+            TrajectoryConfig(steps=1, seed=0, structure_kind="checker",
+                             structure_params={"block_w": block})
 
     def test_linear_blend_endpoints(self):
         cfg = TrajectoryConfig(steps=5, seed=0)
