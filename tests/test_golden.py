@@ -15,7 +15,10 @@ small for ``entropy`` to split its rows into blocks, so ``entropy`` is also
 pinned on a 64x64 latent (several blocks of whole rows) and on a 48x64 latent
 (blocks that do not divide the row count). ``modulate`` and ``entropy`` are
 also pinned on a 15x13 latent, where both axes are odd and a profile's length
-is not half its axis. ``spectrum`` and three
+is not half its axis. ``entropy`` and ``attn-map`` are pinned on a 51x51
+latent: its 2601 tokens split into 100-row blocks and a last block of one
+row, which BLAS takes as a matrix-vector product whose bits differ from the
+same row inside a larger block. ``spectrum`` and three
 ``rope-table`` schedules pin the remaining stdout writers.
 """
 
@@ -90,6 +93,10 @@ CASES = (
     ("spectrum", ["spectrum", "--latent", "{latent}"], None),
     ("modulate_15x13", ["modulate", "--latent", "{latent_15x13}"], None),
     ("entropy_sega_15x13", ["entropy", "--latent", "{latent_15x13}", "--scaling", "sega"], None),
+    ("entropy_sega_51x51", ["entropy", "--latent", "{latent_51x51}", "--scaling", "sega"], None),
+    ("attn_map_sega_51x51",
+     ["attn-map", "--latent", "{latent_51x51}", "--query-h", "50", "--query-w", "50",
+      "--scaling", "sega"], None),
     ("rope_table_none", ["rope-table", "--dim", "64", "--method", "none"], None),
     ("rope_table_ntk_strong",
      ["rope-table", "--dim", "64", "--method", "ntk_strong", "--ratio", "4"], None),
@@ -153,6 +160,12 @@ DIGESTS = {
     "entropy_sega_15x13": {
         "stdout": "0b94464bfa0dbefaf371c26c5d371b18c856f8893d249d1826a9a4c8f8c7da02",
     },
+    "entropy_sega_51x51": {
+        "stdout": "4414b9e20072c0c3a6a03c84062cd1a0b6a9f146a22e549f1b9d981165b4baa9",
+    },
+    "attn_map_sega_51x51": {
+        "stdout": "1584b33f87dcabff1fd06807aa44a72648a044a14fbe3af2560010bc9c20d392",
+    },
     "rope_table_none": {
         "stdout": "d93a383d7231e8ee417de3729167d2e86608bbdf832ca44539af575b6a171806",
     },
@@ -169,7 +182,7 @@ def _inputs(tmp_path):
     latent = tmp_path / "latent.segl"
     grid = LatentGrid.from_array(np.random.default_rng(31).standard_normal((16, 12, 3)))
     write_latent(grid, latent)
-    for seed, (height, width) in ((64, (64, 64)), (48, (48, 64))):
+    for seed, (height, width) in ((64, (64, 64)), (48, (48, 64)), (51, (51, 51))):
         values = np.random.default_rng(seed).standard_normal((height, width, 4))
         write_latent(LatentGrid.from_array(values), tmp_path / f"latent_{height}x{width}.segl")
     odd = np.random.default_rng(15).standard_normal((15, 13, 3))
@@ -184,6 +197,7 @@ def _inputs(tmp_path):
         "latent_64x64": str(tmp_path / "latent_64x64.segl"),
         "latent_48x64": str(tmp_path / "latent_48x64.segl"),
         "latent_15x13": str(tmp_path / "latent_15x13.segl"),
+        "latent_51x51": str(tmp_path / "latent_51x51.segl"),
         "out": str(tmp_path / "out"),
     }
 
