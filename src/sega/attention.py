@@ -2,8 +2,11 @@
 
 :func:`rotary_entropy` takes each query row's entropy from one block of
 logits at a time, and :func:`rotary_attention_row` computes the one row
-``sega attn-map`` prints. Neither forms the N x N weight matrix, so memory
-stays O(block * N).
+``sega attn-map`` prints. Neither forms the N x N weight matrix or a full
+copy of the rotated features: both rotate the features a few rows at a time
+into one N x D key matrix, and rotary_entropy rotates its query rows again,
+a few blocks at a time. Memory is that key matrix plus one block of logits,
+O(N * (D + block)).
 """
 
 from __future__ import annotations
@@ -25,11 +28,7 @@ def grid_positions(height: int, width: int) -> np.ndarray:
     return np.stack([hh.ravel(), ww.ravel()], axis=1)
 
 
-def _rotated_keys(
-    x, positions, sched_h, sched_w, scale_h, scale_w, logit_scale
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate the shared Q = K features once; return them and the keys pre-scaled
-    by logit_scale / sqrt(D), so that x_rot @ keys are the logits."""
+def _checked(x, positions, logit_scale) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     positions = np.asarray(positions)
     if x.ndim != 2:
@@ -40,10 +39,34 @@ def _rotated_keys(
         raise ValueError("positions must cover every query and key token")
     if not logit_scale > 0:
         raise ValueError("logit_scale must be positive")
-    x_rot = axial_rotary(x, positions[:, 0], positions[:, 1], sched_h, sched_w, scale_h, scale_w)
-    if not np.all(np.isfinite(x_rot)):
-        raise ValueError("rotated features contain non-finite values")
-    return x_rot, x_rot.T * (logit_scale / np.sqrt(x.shape[1]))
+    return x, positions
+
+
+def _rotate(x, positions, rope, rows) -> np.ndarray:
+    """Rotated features of the tokens x[rows]; rope is (sched_h, sched_w, scale_h, scale_w)."""
+    pos = positions[rows]
+    return axial_rotary(x[rows], pos[..., 0], pos[..., 1], *rope)
+
+
+def _rotated_keys(x, positions, rope, logit_scale) -> np.ndarray:
+    """The shared Q = K features rotated chunk by chunk into one N x D array
+    scaled by logit_scale / sqrt(D), returned transposed: a rotated query row
+    times it is a row of logits. Its layout and bits are those of x_rot.T * c;
+    a one-row product with C-ordered keys would differ in the last bits.
+    Every row is checked here, so a query row rotated again is finite."""
+    n, d = x.shape
+    c = logit_scale / np.sqrt(d)
+    keys = np.empty((n, d))
+    # one reduction slice of features at a time: few rotary calls, and their
+    # temporaries peak below the logit block and query chunks that come later
+    chunk = max(1, REDUCE_LOGITS // d)
+    for start in range(0, n, chunk):
+        rows = slice(start, start + chunk)
+        x_rot = _rotate(x, positions, rope, rows)
+        if not np.all(np.isfinite(x_rot)):
+            raise ValueError("rotated features contain non-finite values")
+        np.multiply(x_rot, c, out=keys[rows])
+    return keys.T
 
 
 def _check_finite(values: np.ndarray) -> np.ndarray:
@@ -69,19 +92,30 @@ def rotary_entropy(
     rows, with l the row-max-shifted logits, H = log Z - sum(e^l * l) / Z
     where Z = sum(e^l).
 
-    Each block's logits come from one matrix product and are then reduced in
-    slices of rows that stay in cache. Every row goes through the same
-    operations whatever the slice size, so the result does not depend on it.
+    Query rows are rotated from x a few blocks at a time; each block of them is
+    multiplied by the resident keys into one reused logits buffer and then
+    reduced in slices of rows that stay in cache. Every row goes through the
+    same operations whatever the slice size, so the result does not depend on
+    it.
     """
-    x_rot, keys = _rotated_keys(x, positions, sched_h, sched_w, scale_h, scale_w, logit_scale)
-    n = x_rot.shape[0]
+    x, positions = _checked(x, positions, logit_scale)
+    rope = (sched_h, sched_w, scale_h, scale_w)
+    keys = _rotated_keys(x, positions, rope, logit_scale)
+    n = x.shape[0]
     step = max(1, BLOCK_LOGITS // n)
+    # query rows rotated at once: whole blocks, about half a reduction slice of
+    # features, so that with their temporaries they fit beside the logit block
+    chunk = step * max(1, REDUCE_LOGITS // (2 * step * x.shape[1]))
     rows = min(step, max(1, REDUCE_LOGITS // n))
     per_row = np.empty(n)
+    block_buf = np.empty((step, n))
     exp_buf = np.empty((rows, n))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         for start in range(0, n, step):
-            block = x_rot[start : start + step] @ keys
+            if start % chunk == 0:
+                queries = _rotate(x, positions, rope, slice(start, start + chunk))
+            query_block = queries[start % chunk : start % chunk + step]
+            block = np.matmul(query_block, keys, out=block_buf[: query_block.shape[0]])
             for first in range(0, block.shape[0], rows):
                 logits = block[first : first + rows]
                 logits -= logits.max(axis=1, keepdims=True)
@@ -106,11 +140,13 @@ def rotary_attention_row(
     query: int,
 ) -> np.ndarray:
     """One query token's attention weights over all N tokens, in O(N * D)."""
-    x_rot, keys = _rotated_keys(x, positions, sched_h, sched_w, scale_h, scale_w, logit_scale)
-    if not 0 <= query < x_rot.shape[0]:
+    x, positions = _checked(x, positions, logit_scale)
+    if not 0 <= query < x.shape[0]:
         raise ValueError("query index outside the token range")
+    rope = (sched_h, sched_w, scale_h, scale_w)
+    keys = _rotated_keys(x, positions, rope, logit_scale)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        logits = x_rot[query] @ keys
+        logits = _rotate(x, positions, rope, query) @ keys
         logits -= logits.max()
     e = np.exp(_check_finite(logits))
     return e / e.sum()

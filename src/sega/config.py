@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .harness import MethodSpec, RopeParams, axis_schedules, train_shape
 from .rope import METHODS
 from .spectral import SegaConfig, reference_scale
-from .tensorio import TrajectoryConfig
+from .tensorio import TrajectoryConfig, finite_number
 
 
 class ConfigError(ValueError):
@@ -90,10 +89,7 @@ def _integer(section: dict, key: str, default: int | None, where: str) -> int:
 
 
 def _number(section: dict, key: str, default: float, where: str) -> float:
-    value = section.get(key, default)
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{where}.{key} must be a finite number")
-    return float(value)
+    return finite_number(section.get(key, default), f"{where}.{key}")
 
 
 def _flag(section: dict, key: str, default: bool, where: str) -> bool:

@@ -210,9 +210,12 @@ def apply_rotary(
             raise ValueError(f"scale must have length {half}")
         if not np.all(scale > 0):
             raise ValueError("scale entries must be positive")
+    # cos/sin once per distinct position (a grid axis has few), then gathered
     position = np.asarray(position, dtype=np.float64)
-    angles = position[..., None] * schedule.theta  # (..., dim/2)
-    cos, sin = np.cos(angles), np.sin(angles)
+    distinct, index = np.unique(position, return_inverse=True)
+    angles = distinct[:, None] * schedule.theta  # (distinct, dim/2)
+    index = index.reshape(position.shape)  # numpy 1.x flattens it
+    cos, sin = np.cos(angles)[index], np.sin(angles)[index]  # (..., dim/2)
     xe, xo = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
     out[..., 0::2] = scale * (cos * xe - sin * xo)

@@ -162,24 +162,24 @@ class TrajectoryConfig:
         if any(b > a + 1e-12 for a, b in zip(alphas, alphas[1:])):
             raise ValueError("blend weights must be non-increasing in step index")
 
-    def _blend_at(self, step: int) -> float:
+    def _blend_at(self, step: int) -> int | float:
         kind = self.noise_blend.get("kind", "linear")
         if kind == "linear":
             if self.steps == 1:
                 return 1.0
             return 1.0 - step / (self.steps - 1)
         if kind == "constant":
-            return float(self.noise_blend["value"])
+            return json_number(self.noise_blend["value"], "noise_blend.value")
         if kind == "table":
             values = self.noise_blend["values"]
             if len(values) != self.steps:
                 raise ValueError("blend table length must equal steps")
-            return float(values[step])
+            return json_number(values[step], f"noise_blend.values[{step}]")
         raise ValueError(f"unknown blend kind {kind!r}")
 
     def alpha(self, step: int) -> float:
         self._check_step(step)
-        return self._blend_at(step)
+        return float(self._blend_at(step))
 
     def time(self, step: int) -> float:
         """Denoising time coordinate: 1.0 at the pure-noise end, 0.0 at the last step."""
@@ -207,22 +207,34 @@ def _normalize_field(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def json_number(value, name: str):
+    """value itself if its JSON type is a number: an int or a float, not a bool or a string."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number")
+    return value
+
+
+def finite_number(value, name: str) -> float:
+    """value as a float if it is a finite JSON number."""
+    if not abs(json_number(value, name)) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number")
+    return float(value)
+
+
 def _structure_params(kind: str, params: dict) -> dict:
     """One structure kind's parameters with defaults filled in, checked for type and range."""
     try:
         if kind == "sinusoid":
-            return {
-                "cycles_h": float(params.get("cycles_h", 0.0)),
-                "cycles_w": float(params.get("cycles_w", 4.0)),
-                "phase": float(params.get("phase", 0.0)),
-            }
+            defaults = {"cycles_h": 0.0, "cycles_w": 4.0, "phase": 0.0}
+            return {key: finite_number(params.get(key, d), key) for key, d in defaults.items()}
         if kind == "checker":
             blocks = {key: params.get(key, 1) for key in ("block_h", "block_w")}
             if not all(type(b) is int and b >= 1 for b in blocks.values()):
                 raise ValueError("block_h and block_w must be integers >= 1")
             return blocks
         if kind == "band_limited":
-            low, high = float(params.get("low", 0.0)), float(params.get("high", 0.25))
+            low = finite_number(params.get("low", 0.0), "low")
+            high = finite_number(params.get("high", 0.25), "high")
             if not 0.0 <= low < high <= 1.0:
                 raise ValueError("band edges must satisfy 0 <= low < high <= 1")
             return {"low": low, "high": high}

@@ -3,8 +3,8 @@
 Nothing in here calls into the package's own numerics, and nothing imports
 ``sega``: the DFT is the direct double-sum definition, the closed forms are
 re-derived with plain math, the expected reference-scale anchors are frozen
-constants, and dense attention is a plain softmax over features the caller has
-already rotated.
+constants, dense attention is a plain softmax over features the caller has
+already rotated, and the rotary embedding is applied one token at a time.
 """
 
 from __future__ import annotations
@@ -63,6 +63,26 @@ def dense_entropy(x_rot: np.ndarray, logit_scale: float = 1.0) -> tuple[np.ndarr
     w = dense_softmax(logit_scale * (x_rot @ x_rot.T) / np.sqrt(x_rot.shape[1]))
     per_row = -np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0).sum(axis=1)
     return per_row, float(per_row.mean())
+
+
+def rotate_tokens(x: np.ndarray, positions, theta: np.ndarray, scale=None) -> np.ndarray:
+    """Rotary embedding one token at a time: subspace d of token i, the components
+    (2d, 2d+1), turns by positions[i] * theta[d] and is then scaled by scale[d].
+
+    x has shape (N, 2 * len(theta)). The arithmetic is written out per token
+    in the order of the rotation formula, so equal inputs give equal bits.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
+    scale = np.ones(theta.shape) if scale is None else np.asarray(scale, dtype=np.float64)
+    out = np.empty_like(x)
+    for i, position in enumerate(np.asarray(positions, dtype=np.float64)):
+        angle = position * theta
+        cos, sin = np.cos(angle), np.sin(angle)
+        even, odd = x[i, 0::2], x[i, 1::2]
+        out[i, 0::2] = scale * (cos * even - sin * odd)
+        out[i, 1::2] = scale * (sin * even + cos * odd)
+    return out
 
 
 # Anchor magnitudes at kappa = 0.08 for ratios 1..32: ratio**0.08 (power) and

@@ -179,8 +179,11 @@ class TestBlockedRotary:
         assert abs(mean - dense_mean) <= 1e-12
 
     def test_many_small_blocks_match_dense(self, rng, monkeypatch):
-        # 7 rows per block on 24 x 25 tokens: 85 full blocks and a last one of 5 rows
+        # 7 rows per block on 24 x 25 tokens: 85 full blocks and a last one of 5
+        # rows. Queries are rotated 3 blocks at a time (a last chunk of 12 rows)
+        # and keys 42 rows at a time (a last chunk of 12 rows).
         monkeypatch.setattr(attention, "BLOCK_LOGITS", 7 * 600)
+        monkeypatch.setattr(attention, "REDUCE_LOGITS", 42 * 16)
         sh, sw = make_schedule("H", 8), make_schedule("W", 8)
         feats = rng.standard_normal((600, 16))
         pos = grid_positions(24, 25)
@@ -220,6 +223,23 @@ class TestBlockedRotary:
             row = rotary_attention_row(feats, pos, sh, sw, mh, mw, 1.7, query=query)
             np.testing.assert_allclose(row, weights[query], rtol=0, atol=1e-12)
 
+    def test_attention_row_bits_are_the_transposed_key_product(self, rng):
+        # A one-row product goes through BLAS gemv, whose last bits depend on
+        # the key layout: the keys are x_rot.T * c, x_rot row-major. Printed to
+        # 9 digits the rows rarely show it, so compare bits here.
+        sh = make_schedule("H", 16, method="ntk", ratio=2.0)
+        sw = make_schedule("W", 16, method="pi", ratio=1.5)
+        mh, mw = rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8)
+        feats = rng.standard_normal((51 * 51, 32))
+        pos = grid_positions(51, 51)
+        x_rot = rotated(feats, pos, sh, sw, mh, mw)
+        keys = x_rot.T * (1.3 / np.sqrt(32))
+        for query in (0, 1300, 2600):
+            logits = x_rot[query] @ keys
+            e = np.exp(logits - logits.max())
+            row = rotary_attention_row(feats, pos, sh, sw, mh, mw, 1.3, query=query)
+            assert np.array_equal(row, e / e.sum())
+
     def test_memory_stays_blocked(self, rng):
         # dense attention at 64 x 64 traces ~513 MiB; one 2 MiB logit block needs far less
         sh, sw = make_schedule("H", 16), make_schedule("W", 16)
@@ -232,6 +252,23 @@ class TestBlockedRotary:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("fn, bound_mib", [(rotary_entropy, 8), (rotary_attention_row, 7)])
+    def test_memory_is_keys_plus_one_block(self, rng, fn, bound_mib):
+        # at 64 x 64, D = 128 the keys take 4 MiB and one logit block 2 MiB; a
+        # full copy of the rotated features or full-size rotary temporaries
+        # (12.5 and 11.1 MiB peaks) would not fit
+        sh, sw = make_schedule("H", 64), make_schedule("W", 64)
+        feats = rng.standard_normal((4096, 128))
+        pos = grid_positions(64, 64)
+        kw = {"query": 4095} if fn is rotary_attention_row else {}
+        tracemalloc.start()
+        try:
+            fn(feats, pos, sh, sw, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
 
     @pytest.mark.parametrize("fn", [rotary_entropy, rotary_attention_row])
     def test_validation(self, rng, fn):

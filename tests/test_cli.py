@@ -380,6 +380,22 @@ TYPED_FAULTS = {
     "method_name_list": (small_config({"methods": [{"name": ["a"]}]}), "trajectory.methods[0]"),
     "checker_block_fraction": (small_config(
         {"structure_kind": "checker", "structure_params": {"block_h": 1.5}}), "block_h"),
+    # a string "nan" once loaded as NaN, and the NaN field was zeroed: a run without structure
+    **{
+        f"{key}_string_{text}": (
+            small_config({"structure_kind": kind, "structure_params": {key: text}}), key)
+        for key, kind in (("cycles_w", "sinusoid"), ("phase", "sinusoid"),
+                          ("low", "band_limited"), ("high", "band_limited"))
+        for text in ("nan", "inf", "3")
+    },
+    "cycles_h_bool": (small_config({"structure_params": {"cycles_h": True}}), "cycles_h"),
+    "blend_constant_string": (small_config({"noise_blend": {"kind": "constant", "value": "1"}}),
+                              "noise_blend.value"),
+    "blend_table_strings": (small_config({"noise_blend": {"kind": "table", "values": ["1", "0.5", "0"]}}),
+                            "noise_blend.values[0]"),
+    "blend_table_one_string": (
+        small_config({"noise_blend": {"kind": "table", "values": [1, "0.5", 0]}}),
+        "noise_blend.values[1]"),
 }
 MALFORMED_CONFIGS.update({case: (cfg, 2) for case, (cfg, _) in TYPED_FAULTS.items()})
 
@@ -398,6 +414,12 @@ class TestMalformedConfigs:
     def test_typed_fault_names_its_key(self, runner, tmp_path, case):
         cfg, key = TYPED_FAULTS[case]
         res, _ = run_config(runner, tmp_path, "trajectory", cfg)
+        assert key in res.output
+
+    @pytest.mark.parametrize("case", sorted(TYPED_FAULTS))
+    def test_typed_fault_names_its_key_in_heatmap(self, runner, tmp_path, case):
+        cfg, key = TYPED_FAULTS[case]
+        res, _ = run_config(runner, tmp_path, "heatmap", cfg)
         assert key in res.output
 
     def test_logit_overflow_during_a_run_exits_2(self, runner, tmp_path):

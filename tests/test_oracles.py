@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sega import apply_rotary, make_schedule
+from sega import apply_rotary, axial_rotary, make_schedule
 from oracles import (
     REFERENCE_SCALE_TABLE,
     OracleReport,
     naive_dft2,
     reference_scale_direct,
     relative_position_reports,
+    rotate_tokens,
 )
 
 
@@ -73,6 +74,46 @@ class TestRelativePositionOracle:
         sched = make_schedule("H", 16, method="pi", ratio=4.0)
         reports = relative_position_reports(self.rotate, 16, sched, rng, 200, 1e-5)
         assert all(r.passed for r in reports)
+
+
+class TestRotationBits:
+    """apply_rotary takes cos/sin once per distinct position and gathers them;
+    every token must still get exactly the bits of its own rotation."""
+
+    # odd lengths, with repeated, negative, fractional and far positions
+    POSITIONS = (
+        np.array([3.0, -2.0, 0.5, 3.0, 0.0, -2.0, 7.25]),
+        np.array([1.0, 1.0, 1.0]),
+        np.array([-0.25, 1e4, -0.25, 2.5, 11.0, 2.5, -7.0, 1e4, 0.0]),
+    )
+
+    @pytest.mark.parametrize("case", range(len(POSITIONS)))
+    def test_apply_rotary_equals_per_token(self, rng, case):
+        positions = self.POSITIONS[case]
+        sched = make_schedule("H", 10, method="ntk", ratio=2.0)
+        x = rng.standard_normal((len(positions), 10))
+        scale = rng.uniform(0.5, 2.0, 5)
+        expected = rotate_tokens(x, positions, sched.theta, scale)
+        assert np.array_equal(apply_rotary(x, positions, sched, scale), expected)
+        assert np.array_equal(apply_rotary(x, positions, sched), rotate_tokens(x, positions, sched.theta))
+
+    def test_axial_rotary_equals_per_token(self, rng):
+        pos_h, pos_w = self.POSITIONS[2], self.POSITIONS[2][::-1] * 3.0 - 1.5
+        sh = make_schedule("H", 6, method="pi", ratio=1.5)
+        sw = make_schedule("W", 14, method="ntk_strong", ratio=3.0)
+        x = rng.standard_normal((len(pos_h), 20))
+        mh, mw = rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 7)
+        expected = np.concatenate([
+            rotate_tokens(x[:, :6], pos_h, sh.theta, mh),
+            rotate_tokens(x[:, 6:], pos_w, sw.theta, mw),
+        ], axis=1)
+        assert np.array_equal(axial_rotary(x, pos_h, pos_w, sh, sw, mh, mw), expected)
+
+    def test_scalar_position_equals_per_token(self, rng):
+        sched = make_schedule("W", 6)
+        x = rng.standard_normal(6)
+        expected = rotate_tokens(x[None, :], [-3.5], sched.theta)[0]
+        assert np.array_equal(apply_rotary(x, -3.5, sched), expected)
 
 
 def test_oracles_do_not_import_the_package():
