@@ -18,15 +18,26 @@ from . import spectral
 from .attention import grid_positions, rotary_attention_row, rotary_entropy
 from .config import ExperimentConfig, load_experiment_config
 from .fmtio import canonical_json, csv_text, fmt_floats, write_csv, write_json
-from .harness import axis_schedules, entropy_trace, heatmap_rows, scaling_vectors, spectral_heatmap
+from .harness import (
+    SCALING_MODES, axis_schedules, entropy_trace, heatmap_rows, scaling_vectors, spectral_heatmap,
+)
 from .rope import METHODS, YarnParams, base_frequencies, make_schedule, yarn_ramp
 from .tensorio import LatentIOError, read_latent, token_features
 
-CONFIG_EPILOG = (
-    "Config defaults: sega kappa=0.08, gamma=1.5, ref_form=power, eps=1e-12; "
-    "rope dim=64, base=10000, method=ntk_strong, ratio=2; "
-    "trajectory 8 steps of 64x64x4 with a linear noise blend."
-)
+
+def _config_epilog(cfg: ExperimentConfig) -> str:
+    """The --help epilog: the values the loader resolves for an empty config."""
+    sega, rope, traj = cfg.sega, cfg.rope, cfg.trajectory
+    return (
+        f"Config defaults: sega kappa={sega.kappa:g}, gamma={sega.gamma:g}, "
+        f"ref_form={sega.ref_form}, eps={sega.eps:g}; rope dim={rope.dim}, "
+        f"base={rope.base:g}, method={cfg.rope_method}, ratio={rope.ratio_scalar:g}; "
+        f"trajectory {traj.steps} steps of {traj.height}x{traj.width}x{traj.channels} "
+        f"with a {traj.noise_blend['kind']} noise blend."
+    )
+
+
+CONFIG_EPILOG = _config_epilog(load_experiment_config({}))
 
 
 class FileError(click.ClickException):
@@ -77,6 +88,11 @@ def _read_latent(path: str):
         return read_latent(path)
 
 
+def _given(**values) -> dict:
+    """The keyword arguments whose flags were given; the callee's defaults fill in the rest."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def rope_flags(fn):
     fn = click.option("--dype-strong", is_flag=True, default=False,
                       help="Use the strengthened base exponent inside dype.")(fn)
@@ -118,16 +134,10 @@ def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p,
     with _usage_errors():
         yarn = None
         if method == "yarn":
-            yarn = YarnParams(
-                alpha=alpha if alpha is not None else 1.0,
-                beta=beta if beta is not None else 32.0,
-                train_len=train_len,
-            )
+            yarn = YarnParams(**_given(alpha=alpha, beta=beta), train_len=train_len)
         sched = make_schedule(
-            "H", dim, base, method, ratio, yarn,
-            dype_time=dype_t if dype_t is not None else 0.0,
-            dype_p=dype_p if dype_p is not None else 1.0,
-            dype_strong=dype_strong,
+            "H", dim, base, method, ratio, yarn, dype_strong=dype_strong,
+            **_given(dype_time=dype_t, dype_p=dype_p),
         )
     theta0 = base_frequencies(dim, base)  # make_schedule has checked dim and base
     wavelengths = 2.0 * np.pi / theta0
@@ -196,6 +206,20 @@ def _schedules(cfg: ExperimentConfig, grid, ratio_h: float, ratio_w: float):
         return axis_schedules(cfg.rope, cfg.rope_method, grid.height, grid.width, ratio_h, ratio_w)
 
 
+def attention_flags(fn):
+    """The config and rotary-magnitude options that attn-map and entropy share."""
+    fn = click.option("--logit-scale", type=float, default=1.0, show_default=True,
+                      callback=_positive_finite, help="Extra uniform logit factor.")(fn)
+    fn = click.option("--feature-seed", type=click.IntRange(min=0), default=0, show_default=True,
+                      help="Seed for the token feature projection.")(fn)
+    fn = click.option("--fixed-value", type=float, default=None, callback=_positive_finite,
+                      help="Uniform magnitude for --scaling fixed (default: the reference scale).")(fn)
+    fn = click.option("--scaling", type=click.Choice(SCALING_MODES), default="none",
+                      show_default=True, help="Rotary magnitude mode.")(fn)
+    fn = click.option("--config", "config_path", default=None, help="Experiment config JSON.")(fn)
+    return fn
+
+
 def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed):
     """(features, positions, sched_h, sched_w, m_h, m_w) for the blocked attention calls."""
     cfg = _load_config(config_path)
@@ -214,15 +238,7 @@ def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed):
 @click.option("--latent", "latent_path", required=True, help="Path to a SEGL latent file.")
 @click.option("--query-h", type=int, required=True, help="Query token row.")
 @click.option("--query-w", type=int, required=True, help="Query token column.")
-@click.option("--config", "config_path", default=None, help="Experiment config JSON.")
-@click.option("--scaling", type=click.Choice(["none", "fixed", "sega"]), default="none",
-              show_default=True, help="Rotary magnitude mode.")
-@click.option("--fixed-value", type=float, default=None, callback=_positive_finite,
-              help="Uniform magnitude for --scaling fixed (default: the reference scale).")
-@click.option("--feature-seed", type=click.IntRange(min=0), default=0, show_default=True,
-              help="Seed for the token feature projection.")
-@click.option("--logit-scale", type=float, default=1.0, show_default=True,
-              callback=_positive_finite, help="Extra uniform logit factor.")
+@attention_flags
 def attn_map(latent_path, query_h, query_w, config_path, scaling, fixed_value,
              feature_seed, logit_scale):
     """Emit one query token's attention weights over the 2D grid as CSV."""
@@ -242,15 +258,7 @@ def attn_map(latent_path, query_h, query_w, config_path, scaling, fixed_value,
 
 @main.command(epilog=CONFIG_EPILOG)
 @click.option("--latent", "latent_path", required=True, help="Path to a SEGL latent file.")
-@click.option("--config", "config_path", default=None, help="Experiment config JSON.")
-@click.option("--scaling", type=click.Choice(["none", "fixed", "sega"]), default="none",
-              show_default=True, help="Rotary magnitude mode.")
-@click.option("--fixed-value", type=float, default=None, callback=_positive_finite,
-              help="Uniform magnitude for --scaling fixed (default: the reference scale).")
-@click.option("--feature-seed", type=click.IntRange(min=0), default=0, show_default=True,
-              help="Seed for the token feature projection.")
-@click.option("--logit-scale", type=float, default=1.0, show_default=True,
-              callback=_positive_finite, help="Extra uniform logit factor.")
+@attention_flags
 def entropy(latent_path, config_path, scaling, fixed_value, feature_seed, logit_scale):
     """Emit per-token attention entropies as CSV, with a trailing mean row."""
     grid = _read_latent(latent_path)
@@ -300,7 +308,8 @@ def trajectory(config_path, out_dir):
         )
     heat, degenerate = heatmap_rows([s.radial for s in steps])
 
-    map_method = next((m.name for m in cfg.methods if m.scaling == "sega"), cfg.methods[0].name)
+    sega_name = next((m.name for m in cfg.methods if m.scaling == "sega"), None)
+    map_method = sega_name or cfg.methods[0].name
     half = cfg.rope.dim // 2
     for axis, key in (("H", "m_h"), ("W", "m_w")):
         rows = []
@@ -319,7 +328,6 @@ def trajectory(config_path, out_dir):
 
     abs_means = {name: float(np.mean(np.abs(deltas[:, j]))) for j, name in enumerate(names)}
     directional = None
-    sega_name = next((m.name for m in cfg.methods if m.scaling == "sega"), None)
     fixed_name = next((m.name for m in cfg.methods if m.scaling == "fixed"), None)
     if sega_name and fixed_name:
         directional = {

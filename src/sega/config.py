@@ -1,15 +1,21 @@
 """Experiment configuration: JSON in, validated dataclasses out.
 
-Every field has a default; unknown keys are rejected so a typo cannot
-silently fall back to a default.
+The dataclass of each section (RopeParams, SegaConfig, TrajectoryConfig and
+MethodSpec) is the one statement of its keys and their defaults, and each
+field's annotation names the JSON type its value must have: values are
+checked, never coerced. The few keys that belong to no dataclass are read
+here, once each. Unknown keys are rejected so a typo cannot silently fall
+back to a default.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .harness import MethodSpec, RopeParams, axis_schedules, train_shape
 from .rope import METHODS
@@ -21,18 +27,9 @@ class ConfigError(ValueError):
     """Raised for malformed or contradictory experiment configs."""
 
 
-_ROPE_KEYS = {
-    "dim", "base", "method", "ratio", "ratio_h", "ratio_w",
-    "yarn_alpha", "yarn_beta", "dype_p", "dype_strong",
-}
-_SEGA_KEYS = {"kappa", "gamma", "ref_form", "eps", "n_bins_iso"}
-_TRAJ_KEYS = {
-    "steps", "seed", "height", "width", "channels",
-    "structure_kind", "structure_params", "noise_blend", "methods", "baseline",
-}
-_METHOD_KEYS = {"name", "rope", "scaling", "temperature", "grid"}
-_OUTPUT_KEYS = {"dir"}
-_TOP_KEYS = {"rope", "sega", "trajectory", "output"}
+# The JSON type each field annotation asks for; float fields take finite JSON numbers.
+_JSON_TYPES = {int: "an integer", bool: "true or false", str: "a string", dict: "an object"}
+_type_hints = functools.cache(get_type_hints)  # evaluated once per class, not on every load
 
 
 @dataclass(frozen=True)
@@ -59,18 +56,10 @@ class ExperimentConfig:
         }
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+def _check_keys(section: dict, allowed, where: str) -> None:
+    unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _section(raw: dict, name: str, allowed: set) -> dict:
-    section = raw.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be an object")
-    _check_keys(section, allowed, name)
-    return section
 
 
 def _finite(token: str) -> float:
@@ -80,38 +69,47 @@ def _finite(token: str) -> float:
     return value
 
 
-# JSON values are checked for type, never coerced: "false" is not False, 16.9 is not 16.
-def _integer(section: dict, key: str, default: int | None, where: str) -> int:
-    value = section.get(key, default)
-    if type(value) is not int:
-        raise ConfigError(f"{where}.{key} must be an integer")
-    return value
+def _checked(value, hint, where: str):
+    """value if its JSON type is the one the annotation hint names (int | None also takes null)."""
+    if get_args(hint):
+        if value is None:
+            return None
+        hint = get_args(hint)[0]
+    if hint is float:
+        try:
+            return finite_number(value, where)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    if type(value) is not hint:  # so true is not an integer, nor "2" a number
+        raise ConfigError(f"{where} must be {_JSON_TYPES[hint]}")
+    return dict(value) if hint is dict else value  # a copy: the caller's dict stays theirs
 
 
-def _number(section: dict, key: str, default: float, where: str) -> float:
-    return finite_number(section.get(key, default), f"{where}.{key}")
+def _fields(section: dict, cls, where: str) -> dict:
+    """The values section gives for cls's fields, each checked against its annotation.
+
+    The loader pops a section's keys that belong to no dataclass first, so any
+    key left over that names no field is unknown.
+    """
+    hints = _type_hints(cls)
+    _check_keys(section, hints, where)
+    return {key: _checked(value, hints[key], f"{where}.{key}") for key, value in section.items()}
 
 
-def _flag(section: dict, key: str, default: bool, where: str) -> bool:
-    value = section.get(key, default)
-    if type(value) is not bool:
-        raise ConfigError(f"{where}.{key} must be true or false")
-    return value
+def _section(raw: dict, name: str) -> dict:
+    """A copy of one top-level section, popped from raw."""
+    section = raw.pop(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object")
+    return dict(section)
 
 
-def _method_spec(raw: dict, default_rope: str, where: str) -> MethodSpec:
+def _method_spec(raw, default_rope: str, where: str) -> MethodSpec:
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object")
-    _check_keys(raw, _METHOD_KEYS, where)
-    temperature = _flag(raw, "temperature", False, where)
+    values = {"rope": default_rope, **_fields(raw, MethodSpec, where)}
     try:
-        return MethodSpec(
-            name=raw.get("name", ""),
-            rope=raw.get("rope", default_rope),
-            scaling=raw.get("scaling", "sega"),
-            temperature=temperature,
-            grid=raw.get("grid", "target"),
-        )
+        return MethodSpec(**values)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -131,51 +129,35 @@ def load_experiment_config(source) -> ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config")
+    raw = dict(raw)
+    rope_raw, sega_raw, traj_raw, out_raw = (
+        _section(raw, name) for name in ("rope", "sega", "trajectory", "output")
+    )
+    _check_keys(raw, (), "config")
 
-    rope_raw = _section(raw, "rope", _ROPE_KEYS)
-    sega_raw = _section(raw, "sega", _SEGA_KEYS)
-    traj_raw = _section(raw, "trajectory", _TRAJ_KEYS)
-    out_raw = _section(raw, "output", _OUTPUT_KEYS)
-
-    rope_method = rope_raw.get("method", "ntk_strong")
+    # Every method's rope defaults to the experiment's, and that to MethodSpec's.
+    rope_method = rope_raw.pop("method", MethodSpec.rope)
     if rope_method not in METHODS:
         raise ConfigError(f"rope.method must be one of {METHODS}")
+    if "ratio" in rope_raw:  # shorthand for both axes; ratio_h and ratio_w override it
+        ratio = _checked(rope_raw.pop("ratio"), float, "rope.ratio")
+        rope_raw = {"ratio_h": ratio, "ratio_w": ratio, **rope_raw}
+    methods_raw = traj_raw.pop(
+        "methods", [{"name": "sega", "scaling": "sega"}, {"name": "fixed", "scaling": "fixed"}]
+    )
+    baseline_raw = traj_raw.pop(
+        "baseline", {"name": "baseline", "rope": "none", "scaling": "none", "grid": "train"}
+    )
+    output_dir = _checked(out_raw.pop("dir", "out"), str, "output.dir")
+    _check_keys(out_raw, (), "output")
+    rope_values = _fields(rope_raw, RopeParams, "rope")
+    sega_values = _fields(sega_raw, SegaConfig, "sega")
+    traj_values = _fields(traj_raw, TrajectoryConfig, "trajectory")
     try:
-        ratio = _number(rope_raw, "ratio", 2.0, "rope")
-        rope = RopeParams(
-            dim=_integer(rope_raw, "dim", 64, "rope"),
-            base=_number(rope_raw, "base", 10000.0, "rope"),
-            ratio_h=_number(rope_raw, "ratio_h", ratio, "rope"),
-            ratio_w=_number(rope_raw, "ratio_w", ratio, "rope"),
-            yarn_alpha=_number(rope_raw, "yarn_alpha", 1.0, "rope"),
-            yarn_beta=_number(rope_raw, "yarn_beta", 32.0, "rope"),
-            dype_p=_number(rope_raw, "dype_p", 1.0, "rope"),
-            dype_strong=_flag(rope_raw, "dype_strong", False, "rope"),
-        )
-        sega = SegaConfig(
-            kappa=_number(sega_raw, "kappa", 0.08, "sega"),
-            gamma=_number(sega_raw, "gamma", 1.5, "sega"),
-            ref_form=sega_raw.get("ref_form", "power"),
-            eps=_number(sega_raw, "eps", 1e-12, "sega"),
-            n_bins_iso=(
-                None if sega_raw.get("n_bins_iso") is None
-                else _integer(sega_raw, "n_bins_iso", None, "sega")
-            ),
-        )
-        trajectory = TrajectoryConfig(
-            steps=_integer(traj_raw, "steps", 8, "trajectory"),
-            seed=_integer(traj_raw, "seed", 0, "trajectory"),
-            height=_integer(traj_raw, "height", 64, "trajectory"),
-            width=_integer(traj_raw, "width", 64, "trajectory"),
-            channels=_integer(traj_raw, "channels", 4, "trajectory"),
-            structure_kind=traj_raw.get("structure_kind", "sinusoid"),
-            structure_params=dict(traj_raw.get("structure_params", {"cycles_w": 4.0})),
-            noise_blend=dict(traj_raw.get("noise_blend", {"kind": "linear"})),
-        )
+        rope = RopeParams(**rope_values)
+        sega = SegaConfig(**sega_values)
+        trajectory = TrajectoryConfig(**traj_values)
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
 
     if sega.n_bins_iso is not None and sega.n_bins_iso > trajectory.height * trajectory.width:
@@ -185,13 +167,6 @@ def load_experiment_config(source) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"sega.kappa: {exc}") from exc
 
-    methods_raw = traj_raw.get(
-        "methods",
-        [
-            {"name": "sega", "scaling": "sega"},
-            {"name": "fixed", "scaling": "fixed"},
-        ],
-    )
     if not isinstance(methods_raw, list) or not methods_raw:
         raise ConfigError("trajectory.methods must be a nonempty list")
     methods = tuple(
@@ -200,14 +175,7 @@ def load_experiment_config(source) -> ExperimentConfig:
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
         raise ConfigError("method names must be unique")
-    baseline = _method_spec(
-        traj_raw.get(
-            "baseline",
-            {"name": "baseline", "rope": "none", "scaling": "none", "grid": "train"},
-        ),
-        "none",
-        "trajectory.baseline",
-    )
+    baseline = _method_spec(baseline_raw, "none", "trajectory.baseline")
     if baseline.name in names:
         raise ConfigError("baseline name collides with a method name")
     runs = (*methods, baseline)
@@ -244,5 +212,5 @@ def load_experiment_config(source) -> ExperimentConfig:
         rope_method=rope_method,
         methods=methods,
         baseline=baseline,
-        output_dir=str(out_raw.get("dir", "out")),
+        output_dir=output_dir,
     )

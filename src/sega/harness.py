@@ -35,7 +35,7 @@ class MethodSpec:
     the baseline for entropy deltas is defined.
     """
 
-    name: str
+    name: str = ""
     rope: str = "ntk_strong"
     scaling: str = "sega"
     temperature: bool = False
@@ -60,8 +60,8 @@ class RopeParams:
     base: float = 10000.0
     ratio_h: float = 2.0
     ratio_w: float = 2.0
-    yarn_alpha: float = 1.0
-    yarn_beta: float = 32.0
+    yarn_alpha: float = YarnParams.alpha
+    yarn_beta: float = YarnParams.beta
     dype_p: float = 1.0
     dype_strong: bool = False
 

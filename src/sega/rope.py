@@ -75,11 +75,6 @@ class RopeSchedule:
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
 
-    @property
-    def wavelengths(self) -> np.ndarray:
-        """Spatial period of each rotary subspace, T_d = 2*pi / theta_d."""
-        return 2.0 * np.pi / self.theta
-
 
 def base_frequencies(dim: int, base: float) -> np.ndarray:
     """theta_d = base ** (-2d / dim) for d in 0 .. dim/2 - 1."""

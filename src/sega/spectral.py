@@ -188,19 +188,18 @@ def band_lookup(theta_d: float, axis_len: int) -> int:
 def per_dim_correction(
     profile: np.ndarray,
     schedule: RopeSchedule,
-    eps: float = 1e-12,
-    axis_len: int | None = None,
+    axis_len: int,
+    eps: float = SegaConfig.eps,
 ) -> np.ndarray:
     """Zero-sum correction over rotary dimensions from banded log-energies.
 
     Log-energies ln(E[band(theta_d)] + eps) are standardized across d (all
-    zeros when degenerate), passed through tanh, and mean-centered.
+    zeros when degenerate), passed through tanh, and mean-centered. axis_len
+    is the length of the axis the profile came from, which band lookup needs.
     """
     profile = np.asarray(profile, dtype=np.float64)
     if profile.size < 1:
         raise ValueError("profile must be nonempty")
-    if axis_len is None:
-        axis_len = 2 * profile.size
     banded = np.array(
         [profile[band_lookup(t, axis_len)] for t in schedule.theta], dtype=np.float64
     )
@@ -212,7 +211,9 @@ def per_dim_correction(
     return t - t.mean()
 
 
-def spectral_flatness(e_iso: np.ndarray, occupied: np.ndarray, eps: float = 1e-12) -> float:
+def spectral_flatness(
+    e_iso: np.ndarray, occupied: np.ndarray, eps: float = SegaConfig.eps
+) -> float:
     """Geometric over arithmetic mean of the occupied radial bins, floored at eps, at most 1."""
     e_iso = np.asarray(e_iso, dtype=np.float64)
     occupied = np.asarray(occupied, dtype=bool)

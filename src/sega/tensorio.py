@@ -14,6 +14,7 @@ SEGL format (little-endian throughout)::
 
 from __future__ import annotations
 
+import math
 import struct
 import sys
 from dataclasses import dataclass, field, replace
@@ -132,13 +133,13 @@ class TrajectoryConfig:
     ``{"kind": "table", "values": [...]}`` with one entry per step.
     """
 
-    steps: int
-    seed: int
+    steps: int = 8
+    seed: int = 0
     height: int = 64
     width: int = 64
     channels: int = 4
     structure_kind: str = "sinusoid"
-    structure_params: dict = field(default_factory=dict)
+    structure_params: dict = field(default_factory=lambda: {"cycles_w": 4.0})
     noise_blend: dict = field(default_factory=lambda: {"kind": "linear"})
 
     def __post_init__(self):
@@ -152,7 +153,7 @@ class TrajectoryConfig:
             raise ValueError("height * width * channels * 8 bytes exceeds the addressable size")
         if self.structure_kind not in STRUCTURE_KINDS:
             raise ValueError(f"unknown structure_kind {self.structure_kind!r}")
-        _structure_params(self.structure_kind, self.structure_params)
+        _structure_params(self)
         try:
             alphas = [self._blend_at(t) for t in range(self.steps)]
         except (KeyError, TypeError) as exc:
@@ -197,14 +198,16 @@ class TrajectoryConfig:
 
 
 def _normalize_field(arr: np.ndarray) -> np.ndarray:
-    """Zero-mean, unit-variance normalization; degenerate fields collapse to zeros."""
+    """Zero-mean, unit-variance normalization; a constant field collapses to zeros.
+
+    A non-finite field is an error, never a constant one: zeroing it would run
+    the trajectory without its structure.
+    """
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("structure field is not finite")
     arr = arr - arr.mean()
     sd = arr.std()
-    if sd > 1e-12:
-        arr = arr / sd
-    else:
-        arr = np.zeros_like(arr)
-    return arr
+    return arr / sd if sd > 1e-12 else np.zeros_like(arr)
 
 
 def json_number(value, name: str):
@@ -221,12 +224,24 @@ def finite_number(value, name: str) -> float:
     return float(value)
 
 
-def _structure_params(kind: str, params: dict) -> dict:
-    """One structure kind's parameters with defaults filled in, checked for type and range."""
+def _structure_params(cfg: TrajectoryConfig) -> dict:
+    """cfg's structure parameters with defaults filled in, checked for type and range."""
+    kind, params = cfg.structure_kind, cfg.structure_params
     try:
         if kind == "sinusoid":
             defaults = {"cycles_h": 0.0, "cycles_w": 4.0, "phase": 0.0}
-            return {key: finite_number(params.get(key, d), key) for key, d in defaults.items()}
+            values = {key: finite_number(params.get(key, d), key) for key, d in defaults.items()}
+            # Bound the cosine's argument in structure_field, whose largest terms are
+            # at the last row and column: one that overflows makes the field NaN.
+            reach = abs(values["phase"])
+            for key, length in (("cycles_h", cfg.height), ("cycles_w", cfg.width)):
+                term = 2.0 * math.pi * (abs(values[key]) * (length - 1) / length)
+                if not term < math.inf:
+                    raise ValueError(f"{key} overflows the sinusoid's phase over {length} tokens")
+                reach += term
+            if not reach < math.inf:
+                raise ValueError("cycles_h, cycles_w and phase overflow the sinusoid's phase")
+            return values
         if kind == "checker":
             blocks = {key: params.get(key, 1) for key in ("block_h", "block_w")}
             if not all(type(b) is int and b >= 1 for b in blocks.values()):
@@ -238,8 +253,8 @@ def _structure_params(kind: str, params: dict) -> dict:
             if not 0.0 <= low < high <= 1.0:
                 raise ValueError("band edges must satisfy 0 <= low < high <= 1")
             return {"low": low, "high": high}
-        if params.get("path") is None:
-            raise ValueError("structure_kind 'file' requires a 'path' parameter")
+        if type(params.get("path")) is not str:
+            raise ValueError("structure_kind 'file' requires a 'path' parameter that is a string")
         return {"path": params["path"]}
     except (TypeError, ValueError) as exc:
         raise ValueError(f"structure_params for {kind!r}: {exc}") from exc
@@ -249,7 +264,7 @@ def structure_field(cfg: TrajectoryConfig) -> np.ndarray:
     """The deterministic structure component, normalized, shape (H, W, C)."""
     h_idx = np.arange(cfg.height, dtype=np.float64)[:, None]
     w_idx = np.arange(cfg.width, dtype=np.float64)[None, :]
-    params = _structure_params(cfg.structure_kind, cfg.structure_params)
+    params = _structure_params(cfg)
     kind = cfg.structure_kind
 
     if kind == "sinusoid":

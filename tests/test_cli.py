@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import math
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -15,6 +16,7 @@ from click.testing import CliRunner
 
 from sega import LatentGrid, write_latent
 from sega.cli import main
+from sega.config import load_experiment_config
 from oracles import dense_softmax
 
 REPO = Path(__file__).resolve().parents[1]
@@ -87,6 +89,18 @@ class TestRopeTable:
     def test_dype_flags_only_with_dype(self, runner):
         res = runner.invoke(main, ["rope-table", "--dim", "8", "--method", "ntk", "--dype-t", "0.5"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("method, given, defaults", [
+        ("yarn", ["--train-len", "8"], ["--alpha", "1", "--beta", "32"]),
+        ("yarn", ["--train-len", "8", "--beta", "16"], ["--alpha", "1"]),
+        ("dype", [], ["--dype-t", "0", "--dype-p", "1"]),
+        ("dype", ["--dype-t", "0.5"], ["--dype-p", "1"]),
+    ])
+    def test_omitted_flags_take_the_documented_defaults(self, runner, method, given, defaults):
+        base = ["rope-table", "--dim", "16", "--method", method, "--ratio", "3", *given]
+        omitted = runner.invoke(main, base)
+        assert omitted.exit_code == 0, omitted.output
+        assert omitted.output == runner.invoke(main, [*base, *defaults]).output
 
 
 class TestModulate:
@@ -396,6 +410,23 @@ TYPED_FAULTS = {
     "blend_table_one_string": (
         small_config({"noise_blend": {"kind": "table", "values": [1, "0.5", 0]}}),
         "noise_blend.values[1]"),
+    # once read with str() and dict(), so each loaded and ran, or failed naming no key
+    "output_dir_number": ({**small_config(), "output": {"dir": 5}}, "output.dir"),
+    "structure_params_pairs": (small_config({"structure_params": [["cycles_w", 3.0]]}),
+                               "trajectory.structure_params"),
+    "noise_blend_pairs": (small_config({"noise_blend": [["kind", "linear"]]}),
+                          "trajectory.noise_blend"),
+    "structure_params_string": (small_config({"structure_params": "ab"}),
+                                "trajectory.structure_params"),
+    # once read_latent(5) raised a TypeError, and the run exited 1
+    "file_path_number": (small_config(
+        {"structure_kind": "file", "structure_params": {"path": 5}, "baseline": TARGET_BASELINE}),
+        "path"),
+    # once the cosine's argument overflowed, and the NaN field was zeroed
+    "cycles_h_overflow": (small_config({"structure_params": {"cycles_h": 1e308}}), "cycles_h"),
+    "cycles_w_overflow": (small_config({"structure_params": {"cycles_w": 1e308}}), "cycles_w"),
+    "sinusoid_argument_overflow": (
+        small_config({"structure_params": {"cycles_h": 2.5e307, "cycles_w": 2.5e307}}), "phase"),
 }
 MALFORMED_CONFIGS.update({case: (cfg, 2) for case, (cfg, _) in TYPED_FAULTS.items()})
 
@@ -451,6 +482,80 @@ class TestMalformedConfigs:
         res, out = run_config(runner, tmp_path, "trajectory", cfg)
         assert res.exit_code == 0, res.output
         assert (out / "summary.json").exists()
+
+
+# Every config key and the JSON type it takes, written out by hand so that a key the
+# loader stops checking, or checks against the wrong type, shows up here.
+CONFIG_KEYS = {
+    "rope": "object", "sega": "object", "trajectory": "object", "output": "object",
+    "rope.dim": "integer", "rope.base": "number", "rope.method": "string",
+    "rope.ratio": "number", "rope.ratio_h": "number", "rope.ratio_w": "number",
+    "rope.yarn_alpha": "number", "rope.yarn_beta": "number", "rope.dype_p": "number",
+    "rope.dype_strong": "boolean",
+    "sega.kappa": "number", "sega.gamma": "number", "sega.ref_form": "string",
+    "sega.eps": "number", "sega.n_bins_iso": "integer or null",
+    "trajectory.steps": "integer", "trajectory.seed": "integer", "trajectory.height": "integer",
+    "trajectory.width": "integer", "trajectory.channels": "integer",
+    "trajectory.structure_kind": "string", "trajectory.structure_params": "object",
+    "trajectory.noise_blend": "object", "trajectory.methods": "list",
+    "trajectory.baseline": "object",
+    **{f"trajectory.{spec}.{key}": kind
+       for spec in ("methods[0]", "baseline")
+       for key, kind in (("name", "string"), ("rope", "string"), ("scaling", "string"),
+                         ("temperature", "boolean"), ("grid", "string"))},
+    "output.dir": "string",
+}
+# One value of each JSON type; a list of pairs and a numeric string are the forms
+# that dict(), int() and float() would once have coerced.
+JSON_VALUES = {"string": "8", "integer": 8, "number": 8.5, "boolean": True,
+               "list": [["cycles_w", 3.0]], "object": {"kind": "linear"}, "null": None}
+
+
+def with_key(path, value):
+    """small_config() with the key at path (as CONFIG_KEYS writes it) set to value."""
+    cfg = small_config()
+    if path.startswith("trajectory.methods[0]."):
+        cfg["trajectory"]["methods"] = [{"name": "m", path.rsplit(".", 1)[1]: value}]
+    elif path.startswith("trajectory.baseline."):
+        cfg["trajectory"]["baseline"] = {"name": "b", path.rsplit(".", 1)[1]: value}
+    elif "." in path:
+        section, key = path.split(".")
+        cfg.setdefault(section, {})[key] = value
+    else:
+        cfg[path] = value
+    return cfg
+
+
+WRONG_TYPES = [
+    (path, kind)
+    for path, takes in CONFIG_KEYS.items()
+    for kind in JSON_VALUES
+    if kind not in takes and not (kind == "integer" and takes == "number")
+]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("command", ["trajectory", "heatmap"])
+    @pytest.mark.parametrize("path, kind", WRONG_TYPES)
+    def test_wrong_json_type_is_refused_by_name(self, runner, tmp_path, command, path, kind):
+        res, _ = run_config(runner, tmp_path, command, with_key(path, JSON_VALUES[kind]))
+        assert res.exit_code == 2, res.output
+        assert path in res.output
+        assert res.stdout == ""
+        assert "Traceback" not in res.output
+
+    def test_readme_config_block_is_the_defaults(self):
+        text = (REPO / "README.md").read_text()
+        block = text.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        readme = json.loads(re.sub(r"//.*", "", block))
+        assert load_experiment_config(readme).snapshot() == load_experiment_config({}).snapshot()
+
+    def test_loaded_dicts_are_copies(self):
+        trajectory = {"structure_params": {"cycles_w": 3.0}, "noise_blend": {"kind": "linear"}}
+        cfg = load_experiment_config({"trajectory": trajectory})
+        assert cfg.trajectory.structure_params == trajectory["structure_params"]
+        assert cfg.trajectory.structure_params is not trajectory["structure_params"]
+        assert cfg.trajectory.noise_blend is not trajectory["noise_blend"]
 
 
 QUERY = ["--query-h", "3", "--query-w", "5"]

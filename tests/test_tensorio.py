@@ -19,6 +19,7 @@ from sega.tensorio import (
     NonFiniteValuesError,
     TruncatedPayloadError,
     VersionMismatchError,
+    _normalize_field,
     structure_field,
 )
 
@@ -224,3 +225,9 @@ class TestGenerateLatent:
         )
         grid = generate_latent(cfg, 0)
         np.testing.assert_array_equal(grid.values, 0.0)
+
+    def test_non_finite_structure_is_refused_not_zeroed(self):
+        # Zeroing it, as a constant field is zeroed, would run without structure.
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="not finite"):
+                _normalize_field(np.array([[0.0, 1.0], [bad, 2.0]]))
