@@ -46,6 +46,7 @@ from .tensorio import (
     CenteredMap,
     LatentGrid,
     LatentIOError,
+    TokenFeatures,
     TrajectoryConfig,
     center_map,
     generate_latent,

@@ -3,10 +3,12 @@
 :func:`rotary_entropy` takes each query row's entropy from one block of
 logits at a time, and :func:`rotary_attention_row` computes the one row
 ``sega attn-map`` prints. Neither forms the N x N weight matrix or a full
-copy of the rotated features: both rotate the features a few rows at a time
-into one N x D key matrix, and rotary_entropy rotates its query rows again,
-a few blocks at a time. Memory is that key matrix plus one block of logits,
-O(N * (D + block)).
+copy of the rotated features: both read and rotate the features a few rows at
+a time into one N x D key matrix, and rotary_entropy reads and rotates its
+query rows again, a few blocks at a time. The features are a dense matrix or
+a :class:`~sega.tensorio.TokenFeatures`, which projects each row where it is
+read, so with those the key matrix plus one block of logits, O(N * (D +
+block)), is all the memory that grows with N.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rope import RopeSchedule, axial_rotary
+from .tensorio import TokenFeatures
 
 # Logits per query block of rotary_entropy: 2 MiB of float64, 64 rows at N=4096.
 BLOCK_LOGITS = 1 << 18
@@ -28,8 +31,10 @@ def grid_positions(height: int, width: int) -> np.ndarray:
     return np.stack([hh.ravel(), ww.ravel()], axis=1)
 
 
-def _checked(x, positions, logit_scale) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
+def _checked(x, positions, logit_scale) -> tuple[np.ndarray | TokenFeatures, np.ndarray]:
+    """x as float64 features whose rows the kernels read by index; TokenFeatures stay lazy."""
+    if not isinstance(x, TokenFeatures):
+        x = np.asarray(x, dtype=np.float64)
     positions = np.asarray(positions)
     if x.ndim != 2:
         raise ValueError("features must be a 2D matrix")
@@ -43,7 +48,9 @@ def _checked(x, positions, logit_scale) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rotate(x, positions, rope, rows) -> np.ndarray:
-    """Rotated features of the tokens x[rows]; rope is (sched_h, sched_w, scale_h, scale_w)."""
+    """Rotated features of the tokens x[rows]; rope is (sched_h, sched_w, scale_h, scale_w).
+
+    x[rows] is the one read of the features, dense or TokenFeatures alike."""
     pos = positions[rows]
     return axial_rotary(x[rows], pos[..., 0], pos[..., 1], *rope)
 
@@ -77,7 +84,7 @@ def _check_finite(values: np.ndarray) -> np.ndarray:
 
 
 def rotary_entropy(
-    x: np.ndarray,
+    x: np.ndarray | TokenFeatures,
     positions: np.ndarray,
     sched_h: RopeSchedule,
     sched_w: RopeSchedule,
@@ -129,7 +136,7 @@ def rotary_entropy(
 
 
 def rotary_attention_row(
-    x: np.ndarray,
+    x: np.ndarray | TokenFeatures,
     positions: np.ndarray,
     sched_h: RopeSchedule,
     sched_w: RopeSchedule,

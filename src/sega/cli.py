@@ -21,7 +21,7 @@ from .fmtio import canonical_json, csv_text, fmt_floats, write_csv, write_json
 from .harness import (
     SCALING_MODES, axis_schedules, entropy_trace, heatmap_rows, scaling_vectors, spectral_heatmap,
 )
-from .rope import METHODS, YarnParams, base_frequencies, make_schedule, yarn_ramp
+from .rope import MAX_DIM, METHODS, YarnParams, base_frequencies, make_schedule, yarn_ramp
 from .tensorio import LatentIOError, read_latent, token_features
 
 
@@ -121,7 +121,8 @@ def main():
 
 
 @main.command("rope-table")
-@click.option("--dim", type=int, required=True, help="Embedding size per axis (even).")
+@click.option("--dim", type=click.IntRange(max=MAX_DIM), required=True,
+              help=f"Embedding size per axis (even, at most {MAX_DIM}).")
 @rope_flags
 def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p, dype_strong):
     """Dump (d, theta, theta', wavelength[, lambda]) for a schedule as CSV."""

@@ -96,6 +96,18 @@ def _fields(section: dict, cls, where: str) -> dict:
     return {key: _checked(value, hints[key], f"{where}.{key}") for key, value in section.items()}
 
 
+def _built(cls, values: dict, where: str):
+    """cls(**values), with a range fault named by its dotted key.
+
+    Each section's __post_init__ starts its messages with the field at fault,
+    so prefixing where gives the key: "trajectory.steps must be >= 1".
+    """
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.{exc}") from exc
+
+
 def _section(raw: dict, name: str) -> dict:
     """A copy of one top-level section, popped from raw."""
     section = raw.pop(name, {})
@@ -107,11 +119,7 @@ def _section(raw: dict, name: str) -> dict:
 def _method_spec(raw, default_rope: str, where: str) -> MethodSpec:
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object")
-    values = {"rope": default_rope, **_fields(raw, MethodSpec, where)}
-    try:
-        return MethodSpec(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return _built(MethodSpec, {"rope": default_rope, **_fields(raw, MethodSpec, where)}, where)
 
 
 def load_experiment_config(source) -> ExperimentConfig:
@@ -150,15 +158,10 @@ def load_experiment_config(source) -> ExperimentConfig:
     )
     output_dir = _checked(out_raw.pop("dir", "out"), str, "output.dir")
     _check_keys(out_raw, (), "output")
-    rope_values = _fields(rope_raw, RopeParams, "rope")
-    sega_values = _fields(sega_raw, SegaConfig, "sega")
-    traj_values = _fields(traj_raw, TrajectoryConfig, "trajectory")
-    try:
-        rope = RopeParams(**rope_values)
-        sega = SegaConfig(**sega_values)
-        trajectory = TrajectoryConfig(**traj_values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    rope = _built(RopeParams, _fields(rope_raw, RopeParams, "rope"), "rope")
+    sega = _built(SegaConfig, _fields(sega_raw, SegaConfig, "sega"), "sega")
+    trajectory = _built(TrajectoryConfig, _fields(traj_raw, TrajectoryConfig, "trajectory"),
+                        "trajectory")
 
     if sega.n_bins_iso is not None and sega.n_bins_iso > trajectory.height * trajectory.width:
         raise ConfigError("sega.n_bins_iso must not exceed trajectory height * width")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import spectral
 from .attention import grid_positions, rotary_entropy
-from .rope import METHODS, RopeSchedule, YarnParams, make_schedule, yarn_temperature
+from .rope import MAX_DIM, METHODS, RopeSchedule, YarnParams, make_schedule, yarn_temperature
 from .spectral import SegaConfig, SpectralProfiles, reference_scale
 from .tensorio import TrajectoryConfig, generate_latent, token_features
 
@@ -42,14 +42,12 @@ class MethodSpec:
     grid: str = "target"
 
     def __post_init__(self):
+        # Each message starts with the field it faults, as in RopeParams.
         if not isinstance(self.name, str) or not self.name:
-            raise ValueError("method name must be a nonempty string")
-        if self.rope not in METHODS:
-            raise ValueError(f"unknown rope method {self.rope!r}")
-        if self.scaling not in SCALING_MODES:
-            raise ValueError(f"unknown scaling mode {self.scaling!r}")
-        if self.grid not in GRID_KINDS:
-            raise ValueError(f"unknown grid kind {self.grid!r}")
+            raise ValueError("name must be a nonempty string")
+        for name, allowed in (("rope", METHODS), ("scaling", SCALING_MODES), ("grid", GRID_KINDS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}")
 
 
 @dataclass(frozen=True)
@@ -66,12 +64,15 @@ class RopeParams:
     dype_strong: bool = False
 
     def __post_init__(self):
-        if self.dim < 4 or self.dim % 2 != 0:
-            raise ValueError("dim must be an even integer >= 4")
+        # Each message starts with the field it faults, which the config loader
+        # prefixes with the section: "rope.dim must be ...".
+        if not 4 <= self.dim <= MAX_DIM or self.dim % 2 != 0:
+            raise ValueError(f"dim must be an even integer in [4, {MAX_DIM}]")
         if not 0.0 < self.base < math.inf:
             raise ValueError("base must be finite and > 0")
-        if not (self.ratio_h >= 1.0 and self.ratio_w >= 1.0):
-            raise ValueError("ratios must be >= 1")
+        for name in ("ratio_h", "ratio_w"):
+            if not getattr(self, name) >= 1.0:  # NaN fails this test too
+                raise ValueError(f"{name} must be >= 1")
 
     @property
     def ratio_scalar(self) -> float:
@@ -157,7 +158,9 @@ def run_trajectory(
     Each step generates each latent once, analyzes the target (and the train
     latent only when a sega method runs on it) once, and draws the token
     features and positions of each grid a method runs on once; the methods on a
-    grid share them. Returns one StepRecord per step.
+    grid share them. The features are TokenFeatures, which the attention kernel
+    projects a chunk of rows at a time, so no N x D feature matrix is held
+    beside its keys. Returns one StepRecord per step.
     """
     sega_cfg = sega_cfg or SegaConfig()
     rope = rope or RopeParams()

@@ -22,6 +22,9 @@ import numpy as np
 
 AXES = ("H", "W")
 METHODS = ("none", "pi", "ntk", "ntk_strong", "yarn", "dype")
+# Largest rotary size per axis, 8x the largest head dimension in use; checked
+# before a schedule's frequencies, token features or keys are allocated.
+MAX_DIM = 1024
 
 
 def _check_ratio(ratio: float) -> None:
@@ -80,6 +83,8 @@ def base_frequencies(dim: int, base: float) -> np.ndarray:
     """theta_d = base ** (-2d / dim) for d in 0 .. dim/2 - 1."""
     if dim < 2 or dim % 2 != 0:
         raise ValueError("dim must be an even integer >= 2")
+    if dim > MAX_DIM:
+        raise ValueError(f"dim must be <= {MAX_DIM}")
     if not 0.0 < base < math.inf:
         raise ValueError("base must be finite and > 0")
     d = np.arange(dim // 2, dtype=np.float64)

@@ -45,6 +45,7 @@ class SegaConfig:
     n_bins_iso: int | None = None
 
     def __post_init__(self):
+        # Each message starts with the field it faults, as in RopeParams.
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
         if self.gamma < 1.0:

@@ -143,25 +143,31 @@ class TrajectoryConfig:
     noise_blend: dict = field(default_factory=lambda: {"kind": "linear"})
 
     def __post_init__(self):
+        # Each message starts with the field it faults, which the config loader
+        # prefixes with the section: "trajectory.steps must be >= 1".
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be unsigned")
-        if self.height < 2 or self.width < 2 or self.channels < 1:
-            raise ValueError("grid must be at least 2x2x1")
+        for name, least in (("height", 2), ("width", 2), ("channels", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.height * self.width * self.channels * 8 > sys.maxsize:
             raise ValueError("height * width * channels * 8 bytes exceeds the addressable size")
         if self.structure_kind not in STRUCTURE_KINDS:
-            raise ValueError(f"unknown structure_kind {self.structure_kind!r}")
+            raise ValueError(f"structure_kind must be one of {STRUCTURE_KINDS}")
         _structure_params(self)
         try:
-            alphas = [self._blend_at(t) for t in range(self.steps)]
+            # Linear weights fall from 1 to 0, and a constant is one weight: only
+            # a table has a weight per step to check.
+            tabled = self.noise_blend.get("kind", "linear") == "table"
+            alphas = [self._blend_at(t) for t in (range(self.steps) if tabled else (0,))]
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed noise_blend {self.noise_blend!r}") from exc
+            raise ValueError(f"noise_blend is malformed: {self.noise_blend!r}") from exc
         if not all(0.0 <= a <= 1.0 for a in alphas):  # NaN fails this test too
-            raise ValueError("blend weights must lie in [0, 1]")
+            raise ValueError("noise_blend weights must lie in [0, 1]")
         if any(b > a + 1e-12 for a, b in zip(alphas, alphas[1:])):
-            raise ValueError("blend weights must be non-increasing in step index")
+            raise ValueError("noise_blend weights must be non-increasing in step index")
 
     def _blend_at(self, step: int) -> int | float:
         kind = self.noise_blend.get("kind", "linear")
@@ -174,9 +180,9 @@ class TrajectoryConfig:
         if kind == "table":
             values = self.noise_blend["values"]
             if len(values) != self.steps:
-                raise ValueError("blend table length must equal steps")
+                raise ValueError("noise_blend.values must hold one weight per step")
             return json_number(values[step], f"noise_blend.values[{step}]")
-        raise ValueError(f"unknown blend kind {kind!r}")
+        raise ValueError(f"noise_blend.kind must be one of {BLEND_KINDS}")
 
     def alpha(self, step: int) -> float:
         self._check_step(step)
@@ -309,13 +315,59 @@ def generate_latent(cfg: TrajectoryConfig, step: int) -> LatentGrid:
     return LatentGrid.from_array(blended)
 
 
-def token_features(grid: LatentGrid, feature_dim: int, seed: int, step: int) -> np.ndarray:
-    """Seeded Gaussian projection of grid channels to (H*W, feature_dim) token features."""
+@dataclass(frozen=True, eq=False)
+class TokenFeatures:
+    """The (N, D) token features tokens @ proj, projected only where rows are read.
+
+    tokens is (N, C) and proj (C, D), with C the few latent channels, so the
+    product has rank C and storing it densely would cost N * D floats for
+    nothing. Indexing with an integer or a slice returns the same bits as the
+    same index of the dense product; np.asarray forms the whole matrix.
+    """
+
+    tokens: np.ndarray
+    proj: np.ndarray
+
+    ndim = 2
+
+    def __post_init__(self):
+        tokens = np.ascontiguousarray(self.tokens, dtype=np.float64)
+        proj = np.ascontiguousarray(self.proj, dtype=np.float64)
+        if tokens.ndim != 2 or proj.ndim != 2 or tokens.shape[1] != proj.shape[0]:
+            raise ValueError(f"cannot project {tokens.shape} tokens by a {proj.shape} matrix")
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "proj", proj)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.tokens.shape[0], self.proj.shape[1]
+
+    def __getitem__(self, rows) -> np.ndarray:
+        """The feature rows at an integer or a slice, as the dense product holds them."""
+        picked = self.tokens[rows]
+        if picked.ndim == 2 and picked.shape[0] != 1:
+            return picked @ self.proj
+        # A one-row product goes through BLAS gemv, whose last bits differ from
+        # the same row of the full gemm product; a two-row product's do not.
+        pair = np.vstack([picked, picked]) @ self.proj
+        return pair[0] if picked.ndim == 1 else pair[:1]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        dense = self.tokens @ self.proj
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+def token_features(grid: LatentGrid, feature_dim: int, seed: int, step: int) -> TokenFeatures:
+    """Seeded Gaussian projection of grid channels to (H*W, feature_dim) token features.
+
+    The features stay the grid's tokens and the projection; the attention
+    kernels project the few rows they rotate at a time.
+    """
     if feature_dim < 1:
         raise ValueError("feature_dim must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_FEATURES, step]))
     proj = rng.standard_normal((grid.channels, feature_dim)) / np.sqrt(grid.channels)
-    return grid.tokens() @ proj
+    return TokenFeatures(grid.tokens(), proj)
 
 
 def write_latent(grid: LatentGrid, path) -> None:

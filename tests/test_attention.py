@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sega import axial_rotary, grid_positions, make_schedule
+from sega import LatentGrid, axial_rotary, grid_positions, make_schedule, token_features
 from sega import attention
 from sega.attention import rotary_attention_row, rotary_entropy
 from oracles import dense_entropy, dense_softmax
@@ -239,6 +239,27 @@ class TestBlockedRotary:
             e = np.exp(logits - logits.max())
             row = rotary_attention_row(feats, pos, sh, sw, mh, mw, 1.3, query=query)
             assert np.array_equal(row, e / e.sum())
+
+    @pytest.mark.parametrize("height, width", [(51, 51), (41, 25), (26, 52)])
+    def test_lazy_features_give_the_dense_bits(self, rng, height, width):
+        # At D = 128 keys are rotated 512 rows at a time, so N = 41 * 25 = 1025
+        # leaves a one-row key chunk; query rows are rotated 200 at a time at
+        # 51 x 51 and 193 at a time at 26 x 52, each leaving a one-row chunk.
+        grid = LatentGrid.from_array(rng.standard_normal((height, width, 4)))
+        lazy = token_features(grid, 128, seed=3, step=1)
+        dense = np.asarray(lazy)
+        pos = grid_positions(height, width)
+        sh = make_schedule("H", 64, method="ntk_strong", ratio=2.0)
+        sw = make_schedule("W", 64, method="ntk_strong", ratio=2.0)
+        mh, mw = rng.uniform(0.5, 2.0, 32), rng.uniform(0.5, 2.0, 32)
+        per_row, mean = rotary_entropy(lazy, pos, sh, sw, mh, mw, 1.3)
+        dense_row, dense_mean = rotary_entropy(dense, pos, sh, sw, mh, mw, 1.3)
+        assert np.array_equal(per_row, dense_row)
+        assert mean == dense_mean
+        n = height * width
+        for query in (0, 1, n // 2, n - 1):
+            row = rotary_attention_row(lazy, pos, sh, sw, mh, mw, 1.3, query=query)
+            assert np.array_equal(row, rotary_attention_row(dense, pos, sh, sw, mh, mw, 1.3, query=query))
 
     def test_memory_stays_blocked(self, rng):
         # dense attention at 64 x 64 traces ~513 MiB; one 2 MiB logit block needs far less

@@ -428,7 +428,37 @@ TYPED_FAULTS = {
     "sinusoid_argument_overflow": (
         small_config({"structure_params": {"cycles_h": 2.5e307, "cycles_w": 2.5e307}}), "phase"),
 }
-MALFORMED_CONFIGS.update({case: (cfg, 2) for case, (cfg, _) in TYPED_FAULTS.items()})
+# Each config holds one well-typed value out of its range; (config, the dotted key
+# its message names). All exit 2. These messages once named a bare field.
+RANGE_FAULTS = {
+    "ref_form_unknown": ({**small_config(), "sega": {"ref_form": "x"}}, "sega.ref_form"),
+    "gamma_below_one": ({**small_config(), "sega": {"gamma": 0.5}}, "sega.gamma"),
+    "steps_zero": (small_config({"steps": 0}), "trajectory.steps"),
+    "structure_kind_unknown": (small_config({"structure_kind": "x"}), "trajectory.structure_kind"),
+    "height_one": (small_config({"height": 1}), "trajectory.height"),
+    "channels_zero": (small_config({"channels": 0}), "trajectory.channels"),
+    "blend_kind_unknown": (small_config({"noise_blend": {"kind": "x"}}), "trajectory.noise_blend.kind"),
+    "blend_constant_above_one": (small_config({"noise_blend": {"kind": "constant", "value": 2}}),
+                                 "trajectory.noise_blend"),
+    "blend_table_short": (small_config({"noise_blend": {"kind": "table", "values": [1, 0]}}),
+                          "trajectory.noise_blend.values"),
+    "ratio_below_one": (small_config(rope={"ratio": 0.5}), "rope.ratio_h"),
+    "ratio_w_below_one": (small_config(rope={"ratio_w": 0.5}), "rope.ratio_w"),
+    "dim_odd": (small_config(rope={"dim": 7}), "rope.dim"),
+    # past MAX_DIM: refused before a schedule, the features or the keys are allocated
+    "dim_above_bound": (small_config(rope={"dim": 1026}), "rope.dim"),
+    "dim_huge": (small_config(rope={"dim": 10**18}), "rope.dim"),
+    "method_rope_unknown": (small_config({"methods": [{"name": "a", "rope": "x"}]}),
+                            "trajectory.methods[0].rope"),
+    "method_name_empty": (small_config({"methods": [{"name": ""}]}), "trajectory.methods[0].name"),
+    "method_scaling_unknown": (small_config({"methods": [{"name": "a", "scaling": "x"}]}),
+                               "trajectory.methods[0].scaling"),
+    "baseline_grid_unknown": (small_config({"baseline": {"name": "b", "grid": "x"}}),
+                              "trajectory.baseline.grid"),
+}
+MALFORMED_CONFIGS.update(
+    {case: (cfg, 2) for faults in (TYPED_FAULTS, RANGE_FAULTS) for case, (cfg, _) in faults.items()}
+)
 
 
 class TestMalformedConfigs:
@@ -452,6 +482,16 @@ class TestMalformedConfigs:
         cfg, key = TYPED_FAULTS[case]
         res, _ = run_config(runner, tmp_path, "heatmap", cfg)
         assert key in res.output
+
+    @pytest.mark.parametrize("command", ["trajectory", "heatmap"])
+    @pytest.mark.parametrize("case", sorted(RANGE_FAULTS))
+    def test_range_fault_names_its_dotted_key(self, runner, tmp_path, command, case):
+        cfg, key = RANGE_FAULTS[case]
+        res, _ = run_config(runner, tmp_path, command, cfg)
+        assert res.exit_code == 2, res.output
+        assert f"{key} " in res.output
+        assert res.stdout == ""
+        assert "Traceback" not in res.output
 
     def test_logit_overflow_during_a_run_exits_2(self, runner, tmp_path):
         # m_ref = 2**1000 is finite, so the config loads; the squared logits are not
@@ -550,6 +590,18 @@ class TestConfigSchema:
         readme = json.loads(re.sub(r"//.*", "", block))
         assert load_experiment_config(readme).snapshot() == load_experiment_config({}).snapshot()
 
+    @pytest.mark.parametrize("blend", [{"kind": "linear"}, {"kind": "constant", "value": 0.5}])
+    def test_untabled_blend_loads_in_constant_memory(self, blend):
+        # only a table has a weight per step to check; a million-step linear blend
+        # once built a 38.6 MiB table at load
+        tracemalloc.start()
+        try:
+            load_experiment_config({"trajectory": {"steps": 10**6, "noise_blend": blend}})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_loaded_dicts_are_copies(self):
         trajectory = {"structure_params": {"cycles_w": 3.0}, "noise_blend": {"kind": "linear"}}
         cfg = load_experiment_config({"trajectory": trajectory})
@@ -584,6 +636,14 @@ class TestFlagFaults:
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("dim", ["1026", str(10**18)])
+    def test_rope_table_dim_above_bound_exits_2(self, runner, dim):
+        # refused by the flag's range, before dim / 2 frequencies are allocated
+        res = runner.invoke(main, ["rope-table", "--dim", dim])
+        assert res.exit_code == 2, res.output
+        assert "'--dim'" in res.output
+        assert res.stdout == ""
 
     def test_rope_table_ntk_overflow_exits_2(self, runner):
         res = runner.invoke(main, ["rope-table", "--dim", "8", "--method", "ntk", "--ratio", "1e300"])

@@ -1,6 +1,7 @@
 """Trajectory simulation: determinism, invariants, heatmaps, entropy traces."""
 
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -121,7 +122,7 @@ class TestRunTrajectory:
 
     @pytest.mark.parametrize("ratio_h, ratio_w", [(0.5, 2.0), (2.0, math.nan), (math.nan, 2.0)])
     def test_rope_params_reject_bad_ratios(self, ratio_h, ratio_w):
-        with pytest.raises(ValueError, match="ratios must be >= 1"):
+        with pytest.raises(ValueError, match=r"ratio_[hw] must be >= 1"):
             RopeParams(dim=16, ratio_h=ratio_h, ratio_w=ratio_w)
 
     def test_logit_temperature_sharpens_attention(self):
@@ -205,6 +206,23 @@ class TestEntropyTrace:
         _, h16 = rotary_entropy(np.zeros((16, 8)), grid_positions(4, 4), sh, sw)
         _, h4 = rotary_entropy(np.zeros((4, 8)), grid_positions(2, 2), sh, sw)
         assert math.isclose(h16 - h4, math.log(16) - math.log(4), rel_tol=1e-12)
+
+
+class TestTrajectoryMemory:
+    def test_step_holds_no_dense_feature_matrix(self):
+        # One 64 x 64 step at dim 64: the kernel's keys (4 MiB) and logit block
+        # (2 MiB) peak near 9 MiB; a dense 4 MiB target feature matrix and its
+        # 1 MiB train twin beside them peaked at 13.5 MiB.
+        cfg = TrajectoryConfig(steps=1, seed=0)
+        methods = [MethodSpec("sega"), MethodSpec("fixed", scaling="fixed"),
+                   MethodSpec("baseline", rope="none", scaling="none", grid="train")]
+        tracemalloc.start()
+        try:
+            run_trajectory(cfg, methods, rope=RopeParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestOneAnalysisPerLatent:
