@@ -258,8 +258,8 @@ class TestBlockedRotary:
         assert mean == dense_mean
         n = height * width
         for query in (0, 1, n // 2, n - 1):
-            row = rotary_attention_row(lazy, pos, sh, sw, mh, mw, 1.3, query=query)
-            assert np.array_equal(row, rotary_attention_row(dense, pos, sh, sw, mh, mw, 1.3, query=query))
+            rows = [rotary_attention_row(x, pos, sh, sw, mh, mw, 1.3, query=query) for x in (lazy, dense)]
+            assert np.array_equal(*rows)
 
     def test_memory_stays_blocked(self, rng):
         # dense attention at 64 x 64 traces ~513 MiB; one 2 MiB logit block needs far less

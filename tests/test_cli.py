@@ -437,7 +437,8 @@ RANGE_FAULTS = {
     "structure_kind_unknown": (small_config({"structure_kind": "x"}), "trajectory.structure_kind"),
     "height_one": (small_config({"height": 1}), "trajectory.height"),
     "channels_zero": (small_config({"channels": 0}), "trajectory.channels"),
-    "blend_kind_unknown": (small_config({"noise_blend": {"kind": "x"}}), "trajectory.noise_blend.kind"),
+    "blend_kind_unknown": (small_config({"noise_blend": {"kind": "x"}}),
+                           "trajectory.noise_blend.kind"),
     "blend_constant_above_one": (small_config({"noise_blend": {"kind": "constant", "value": 2}}),
                                  "trajectory.noise_blend"),
     "blend_table_short": (small_config({"noise_blend": {"kind": "table", "values": [1, 0]}}),

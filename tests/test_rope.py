@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sega import (
+    RopeParams,
     YarnParams,
     apply_rotary,
     axial_rotary,
@@ -20,6 +21,7 @@ from sega import (
     yarn_ramp,
     yarn_temperature,
 )
+from sega.rope import MAX_DIM
 from oracles import ntk_base_direct, temperature_direct, yarn_theta_direct
 
 
@@ -41,6 +43,14 @@ class TestBaseFrequencies:
         for base in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="base must be finite and > 0"):
                 base_frequencies(8, base)
+
+    @pytest.mark.parametrize("dim", [MAX_DIM + 2, 10**18])
+    def test_rejects_dim_above_bound(self, dim):
+        # refused before dim / 2 frequencies are allocated
+        with pytest.raises(ValueError, match=f"dim must be <= {MAX_DIM}"):
+            make_schedule("H", dim)
+        with pytest.raises(ValueError, match="dim must be an even integer in"):
+            RopeParams(dim=dim)
 
 
 class TestPi:
