@@ -11,13 +11,12 @@ Library layout:
 * :mod:`sega.cli`       - the `sega` command
 """
 
-from .attention import grid_positions, rotary_attention_row, rotary_entropy
+from .attention import rotary_attention_row, rotary_entropy
 from .harness import MethodSpec, RopeParams, entropy_trace, run_trajectory, spectral_heatmap
 from .rope import (
     RopeSchedule,
     YarnParams,
     apply_rotary,
-    axial_rotary,
     base_frequencies,
     dype_ratio,
     make_schedule,

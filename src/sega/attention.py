@@ -1,128 +1,142 @@
 """Single-head rotary self-attention over 2D token grids, as entropy or one row.
 
-:func:`rotary_entropy` takes each query row's entropy from one block of
+:func:`rotary_entropy` takes each query token's entropy from one block of
 logits at a time, and :func:`rotary_attention_row` computes the one row
-``sega attn-map`` prints. Neither forms the N x N weight matrix or a full
-copy of the rotated features: both read and rotate the features a few rows at
-a time into one N x D key matrix, and rotary_entropy reads and rotates its
-query rows again, a few blocks at a time. The features are a dense matrix or
-a :class:`~sega.tensorio.TokenFeatures`, which projects each row where it is
-read, so with those the key matrix plus one block of logits, O(N * (D +
-block)), is all the memory that grows with N.
+``sega attn-map`` prints. Neither rotates a feature or forms the N x N
+matrix: the features t P have rank C (:class:`~sega.tensorio.TokenFeatures`)
+and rotary embedding is relative, R(a)^T R(b) = R(b - a), on each axial half
+of the D columns, so the logit of tokens i and j is t_i^T (M_H(h_j - h_i) +
+M_W(w_j - w_i)) t_j, with C x C tables over the 2H - 1 and 2W - 1 grid offsets
+that hold the schedules, magnitudes and logit scale. The entropy costs
+O(N^2 * 2C + N * (H + W) * C^2); the tokens, tables and one block of logits
+are all the memory that grows with N.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .rope import RopeSchedule, axial_rotary
+from .rope import RopeSchedule, scale_vector
 from .tensorio import TokenFeatures
 
-# Logits per query block of rotary_entropy: 2 MiB of float64, 64 rows at N=4096.
+# Logits per query block of rotary_entropy: 2 MiB of float64, one 64-token grid
+# column at N=4096.
 BLOCK_LOGITS = 1 << 18
 # Logits per reduction slice of a block: 512 KiB, 16 rows at N=4096. A slice and
 # its exp buffer stay in a 2 MiB L2 cache through all six reduction passes.
 REDUCE_LOGITS = 1 << 16
 
 
-def grid_positions(height: int, width: int) -> np.ndarray:
-    """(h, w) coordinates of each token in row-major order, shape (H*W, 2)."""
-    hh, ww = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
-    return np.stack([hh.ravel(), ww.ravel()], axis=1)
+def _axis_table(proj: np.ndarray, sched: RopeSchedule, scale, extent: int, c: float) -> np.ndarray:
+    """(2 * extent - 1, C, C) tables M(delta) for delta = 1 - extent .. extent - 1.
+
+    proj is the (C, sched.dim) part of the projection that this axis rotates,
+    pe and po its even and odd columns. Subspace d turns a query by
+    theta_d * delta against its key, so M(delta) = sum_d c s_d^2
+    [cos(theta_d delta) (pe pe^T + po po^T)_d + sin(theta_d delta) (po pe^T - pe po^T)_d].
+    """
+    weight = c * scale_vector(scale, sched) ** 2
+    angles = np.arange(1 - extent, extent, dtype=np.float64)[:, None] * sched.theta
+    cos, sin = np.cos(angles) * weight, np.sin(angles) * weight  # (2 * extent - 1, dim / 2)
+    pe, po = proj[:, 0::2], proj[:, 1::2]
+    left = np.concatenate([pe * cos[:, None] + po * sin[:, None],
+                           po * cos[:, None] - pe * sin[:, None]], axis=2)
+    return left @ np.concatenate([pe, po], axis=1).T
 
 
-def _checked(x, positions, logit_scale) -> tuple[np.ndarray | TokenFeatures, np.ndarray]:
-    """x as float64 features whose rows the kernels read by index; TokenFeatures stay lazy."""
-    if not isinstance(x, TokenFeatures):
-        x = np.asarray(x, dtype=np.float64)
-    positions = np.asarray(positions)
-    if x.ndim != 2:
-        raise ValueError("features must be a 2D matrix")
-    if positions.ndim != 2 or positions.shape[1] != 2:
-        raise ValueError("positions must have shape (N, 2)")
-    if positions.shape[0] != x.shape[0]:
-        raise ValueError("positions must cover every query and key token")
+def _tables(feats, height, width, sched_h, sched_w, scale_h, scale_w, logit_scale):
+    """The (N, C) tokens and the H and W tables of the logits, checked finite."""
+    tokens, proj = feats.tokens, feats.proj
+    if height < 1 or width < 1 or height * width != tokens.shape[0]:
+        raise ValueError("grid shape must cover every token")
+    if proj.shape[1] != sched_h.dim + sched_w.dim:
+        raise ValueError(f"feature length {proj.shape[1]} != {sched_h.dim} + {sched_w.dim}")
     if not logit_scale > 0:
         raise ValueError("logit_scale must be positive")
-    return x, positions
-
-
-def _rotate(x, positions, rope, rows) -> np.ndarray:
-    """Rotated features of the tokens x[rows]; rope is (sched_h, sched_w, scale_h, scale_w).
-
-    x[rows] is the one read of the features, dense or TokenFeatures alike."""
-    pos = positions[rows]
-    return axial_rotary(x[rows], pos[..., 0], pos[..., 1], *rope)
-
-
-def _rotated_keys(x, positions, rope, logit_scale) -> np.ndarray:
-    """The shared Q = K features rotated chunk by chunk into one N x D array
-    scaled by logit_scale / sqrt(D), returned transposed: a rotated query row
-    times it is a row of logits. Its layout and bits are those of x_rot.T * c;
-    a one-row product with C-ordered keys would differ in the last bits.
-    Every row is checked here, so a query row rotated again is finite."""
-    n, d = x.shape
-    c = logit_scale / np.sqrt(d)
-    keys = np.empty((n, d))
-    # one reduction slice of features at a time: few rotary calls, and their
-    # temporaries peak below the logit block and query chunks that come later
-    chunk = max(1, REDUCE_LOGITS // d)
-    for start in range(0, n, chunk):
-        rows = slice(start, start + chunk)
-        x_rot = _rotate(x, positions, rope, rows)
-        if not np.all(np.isfinite(x_rot)):
-            raise ValueError("rotated features contain non-finite values")
-        np.multiply(x_rot, c, out=keys[rows])
-    return keys.T
+    if not (np.all(np.isfinite(tokens)) and np.all(np.isfinite(proj))):
+        raise ValueError("features contain non-finite values")
+    c = logit_scale / np.sqrt(proj.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        m_h = _axis_table(proj[:, : sched_h.dim], sched_h, scale_h, height, c)
+        m_w = _axis_table(proj[:, sched_h.dim :], sched_w, scale_w, width, c)
+    return tokens, _check_finite(m_h), _check_finite(m_w)
 
 
 def _check_finite(values: np.ndarray) -> np.ndarray:
-    """Shifted logits or entropies; a non-finite one means the logits overflowed."""
+    """Tables, shifted logits or entropies; a non-finite one means the logits overflow."""
     if not np.all(np.isfinite(values)):
         raise ValueError("attention logits overflowed; lower the logit or rotary scale")
     return values
 
 
+def _logit_blocks(grid: np.ndarray, m_h: np.ndarray, m_w: np.ndarray, step: int):
+    """Yield (w, first, block): the logits of the query tokens (first .. first +
+    step - 1, w) of the (H, W, C) token grid against every key, row-major.
+
+    Per query grid column w, rhs[h'] = [M_W(w' - w) t_{h'w'} ; t_{h'w'}] over
+    key columns w', and per block lhs[h'] = [t_{hw} | t_{hw}^T M_H(h' - h)]
+    over its query rows h, so one batched GEMM over key rows h', of inner
+    dimension 2C, forms both terms. Its output is the block viewed (h', h, w'),
+    so BLAS writes the block's row-major rows in place. The one buffer is
+    reused: each block is valid until the next is yielded.
+    """
+    height, width, rank = grid.shape
+    block_buf = np.empty((step, height * width))
+    rhs = np.empty((height, 2 * rank, width))
+    rhs[:, rank:] = grid.transpose(0, 2, 1)
+    by_col = np.ascontiguousarray(grid.transpose(1, 2, 0))  # (w', C, h')
+    m_h_flat = m_h.transpose(1, 0, 2).reshape(rank, -1)  # (C, (2H - 1) * C)
+    for w in range(width):
+        rhs[:, :rank] = np.matmul(m_w[width - 1 - w : 2 * width - 1 - w], by_col).transpose(2, 1, 0)
+        for first in range(0, height, step):
+            queries = grid[first : first + step, w]
+            q = queries.shape[0]
+            lhs = np.empty((height, q, 2 * rank))
+            lhs[:, :, :rank] = queries
+            # t^T M_H(k + 1 - H) for query row first + r at [r, k], read through a
+            # strided (r, h') view at k = h' - first - r + H - 1
+            products = (queries @ m_h_flat).reshape(q, 2 * height - 1, rank)
+            s0, s1, s2 = products.strides
+            lhs[:, :, rank:] = np.lib.stride_tricks.as_strided(
+                products[:, height - 1 - first :], (q, height, rank), (s0 - s1, s1, s2)
+            ).transpose(1, 0, 2)
+            del products  # not held while the block is reduced
+            block = block_buf[:q]
+            np.matmul(lhs, rhs, out=block.reshape(q, height, width).transpose(1, 0, 2))
+            yield w, first, block
+
+
 def rotary_entropy(
-    x: np.ndarray | TokenFeatures,
-    positions: np.ndarray,
+    feats: TokenFeatures,
+    height: int,
+    width: int,
     sched_h: RopeSchedule,
     sched_w: RopeSchedule,
     scale_h: np.ndarray | None = None,
     scale_w: np.ndarray | None = None,
     logit_scale: float = 1.0,
 ) -> tuple[np.ndarray, float]:
-    """Per-row entropy (natural log) and mean of rotary self-attention with Q = K = x.
+    """Per-token entropy (natural log) and mean of rotary self-attention with Q = K.
 
-    The logits are logit_scale * x_rot @ x_rot.T / sqrt(D), with x_rot the
-    rotated features. Without forming the N x N matrix: per block of query
-    rows, with l the row-max-shifted logits, H = log Z - sum(e^l * l) / Z
+    The tokens are the height x width grid in row-major order, and the logits
+    logit_scale * x_rot @ x_rot.T / sqrt(D) of the rotated features come from
+    the tables. With l a row's max-shifted logits, H = log Z - sum(e^l * l) / Z
     where Z = sum(e^l).
 
-    Query rows are rotated from x a few blocks at a time; each block of them is
-    multiplied by the resident keys into one reused logits buffer and then
-    reduced in slices of rows that stay in cache. Every row goes through the
-    same operations whatever the slice size, so the result does not depend on
-    it.
+    A block is one query grid column, or part of one within BLOCK_LOGITS. Its
+    logits are formed once, then reduced in slices of rows that stay in cache,
+    each row by the same operations whatever the slice size, so the slice size
+    does not change the result. The block size decides which rows share a
+    GEMM, which BLAS may round differently, so it moves only the last bits.
     """
-    x, positions = _checked(x, positions, logit_scale)
-    rope = (sched_h, sched_w, scale_h, scale_w)
-    keys = _rotated_keys(x, positions, rope, logit_scale)
-    n = x.shape[0]
-    step = max(1, BLOCK_LOGITS // n)
-    # query rows rotated at once: whole blocks, about half a reduction slice of
-    # features, so that with their temporaries they fit beside the logit block
-    chunk = step * max(1, REDUCE_LOGITS // (2 * step * x.shape[1]))
+    tokens, m_h, m_w = _tables(feats, height, width, sched_h, sched_w, scale_h, scale_w, logit_scale)
+    n = tokens.shape[0]
+    step = min(height, max(1, BLOCK_LOGITS // n))
     rows = min(step, max(1, REDUCE_LOGITS // n))
-    per_row = np.empty(n)
-    block_buf = np.empty((step, n))
+    per_row = np.empty((height, width))
     exp_buf = np.empty((rows, n))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        for start in range(0, n, step):
-            if start % chunk == 0:
-                queries = _rotate(x, positions, rope, slice(start, start + chunk))
-            query_block = queries[start % chunk : start % chunk + step]
-            block = np.matmul(query_block, keys, out=block_buf[: query_block.shape[0]])
+        for w, start, block in _logit_blocks(tokens.reshape(height, width, -1), m_h, m_w, step):
             for first in range(0, block.shape[0], rows):
                 logits = block[first : first + rows]
                 logits -= logits.max(axis=1, keepdims=True)
@@ -130,14 +144,15 @@ def rotary_entropy(
                 z = e.sum(axis=1)
                 e *= logits
                 at = start + first
-                per_row[at : at + logits.shape[0]] = np.log(z) - e.sum(axis=1) / z
-    _check_finite(per_row)
+                per_row[at : at + logits.shape[0], w] = np.log(z) - e.sum(axis=1) / z
+    per_row = _check_finite(per_row.ravel())
     return per_row, float(per_row.mean())
 
 
 def rotary_attention_row(
-    x: np.ndarray | TokenFeatures,
-    positions: np.ndarray,
+    feats: TokenFeatures,
+    height: int,
+    width: int,
     sched_h: RopeSchedule,
     sched_w: RopeSchedule,
     scale_h: np.ndarray | None = None,
@@ -146,14 +161,21 @@ def rotary_attention_row(
     *,
     query: int,
 ) -> np.ndarray:
-    """One query token's attention weights over all N tokens, in O(N * D)."""
-    x, positions = _checked(x, positions, logit_scale)
-    if not 0 <= query < x.shape[0]:
+    """One query token's attention weights over all N tokens.
+
+    Given the tables, its logits cost O(N * C + (H + W) * C^2): the query
+    times M_H and M_W at every offset, then one C-long dot per key.
+    """
+    tokens, m_h, m_w = _tables(feats, height, width, sched_h, sched_w, scale_h, scale_w, logit_scale)
+    if not 0 <= query < tokens.shape[0]:
         raise ValueError("query index outside the token range")
-    rope = (sched_h, sched_w, scale_h, scale_w)
-    keys = _rotated_keys(x, positions, rope, logit_scale)
+    h, w = divmod(query, width)
+    t = tokens[query]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        logits = _rotate(x, positions, rope, query) @ keys
+        along_h = t @ m_h[height - 1 - h : 2 * height - 1 - h]  # t^T M_H(h' - h), (H, C)
+        along_w = t @ m_w[width - 1 - w : 2 * width - 1 - w]
+        logits = ((along_h[:, None] + along_w) * tokens.reshape(height, width, -1)).sum(axis=2)
+        logits = logits.ravel()
         logits -= logits.max()
     e = np.exp(_check_finite(logits))
     return e / e.sum()

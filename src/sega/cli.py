@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import spectral
-from .attention import grid_positions, rotary_attention_row, rotary_entropy
+from .attention import rotary_attention_row, rotary_entropy
 from .config import ExperimentConfig, load_experiment_config
 from .fmtio import canonical_json, csv_text, fmt_floats, write_csv, write_json
 from .harness import (
@@ -83,6 +83,12 @@ def _positive_finite(ctx, param, value):
     return value
 
 
+def _unit_interval(ctx, param, value):
+    if value is not None and not 0.0 <= value <= 1.0:  # NaN fails this test too
+        raise click.BadParameter("must lie in [0, 1]")
+    return value
+
+
 def _read_latent(path: str):
     with _io_errors():
         return read_latent(path)
@@ -98,13 +104,13 @@ def rope_flags(fn):
                       help="Use the strengthened base exponent inside dype.")(fn)
     fn = click.option("--dype-p", type=float, default=None,
                       help="Ratio schedule exponent (dype only; default 1.0).")(fn)
-    fn = click.option("--dype-t", type=float, default=None,
+    fn = click.option("--dype-t", type=float, default=None, callback=_unit_interval,
                       help="Denoising time in [0,1], 1 = pure noise (dype only; default 0.0).")(fn)
     fn = click.option("--train-len", type=float, default=None,
                       help="Training token count along the axis (yarn only).")(fn)
-    fn = click.option("--beta", type=float, default=None,
+    fn = click.option("--beta", type=float, default=None, callback=_positive_finite,
                       help="Upper ramp bound (yarn only; default 32).")(fn)
-    fn = click.option("--alpha", type=float, default=None,
+    fn = click.option("--alpha", type=float, default=None, callback=_positive_finite,
                       help="Lower ramp bound (yarn only; default 1).")(fn)
     fn = click.option("--ratio", type=float, default=1.0, show_default=True,
                       help="Extrapolation ratio, target over training length.")(fn)
@@ -222,7 +228,7 @@ def attention_flags(fn):
 
 
 def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed):
-    """(features, positions, sched_h, sched_w, m_h, m_w) for the blocked attention calls."""
+    """(features, height, width, sched_h, sched_w, m_h, m_w) for the attention calls."""
     cfg = _load_config(config_path)
     rope_p = cfg.rope
     sched_h, sched_w = _schedules(cfg, grid, rope_p.ratio_h, rope_p.ratio_w)
@@ -231,8 +237,7 @@ def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed):
         scaling, profiles, sched_h, sched_w, rope_p.ratio_scalar, cfg.sega, fixed_value
     )
     feats = token_features(grid, 2 * rope_p.dim, feature_seed, 0)
-    positions = grid_positions(grid.height, grid.width)
-    return feats, positions, sched_h, sched_w, m_h, m_w
+    return feats, grid.height, grid.width, sched_h, sched_w, m_h, m_w
 
 
 @main.command("attn-map", epilog=CONFIG_EPILOG)

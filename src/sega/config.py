@@ -149,6 +149,8 @@ def load_experiment_config(source) -> ExperimentConfig:
         raise ConfigError(f"rope.method must be one of {METHODS}")
     if "ratio" in rope_raw:  # shorthand for both axes; ratio_h and ratio_w override it
         ratio = _checked(rope_raw.pop("ratio"), float, "rope.ratio")
+        if not ratio >= 1.0:  # checked here, so the fault names the key the config holds
+            raise ConfigError("rope.ratio must be >= 1")
         rope_raw = {"ratio_h": ratio, "ratio_w": ratio, **rope_raw}
     methods_raw = traj_raw.pop(
         "methods", [{"name": "sega", "scaling": "sega"}, {"name": "fixed", "scaling": "fixed"}]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .attention import grid_positions, rotary_entropy
+from .attention import rotary_entropy
 from .rope import MAX_DIM, METHODS, RopeSchedule, YarnParams, make_schedule, yarn_temperature
 from .spectral import SegaConfig, SpectralProfiles, reference_scale
 from .tensorio import TrajectoryConfig, generate_latent, token_features
@@ -157,10 +157,10 @@ def run_trajectory(
 
     Each step generates each latent once, analyzes the target (and the train
     latent only when a sega method runs on it) once, and draws the token
-    features and positions of each grid a method runs on once; the methods on a
-    grid share them. The features are TokenFeatures, which the attention kernel
-    projects a chunk of rows at a time, so no N x D feature matrix is held
-    beside its keys. Returns one StepRecord per step.
+    features of each grid a method runs on once; the methods on a grid share
+    them. The features are TokenFeatures, whose tokens and projection the
+    attention kernel reads without forming an N x D matrix. Returns one
+    StepRecord per step.
     """
     sega_cfg = sega_cfg or SegaConfig()
     rope = rope or RopeParams()
@@ -182,21 +182,19 @@ def run_trajectory(
             latent = generate_latent(grid_cfg, step)
             profiles = spectral.analyze(latent, sega_cfg.n_bins_iso) if kind in analyzed else None
             feats = token_features(latent, 2 * rope.dim, cfg.seed, step) if kind in used else None
-            positions = grid_positions(latent.height, latent.width)
-            inputs[kind] = (latent, profiles, feats, positions, *ratios)
+            inputs[kind] = (latent, profiles, feats, *ratios)
 
         target = inputs["target"][1]
         flatness = spectral.spectral_flatness(target.radial, target.occupied, sega_cfg.eps)
         sigma = spectral.amplitude_factor(flatness, sega_cfg.gamma)
         step_rec = StepRecord(step, cfg.alpha(step), time, flatness, sigma, target.radial, {})
         for method in methods:
-            latent, profiles, feats, positions, ratio_h, ratio_w, ratio = inputs[method.grid]
-            sched_h, sched_w = axis_schedules(
-                rope, method.rope, latent.height, latent.width, ratio_h, ratio_w, time
-            )
+            latent, profiles, feats, ratio_h, ratio_w, ratio = inputs[method.grid]
+            shape = (latent.height, latent.width)
+            sched_h, sched_w = axis_schedules(rope, method.rope, *shape, ratio_h, ratio_w, time)
             m_h, m_w = scaling_vectors(method.scaling, profiles, sched_h, sched_w, ratio, sega_cfg)
             tau = yarn_temperature(ratio) if method.temperature else 1.0
-            mean_entropy = rotary_entropy(feats, positions, sched_h, sched_w, m_h, m_w, tau)[1]
+            mean_entropy = rotary_entropy(feats, *shape, sched_h, sched_w, m_h, m_w, tau)[1]
             step_rec.methods[method.name] = MethodStepRecord(m_h, m_w, mean_entropy)
         steps.append(step_rec)
     return steps

@@ -186,6 +186,19 @@ def make_schedule(
     return RopeSchedule(dim=dim, base=base, theta=theta, axis=axis, method=method, ratio=ratio)
 
 
+def scale_vector(scale: np.ndarray | None, schedule: RopeSchedule) -> np.ndarray:
+    """The per-subspace magnitudes for schedule as float64; None means unit scaling."""
+    half = schedule.dim // 2
+    if scale is None:
+        return np.ones(half)
+    scale = np.asarray(scale, dtype=np.float64)
+    if scale.shape != (half,):
+        raise ValueError(f"scale must have length {half}")
+    if not np.all(scale > 0):
+        raise ValueError("scale entries must be positive")
+    return scale
+
+
 def apply_rotary(
     x: np.ndarray,
     position,
@@ -201,15 +214,7 @@ def apply_rotary(
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != schedule.dim:
         raise ValueError(f"vector length {x.shape[-1]} != schedule dim {schedule.dim}")
-    half = schedule.dim // 2
-    if scale is None:
-        scale = np.ones(half)
-    else:
-        scale = np.asarray(scale, dtype=np.float64)
-        if scale.shape != (half,):
-            raise ValueError(f"scale must have length {half}")
-        if not np.all(scale > 0):
-            raise ValueError("scale entries must be positive")
+    scale = scale_vector(scale, schedule)
     # cos/sin once per distinct position (a grid axis has few), then gathered
     position = np.asarray(position, dtype=np.float64)
     distinct, index = np.unique(position, return_inverse=True)
@@ -220,25 +225,4 @@ def apply_rotary(
     out = np.empty_like(x)
     out[..., 0::2] = scale * (cos * xe - sin * xo)
     out[..., 1::2] = scale * (sin * xe + cos * xo)
-    return out
-
-
-def axial_rotary(
-    x: np.ndarray,
-    pos_h,
-    pos_w,
-    sched_h: RopeSchedule,
-    sched_w: RopeSchedule,
-    scale_h: np.ndarray | None = None,
-    scale_w: np.ndarray | None = None,
-) -> np.ndarray:
-    """2D rotary: the first sched_h.dim components encode the vertical position,
-    the remaining sched_w.dim components the horizontal one."""
-    x = np.asarray(x, dtype=np.float64)
-    total = sched_h.dim + sched_w.dim
-    if x.shape[-1] != total:
-        raise ValueError(f"vector length {x.shape[-1]} != {sched_h.dim} + {sched_w.dim}")
-    out = np.empty_like(x)
-    out[..., : sched_h.dim] = apply_rotary(x[..., : sched_h.dim], pos_h, sched_h, scale_h)
-    out[..., sched_h.dim :] = apply_rotary(x[..., sched_h.dim :], pos_w, sched_w, scale_w)
     return out

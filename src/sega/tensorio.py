@@ -317,18 +317,15 @@ def generate_latent(cfg: TrajectoryConfig, step: int) -> LatentGrid:
 
 @dataclass(frozen=True, eq=False)
 class TokenFeatures:
-    """The (N, D) token features tokens @ proj, projected only where rows are read.
+    """The (N, D) token features tokens @ proj, kept as their two factors.
 
     tokens is (N, C) and proj (C, D), with C the few latent channels, so the
     product has rank C and storing it densely would cost N * D floats for
-    nothing. Indexing with an integer or a slice returns the same bits as the
-    same index of the dense product; np.asarray forms the whole matrix.
+    nothing. The attention kernels read the factors, never the product.
     """
 
     tokens: np.ndarray
     proj: np.ndarray
-
-    ndim = 2
 
     def __post_init__(self):
         tokens = np.ascontiguousarray(self.tokens, dtype=np.float64)
@@ -338,30 +335,12 @@ class TokenFeatures:
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "proj", proj)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.tokens.shape[0], self.proj.shape[1]
-
-    def __getitem__(self, rows) -> np.ndarray:
-        """The feature rows at an integer or a slice, as the dense product holds them."""
-        picked = self.tokens[rows]
-        if picked.ndim == 2 and picked.shape[0] != 1:
-            return picked @ self.proj
-        # A one-row product goes through BLAS gemv, whose last bits differ from
-        # the same row of the full gemm product; a two-row product's do not.
-        pair = np.vstack([picked, picked]) @ self.proj
-        return pair[0] if picked.ndim == 1 else pair[:1]
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        dense = self.tokens @ self.proj
-        return dense if dtype is None else dense.astype(dtype, copy=False)
-
 
 def token_features(grid: LatentGrid, feature_dim: int, seed: int, step: int) -> TokenFeatures:
     """Seeded Gaussian projection of grid channels to (H*W, feature_dim) token features.
 
     The features stay the grid's tokens and the projection; the attention
-    kernels project the few rows they rotate at a time.
+    kernels build their logits from these two factors.
     """
     if feature_dim < 1:
         raise ValueError("feature_dim must be >= 1")

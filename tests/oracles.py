@@ -5,6 +5,8 @@ Nothing in here calls into the package's own numerics, and nothing imports
 re-derived with plain math, the expected reference-scale anchors are frozen
 constants, dense attention is a plain softmax over features the caller has
 already rotated, and the rotary embedding is applied one token at a time.
+The rotated features and their key product are the reference for the
+logits that the attention kernels build from relative-position tables.
 """
 
 from __future__ import annotations
@@ -83,6 +85,33 @@ def rotate_tokens(x: np.ndarray, positions, theta: np.ndarray, scale=None) -> np
         out[i, 0::2] = scale * (cos * even - sin * odd)
         out[i, 1::2] = scale * (sin * even + cos * odd)
     return out
+
+
+def grid_positions(height: int, width: int) -> np.ndarray:
+    """(h, w) coordinates of each token of a height x width grid, row-major, shape (H*W, 2)."""
+    hh, ww = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
+    return np.stack([hh.ravel(), ww.ravel()], axis=1)
+
+
+def rotated_features(x, height, width, theta_h, theta_w, scale_h=None, scale_w=None) -> np.ndarray:
+    """Axial rotary embedding of the (H*W, D) features of a row-major grid: the
+    first 2 * len(theta_h) columns turn with the token's row h, the rest with
+    its column w."""
+    x = np.asarray(x, dtype=np.float64)
+    positions = grid_positions(height, width)
+    split = 2 * len(theta_h)
+    return np.concatenate([
+        rotate_tokens(x[:, :split], positions[:, 0], theta_h, scale_h),
+        rotate_tokens(x[:, split:], positions[:, 1], theta_w, scale_w),
+    ], axis=1)
+
+
+def rotary_logits(x, height, width, theta_h, theta_w, scale_h=None, scale_w=None,
+                  logit_scale: float = 1.0) -> np.ndarray:
+    """The N x N logits logit_scale * x_rot x_rot^T / sqrt(D): the features
+    rotated one token at a time, then multiplied by the scaled keys x_rot^T."""
+    x_rot = rotated_features(x, height, width, theta_h, theta_w, scale_h, scale_w)
+    return x_rot @ (x_rot.T * (logit_scale / np.sqrt(x_rot.shape[1])))
 
 
 # Anchor magnitudes at kappa = 0.08 for ratios 1..32: ratio**0.08 (power) and

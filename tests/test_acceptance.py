@@ -23,11 +23,10 @@ from sega import (
     TrajectoryConfig,
     amplitude_factor,
     analyze,
+    TokenFeatures,
     apply_rotary,
-    axial_rotary,
     band_lookup,
     center_map,
-    grid_positions,
     make_schedule,
     modulate_detailed,
     power_spectrum_2d,
@@ -44,7 +43,7 @@ from sega import (
 from sega.cli import main as cli_main
 from sega.fmtio import canonical_json
 from conftest import noise_grid, sinusoid_grid
-from oracles import REFERENCE_SCALE_TABLE, dense_softmax, naive_dft2
+from oracles import REFERENCE_SCALE_TABLE, dense_softmax, naive_dft2, rotary_logits
 
 REPO = Path(__file__).resolve().parents[1]
 TRAJECTORY_CONFIG = REPO / "configs" / "trajectory_small.json"
@@ -247,40 +246,37 @@ def test_attention_contracts():
         for _ in range(20):
             height, width = int(rng.integers(1, 5)), int(rng.integers(2, 11))
             n = height * width
-            feats = rng.normal(0, 3, (n, 8))
-            positions = grid_positions(height, width)
+            feats = TokenFeatures(rng.normal(0, 3, (n, 8)), np.eye(8))
             for query in range(n):
-                row = rotary_attention_row(feats, positions, sched_h, sched_w, query=query)
+                row = rotary_attention_row(feats, height, width, sched_h, sched_w, query=query)
                 assert abs(row.sum() - 1.0) < 1e-5
-            per_row, mean = rotary_entropy(feats, positions, sched_h, sched_w)
+            per_row, mean = rotary_entropy(feats, height, width, sched_h, sched_w)
             assert np.all(per_row >= -1e-12)
             assert np.all(per_row <= np.log(n) + 1e-9)
             assert -1e-12 <= mean <= np.log(n) + 1e-9
 
         # tau = 1 reproduces the unscaled definition
-        positions = grid_positions(2, 5)
         feats = rng.standard_normal((10, 8))
-        x_rot = axial_rotary(feats, positions[:, 0], positions[:, 1], sched_h, sched_w)
-        expected = dense_softmax((x_rot @ x_rot.T) / np.sqrt(8))
+        expected = dense_softmax(rotary_logits(feats, 2, 5, sched_h.theta, sched_w.theta))
         for query in range(10):
             row = rotary_attention_row(
-                feats, positions, sched_h, sched_w, logit_scale=1.0, query=query
+                TokenFeatures(feats, np.eye(8)), 2, 5, sched_h, sched_w, logit_scale=1.0,
+                query=query,
             )
             np.testing.assert_allclose(row, expected[query], atol=1e-12)
 
         # unit per-dimension scaling is bit-identical to plain rotary attention
         sched_h = make_schedule("H", 8)
         sched_w = make_schedule("W", 8)
-        positions = grid_positions(6, 6)
-        feats = np.random.default_rng(123).standard_normal((36, 16))
+        feats = TokenFeatures(np.random.default_rng(123).standard_normal((36, 16)), np.eye(16))
         ones = np.ones(4)
-        plain = rotary_entropy(feats, positions, sched_h, sched_w)
-        unit = rotary_entropy(feats, positions, sched_h, sched_w, ones, ones)
+        plain = rotary_entropy(feats, 6, 6, sched_h, sched_w)
+        unit = rotary_entropy(feats, 6, 6, sched_h, sched_w, ones, ones)
         assert np.array_equal(plain[0], unit[0]) and plain[1] == unit[1]
         for query in range(36):
             assert np.array_equal(
-                rotary_attention_row(feats, positions, sched_h, sched_w, query=query),
-                rotary_attention_row(feats, positions, sched_h, sched_w, ones, ones, query=query),
+                rotary_attention_row(feats, 6, 6, sched_h, sched_w, query=query),
+                rotary_attention_row(feats, 6, 6, sched_h, sched_w, ones, ones, query=query),
             )
 
 

@@ -1,7 +1,9 @@
 """Attention contracts: stochasticity, entropy bounds, rotary composition.
 
-The library has one attention path, the blocked one; ``oracles.dense_entropy``
-and ``oracles.dense_softmax`` form the full N x N matrix it is checked against.
+The library has one attention path, which builds its logits from
+relative-position tables. ``oracles.rotary_logits`` rotates the features and
+multiplies them out, and ``oracles.dense_entropy`` and ``oracles.dense_softmax``
+form the full N x N matrix; the kernels are checked against both.
 """
 
 import math
@@ -12,20 +14,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sega import LatentGrid, axial_rotary, grid_positions, make_schedule, token_features
+from sega import TokenFeatures, YarnParams, make_schedule
 from sega import attention
 from sega.attention import rotary_attention_row, rotary_entropy
-from oracles import dense_entropy, dense_softmax
+from oracles import dense_entropy, dense_softmax, rotary_logits, rotated_features
 
 
-def rotated(feats, pos, sh, sw, mh=None, mw=None):
-    return axial_rotary(feats, pos[:, 0], pos[:, 1], sh, sw, mh, mw)
+def dense(x):
+    """Dense (N, D) features as the kernels take them: tokens x, projection I_D."""
+    x = np.asarray(x, dtype=np.float64)
+    return TokenFeatures(x, np.eye(x.shape[1]))
 
 
-def all_rows(feats, pos, sh, sw, mh=None, mw=None, logit_scale=1.0):
+def rotated(x, height, width, sh, sw, mh=None, mw=None):
+    return rotated_features(x, height, width, sh.theta, sw.theta, mh, mw)
+
+
+def all_rows(x, height, width, sh, sw, mh=None, mw=None, logit_scale=1.0):
+    feats = dense(x)
     return np.stack([
-        rotary_attention_row(feats, pos, sh, sw, mh, mw, logit_scale, query=q)
-        for q in range(len(pos))
+        rotary_attention_row(feats, height, width, sh, sw, mh, mw, logit_scale, query=q)
+        for q in range(height * width)
     ])
 
 
@@ -34,7 +43,7 @@ class TestAttend:
 
     def test_zero_queries_give_uniform_attention(self):
         sh, sw = make_schedule("H", 4), make_schedule("W", 4)
-        weights = all_rows(np.zeros((15, 8)), grid_positions(3, 5), sh, sw)
+        weights = all_rows(np.zeros((15, 8)), 3, 5, sh, sw)
         np.testing.assert_allclose(weights, 1.0 / 15, atol=1e-12)
 
     def test_hand_two_by_two(self):
@@ -45,18 +54,17 @@ class TestAttend:
 
     def test_unit_scale_matches_unscaled_definition(self, rng):
         sh, sw = make_schedule("H", 4), make_schedule("W", 4)
-        pos = grid_positions(2, 3)
         feats = rng.standard_normal((6, 8))
-        x_rot = rotated(feats, pos, sh, sw)
+        x_rot = rotated(feats, 2, 3, sh, sw)
         expected = dense_softmax((x_rot @ x_rot.T) / np.sqrt(8))
-        np.testing.assert_allclose(all_rows(feats, pos, sh, sw, logit_scale=1.0), expected, atol=1e-12)
+        np.testing.assert_allclose(all_rows(feats, 2, 3, sh, sw, logit_scale=1.0), expected, atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_rows_stochastic(self, seed):
         gen = np.random.default_rng(seed)
         sh, sw = make_schedule("H", 4), make_schedule("W", 4)
-        weights = all_rows(gen.normal(0, 5, (7, 8)), grid_positions(1, 7), sh, sw)
+        weights = all_rows(gen.normal(0, 5, (7, 8)), 1, 7, sh, sw)
         assert np.max(np.abs(weights.sum(axis=1) - 1.0)) < 1e-5
         assert np.all(weights >= 0)
 
@@ -73,49 +81,48 @@ class TestAttendRotary:
     def setup_method(self):
         self.sh = make_schedule("H", 8)
         self.sw = make_schedule("W", 8)
-        self.pos = grid_positions(4, 4)
 
     def test_unit_scaling_matches_plain_rope(self, rng):
         feats = rng.standard_normal((16, 16))
         ones = np.ones(4)
-        h1, mean1 = rotary_entropy(feats, self.pos, self.sh, self.sw)
-        h2, mean2 = rotary_entropy(feats, self.pos, self.sh, self.sw, ones, ones)
+        h1, mean1 = rotary_entropy(dense(feats), 4, 4, self.sh, self.sw)
+        h2, mean2 = rotary_entropy(dense(feats), 4, 4, self.sh, self.sw, ones, ones)
         np.testing.assert_array_equal(h1, h2)
         assert mean1 == mean2
         np.testing.assert_array_equal(
-            all_rows(feats, self.pos, self.sh, self.sw),
-            all_rows(feats, self.pos, self.sh, self.sw, ones, ones),
+            all_rows(feats, 4, 4, self.sh, self.sw),
+            all_rows(feats, 4, 4, self.sh, self.sw, ones, ones),
         )
 
     def test_constant_scale_squares_into_logits(self, rng):
         feats = rng.standard_normal((16, 16))
         c = 1.7
-        w1 = all_rows(feats, self.pos, self.sh, self.sw)
+        w1 = all_rows(feats, 4, 4, self.sh, self.sw)
         scale = np.full(4, c)
-        w2 = all_rows(feats, self.pos, self.sh, self.sw, scale, scale)
+        w2 = all_rows(feats, 4, 4, self.sh, self.sw, scale, scale)
         expected = dense_softmax(c**2 * np.log(w1))
         np.testing.assert_allclose(w2, expected, atol=1e-8)
 
     def test_relative_offset_determines_logits(self):
         # constant q = k field: rotary inner products depend only on the 2D offset,
         # and every self logit is |x|^2 / sqrt(D), so log(w[i, j] / w[i, i]) does too
-        log_w = np.log(all_rows(np.ones((16, 16)), self.pos, self.sh, self.sw))
+        log_w = np.log(all_rows(np.ones((16, 16)), 4, 4, self.sh, self.sw))
         logits = log_w - np.diag(log_w)[:, None]
         seen = {}
-        for i, (hi, wi) in enumerate(self.pos):
-            for j, (hj, wj) in enumerate(self.pos):
-                key = (hi - hj, wi - wj)
+        for i in range(16):
+            for j in range(16):
+                key = (i // 4 - j // 4, i % 4 - j % 4)
                 if key in seen:
                     assert abs(logits[i, j] - seen[key]) < 1e-5
                 else:
                     seen[key] = logits[i, j]
 
-    def test_positions_must_cover_tokens(self, rng):
-        feats = rng.standard_normal((16, 16))
+    def test_grid_must_cover_tokens(self, rng):
+        feats = dense(rng.standard_normal((16, 16)))
         with pytest.raises(ValueError):
-            rotary_entropy(feats, self.pos[:8], self.sh, self.sw)
+            rotary_entropy(feats, 2, 4, self.sh, self.sw)
         with pytest.raises(ValueError):
-            rotary_attention_row(feats, self.pos[:8], self.sh, self.sw, query=0)
+            rotary_attention_row(feats, 2, 4, self.sh, self.sw, query=0)
 
 
 class TestEntropy:
@@ -144,14 +151,52 @@ class TestEntropy:
     def test_bounds(self, seed, n):
         gen = np.random.default_rng(seed)
         sh, sw = make_schedule("H", 2), make_schedule("W", 2)
-        per_row, mean = rotary_entropy(gen.normal(0, 4, (n, 4)), grid_positions(1, n), sh, sw)
+        per_row, mean = rotary_entropy(dense(gen.normal(0, 4, (n, 4))), 1, n, sh, sw)
         assert np.all(per_row >= -1e-12)
         assert np.all(per_row <= math.log(n) + 1e-9)
         assert -1e-12 <= mean <= math.log(n) + 1e-9
 
 
-def dense_rotary(feats, pos, sh, sw, mh=None, mw=None, logit_scale=1.0):
-    return dense_entropy(rotated(feats, pos, sh, sw, mh, mw), logit_scale)
+def dense_rotary(feats, height, width, sh, sw, mh=None, mw=None, logit_scale=1.0):
+    return dense_entropy(rotated(feats, height, width, sh, sw, mh, mw), logit_scale)
+
+
+def schedules(method, dim):
+    """The H and W schedules of one rope method at ratio 2, as the harness would build them."""
+    extra = {"yarn": dict(yarn=YarnParams(train_len=16.0)), "dype": dict(dype_time=0.3)}
+    return tuple(
+        make_schedule(axis, dim, method=method, ratio=2.0, **extra.get(method, {})) for axis in "HW"
+    )
+
+
+class TestTableLogits:
+    """The kernel's table-built logit blocks against the rotated-feature oracle."""
+
+    @pytest.mark.parametrize("height, width", [(15, 13), (41, 25), (3, 50), (2, 2)])
+    @pytest.mark.parametrize("method", ["none", "pi", "ntk", "ntk_strong", "yarn", "dype"])
+    @pytest.mark.parametrize("rank", [1, 3, 4, 16])
+    def test_blocks_match_the_rotation_oracle(self, height, width, method, rank):
+        # Whole query columns and parts of 5 rows (41 = 8 * 5 + 1 leaves a one-row
+        # part). The bound is relative to the block's largest logit: the two
+        # forms sum the same products in different orders and groupings.
+        gen = np.random.default_rng(height * width + rank)
+        dim = 16
+        sh, sw = schedules(method, dim)
+        mh, mw = gen.uniform(0.5, 2.0, dim // 2), gen.uniform(0.5, 2.0, dim // 2)
+        tokens = gen.standard_normal((height * width, rank))
+        proj = gen.standard_normal((rank, 2 * dim)) / np.sqrt(rank)
+        expected = rotary_logits(tokens @ proj, height, width, sh.theta, sw.theta, mh, mw, 1.7)
+        grid_tokens, m_h, m_w = attention._tables(
+            TokenFeatures(tokens, proj), height, width, sh, sw, mh, mw, 1.7
+        )
+        for step in {height, min(5, height)}:
+            seen = 0
+            blocks = attention._logit_blocks(grid_tokens.reshape(height, width, -1), m_h, m_w, step)
+            for w, first, block in blocks:
+                want = expected[(first + np.arange(block.shape[0])) * width + w]
+                assert np.max(np.abs(block - want)) <= 1e-13 * np.max(np.abs(want))
+                seen += block.shape[0]
+            assert seen == height * width
 
 
 class TestBlockedRotary:
@@ -164,7 +209,7 @@ class TestBlockedRotary:
         st.sampled_from([4, 8, 16]),
         st.floats(0.1, 4.0),
     )
-    @example(seed=7, height=24, width=25, dim=16, logit_scale=1.3)  # 600 tokens: blocks of 436 + 164
+    @example(seed=7, height=24, width=25, dim=16, logit_scale=1.3)  # 600 tokens, 24 x 600 blocks
     @settings(max_examples=30, deadline=None)
     def test_entropy_matches_dense(self, seed, height, width, dim, logit_scale):
         gen = np.random.default_rng(seed)
@@ -172,120 +217,111 @@ class TestBlockedRotary:
         sw = make_schedule("W", dim, method="pi", ratio=1.5)
         mh, mw = gen.uniform(0.05, 3.0, dim // 2), gen.uniform(0.05, 3.0, dim // 2)
         feats = gen.standard_normal((height * width, 2 * dim))
-        pos = grid_positions(height, width)
-        dense, dense_mean = dense_rotary(feats, pos, sh, sw, mh, mw, logit_scale)
-        per_row, mean = rotary_entropy(feats, pos, sh, sw, mh, mw, logit_scale)
-        np.testing.assert_allclose(per_row, dense, rtol=0, atol=1e-12)
-        assert abs(mean - dense_mean) <= 1e-12
+        expected, expected_mean = dense_rotary(feats, height, width, sh, sw, mh, mw, logit_scale)
+        per_row, mean = rotary_entropy(dense(feats), height, width, sh, sw, mh, mw, logit_scale)
+        np.testing.assert_allclose(per_row, expected, rtol=0, atol=1e-12)
+        assert abs(mean - expected_mean) <= 1e-12
+
+    def test_rank_c_entropy_matches_dense(self, rng):
+        # the real workload: C = 4 latent channels projected to D = 2 * dim
+        sh, sw = schedules("ntk_strong", 32)
+        mh, mw = rng.uniform(0.5, 2.0, 16), rng.uniform(0.5, 2.0, 16)
+        tokens, proj = rng.standard_normal((27 * 31, 4)), rng.standard_normal((4, 64)) / 2.0
+        expected, _ = dense_rotary(tokens @ proj, 27, 31, sh, sw, mh, mw, 1.3)
+        per_row, _ = rotary_entropy(TokenFeatures(tokens, proj), 27, 31, sh, sw, mh, mw, 1.3)
+        np.testing.assert_allclose(per_row, expected, rtol=0, atol=1e-12)
 
     def test_many_small_blocks_match_dense(self, rng, monkeypatch):
-        # 7 rows per block on 24 x 25 tokens: 85 full blocks and a last one of 5
-        # rows. Queries are rotated 3 blocks at a time (a last chunk of 12 rows)
-        # and keys 42 rows at a time (a last chunk of 12 rows).
+        # 7 rows per block on 24 x 25 tokens: each query column in parts of 7,
+        # 7, 7 and 3 rows, reduced one row at a time.
         monkeypatch.setattr(attention, "BLOCK_LOGITS", 7 * 600)
         monkeypatch.setattr(attention, "REDUCE_LOGITS", 42 * 16)
         sh, sw = make_schedule("H", 8), make_schedule("W", 8)
         feats = rng.standard_normal((600, 16))
-        pos = grid_positions(24, 25)
-        dense, _ = dense_rotary(feats, pos, sh, sw, logit_scale=2.0)
-        per_row, _ = rotary_entropy(feats, pos, sh, sw, logit_scale=2.0)
-        np.testing.assert_allclose(per_row, dense, rtol=0, atol=1e-12)
+        expected, _ = dense_rotary(feats, 24, 25, sh, sw, logit_scale=2.0)
+        per_row, _ = rotary_entropy(dense(feats), 24, 25, sh, sw, logit_scale=2.0)
+        np.testing.assert_allclose(per_row, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("height, width", [(24, 25), (64, 64)])
     def test_reduction_slices_are_bitwise_equal(self, rng, monkeypatch, height, width):
-        # Every row takes the same operations in the same order whatever the
-        # reduction slice, so one-row slices, the default and whole blocks agree
-        # exactly, not within a tolerance.
+        # A block's logits are formed once, whatever the reduction slice, and every
+        # row then takes the same NumPy operations in the same order. So one-row
+        # slices, the default and whole blocks agree exactly, on every BLAS core.
         n = height * width
         sh = make_schedule("H", 16, method="ntk", ratio=2.0)
         sw = make_schedule("W", 16, method="pi", ratio=1.5)
         mh, mw = rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8)
-        feats = rng.standard_normal((n, 32))
-        pos = grid_positions(height, width)
+        feats = TokenFeatures(rng.standard_normal((n, 4)), rng.standard_normal((4, 32)))
         results = []
         for reduce_logits in (n, attention.REDUCE_LOGITS, n * n):
             monkeypatch.setattr(attention, "REDUCE_LOGITS", reduce_logits)
-            results.append(rotary_entropy(feats, pos, sh, sw, mh, mw, 1.5))
+            results.append(rotary_entropy(feats, height, width, sh, sw, mh, mw, 1.5))
         (one_row, one_mean), *others = results
         for per_row, mean in others:
             assert np.array_equal(per_row, one_row)
             assert mean == one_mean
+
+    def test_block_size_moves_only_last_bits(self, rng, monkeypatch):
+        # The block size decides which query rows share a GEMM (a one-row part
+        # goes through gemv), and BLAS kernels may round those differently. So
+        # one-row blocks, parts of 5 rows and whole columns agree within a bound,
+        # not bitwise: 1e-12 relative, two orders above the logits' rounding.
+        n = 41 * 25
+        sh, sw = schedules("yarn", 16)
+        mh, mw = rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8)
+        feats = TokenFeatures(rng.standard_normal((n, 4)), rng.standard_normal((4, 32)))
+        results = []
+        for block_logits in (n, 5 * n, attention.BLOCK_LOGITS):
+            monkeypatch.setattr(attention, "BLOCK_LOGITS", block_logits)
+            results.append(rotary_entropy(feats, 41, 25, sh, sw, mh, mw, 1.5)[0])
+        for per_row in results[1:]:
+            np.testing.assert_allclose(per_row, results[0], rtol=1e-12, atol=0)
 
     def test_attention_row_matches_dense(self, rng):
         sh = make_schedule("H", 8, method="ntk_strong", ratio=2.0)
         sw = make_schedule("W", 8, method="ntk_strong", ratio=2.0)
         mh, mw = rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4)
         feats = rng.standard_normal((63, 16))
-        pos = grid_positions(7, 9)
-        x_rot = rotated(feats, pos, sh, sw, mh, mw)
+        x_rot = rotated(feats, 7, 9, sh, sw, mh, mw)
         weights = dense_softmax(1.7 * (x_rot @ x_rot.T) / np.sqrt(16))
         for query in (0, 31, 62):
-            row = rotary_attention_row(feats, pos, sh, sw, mh, mw, 1.7, query=query)
+            row = rotary_attention_row(dense(feats), 7, 9, sh, sw, mh, mw, 1.7, query=query)
             np.testing.assert_allclose(row, weights[query], rtol=0, atol=1e-12)
 
-    def test_attention_row_bits_are_the_transposed_key_product(self, rng):
-        # A one-row product goes through BLAS gemv, whose last bits depend on
-        # the key layout: the keys are x_rot.T * c, x_rot row-major. Printed to
-        # 9 digits the rows rarely show it, so compare bits here.
-        sh = make_schedule("H", 16, method="ntk", ratio=2.0)
-        sw = make_schedule("W", 16, method="pi", ratio=1.5)
-        mh, mw = rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8)
-        feats = rng.standard_normal((51 * 51, 32))
-        pos = grid_positions(51, 51)
-        x_rot = rotated(feats, pos, sh, sw, mh, mw)
-        keys = x_rot.T * (1.3 / np.sqrt(32))
-        for query in (0, 1300, 2600):
-            logits = x_rot[query] @ keys
-            e = np.exp(logits - logits.max())
-            row = rotary_attention_row(feats, pos, sh, sw, mh, mw, 1.3, query=query)
-            assert np.array_equal(row, e / e.sum())
-
-    @pytest.mark.parametrize("height, width", [(51, 51), (41, 25), (26, 52)])
-    def test_lazy_features_give_the_dense_bits(self, rng, height, width):
-        # At D = 128 keys are rotated 512 rows at a time, so N = 41 * 25 = 1025
-        # leaves a one-row key chunk; query rows are rotated 200 at a time at
-        # 51 x 51 and 193 at a time at 26 x 52, each leaving a one-row chunk.
-        grid = LatentGrid.from_array(rng.standard_normal((height, width, 4)))
-        lazy = token_features(grid, 128, seed=3, step=1)
-        dense = np.asarray(lazy)
-        pos = grid_positions(height, width)
-        sh = make_schedule("H", 64, method="ntk_strong", ratio=2.0)
-        sw = make_schedule("W", 64, method="ntk_strong", ratio=2.0)
-        mh, mw = rng.uniform(0.5, 2.0, 32), rng.uniform(0.5, 2.0, 32)
-        per_row, mean = rotary_entropy(lazy, pos, sh, sw, mh, mw, 1.3)
-        dense_row, dense_mean = rotary_entropy(dense, pos, sh, sw, mh, mw, 1.3)
-        assert np.array_equal(per_row, dense_row)
-        assert mean == dense_mean
-        n = height * width
-        for query in (0, 1, n // 2, n - 1):
-            rows = [rotary_attention_row(x, pos, sh, sw, mh, mw, 1.3, query=query) for x in (lazy, dense)]
-            assert np.array_equal(*rows)
+    def test_attention_row_is_its_entropy_row(self, rng):
+        # rank-4 features on an odd grid: the row's weights, taken to an
+        # entropy, give rotary_entropy's value for that query
+        sh, sw = schedules("dype", 16)
+        feats = TokenFeatures(rng.standard_normal((51 * 13, 4)), rng.standard_normal((4, 32)))
+        per_row, _ = rotary_entropy(feats, 51, 13, sh, sw, logit_scale=2.0)
+        for query in (0, 1, 330, 51 * 13 - 1):
+            row = rotary_attention_row(feats, 51, 13, sh, sw, logit_scale=2.0, query=query)
+            assert abs(-np.sum(row * np.log(row)) - per_row[query]) <= 1e-12
 
     def test_memory_stays_blocked(self, rng):
         # dense attention at 64 x 64 traces ~513 MiB; one 2 MiB logit block needs far less
         sh, sw = make_schedule("H", 16), make_schedule("W", 16)
-        feats = rng.standard_normal((4096, 32))
-        pos = grid_positions(64, 64)
+        feats = dense(rng.standard_normal((4096, 32)))
         tracemalloc.start()
         try:
-            rotary_entropy(feats, pos, sh, sw)
+            rotary_entropy(feats, 64, 64, sh, sw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    @pytest.mark.parametrize("fn, bound_mib", [(rotary_entropy, 8), (rotary_attention_row, 7)])
-    def test_memory_is_keys_plus_one_block(self, rng, fn, bound_mib):
-        # at 64 x 64, D = 128 the keys take 4 MiB and one logit block 2 MiB; a
-        # full copy of the rotated features or full-size rotary temporaries
-        # (12.5 and 11.1 MiB peaks) would not fit
+    @pytest.mark.parametrize("fn, bound_mib", [(rotary_entropy, 4), (rotary_attention_row, 1)])
+    def test_memory_is_tables_plus_one_block(self, rng, fn, bound_mib):
+        # At 64 x 64, D = 128 with C = 4 the tokens take 128 KiB and the tables
+        # 16 KiB, so rotary_entropy holds one 2 MiB logit block and its 512 KiB
+        # exp slice, and the one row needs no block. Rotated N x D keys alone
+        # would take 4 MiB.
         sh, sw = make_schedule("H", 64), make_schedule("W", 64)
-        feats = rng.standard_normal((4096, 128))
-        pos = grid_positions(64, 64)
+        feats = TokenFeatures(rng.standard_normal((4096, 4)), rng.standard_normal((4, 128)))
         kw = {"query": 4095} if fn is rotary_attention_row else {}
         tracemalloc.start()
         try:
-            fn(feats, pos, sh, sw, **kw)
+            fn(feats, 64, 64, sh, sw, **kw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -294,32 +330,38 @@ class TestBlockedRotary:
     @pytest.mark.parametrize("fn", [rotary_entropy, rotary_attention_row])
     def test_validation(self, rng, fn):
         sh, sw = make_schedule("H", 8), make_schedule("W", 8)
-        feats = rng.standard_normal((16, 16))
-        pos = grid_positions(4, 4)
+        x = rng.standard_normal((16, 16))
+        feats = dense(x)
         kw = {"query": 3} if fn is rotary_attention_row else {}
-        bad = feats.copy()
+        bad = x.copy()
         bad[2, 5] = np.nan
+        bad_proj = np.eye(16)
+        bad_proj[1, 1] = np.inf
         cases = [
-            dict(x=bad, positions=pos),
-            dict(x=feats, positions=pos[:8]),
-            dict(x=feats, positions=pos[:, :1]),
-            dict(x=feats, positions=pos, logit_scale=0.0),
-            dict(x=feats, positions=pos, logit_scale=float("nan")),
-            dict(x=feats, positions=pos, logit_scale=1e308),  # logits overflow
-            dict(x=feats, positions=pos, scale_h=np.full(4, 1e300), scale_w=np.ones(4)),
+            dict(feats=dense(bad)),
+            dict(feats=TokenFeatures(x, bad_proj)),
+            dict(feats=feats, height=3),  # 3 x 4 grid, 16 tokens
+            dict(feats=feats, height=0, width=0),
+            dict(feats=dense(x[:, :12])),  # 12 feature columns, schedules for 8 + 8
+            dict(feats=feats, logit_scale=0.0),
+            dict(feats=feats, logit_scale=float("nan")),
+            dict(feats=feats, logit_scale=1e308),  # logits overflow
+            dict(feats=feats, scale_h=np.full(4, 1e300), scale_w=np.ones(4)),  # tables overflow
+            dict(feats=feats, scale_h=np.ones(3)),
+            dict(feats=feats, scale_w=-np.ones(4)),
         ]
         for case in cases:
+            args = {"height": 4, "width": 4, **case}
             with pytest.raises(ValueError):
-                fn(sched_h=sh, sched_w=sw, **case, **kw)
+                fn(sched_h=sh, sched_w=sw, **args, **kw)
         if fn is rotary_attention_row:
             with pytest.raises(ValueError):
-                fn(feats, pos, sh, sw, query=16)
+                fn(feats, 4, 4, sh, sw, query=16)
 
     def test_uniform_and_one_hot_limits(self):
         sh, sw = make_schedule("H", 4), make_schedule("W", 4)
-        pos = grid_positions(3, 3)
-        per_row, mean = rotary_entropy(np.zeros((9, 8)), pos, sh, sw)
+        per_row, mean = rotary_entropy(dense(np.zeros((9, 8))), 3, 3, sh, sw)
         np.testing.assert_allclose(per_row, math.log(9), rtol=0, atol=1e-15)
         # orthogonal, large features: every row attends to itself alone
-        per_row, _ = rotary_entropy(100.0 * np.eye(9, 8), pos[:9], sh, sw, logit_scale=50.0)
+        per_row, _ = rotary_entropy(dense(100.0 * np.eye(9, 8)), 3, 3, sh, sw, logit_scale=50.0)
         assert np.all(per_row[:8] >= 0) and np.all(per_row[:8] < 1e-12)

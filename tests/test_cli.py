@@ -443,7 +443,7 @@ RANGE_FAULTS = {
                                  "trajectory.noise_blend"),
     "blend_table_short": (small_config({"noise_blend": {"kind": "table", "values": [1, 0]}}),
                           "trajectory.noise_blend.values"),
-    "ratio_below_one": (small_config(rope={"ratio": 0.5}), "rope.ratio_h"),
+    "ratio_below_one": (small_config(rope={"ratio": 0.5}), "rope.ratio"),
     "ratio_w_below_one": (small_config(rope={"ratio_w": 0.5}), "rope.ratio_w"),
     "dim_odd": (small_config(rope={"dim": 7}), "rope.dim"),
     # past MAX_DIM: refused before a schedule, the features or the keys are allocated
@@ -493,6 +493,15 @@ class TestMalformedConfigs:
         assert f"{key} " in res.output
         assert res.stdout == ""
         assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("command", ["trajectory", "heatmap"])
+    def test_ratio_shorthand_fault_names_the_shorthand(self, runner, tmp_path, command):
+        # the shorthand expands into ratio_h and ratio_w, keys this config does not hold
+        res, _ = run_config(runner, tmp_path, command, small_config(rope={"ratio": 0.5}))
+        assert res.exit_code == 2, res.output
+        assert "rope.ratio must be >= 1" in res.output
+        assert "ratio_h" not in res.output
+        assert res.stdout == ""
 
     def test_logit_overflow_during_a_run_exits_2(self, runner, tmp_path):
         # m_ref = 2**1000 is finite, so the config loads; the squared logits are not
@@ -679,6 +688,20 @@ class TestFlagFaults:
         res = runner.invoke(main, ["rope-table", "--dim", "8", *flags])
         assert res.exit_code == 2, res.output
         assert message in res.output
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--method", "dype", "--dype-t", "nan"], "'--dype-t'"),
+        (["--method", "dype", "--dype-t", "1.5"], "'--dype-t'"),
+        (["--method", "yarn", "--train-len", "8", "--alpha", "nan"], "'--alpha'"),
+        (["--method", "yarn", "--train-len", "8", "--alpha", "-1"], "'--alpha'"),
+        (["--method", "yarn", "--train-len", "8", "--beta", "nan"], "'--beta'"),
+    ], ids=["dype_t_nan", "dype_t_above_one", "alpha_nan", "alpha_negative", "beta_nan"])
+    def test_range_fault_names_its_flag(self, runner, flags, flag):
+        res = runner.invoke(main, ["rope-table", "--dim", "8", *flags])
+        assert res.exit_code == 2, res.output
+        assert flag in res.output
+        assert res.stdout == ""
+        assert "Traceback" not in res.output
 
     def test_cli_never_builds_the_dense_matrix(self, tmp_path):
         # One float64 N x N matrix at N = 4096 is 128 MiB; the blocked path peaks

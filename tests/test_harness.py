@@ -200,11 +200,11 @@ class TestEntropyTrace:
     def test_uniform_standins_differ_by_log_ratio(self):
         # closed-form sanity: uniform attention at N1 vs N2 -> ln N1 - ln N2
         # (zero features make every logit 0, on a 4x4 and a 2x2 grid)
-        from sega import grid_positions, make_schedule, rotary_entropy
+        from sega import TokenFeatures, make_schedule, rotary_entropy
 
         sh, sw = make_schedule("H", 4), make_schedule("W", 4)
-        _, h16 = rotary_entropy(np.zeros((16, 8)), grid_positions(4, 4), sh, sw)
-        _, h4 = rotary_entropy(np.zeros((4, 8)), grid_positions(2, 2), sh, sw)
+        _, h16 = rotary_entropy(TokenFeatures(np.zeros((16, 8)), np.eye(8)), 4, 4, sh, sw)
+        _, h4 = rotary_entropy(TokenFeatures(np.zeros((4, 8)), np.eye(8)), 2, 2, sh, sw)
         assert math.isclose(h16 - h4, math.log(16) - math.log(4), rel_tol=1e-12)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sega import apply_rotary, axial_rotary, make_schedule
+from sega import apply_rotary, make_schedule
 from oracles import (
     REFERENCE_SCALE_TABLE,
     OracleReport,
@@ -96,18 +96,6 @@ class TestRotationBits:
         expected = rotate_tokens(x, positions, sched.theta, scale)
         assert np.array_equal(apply_rotary(x, positions, sched, scale), expected)
         assert np.array_equal(apply_rotary(x, positions, sched), rotate_tokens(x, positions, sched.theta))
-
-    def test_axial_rotary_equals_per_token(self, rng):
-        pos_h, pos_w = self.POSITIONS[2], self.POSITIONS[2][::-1] * 3.0 - 1.5
-        sh = make_schedule("H", 6, method="pi", ratio=1.5)
-        sw = make_schedule("W", 14, method="ntk_strong", ratio=3.0)
-        x = rng.standard_normal((len(pos_h), 20))
-        mh, mw = rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 7)
-        expected = np.concatenate([
-            rotate_tokens(x[:, :6], pos_h, sh.theta, mh),
-            rotate_tokens(x[:, 6:], pos_w, sw.theta, mw),
-        ], axis=1)
-        assert np.array_equal(axial_rotary(x, pos_h, pos_w, sh, sw, mh, mw), expected)
 
     def test_scalar_position_equals_per_token(self, rng):
         sched = make_schedule("W", 6)

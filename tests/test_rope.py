@@ -11,7 +11,6 @@ from sega import (
     RopeParams,
     YarnParams,
     apply_rotary,
-    axial_rotary,
     base_frequencies,
     dype_ratio,
     make_schedule,
@@ -227,38 +226,6 @@ class TestApplyRotary:
             lhs = np.dot(apply_rotary(q, float(n), sched), apply_rotary(k, float(m), sched))
             rhs = np.dot(apply_rotary(q, float(n - m), sched), k)
             assert abs(lhs - rhs) < 1e-5
-
-
-class TestAxialRotary:
-    def test_origin_identity(self, rng):
-        sh = make_schedule("H", 8)
-        sw = make_schedule("W", 8)
-        x = rng.standard_normal(16)
-        np.testing.assert_allclose(axial_rotary(x, 0, 0, sh, sw), x, atol=1e-15)
-
-    def test_zero_half_stays_zero(self, rng):
-        sh = make_schedule("H", 8)
-        sw = make_schedule("W", 8)
-        x = np.concatenate([rng.standard_normal(8), np.zeros(8)])
-        out = axial_rotary(x, 3, 5, sh, sw)
-        np.testing.assert_array_equal(out[8:], 0.0)
-
-    def test_per_axis_relative_property(self, rng):
-        sh = make_schedule("H", 8)
-        sw = make_schedule("W", 8)
-        for _ in range(50):
-            q, k = rng.standard_normal(16), rng.standard_normal(16)
-            h1, h2 = rng.integers(0, 6, 2)
-            w1, w2 = rng.integers(0, 6, 2)
-            lhs = np.dot(axial_rotary(q, h1, w1, sh, sw), axial_rotary(k, h2, w2, sh, sw))
-            rhs = np.dot(axial_rotary(q, int(h1) - int(h2), int(w1) - int(w2), sh, sw), k)
-            assert abs(lhs - rhs) < 1e-5
-
-    def test_dimension_mismatch(self, rng):
-        sh = make_schedule("H", 8)
-        sw = make_schedule("W", 8)
-        with pytest.raises(ValueError):
-            axial_rotary(rng.standard_normal(12), 0, 0, sh, sw)
 
 
 class TestScheduleInvariants:
