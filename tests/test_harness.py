@@ -210,9 +210,9 @@ class TestEntropyTrace:
 
 class TestTrajectoryMemory:
     def test_step_holds_no_dense_feature_matrix(self):
-        # One 64 x 64 step at dim 64: the kernel's keys (4 MiB) and logit block
-        # (2 MiB) peak near 9 MiB; a dense 4 MiB target feature matrix and its
-        # 1 MiB train twin beside them peaked at 13.5 MiB.
+        # One 64 x 64 step at dim 64: the kernel's logit block (2 MiB) and its
+        # exp slice peak near 4.6 MiB; 4 MiB of rotated keys beside them peaked
+        # at 8.9 MiB, and a dense target feature matrix on top of those at 13.5.
         cfg = TrajectoryConfig(steps=1, seed=0)
         methods = [MethodSpec("sega"), MethodSpec("fixed", scaling="fixed"),
                    MethodSpec("baseline", rope="none", scaling="none", grid="train")]
@@ -222,7 +222,7 @@ class TestTrajectoryMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2**20
+        assert peak < 6 * 2**20
 
 
 class TestOneAnalysisPerLatent:
