@@ -9,7 +9,8 @@ of the D columns, so the logit of tokens i and j is t_i^T (M_H(h_j - h_i) +
 M_W(w_j - w_i)) t_j, with C x C tables over the 2H - 1 and 2W - 1 grid offsets
 that hold the schedules, magnitudes and logit scale. The entropy costs
 O(N^2 * 2C + N * (H + W) * C^2); the tokens, tables and one block of logits
-are all the memory that grows with N.
+are all the memory that grows with N. Each row is reduced with its largest
+term held out, so every entropy is right to the printed digit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .tensorio import TokenFeatures
 # column at N=4096.
 BLOCK_LOGITS = 1 << 18
 # Logits per reduction slice of a block: 512 KiB, 16 rows at N=4096. A slice and
-# its exp buffer stay in a 2 MiB L2 cache through all six reduction passes.
+# its exp buffer stay in a 2 MiB L2 cache through all five reduction passes.
 REDUCE_LOGITS = 1 << 16
 
 
@@ -120,14 +121,16 @@ def rotary_entropy(
 
     The tokens are the height x width grid in row-major order, and the logits
     logit_scale * x_rot @ x_rot.T / sqrt(D) of the rotated features come from
-    the tables. With l a row's max-shifted logits, H = log Z - sum(e^l * l) / Z
-    where Z = sum(e^l).
+    the tables. With l a row's logits minus the one at its argmax, Z' the sum
+    of e^l over the other keys and S = sum(e^l * l), H = log1p(Z') - S / (1 + Z').
+    Both terms are non-negative, so nothing cancels even on nearly one-hot
+    rows. Five passes: argmax, subtract, exp and two BLAS dots per row.
 
     A block is one query grid column, or part of one within BLOCK_LOGITS. Its
     logits are formed once, then reduced in slices of rows that stay in cache,
-    each row by the same operations whatever the slice size, so the slice size
-    does not change the result. The block size decides which rows share a
-    GEMM, which BLAS may round differently, so it moves only the last bits.
+    each row by its own operations and dots, so the slice size does not change
+    the result. The block size decides which rows share a GEMM, which BLAS may
+    round differently, so it moves only the last bits.
     """
     tokens, m_h, m_w = _tables(feats, height, width, sched_h, sched_w, scale_h, scale_w, logit_scale)
     n = tokens.shape[0]
@@ -135,16 +138,19 @@ def rotary_entropy(
     rows = min(step, max(1, REDUCE_LOGITS // n))
     per_row = np.empty((height, width))
     exp_buf = np.empty((rows, n))
+    ones, index = np.ones((n, 1)), np.arange(rows)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         for w, start, block in _logit_blocks(tokens.reshape(height, width, -1), m_h, m_w, step):
             for first in range(0, block.shape[0], rows):
                 logits = block[first : first + rows]
-                logits -= logits.max(axis=1, keepdims=True)
-                e = np.exp(logits, out=exp_buf[: logits.shape[0]])
-                z = e.sum(axis=1)
-                e *= logits
+                top = index[: len(logits)], logits.argmax(axis=1)
+                logits -= logits[top][:, None]
+                e = np.exp(logits, out=exp_buf[: len(logits)])
+                e[top] = 0.0
+                z = np.matmul(e[:, None], ones)[:, 0, 0]  # a dot per row, not a gemv
+                s = np.matmul(e[:, None], logits[:, :, None])[:, 0, 0]
                 at = start + first
-                per_row[at : at + logits.shape[0], w] = np.log(z) - e.sum(axis=1) / z
+                per_row[at : at + len(logits), w] = np.log1p(z) - s / (1.0 + z)
     per_row = _check_finite(per_row.ravel())
     return per_row, float(per_row.mean())
 

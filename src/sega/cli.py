@@ -17,7 +17,7 @@ import numpy as np
 from . import spectral
 from .attention import rotary_attention_row, rotary_entropy
 from .config import ExperimentConfig, load_experiment_config
-from .fmtio import canonical_json, csv_text, fmt_floats, write_csv, write_json
+from .fmtio import canonical_json, csv_text, fmt, fmt_floats, write_csv, write_json
 from .harness import (
     SCALING_MODES, axis_schedules, entropy_trace, heatmap_rows, scaling_vectors, spectral_heatmap,
 )
@@ -77,15 +77,23 @@ def _emit(text: str) -> None:
     click.echo(text, file=sys.stdout, nl=False)
 
 
-def _positive_finite(ctx, param, value):
-    if value is not None and not (np.isfinite(value) and value > 0):
-        raise click.BadParameter("must be finite and > 0")
-    return value
+def _bounded(lo, hi, message):
+    """A flag callback that refuses a value outside [lo, hi]; NaN fails the test too."""
+    def check(ctx, param, value):
+        if value is not None and not lo <= value <= hi:
+            raise click.BadParameter(message)
+        return value
+    return check
 
 
-def _unit_interval(ctx, param, value):
-    if value is not None and not 0.0 <= value <= 1.0:  # NaN fails this test too
-        raise click.BadParameter("must lie in [0, 1]")
+_positive_finite = _bounded(np.nextafter(0.0, 1.0), np.finfo(float).max, "must be finite and > 0")
+_ratio = _bounded(1.0, np.finfo(float).max, "must be finite and >= 1")
+_unit_interval = _bounded(0.0, 1.0, "must lie in [0, 1]")
+
+
+def _even_dim(ctx, param, value):
+    if not (2 <= value <= MAX_DIM and value % 2 == 0):
+        raise click.BadParameter(f"must be an even integer in [2, {MAX_DIM}]")
     return value
 
 
@@ -102,22 +110,22 @@ def _given(**values) -> dict:
 def rope_flags(fn):
     fn = click.option("--dype-strong", is_flag=True, default=False,
                       help="Use the strengthened base exponent inside dype.")(fn)
-    fn = click.option("--dype-p", type=float, default=None,
+    fn = click.option("--dype-p", type=float, default=None, callback=_positive_finite,
                       help="Ratio schedule exponent (dype only; default 1.0).")(fn)
     fn = click.option("--dype-t", type=float, default=None, callback=_unit_interval,
                       help="Denoising time in [0,1], 1 = pure noise (dype only; default 0.0).")(fn)
-    fn = click.option("--train-len", type=float, default=None,
+    fn = click.option("--train-len", type=float, default=None, callback=_positive_finite,
                       help="Training token count along the axis (yarn only).")(fn)
     fn = click.option("--beta", type=float, default=None, callback=_positive_finite,
                       help="Upper ramp bound (yarn only; default 32).")(fn)
     fn = click.option("--alpha", type=float, default=None, callback=_positive_finite,
                       help="Lower ramp bound (yarn only; default 1).")(fn)
-    fn = click.option("--ratio", type=float, default=1.0, show_default=True,
+    fn = click.option("--ratio", type=float, default=1.0, show_default=True, callback=_ratio,
                       help="Extrapolation ratio, target over training length.")(fn)
     fn = click.option("--method", type=click.Choice(METHODS), default="none",
                       show_default=True, help="Frequency recalibration method.")(fn)
     fn = click.option("--base", type=float, default=10000.0, show_default=True,
-                      help="Rotary base b.")(fn)
+                      callback=_positive_finite, help="Rotary base b.")(fn)
     return fn
 
 
@@ -127,7 +135,7 @@ def main():
 
 
 @main.command("rope-table")
-@click.option("--dim", type=click.IntRange(max=MAX_DIM), required=True,
+@click.option("--dim", type=int, required=True, callback=_even_dim,
               help=f"Embedding size per axis (even, at most {MAX_DIM}).")
 @rope_flags
 def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p, dype_strong):
@@ -160,15 +168,14 @@ def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p,
 @main.command(epilog=CONFIG_EPILOG)
 @click.option("--latent", "latent_path", required=True, help="Path to a SEGL latent file.")
 @click.option("--config", "config_path", default=None, help="Experiment config JSON.")
-@click.option("--ratio", type=float, default=None, help="Override the config's rope ratio.")
+@click.option("--ratio", type=float, default=None, callback=_ratio,
+              help="Override the config's rope ratio.")
 def modulate(latent_path, config_path, ratio):
     """Emit per-axis scaling vectors for one latent as JSON."""
     cfg = _load_config(config_path)
     grid = _read_latent(latent_path)
     ratio_h = ratio if ratio is not None else cfg.rope.ratio_h
     ratio_w = ratio if ratio is not None else cfg.rope.ratio_w
-    if not ratio_h >= 1.0:  # NaN fails this test too
-        raise click.UsageError("--ratio must be >= 1")
     sched_h, sched_w = _schedules(cfg, grid, ratio_h, ratio_w)
     result = spectral.modulate_detailed(
         spectral.analyze(grid, cfg.sega.n_bins_iso),
@@ -256,10 +263,8 @@ def attn_map(latent_path, query_h, query_w, config_path, scaling, fixed_value,
         row = rotary_attention_row(*args, logit_scale, query=query_h * grid.width + query_w)
     cells = fmt_floats(row)
     width = grid.width
-    _emit(csv_text(
-        ["h"] + [f"w{j}" for j in range(width)],
-        ([h] + cells[h * width : (h + 1) * width] for h in range(grid.height)),
-    ))
+    lines = [f"{h}," + ",".join(cells[h * width : (h + 1) * width]) + "\n" for h in range(grid.height)]
+    _emit(csv_text(["h"] + [f"w{j}" for j in range(width)], ()) + "".join(lines))
 
 
 @main.command(epilog=CONFIG_EPILOG)
@@ -272,9 +277,8 @@ def entropy(latent_path, config_path, scaling, fixed_value, feature_seed, logit_
     with _usage_errors():
         per_row, mean = rotary_entropy(*args, logit_scale)
     width = grid.width
-    rows = [(idx, idx // width, idx % width, cell) for idx, cell in enumerate(fmt_floats(per_row))]
-    rows.append(("mean", "", "", mean))
-    _emit(csv_text(["token", "h", "w", "entropy"], rows))
+    lines = [f"{i},{i // width},{i % width},{cell}\n" for i, cell in enumerate(fmt_floats(per_row))]
+    _emit(csv_text(["token", "h", "w", "entropy"], ()) + "".join(lines) + f"mean,,,{fmt(mean)}\n")
 
 
 def _write_heatmap(out: Path, heat: np.ndarray) -> None:

@@ -6,11 +6,14 @@ re-derived with plain math, the expected reference-scale anchors are frozen
 constants, dense attention is a plain softmax over features the caller has
 already rotated, and the rotary embedding is applied one token at a time.
 The rotated features and their key product are the reference for the
-logits that the attention kernels build from relative-position tables.
+logits that the attention kernels build from relative-position tables, and
+an entropy evaluated in stdlib ``decimal`` is the reference for their
+reduction.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 
@@ -112,6 +115,40 @@ def rotary_logits(x, height, width, theta_h, theta_w, scale_h=None, scale_w=None
     rotated one token at a time, then multiplied by the scaled keys x_rot^T."""
     x_rot = rotated_features(x, height, width, theta_h, theta_w, scale_h, scale_w)
     return x_rot @ (x_rot.T * (logit_scale / np.sqrt(x_rot.shape[1])))
+
+
+def decimal_entropy(x_rot: np.ndarray, logit_scale: float = 1.0, digits: int = 40) -> list[float]:
+    """Per-row entropy of softmax(logit_scale * x_rot x_rot^T / sqrt(D)) in stdlib decimal.
+
+    The float64 features are taken exactly. With a row's logits shifted by
+    their max, Z' = sum of e^l over every other key and S = sum of e^l * l,
+    H = ln(1 + Z') - S / (1 + Z'): both terms are non-negative, so nothing
+    cancels. The last step runs at `digits` plus the leading zero digits of
+    Z', or 1 + Z' would round to 1 on a sharp row and lose H's first term.
+    """
+    x_rot = np.asarray(x_rot, dtype=np.float64)
+    n, dim = x_rot.shape
+    if n > 64:
+        raise ValueError("decimal oracle is restricted to 64 tokens")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2 * digits
+        rows = [[decimal.Decimal(v) for v in row] for row in x_rot.tolist()]
+        c = decimal.Decimal(logit_scale) / decimal.Decimal(dim).sqrt()
+        logits = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                logits[i][j] = logits[j][i] = c * sum(a * b for a, b in zip(rows[i], rows[j]))
+        entropies = []
+        for row in logits:
+            top = max(range(n), key=row.__getitem__)
+            shifted = [value - row[top] for value in row]
+            exps = [value.exp() for value in shifted]
+            exps[top] = decimal.Decimal(0)
+            z, s = sum(exps), sum(e * value for e, value in zip(exps, shifted))
+            with decimal.localcontext() as last:
+                last.prec = digits + max(0, -z.adjusted()) if z else digits
+                entropies.append(float((1 + z).ln() - s / (1 + z)))
+        return entropies
 
 
 # Anchor magnitudes at kappa = 0.08 for ratios 1..32: ratio**0.08 (power) and

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from sega import TokenFeatures, YarnParams, make_schedule
 from sega import attention
 from sega.attention import rotary_attention_row, rotary_entropy
-from oracles import dense_entropy, dense_softmax, rotary_logits, rotated_features
+from oracles import decimal_entropy, dense_entropy, dense_softmax, rotary_logits, rotated_features
 
 
 def dense(x):
@@ -197,6 +197,36 @@ class TestTableLogits:
                 assert np.max(np.abs(block - want)) <= 1e-13 * np.max(np.abs(want))
                 seen += block.shape[0]
             assert seen == height * width
+
+
+class TestExactEntropy:
+    """rotary_entropy against stdlib decimal on the same float64 features.
+
+    The bound is 1e-11 relative, with a 1e-300 absolute floor for entropies
+    that underflow. The logits' float64 rounding moves an entropy by ~1e-13
+    relative. The earlier reduction, log Z - sum(e^l * l) / Z, cancelled on
+    sharp rows and missed this bound by up to 2.6e-2 on these cases.
+    """
+
+    @pytest.mark.parametrize("height, width, dim, factor, logit_scale", [
+        (7, 8, 8, 0.2, 0.5),  # flat: every entropy near log N
+        (5, 7, 16, 1.0, 1.7),
+        (5, 8, 8, 1.5, 4.0),
+        (6, 8, 8, 2.0, 3.0),
+        (8, 7, 16, 3.0, 1.3),
+        (8, 8, 16, 4.0, 2.5),  # sharp: entropies down to ~1e-124
+    ])
+    def test_entropy_matches_decimal_oracle(self, height, width, dim, factor, logit_scale):
+        gen = np.random.default_rng(100 * height + width + dim)
+        sh = make_schedule("H", dim, method="ntk", ratio=2.0)
+        sw = make_schedule("W", dim, method="pi", ratio=1.5)
+        mh = factor * np.linspace(0.8, 1.2, dim // 2)
+        mw = factor * np.linspace(1.2, 0.8, dim // 2)
+        x = gen.standard_normal((height * width, 2 * dim))
+        expected = np.array(decimal_entropy(rotated(x, height, width, sh, sw, mh, mw), logit_scale))
+        per_row, _ = rotary_entropy(dense(x), height, width, sh, sw, mh, mw, logit_scale)
+        rel = np.abs(per_row - expected) / np.maximum(np.abs(expected), 1e-300)
+        assert rel.max() <= 1e-11, (rel.max(), expected[rel.argmax()])
 
 
 class TestBlockedRotary:

@@ -672,16 +672,16 @@ class TestFlagFaults:
         source = ["--dim", "8"] if command == "rope-table" else ["--latent", str(noise_latent)]
         res = runner.invoke(main, [command, *source, *flags, "--ratio", "nan"])
         assert res.exit_code == 2, res.output
-        assert "ratio must be >= 1" in res.output
+        assert "Invalid value for '--ratio': must be finite and >= 1" in res.output
 
     @pytest.mark.parametrize("flags, message", [
-        (["--method", "dype", "--ratio", "2", "--dype-p", "nan"], "dype_p must be finite"),
+        (["--method", "dype", "--ratio", "2", "--dype-p", "nan"], "'--dype-p': must be finite"),
         (["--method", "dype", "--ratio", "2", "--dype-p", "inf", "--dype-t", "0.5"],
-         "dype_p must be finite"),
-        (["--method", "yarn", "--ratio", "2", "--train-len", "inf"], "train_len must be finite"),
-        (["--method", "pi", "--ratio", "inf"], "ratio must be finite"),
-        (["--method", "dype", "--ratio", "inf", "--dype-t", "1"], "ratio must be finite"),
-        (["--base", "nan"], "base must be finite"),
+         "'--dype-p': must be finite"),
+        (["--method", "yarn", "--ratio", "2", "--train-len", "inf"], "'--train-len': must be finite"),
+        (["--method", "pi", "--ratio", "inf"], "'--ratio': must be finite"),
+        (["--method", "dype", "--ratio", "inf", "--dype-t", "1"], "'--ratio': must be finite"),
+        (["--base", "nan"], "'--base': must be finite"),
     ], ids=["dype_p_nan", "dype_p_inf", "train_len_inf", "pi_ratio_inf", "dype_ratio_inf",
             "base_nan"])
     def test_non_finite_rope_flag_exits_2(self, runner, flags, message):
@@ -695,8 +695,15 @@ class TestFlagFaults:
         (["--method", "yarn", "--train-len", "8", "--alpha", "nan"], "'--alpha'"),
         (["--method", "yarn", "--train-len", "8", "--alpha", "-1"], "'--alpha'"),
         (["--method", "yarn", "--train-len", "8", "--beta", "nan"], "'--beta'"),
-    ], ids=["dype_t_nan", "dype_t_above_one", "alpha_nan", "alpha_negative", "beta_nan"])
+        (["--method", "dype", "--dype-p", "nan"], "'--dype-p'"),
+        (["--method", "yarn", "--train-len", "inf"], "'--train-len'"),
+        (["--base", "nan"], "'--base'"),
+        (["--ratio", "nan"], "'--ratio'"),
+        (["--dim", "7"], "'--dim'"),
+    ], ids=["dype_t_nan", "dype_t_above_one", "alpha_nan", "alpha_negative", "beta_nan",
+            "dype_p_nan", "train_len_inf", "base_nan", "ratio_nan", "dim_odd"])
     def test_range_fault_names_its_flag(self, runner, flags, flag):
+        # the last --dim given wins, so "--dim 7" replaces the 8
         res = runner.invoke(main, ["rope-table", "--dim", "8", *flags])
         assert res.exit_code == 2, res.output
         assert flag in res.output

@@ -134,7 +134,7 @@ DIGESTS = {
         "stdout": "36443044125825c6d98cb42218d0784a465f42806802a2b188c2be9ac0d8d895",
     },
     "entropy_sega": {
-        "stdout": "8eb3fca571039c55c8a2fe7b13b5770d31189bf08e9c3768abd0f01661283df5",
+        "stdout": "e43acdc34b2b2e12a2a3e19159d690a714118c70771bb7bcac5f8c101fc30de5",
     },
     "entropy_sega_yarn": {
         "stdout": "c2fd025b05350e1343430b874e426c813e2704e27bebea0bb9b1ce63da8e3a38",
@@ -146,10 +146,10 @@ DIGESTS = {
         "stdout": "1ce1e83f5ca210e40c05ac33e97627cd405805cbbe27944b370ed70158302c45",
     },
     "entropy_sega_64x64": {
-        "stdout": "3289499c0a54c464db46dd5a6b641481c055e41f5b418249d893a692fd31baf5",
+        "stdout": "32a0e13681f0f87d428b94cc5b71bdd14bb9877059969855df9a4d9719f5ae79",
     },
     "entropy_sega_48x64": {
-        "stdout": "a2172c813687c93f96b917095f4b9bf705691006d21ef5f7d8d48f5139058f06",
+        "stdout": "874f822b8b7b2d6c9f65aae8db8f2a0f400519b6e3a081714c7eee5316dd2ad0",
     },
     "spectrum": {
         "stdout": "739e77e82e13b6d2dd2f6fa1a13ccb50dc99817280dc9f89e721ff6ce846986b",
@@ -161,7 +161,7 @@ DIGESTS = {
         "stdout": "0b94464bfa0dbefaf371c26c5d371b18c856f8893d249d1826a9a4c8f8c7da02",
     },
     "entropy_sega_51x51": {
-        "stdout": "4414b9e20072c0c3a6a03c84062cd1a0b6a9f146a22e549f1b9d981165b4baa9",
+        "stdout": "fa630abfcb00c0907759458a122882a208661060759ada708a51056481e7c92d",
     },
     "attn_map_sega_51x51": {
         "stdout": "1584b33f87dcabff1fd06807aa44a72648a044a14fbe3af2560010bc9c20d392",

@@ -1,6 +1,7 @@
 """Sanity checks on the reference implementations themselves."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ from sega import apply_rotary, make_schedule
 from oracles import (
     REFERENCE_SCALE_TABLE,
     OracleReport,
+    decimal_entropy,
+    dense_entropy,
     naive_dft2,
     reference_scale_direct,
     relative_position_reports,
@@ -53,6 +56,26 @@ class TestOracleReport:
         assert good.passed and not bad.passed
         assert good.abs_error <= good.tolerance < bad.abs_error
         assert bad.rel_error > 1e-3
+
+
+class TestDecimalEntropy:
+    @pytest.mark.parametrize("gap", [0.5, 30.0, 138.0, 700.0])
+    def test_two_tokens_match_the_closed_form(self, gap):
+        # Token 0 sees logits (gap, 0), so H = log1p(e^-gap) + gap e^-gap / (1 + e^-gap).
+        # At gap 138, e^-gap ~ 1e-60: a fixed 50-digit context rounds 1 + e^-gap to 1,
+        # drops the first term and is off by 1 / gap ~ 7e-3.
+        a = math.sqrt(gap * math.sqrt(2.0))
+        x_rot = np.array([[a, 0.0], [0.0, 1e-3]])
+        d = a * a / math.sqrt(2.0)
+        t = math.exp(-d)
+        expected = math.log1p(t) + d * t / (1.0 + t)
+        assert abs(decimal_entropy(x_rot)[0] - expected) <= 1e-13 * expected
+
+    def test_flat_rows_match_the_dense_entropy(self, rng):
+        # well-spread rows, where the float64 softmax entropy does not cancel
+        x_rot = 0.3 * rng.standard_normal((12, 6))
+        expected, _ = dense_entropy(x_rot, 1.5)
+        np.testing.assert_allclose(decimal_entropy(x_rot, 1.5), expected, rtol=1e-14, atol=0)
 
 
 class TestRelativePositionOracle:
