@@ -24,7 +24,8 @@ from .tensorio import TokenFeatures
 # column at N=4096.
 BLOCK_LOGITS = 1 << 18
 # Logits per reduction slice of a block: 512 KiB, 16 rows at N=4096. A slice and
-# its exp buffer stay in a 2 MiB L2 cache through all five reduction passes.
+# its exp buffer stay in a 2 MiB L2 cache through all five reduction passes,
+# which run under a ufunc buffer of one row (see rotary_entropy).
 REDUCE_LOGITS = 1 << 16
 
 
@@ -78,11 +79,14 @@ def _logit_blocks(grid: np.ndarray, m_h: np.ndarray, m_w: np.ndarray, step: int)
     key columns w', and per block lhs[h'] = [t_{hw} | t_{hw}^T M_H(h' - h)]
     over its query rows h, so one batched GEMM over key rows h', of inner
     dimension 2C, forms both terms. Its output is the block viewed (h', h, w'),
-    so BLAS writes the block's row-major rows in place. The one buffer is
-    reused: each block is valid until the next is yielded.
+    so BLAS writes the block's row-major rows in place. Its buffers, lhs and
+    the M_H products are allocated once and reused: each block is valid until
+    the next is yielded.
     """
     height, width, rank = grid.shape
     block_buf = np.empty((step, height * width))
+    lhs_buf = np.empty(height * step * 2 * rank)
+    products_buf = np.empty((step, (2 * height - 1) * rank))
     rhs = np.empty((height, 2 * rank, width))
     rhs[:, rank:] = grid.transpose(0, 2, 1)
     by_col = np.ascontiguousarray(grid.transpose(1, 2, 0))  # (w', C, h')
@@ -92,16 +96,15 @@ def _logit_blocks(grid: np.ndarray, m_h: np.ndarray, m_w: np.ndarray, step: int)
         for first in range(0, height, step):
             queries = grid[first : first + step, w]
             q = queries.shape[0]
-            lhs = np.empty((height, q, 2 * rank))
+            lhs = lhs_buf[: height * q * 2 * rank].reshape(height, q, 2 * rank)
             lhs[:, :, :rank] = queries
             # t^T M_H(k + 1 - H) for query row first + r at [r, k], read through a
             # strided (r, h') view at k = h' - first - r + H - 1
-            products = (queries @ m_h_flat).reshape(q, 2 * height - 1, rank)
+            products = np.matmul(queries, m_h_flat, out=products_buf[:q]).reshape(q, -1, rank)
             s0, s1, s2 = products.strides
             lhs[:, :, rank:] = np.lib.stride_tricks.as_strided(
                 products[:, height - 1 - first :], (q, height, rank), (s0 - s1, s1, s2)
             ).transpose(1, 0, 2)
-            del products  # not held while the block is reduced
             block = block_buf[:q]
             np.matmul(lhs, rhs, out=block.reshape(q, height, width).transpose(1, 0, 2))
             yield w, first, block
@@ -124,33 +127,45 @@ def rotary_entropy(
     the tables. With l a row's logits minus the one at its argmax, Z' the sum
     of e^l over the other keys and S = sum(e^l * l), H = log1p(Z') - S / (1 + Z').
     Both terms are non-negative, so nothing cancels even on nearly one-hot
-    rows. Five passes: argmax, subtract, exp and two BLAS dots per row.
+    rows. Five passes: argmax, subtract, exp and two BLAS dots per row, which
+    write Z' and S in place; H is then taken for the whole grid at once.
 
     A block is one query grid column, or part of one within BLOCK_LOGITS. Its
     logits are formed once, then reduced in slices of rows that stay in cache,
     each row by its own operations and dots, so the slice size does not change
     the result. The block size decides which rows share a GEMM, which BLAS may
     round differently, so it moves only the last bits.
+
+    The loop runs under a ufunc buffer of one row (np.setbufsize, restored on
+    return): with numpy's default 8192 elements, the subtract of each row's
+    top logit buffers that (r, 1) column to fuse rows, at three times the cost
+    of a scalar subtract. The buffer size does not change any result.
     """
     tokens, m_h, m_w = _tables(feats, height, width, sched_h, sched_w, scale_h, scale_w, logit_scale)
     n = tokens.shape[0]
     step = min(height, max(1, BLOCK_LOGITS // n))
     rows = min(step, max(1, REDUCE_LOGITS // n))
-    per_row = np.empty((height, width))
+    z, s = np.empty((height, width)), np.empty((height, width))
     exp_buf = np.empty((rows, n))
     ones, index = np.ones((n, 1)), np.arange(rows)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        for w, start, block in _logit_blocks(tokens.reshape(height, width, -1), m_h, m_w, step):
-            for first in range(0, block.shape[0], rows):
-                logits = block[first : first + rows]
-                top = index[: len(logits)], logits.argmax(axis=1)
-                logits -= logits[top][:, None]
-                e = np.exp(logits, out=exp_buf[: len(logits)])
-                e[top] = 0.0
-                z = np.matmul(e[:, None], ones)[:, 0, 0]  # a dot per row, not a gemv
-                s = np.matmul(e[:, None], logits[:, :, None])[:, 0, 0]
-                at = start + first
-                per_row[at : at + len(logits), w] = np.log1p(z) - s / (1.0 + z)
+        # one row, as a multiple of 16 in [16, 2**20] (numpy's range); longer rows go unbuffered
+        bufsize = np.setbufsize(max(16, min(n, 1 << 20) // 16 * 16))
+        try:
+            for w, start, block in _logit_blocks(tokens.reshape(height, width, -1), m_h, m_w, step):
+                for first in range(0, block.shape[0], rows):
+                    logits = block[first : first + rows]
+                    r, at = len(logits), start + first
+                    top = index[:r], logits.argmax(axis=1)
+                    logits -= logits[top][:, None]
+                    e = np.exp(logits, out=exp_buf[:r])
+                    e[top] = 0.0
+                    # a dot per row, not a gemv, written straight into Z' and S
+                    np.matmul(e[:, None], ones, out=z[at : at + r, w, None, None])
+                    np.matmul(e[:, None], logits[:, :, None], out=s[at : at + r, w, None, None])
+        finally:
+            np.setbufsize(bufsize)
+        per_row = np.log1p(z) - s / (1.0 + z)
     per_row = _check_finite(per_row.ravel())
     return per_row, float(per_row.mean())
 

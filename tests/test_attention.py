@@ -272,11 +272,13 @@ class TestBlockedRotary:
         per_row, _ = rotary_entropy(dense(feats), 24, 25, sh, sw, logit_scale=2.0)
         np.testing.assert_allclose(per_row, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("height, width", [(24, 25), (64, 64)])
+    @pytest.mark.parametrize("height, width", [(24, 25), (64, 64), (51, 51), (3, 50), (2, 2)])
     def test_reduction_slices_are_bitwise_equal(self, rng, monkeypatch, height, width):
         # A block's logits are formed once, whatever the reduction slice, and every
         # row then takes the same NumPy operations in the same order. So one-row
         # slices, the default and whole blocks agree exactly, on every BLAS core.
+        # Token counts off a multiple of 16, and 4 (below the buffer floor of 16),
+        # run under a ufunc buffer shorter or longer than one row.
         n = height * width
         sh = make_schedule("H", 16, method="ntk", ratio=2.0)
         sw = make_schedule("W", 16, method="pi", ratio=1.5)
@@ -290,6 +292,29 @@ class TestBlockedRotary:
         for per_row, mean in others:
             assert np.array_equal(per_row, one_row)
             assert mean == one_mean
+
+    def test_numpy_state_is_the_callers(self, rng):
+        # The reduction runs under a one-row ufunc buffer. The caller's buffer size
+        # and error state are back on return and after the overflow error, which
+        # huge tokens raise past the (finite) tables, and no buffer size the
+        # caller set changes a bit.
+        sh, sw = make_schedule("H", 8), make_schedule("W", 8)
+        tokens, proj = rng.standard_normal((51 * 51, 4)), rng.standard_normal((4, 16))
+        results = []
+        for bufsize in (16, 8192, 2**20):
+            with np.errstate(over="raise", divide="raise"):
+                saved = np.setbufsize(bufsize)
+                try:
+                    state = np.geterr()
+                    results.append(rotary_entropy(TokenFeatures(tokens, proj), 51, 51, sh, sw)[0])
+                    assert (np.getbufsize(), np.geterr()) == (bufsize, state)
+                    with pytest.raises(ValueError, match="attention logits overflowed"):
+                        rotary_entropy(TokenFeatures(1e160 * tokens, proj), 51, 51, sh, sw)
+                    assert (np.getbufsize(), np.geterr()) == (bufsize, state)
+                finally:
+                    np.setbufsize(saved)
+        for per_row in results[1:]:
+            assert np.array_equal(per_row, results[0])
 
     def test_block_size_moves_only_last_bits(self, rng, monkeypatch):
         # The block size decides which query rows share a GEMM (a one-row part

@@ -729,6 +729,53 @@ class TestFlagFaults:
             assert peak < 48 * 2**20, (argv[0], peak)
 
 
+
+# Every numeric flag of the latent and table commands, in each context that reads
+# it, takes each of these values; the last of a repeated flag wins.
+SWEEP_VALUES = ["nan", "inf", "-inf", "0", "-1", "-0.0", "1e308", str(2**63), "5e-324"]
+ROPE_CONTEXTS = {
+    "none": [], "pi": ["--method", "pi", "--ratio", "2"], "ntk": ["--method", "ntk", "--ratio", "2"],
+    "ntk_strong": ["--method", "ntk_strong", "--ratio", "2"],
+    "yarn": ["--method", "yarn", "--ratio", "2", "--train-len", "8"],
+    "dype": ["--method", "dype", "--ratio", "2", "--dype-t", "0.5"],
+}
+FLAG_SWEEP = {
+    **{f"rope_table_{m}_{flag[2:]}": ("rope-table", ["--dim", "8", *ctx], flag)
+       for m, ctx in ROPE_CONTEXTS.items() for flag in ("--dim", "--base", "--ratio")},
+    **{f"rope_table_yarn_{flag[2:]}": ("rope-table", ["--dim", "8", *ROPE_CONTEXTS["yarn"]], flag)
+       for flag in ("--alpha", "--beta", "--train-len")},
+    **{f"rope_table_dype_{flag[2:]}": ("rope-table", ["--dim", "8", *ROPE_CONTEXTS["dype"]], flag)
+       for flag in ("--dype-t", "--dype-p")},
+    "modulate_ratio": ("modulate", [], "--ratio"),
+    "spectrum_bins": ("spectrum", [], "--bins"),
+    "attn_map_query_h": ("attn-map", ["--query-w", "5"], "--query-h"),
+    "attn_map_query_w": ("attn-map", ["--query-h", "3"], "--query-w"),
+    **{f"{cmd.replace('-', '_')}_{scaling}_{flag[2:]}": (cmd, [*query, "--scaling", scaling], flag)
+       for cmd, query in (("attn-map", QUERY), ("entropy", []))
+       for scaling, flag in [("fixed", "--fixed-value")] + [
+           (scaling, flag) for scaling in ("none", "fixed", "sega")
+           for flag in ("--logit-scale", "--feature-seed")]},
+}
+
+
+class TestFlagSweep:
+    @pytest.mark.parametrize("case", sorted(FLAG_SWEEP))
+    def test_every_value_exits_cleanly(self, runner, tmp_path, case):
+        # A documented exit code, no traceback, and nothing on stdout unless the
+        # command succeeded, for every value; config keys are not swept here.
+        command, context, flag = FLAG_SWEEP[case]
+        source = []
+        if command != "rope-table":
+            source = ["--latent", str(tmp_path / "small.segl")]
+            grid = LatentGrid.from_array(np.random.default_rng(8).standard_normal((8, 8, 4)))
+            write_latent(grid, source[1])
+        for value in SWEEP_VALUES:
+            res = runner.invoke(main, [command, *source, *context, flag, value])
+            assert res.exit_code in (0, 2, 3), (value, res.output, res.exception)
+            assert "Traceback" not in res.output, value
+            assert res.exit_code == 0 or res.stdout == "", (value, res.stdout)
+
+
 class TestConstantLatent:
     def test_modulate_and_entropy_succeed(self, runner, tmp_path):
         path = tmp_path / "const.segl"
