@@ -729,12 +729,13 @@ class TestFlagFaults:
             assert peak < 48 * 2**20, (argv[0], peak)
 
 
-
 # Every numeric flag of the latent and table commands, in each context that reads
 # it, takes each of these values; the last of a repeated flag wins.
 SWEEP_VALUES = ["nan", "inf", "-inf", "0", "-1", "-0.0", "1e308", str(2**63), "5e-324"]
 ROPE_CONTEXTS = {
-    "none": [], "pi": ["--method", "pi", "--ratio", "2"], "ntk": ["--method", "ntk", "--ratio", "2"],
+    "none": [],
+    "pi": ["--method", "pi", "--ratio", "2"],
+    "ntk": ["--method", "ntk", "--ratio", "2"],
     "ntk_strong": ["--method", "ntk_strong", "--ratio", "2"],
     "yarn": ["--method", "yarn", "--ratio", "2", "--train-len", "8"],
     "dype": ["--method", "dype", "--ratio", "2", "--dype-t", "0.5"],
