@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`sega.tensorio`  - latent grids, SEGL files, synthetic generators
-* :mod:`sega.rope`      - frequency schedules, extrapolation variants, rotation
+* :mod:`sega.rope`      - frequency schedules and their extrapolation variants
 * :mod:`sega.spectral`  - spectra, profiles, flatness, the scaling modulator
 * :mod:`sega.attention` - blocked rotary attention: per-token entropy and one
   query's weight row, never the N x N matrix
@@ -16,7 +16,6 @@ from .harness import MethodSpec, RopeParams, entropy_trace, run_trajectory, spec
 from .rope import (
     RopeSchedule,
     YarnParams,
-    apply_rotary,
     base_frequencies,
     dype_ratio,
     make_schedule,

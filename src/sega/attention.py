@@ -58,7 +58,8 @@ def _tables(feats, height, width, sched_h, sched_w, scale_h, scale_w, logit_scal
     if not (np.all(np.isfinite(tokens)) and np.all(np.isfinite(proj))):
         raise ValueError("features contain non-finite values")
     c = logit_scale / np.sqrt(proj.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+    # overflow is reported below; underflow to 0 or a subnormal is only rounding
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         m_h = _axis_table(proj[:, : sched_h.dim], sched_h, scale_h, height, c)
         m_w = _axis_table(proj[:, sched_h.dim :], sched_w, scale_w, width, c)
     return tokens, _check_finite(m_h), _check_finite(m_w)
@@ -148,7 +149,7 @@ def rotary_entropy(
     z, s = np.empty((height, width)), np.empty((height, width))
     exp_buf = np.empty((rows, n))
     ones, index = np.ones((n, 1)), np.arange(rows)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):  # as in _tables
         # one row, as a multiple of 16 in [16, 2**20] (numpy's range); longer rows go unbuffered
         bufsize = np.setbufsize(max(16, min(n, 1 << 20) // 16 * 16))
         try:
@@ -192,11 +193,11 @@ def rotary_attention_row(
         raise ValueError("query index outside the token range")
     h, w = divmod(query, width)
     t = tokens[query]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):  # as in _tables
         along_h = t @ m_h[height - 1 - h : 2 * height - 1 - h]  # t^T M_H(h' - h), (H, C)
         along_w = t @ m_w[width - 1 - w : 2 * width - 1 - w]
         logits = ((along_h[:, None] + along_w) * tokens.reshape(height, width, -1)).sum(axis=2)
         logits = logits.ravel()
         logits -= logits.max()
-    e = np.exp(_check_finite(logits))
-    return e / e.sum()
+        e = np.exp(_check_finite(logits))
+        return e / e.sum()

@@ -21,7 +21,7 @@ from .fmtio import canonical_json, csv_text, fmt, fmt_floats, write_csv, write_j
 from .harness import (
     SCALING_MODES, axis_schedules, entropy_trace, heatmap_rows, scaling_vectors, spectral_heatmap,
 )
-from .rope import MAX_DIM, METHODS, YarnParams, base_frequencies, make_schedule, yarn_ramp
+from .rope import MAX_DIM, METHODS, YarnParams, base_frequencies, make_schedule, yarn_weights
 from .tensorio import LatentIOError, read_latent, token_features
 
 
@@ -151,7 +151,7 @@ def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p,
         if method == "yarn":
             yarn = YarnParams(**_given(alpha=alpha, beta=beta), train_len=train_len)
         sched = make_schedule(
-            "H", dim, base, method, ratio, yarn, dype_strong=dype_strong,
+            dim, base, method, ratio, yarn, dype_strong=dype_strong,
             **_given(dype_time=dype_t, dype_p=dype_p),
         )
     theta0 = base_frequencies(dim, base)  # make_schedule has checked dim and base
@@ -160,8 +160,8 @@ def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p,
     rows = [[d, theta0[d], sched.theta[d], wavelengths[d]] for d in range(dim // 2)]
     if method == "yarn":
         header.append("lambda")
-        for d, row in enumerate(rows):
-            row.append(yarn_ramp(wavelengths[d] / yarn.train_len, yarn))
+        for row, lam in zip(rows, yarn_weights(theta0, yarn)):
+            row.append(lam)
     _emit(csv_text(header, rows))
 
 

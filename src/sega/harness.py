@@ -108,13 +108,13 @@ def axis_schedules(
     t is the denoising time that drives dype.
     """
 
-    def one(axis: str, length: int, ratio: float) -> RopeSchedule:
+    def one(length: int, ratio: float) -> RopeSchedule:
         yarn = YarnParams(rope.yarn_alpha, rope.yarn_beta, length / ratio) if method == "yarn" else None
         return make_schedule(
-            axis, rope.dim, rope.base, method, ratio, yarn, t, rope.dype_p, rope.dype_strong
+            rope.dim, rope.base, method, ratio, yarn, t, rope.dype_p, rope.dype_strong
         )
 
-    return one("H", height, ratio_h), one("W", width, ratio_w)
+    return one(height, ratio_h), one(width, ratio_w)
 
 
 def scaling_vectors(

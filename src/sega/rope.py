@@ -1,4 +1,4 @@
-"""Rotary frequency schedules, training-free extrapolation variants, rotation.
+"""Rotary frequency schedules and their training-free extrapolation variants.
 
 A schedule along one grid axis is a vector of angular frequencies
 ``theta[d] = base ** (-2d / dim)`` for d = 0 .. dim/2 - 1. Extrapolation to a
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-AXES = ("H", "W")
 METHODS = ("none", "pi", "ntk", "ntk_strong", "yarn", "dype")
 # Largest rotary size per axis, 8x the largest head dimension in use; checked
 # before a schedule's frequencies, token features or keys are allocated.
@@ -51,32 +50,22 @@ class YarnParams:
 
 @dataclass(frozen=True, eq=False)
 class RopeSchedule:
-    """Immutable per-axis frequency vector plus its provenance."""
+    """Immutable per-axis frequency vector theta; its rotary size is 2 * len(theta)."""
 
-    dim: int
-    base: float
     theta: np.ndarray
-    axis: str
-    method: str = "none"
-    ratio: float = 1.0
 
     def __post_init__(self):
-        if self.dim < 2 or self.dim % 2 != 0:
-            raise ValueError("dim must be an even integer >= 2")
-        if not 0.0 < self.base < math.inf:
-            raise ValueError("base must be finite and > 0")
-        if self.axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        _check_ratio(self.ratio)
         theta = np.ascontiguousarray(self.theta, dtype=np.float64)
-        if theta.shape != (self.dim // 2,):
-            raise ValueError(f"theta must have length {self.dim // 2}")
+        if theta.ndim != 1 or theta.size < 1:
+            raise ValueError("theta must be a nonempty vector")
         if not np.all(theta > 0):
             raise ValueError("theta must be strictly positive")
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.theta.size
 
 
 def base_frequencies(dim: int, base: float) -> np.ndarray:
@@ -116,22 +105,24 @@ def yarn_ramp(r, params: YarnParams):
     """Piecewise-linear ramp: 0 below alpha, 1 above beta, linear in between."""
     r = np.asarray(r, dtype=np.float64)
     lam = (r - params.alpha) / (params.beta - params.alpha)
-    lam = np.clip(lam, 0.0, 1.0)
-    if lam.ndim == 0:
-        return float(lam)
-    return lam
+    return np.clip(lam, 0.0, 1.0)
+
+
+def yarn_weights(theta: np.ndarray, params: YarnParams) -> np.ndarray:
+    """The ramp at r_d = T_d / train_len, T_d = 2*pi / theta_d the wavelength.
+
+    An r past float64's range is inf, whose ramp of 1 is the limit, not an error.
+    """
+    with np.errstate(over="ignore"):
+        r = (2.0 * np.pi / np.asarray(theta, dtype=np.float64)) / params.train_len
+    return yarn_ramp(r, params)
 
 
 def yarn_frequencies(theta: np.ndarray, ratio: float, params: YarnParams) -> np.ndarray:
-    """Per-dimension blend (1 - lam) * theta/ratio + lam * theta.
-
-    lam is the ramp evaluated at the normalized wavelength ratio
-    r_d = T_d / train_len with T_d = 2*pi / theta_d.
-    """
+    """Per-dimension blend (1 - lam) * theta/ratio + lam * theta, lam = yarn_weights."""
     _check_ratio(ratio)
     theta = np.asarray(theta, dtype=np.float64)
-    r = (2.0 * np.pi / theta) / params.train_len
-    lam = yarn_ramp(r, params)
+    lam = yarn_weights(theta, params)
     return (1.0 - lam) * theta / ratio + lam * theta
 
 
@@ -156,7 +147,6 @@ def dype_ratio(ratio: float, t: float, p: float = 1.0) -> float:
 
 
 def make_schedule(
-    axis: str,
     dim: int,
     base: float = 10000.0,
     method: str = "none",
@@ -170,6 +160,7 @@ def make_schedule(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     theta0 = base_frequencies(dim, base)
+    _check_ratio(ratio)
     if method == "none":
         theta = theta0
     elif method == "pi":
@@ -183,7 +174,7 @@ def make_schedule(
     else:  # dype
         s_t = dype_ratio(ratio, dype_time, dype_p)
         theta = base_frequencies(dim, ntk_base(base, s_t, dim, strong=dype_strong))
-    return RopeSchedule(dim=dim, base=base, theta=theta, axis=axis, method=method, ratio=ratio)
+    return RopeSchedule(theta)
 
 
 def scale_vector(scale: np.ndarray | None, schedule: RopeSchedule) -> np.ndarray:
@@ -197,32 +188,3 @@ def scale_vector(scale: np.ndarray | None, schedule: RopeSchedule) -> np.ndarray
     if not np.all(scale > 0):
         raise ValueError("scale entries must be positive")
     return scale
-
-
-def apply_rotary(
-    x: np.ndarray,
-    position,
-    schedule: RopeSchedule,
-    scale: np.ndarray | None = None,
-) -> np.ndarray:
-    """Rotate each 2D subspace of x by position * theta_d, then scale it by scale[d].
-
-    x has shape (..., dim) with subspace d occupying components (2d, 2d+1);
-    position is a scalar or an array broadcastable against x's leading axes.
-    scale=None means unit scaling.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != schedule.dim:
-        raise ValueError(f"vector length {x.shape[-1]} != schedule dim {schedule.dim}")
-    scale = scale_vector(scale, schedule)
-    # cos/sin once per distinct position (a grid axis has few), then gathered
-    position = np.asarray(position, dtype=np.float64)
-    distinct, index = np.unique(position, return_inverse=True)
-    angles = distinct[:, None] * schedule.theta  # (distinct, dim/2)
-    index = index.reshape(position.shape)  # numpy 1.x flattens it
-    cos, sin = np.cos(angles)[index], np.sin(angles)[index]  # (..., dim/2)
-    xe, xo = x[..., 0::2], x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = scale * (cos * xe - sin * xo)
-    out[..., 1::2] = scale * (sin * xe + cos * xo)
-    return out

@@ -27,6 +27,7 @@ VERSION = 1
 
 STRUCTURE_KINDS = ("sinusoid", "band_limited", "checker", "file")
 BLEND_KINDS = ("linear", "constant", "table")
+MAX_STEPS = 1000  # DDPM's T = 1000 is the longest schedule a sampler runs
 
 # Sub-stream tags so noise, structure and feature draws never collide.
 _STREAM_NOISE = 0
@@ -56,38 +57,41 @@ class NonFiniteValuesError(LatentIOError):
 
 @dataclass(frozen=True, eq=False)
 class LatentGrid:
-    """An H x W x C float32 field with H, W >= 2 and C >= 1, all values finite."""
+    """An H x W x C float32 field with H, W >= 2 and C >= 1, all values finite.
 
-    height: int
-    width: int
-    channels: int
+    Built from an (H, W, C) array, or (H, W) for one channel, of which it keeps
+    a read-only float32 copy: the caller's array stays writeable and its own.
+    """
+
     values: np.ndarray
 
     def __post_init__(self):
-        if self.height < 2 or self.width < 2:
-            raise ValueError(f"grid must be at least 2x2, got {self.height}x{self.width}")
-        if self.channels < 1:
+        vals = np.array(self.values, dtype=np.float32, order="C")
+        if vals.ndim == 2:
+            vals = vals[:, :, None]
+        if vals.ndim != 3:
+            raise ValueError(f"expected 2D or 3D array, got ndim={vals.ndim}")
+        height, width, channels = vals.shape
+        if height < 2 or width < 2:
+            raise ValueError(f"grid must be at least 2x2, got {height}x{width}")
+        if channels < 1:
             raise ValueError("grid needs at least one channel")
-        vals = np.ascontiguousarray(self.values, dtype=np.float32)
-        if vals.shape != (self.height, self.width, self.channels):
-            raise ValueError(
-                f"values shape {vals.shape} does not match "
-                f"({self.height}, {self.width}, {self.channels})"
-            )
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid values must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "LatentGrid":
-        arr = np.asarray(arr)
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
-        if arr.ndim != 3:
-            raise ValueError(f"expected 2D or 3D array, got ndim={arr.ndim}")
-        h, w, c = arr.shape
-        return cls(h, w, c, arr.astype(np.float32))
+    @property
+    def height(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def channels(self) -> int:
+        return self.values.shape[2]
 
     def tokens(self) -> np.ndarray:
         """Row-major (H*W, C) float64 view of the grid."""
@@ -98,18 +102,14 @@ class LatentGrid:
 class CenteredMap:
     """A zero-centered H x W map obtained by channel-averaging a latent grid."""
 
-    height: int
-    width: int
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if vals.shape != (self.height, self.width):
-            raise ValueError(f"map shape {vals.shape} != ({self.height}, {self.width})")
         if not np.all(np.isfinite(vals)):
             raise ValueError("map values must be finite")
         scale = float(np.mean(np.abs(vals)))
-        if abs(float(vals.sum())) > 1e-6 * self.height * self.width * (scale + 1e-300):
+        if abs(float(vals.sum())) > 1e-6 * vals.size * (scale + 1e-300):
             raise ValueError("map is not zero-centered")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -119,7 +119,7 @@ def center_map(grid: LatentGrid) -> CenteredMap:
     """Average a grid across channels and remove the spatial mean."""
     mean_field = grid.values.astype(np.float64).mean(axis=2)
     centered = mean_field - mean_field.mean()
-    return CenteredMap(grid.height, grid.width, centered)
+    return CenteredMap(centered)
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,8 @@ class TrajectoryConfig:
         # prefixes with the section: "trajectory.steps must be >= 1".
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be <= {MAX_STEPS}")
         if self.seed < 0:
             raise ValueError("seed must be unsigned")
         for name, least in (("height", 2), ("width", 2), ("channels", 1)):
@@ -312,7 +314,7 @@ def generate_latent(cfg: TrajectoryConfig, step: int) -> LatentGrid:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _STREAM_NOISE, step]))
     noise = rng.standard_normal((cfg.height, cfg.width, cfg.channels))
     blended = a * noise + (1.0 - a) * structure_field(cfg)
-    return LatentGrid.from_array(blended)
+    return LatentGrid(blended)
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,4 +378,4 @@ def read_latent(path) -> LatentGrid:
     vals = np.frombuffer(payload, dtype="<f4").reshape(h, w, c)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValuesError(f"{path}: payload contains NaN or Inf")
-    return LatentGrid(h, w, c, vals.astype(np.float32))
+    return LatentGrid(vals)

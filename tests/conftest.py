@@ -28,11 +28,11 @@ def rng():
 
 def noise_grid(seed: int, height: int = 64, width: int = 64, channels: int = 4) -> LatentGrid:
     gen = np.random.default_rng(seed)
-    return LatentGrid.from_array(gen.standard_normal((height, width, channels)))
+    return LatentGrid(gen.standard_normal((height, width, channels)))
 
 
 def sinusoid_grid(cycles_w: float, height: int = 64, width: int = 64, channels: int = 1) -> LatentGrid:
     w = np.arange(width)
     plane = np.cos(2.0 * np.pi * cycles_w * w / width)
     field = np.broadcast_to(plane[None, :, None], (height, width, channels)).copy()
-    return LatentGrid.from_array(field)
+    return LatentGrid(field)

@@ -24,7 +24,6 @@ from sega import (
     amplitude_factor,
     analyze,
     TokenFeatures,
-    apply_rotary,
     band_lookup,
     center_map,
     make_schedule,
@@ -43,7 +42,7 @@ from sega import (
 from sega.cli import main as cli_main
 from sega.fmtio import canonical_json
 from conftest import noise_grid, sinusoid_grid
-from oracles import REFERENCE_SCALE_TABLE, dense_softmax, naive_dft2, rotary_logits
+from oracles import REFERENCE_SCALE_TABLE, dense_softmax, naive_dft2, rotary_logits, rotate_tokens
 
 REPO = Path(__file__).resolve().parents[1]
 TRAJECTORY_CONFIG = REPO / "configs" / "trajectory_small.json"
@@ -87,9 +86,9 @@ def test_zero_sum_redistribution():
             h = int(rng.integers(8, 65))
             w = int(rng.integers(8, 65))
             c = int(rng.choice([1, 4, 16]))
-            grid = LatentGrid.from_array(rng.standard_normal((h, w, c)))
-            sched_h = make_schedule("H", 64)
-            sched_w = make_schedule("W", 64)
+            grid = LatentGrid(rng.standard_normal((h, w, c)))
+            sched_h = make_schedule(64)
+            sched_w = make_schedule(64)
             ratio = float(rng.choice([1.0, 2.0, 4.0, 8.0]))
             result = modulate_detailed(analyze(grid), sched_h, sched_w, ratio, sega_cfg)
             for vec in (result.vec_h, result.vec_w):
@@ -127,7 +126,7 @@ def test_dft_oracle_equivalence():
         for _ in range(50):
             h = int(rng.integers(2, 17))
             w = int(rng.integers(2, 17))
-            cmap = center_map(LatentGrid.from_array(rng.standard_normal((h, w, 1))))
+            cmap = center_map(LatentGrid(rng.standard_normal((h, w, 1))))
             fast = power_spectrum_2d(cmap)
             slow = np.abs(naive_dft2(cmap.values)) ** 2
             scale = np.linalg.norm(slow)
@@ -135,7 +134,7 @@ def test_dft_oracle_equivalence():
         for _ in range(100):
             h = int(rng.integers(2, 65))
             w = int(rng.integers(2, 65))
-            cmap = center_map(LatentGrid.from_array(rng.standard_normal((h, w, 1))))
+            cmap = center_map(LatentGrid(rng.standard_normal((h, w, 1))))
             spec = power_spectrum_2d(cmap)
             rhs = h * w * np.sum(cmap.values**2)
             assert abs(spec.sum() - rhs) <= 1e-4 * max(rhs, 1e-12)
@@ -152,13 +151,14 @@ def test_relative_position_invariance():
                 dim = int(rng.choice([8, 16, 32, 64]))
                 ratio = float(rng.choice([1.0, 2.0, 4.0, 8.0, 16.0, 32.0]))
                 yarn = YarnParams(1.0, 32.0, 64.0) if method == "yarn" else None
-                sched = make_schedule("H", dim, method=method, ratio=ratio, yarn=yarn)
+                sched = make_schedule(dim, method=method, ratio=ratio, yarn=yarn)
                 q = rng.standard_normal(dim)
                 k = rng.standard_normal(dim)
                 n = float(rng.integers(0, 256))
                 m = float(rng.integers(0, 256))
-                lhs = np.dot(apply_rotary(q, n, sched), apply_rotary(k, m, sched))
-                rhs = np.dot(apply_rotary(q, n - m, sched), k)
+                q_n, k_m, q_rel = rotate_tokens([q, k, q], [n, m, n - m], sched.theta)
+                lhs = np.dot(q_n, k_m)
+                rhs = np.dot(q_rel, k)
                 assert abs(lhs - rhs) < 1e-5
 
 
@@ -167,12 +167,12 @@ def test_pi_equivalence():
     with budget(5.0):
         rng = np.random.default_rng(555)
         for ratio in (2.0, 4.0):
-            base = make_schedule("H", 16)
-            compressed = make_schedule("H", 16, method="pi", ratio=ratio)
+            base = make_schedule(16)
+            compressed = make_schedule(16, method="pi", ratio=ratio)
             for n in range(64):
                 x = rng.standard_normal(16)
-                a = apply_rotary(x, float(n), compressed)
-                b = apply_rotary(x, n / ratio, base)
+                a = rotate_tokens(x[None], [float(n)], compressed.theta)[0]
+                b = rotate_tokens(x[None], [n / ratio], base.theta)[0]
                 assert np.max(np.abs(a - b)) < 1e-5
 
 
@@ -194,8 +194,8 @@ def test_sinusoid_redistribution():
     with budget(5.0):
         k = 4
         grid = sinusoid_grid(cycles_w=float(k))
-        sched_h = make_schedule("H", 64)
-        sched_w = make_schedule("W", 64)
+        sched_h = make_schedule(64)
+        sched_w = make_schedule(64)
         result = modulate_detailed(analyze(grid), sched_h, sched_w, 2.0)
         vec = result.vec_w
         bins = [band_lookup(t, grid.width) for t in sched_w.theta]
@@ -240,8 +240,8 @@ def test_attention_contracts():
     """Stochastic rows, entropy bounds, unit temperature, unit-scaling equivalence."""
     with budget(30.0):
         rng = np.random.default_rng(777)
-        sched_h = make_schedule("H", 4)
-        sched_w = make_schedule("W", 4)
+        sched_h = make_schedule(4)
+        sched_w = make_schedule(4)
         # row-stochasticity and entropy bounds over random grids of 2..40 tokens
         for _ in range(20):
             height, width = int(rng.integers(1, 5)), int(rng.integers(2, 11))
@@ -266,8 +266,8 @@ def test_attention_contracts():
             np.testing.assert_allclose(row, expected[query], atol=1e-12)
 
         # unit per-dimension scaling is bit-identical to plain rotary attention
-        sched_h = make_schedule("H", 8)
-        sched_w = make_schedule("W", 8)
+        sched_h = make_schedule(8)
+        sched_w = make_schedule(8)
         feats = TokenFeatures(np.random.default_rng(123).standard_normal((36, 16)), np.eye(16))
         ones = np.ones(4)
         plain = rotary_entropy(feats, 6, 6, sched_h, sched_w)

@@ -42,7 +42,7 @@ class TestAttend:
     """One query's weight row, and the oracle softmax it is compared with."""
 
     def test_zero_queries_give_uniform_attention(self):
-        sh, sw = make_schedule("H", 4), make_schedule("W", 4)
+        sh, sw = make_schedule(4), make_schedule(4)
         weights = all_rows(np.zeros((15, 8)), 3, 5, sh, sw)
         np.testing.assert_allclose(weights, 1.0 / 15, atol=1e-12)
 
@@ -53,7 +53,7 @@ class TestAttend:
         np.testing.assert_allclose(weights[1], [0.5, 0.5], atol=1e-12)
 
     def test_unit_scale_matches_unscaled_definition(self, rng):
-        sh, sw = make_schedule("H", 4), make_schedule("W", 4)
+        sh, sw = make_schedule(4), make_schedule(4)
         feats = rng.standard_normal((6, 8))
         x_rot = rotated(feats, 2, 3, sh, sw)
         expected = dense_softmax((x_rot @ x_rot.T) / np.sqrt(8))
@@ -63,7 +63,7 @@ class TestAttend:
     @settings(max_examples=25, deadline=None)
     def test_rows_stochastic(self, seed):
         gen = np.random.default_rng(seed)
-        sh, sw = make_schedule("H", 4), make_schedule("W", 4)
+        sh, sw = make_schedule(4), make_schedule(4)
         weights = all_rows(gen.normal(0, 5, (7, 8)), 1, 7, sh, sw)
         assert np.max(np.abs(weights.sum(axis=1) - 1.0)) < 1e-5
         assert np.all(weights >= 0)
@@ -79,8 +79,8 @@ class TestAttendRotary:
     """Per-dimension rotary scaling, seen through the blocked path."""
 
     def setup_method(self):
-        self.sh = make_schedule("H", 8)
-        self.sw = make_schedule("W", 8)
+        self.sh = make_schedule(8)
+        self.sw = make_schedule(8)
 
     def test_unit_scaling_matches_plain_rope(self, rng):
         feats = rng.standard_normal((16, 16))
@@ -117,6 +117,17 @@ class TestAttendRotary:
                 else:
                     seen[key] = logits[i, j]
 
+    @pytest.mark.parametrize("scale, message", [
+        (np.array([1.0, -1.0, 1.0, 1.0]), "scale entries must be positive"),
+        (np.ones(3), "scale must have length 4"),
+    ])
+    def test_rejects_bad_scale(self, rng, scale, message):
+        feats = dense(rng.standard_normal((16, 16)))
+        with pytest.raises(ValueError, match=message):
+            rotary_entropy(feats, 4, 4, self.sh, self.sw, scale)
+        with pytest.raises(ValueError, match=message):
+            rotary_attention_row(feats, 4, 4, self.sh, self.sw, None, scale, query=0)
+
     def test_grid_must_cover_tokens(self, rng):
         feats = dense(rng.standard_normal((16, 16)))
         with pytest.raises(ValueError):
@@ -150,7 +161,7 @@ class TestEntropy:
     @settings(max_examples=30, deadline=None)
     def test_bounds(self, seed, n):
         gen = np.random.default_rng(seed)
-        sh, sw = make_schedule("H", 2), make_schedule("W", 2)
+        sh, sw = make_schedule(2), make_schedule(2)
         per_row, mean = rotary_entropy(dense(gen.normal(0, 4, (n, 4))), 1, n, sh, sw)
         assert np.all(per_row >= -1e-12)
         assert np.all(per_row <= math.log(n) + 1e-9)
@@ -165,7 +176,7 @@ def schedules(method, dim):
     """The H and W schedules of one rope method at ratio 2, as the harness would build them."""
     extra = {"yarn": dict(yarn=YarnParams(train_len=16.0)), "dype": dict(dype_time=0.3)}
     return tuple(
-        make_schedule(axis, dim, method=method, ratio=2.0, **extra.get(method, {})) for axis in "HW"
+        make_schedule(dim, method=method, ratio=2.0, **extra.get(method, {})) for _ in "HW"
     )
 
 
@@ -218,8 +229,8 @@ class TestExactEntropy:
     ])
     def test_entropy_matches_decimal_oracle(self, height, width, dim, factor, logit_scale):
         gen = np.random.default_rng(100 * height + width + dim)
-        sh = make_schedule("H", dim, method="ntk", ratio=2.0)
-        sw = make_schedule("W", dim, method="pi", ratio=1.5)
+        sh = make_schedule(dim, method="ntk", ratio=2.0)
+        sw = make_schedule(dim, method="pi", ratio=1.5)
         mh = factor * np.linspace(0.8, 1.2, dim // 2)
         mw = factor * np.linspace(1.2, 0.8, dim // 2)
         x = gen.standard_normal((height * width, 2 * dim))
@@ -243,8 +254,8 @@ class TestBlockedRotary:
     @settings(max_examples=30, deadline=None)
     def test_entropy_matches_dense(self, seed, height, width, dim, logit_scale):
         gen = np.random.default_rng(seed)
-        sh = make_schedule("H", dim, method="ntk", ratio=2.0)
-        sw = make_schedule("W", dim, method="pi", ratio=1.5)
+        sh = make_schedule(dim, method="ntk", ratio=2.0)
+        sw = make_schedule(dim, method="pi", ratio=1.5)
         mh, mw = gen.uniform(0.05, 3.0, dim // 2), gen.uniform(0.05, 3.0, dim // 2)
         feats = gen.standard_normal((height * width, 2 * dim))
         expected, expected_mean = dense_rotary(feats, height, width, sh, sw, mh, mw, logit_scale)
@@ -266,7 +277,7 @@ class TestBlockedRotary:
         # 7, 7 and 3 rows, reduced one row at a time.
         monkeypatch.setattr(attention, "BLOCK_LOGITS", 7 * 600)
         monkeypatch.setattr(attention, "REDUCE_LOGITS", 42 * 16)
-        sh, sw = make_schedule("H", 8), make_schedule("W", 8)
+        sh, sw = make_schedule(8), make_schedule(8)
         feats = rng.standard_normal((600, 16))
         expected, _ = dense_rotary(feats, 24, 25, sh, sw, logit_scale=2.0)
         per_row, _ = rotary_entropy(dense(feats), 24, 25, sh, sw, logit_scale=2.0)
@@ -280,8 +291,8 @@ class TestBlockedRotary:
         # Token counts off a multiple of 16, and 4 (below the buffer floor of 16),
         # run under a ufunc buffer shorter or longer than one row.
         n = height * width
-        sh = make_schedule("H", 16, method="ntk", ratio=2.0)
-        sw = make_schedule("W", 16, method="pi", ratio=1.5)
+        sh = make_schedule(16, method="ntk", ratio=2.0)
+        sw = make_schedule(16, method="pi", ratio=1.5)
         mh, mw = rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8)
         feats = TokenFeatures(rng.standard_normal((n, 4)), rng.standard_normal((4, 32)))
         results = []
@@ -297,8 +308,10 @@ class TestBlockedRotary:
         # The reduction runs under a one-row ufunc buffer. The caller's buffer size
         # and error state are back on return and after the overflow error, which
         # huge tokens raise past the (finite) tables, and no buffer size the
-        # caller set changes a bit.
-        sh, sw = make_schedule("H", 8), make_schedule("W", 8)
+        # caller set changes a bit. Nor does a caller's all="raise": 5x tokens
+        # push some e^l below float64's normal range, and that underflow is
+        # rounding, which neither kernel raises.
+        sh, sw = make_schedule(8), make_schedule(8)
         tokens, proj = rng.standard_normal((51 * 51, 4)), rng.standard_normal((4, 16))
         results = []
         for bufsize in (16, 8192, 2**20):
@@ -315,6 +328,14 @@ class TestBlockedRotary:
                     np.setbufsize(saved)
         for per_row in results[1:]:
             assert np.array_equal(per_row, results[0])
+        feats = TokenFeatures(5.0 * rng.standard_normal((64, 4)), rng.standard_normal((4, 16)))
+        for kernel in (lambda: rotary_entropy(feats, 8, 8, sh, sw)[0],
+                       lambda: rotary_attention_row(feats, 8, 8, sh, sw, query=9)):
+            expected = kernel()
+            with np.errstate(all="raise"):
+                state = np.geterr()
+                assert np.array_equal(kernel(), expected)
+                assert np.geterr() == state
 
     def test_block_size_moves_only_last_bits(self, rng, monkeypatch):
         # The block size decides which query rows share a GEMM (a one-row part
@@ -333,8 +354,8 @@ class TestBlockedRotary:
             np.testing.assert_allclose(per_row, results[0], rtol=1e-12, atol=0)
 
     def test_attention_row_matches_dense(self, rng):
-        sh = make_schedule("H", 8, method="ntk_strong", ratio=2.0)
-        sw = make_schedule("W", 8, method="ntk_strong", ratio=2.0)
+        sh = make_schedule(8, method="ntk_strong", ratio=2.0)
+        sw = make_schedule(8, method="ntk_strong", ratio=2.0)
         mh, mw = rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4)
         feats = rng.standard_normal((63, 16))
         x_rot = rotated(feats, 7, 9, sh, sw, mh, mw)
@@ -355,7 +376,7 @@ class TestBlockedRotary:
 
     def test_memory_stays_blocked(self, rng):
         # dense attention at 64 x 64 traces ~513 MiB; one 2 MiB logit block needs far less
-        sh, sw = make_schedule("H", 16), make_schedule("W", 16)
+        sh, sw = make_schedule(16), make_schedule(16)
         feats = dense(rng.standard_normal((4096, 32)))
         tracemalloc.start()
         try:
@@ -371,7 +392,7 @@ class TestBlockedRotary:
         # 16 KiB, so rotary_entropy holds one 2 MiB logit block and its 512 KiB
         # exp slice, and the one row needs no block. Rotated N x D keys alone
         # would take 4 MiB.
-        sh, sw = make_schedule("H", 64), make_schedule("W", 64)
+        sh, sw = make_schedule(64), make_schedule(64)
         feats = TokenFeatures(rng.standard_normal((4096, 4)), rng.standard_normal((4, 128)))
         kw = {"query": 4095} if fn is rotary_attention_row else {}
         tracemalloc.start()
@@ -384,7 +405,7 @@ class TestBlockedRotary:
 
     @pytest.mark.parametrize("fn", [rotary_entropy, rotary_attention_row])
     def test_validation(self, rng, fn):
-        sh, sw = make_schedule("H", 8), make_schedule("W", 8)
+        sh, sw = make_schedule(8), make_schedule(8)
         x = rng.standard_normal((16, 16))
         feats = dense(x)
         kw = {"query": 3} if fn is rotary_attention_row else {}
@@ -414,7 +435,7 @@ class TestBlockedRotary:
                 fn(feats, 4, 4, sh, sw, query=16)
 
     def test_uniform_and_one_hot_limits(self):
-        sh, sw = make_schedule("H", 4), make_schedule("W", 4)
+        sh, sw = make_schedule(4), make_schedule(4)
         per_row, mean = rotary_entropy(dense(np.zeros((9, 8))), 3, 3, sh, sw)
         np.testing.assert_allclose(per_row, math.log(9), rtol=0, atol=1e-15)
         # orthogonal, large features: every row attends to itself alone

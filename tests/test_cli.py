@@ -7,6 +7,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sega import LatentGrid, write_latent
+from sega import LatentGrid, TrajectoryConfig, write_latent
 from sega.cli import main
 from sega.config import load_experiment_config
+from sega.tensorio import MAX_STEPS
 from oracles import dense_softmax
 
 REPO = Path(__file__).resolve().parents[1]
@@ -32,7 +34,7 @@ def runner():
 @pytest.fixture
 def noise_latent(tmp_path):
     gen = np.random.default_rng(2024)
-    grid = LatentGrid.from_array(gen.standard_normal((16, 16, 4)))
+    grid = LatentGrid(gen.standard_normal((16, 16, 4)))
     path = tmp_path / "noise.segl"
     write_latent(grid, path)
     return path
@@ -85,6 +87,17 @@ class TestRopeTable:
         assert header[-1] == "lambda"
         lams = [float(r[-1]) for r in rows]
         assert all(0.0 <= l <= 1.0 for l in lams)
+
+    def test_yarn_wavelength_past_float_range(self, runner):
+        # 2*pi / theta over a subnormal train length overflows r to inf, whose
+        # ramp is 1: every frequency is kept, and nothing warns
+        argv = ["rope-table", "--dim", "8", "--method", "yarn", "--ratio", "2", "--train-len", "5e-324"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(main, argv)
+        assert res.exit_code == 0, res.output
+        _, rows = parse_csv(res.output)
+        assert all(row[2] == row[1] and row[-1] == "1" for row in rows)
 
     def test_dype_flags_only_with_dype(self, runner):
         res = runner.invoke(main, ["rope-table", "--dim", "8", "--method", "ntk", "--dype-t", "0.5"])
@@ -337,7 +350,7 @@ def small_config(trajectory=None, rope=None):
 
 def run_config(runner, tmp_path, command, cfg):
     """Write cfg ({dir} standing for tmp_path) beside a 4x4x1 latent and run command on it."""
-    write_latent(LatentGrid.from_array(np.random.default_rng(3).standard_normal((4, 4, 1))),
+    write_latent(LatentGrid(np.random.default_rng(3).standard_normal((4, 4, 1))),
                  tmp_path / "s4.segl")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg).replace("{dir}", str(tmp_path)))
@@ -434,6 +447,7 @@ RANGE_FAULTS = {
     "ref_form_unknown": ({**small_config(), "sega": {"ref_form": "x"}}, "sega.ref_form"),
     "gamma_below_one": ({**small_config(), "sega": {"gamma": 0.5}}, "sega.gamma"),
     "steps_zero": (small_config({"steps": 0}), "trajectory.steps"),
+    "steps_huge": (small_config({"steps": 2**63}), "trajectory.steps"),
     "structure_kind_unknown": (small_config({"structure_kind": "x"}), "trajectory.structure_kind"),
     "height_one": (small_config({"height": 1}), "trajectory.height"),
     "channels_zero": (small_config({"channels": 0}), "trajectory.channels"),
@@ -601,16 +615,14 @@ class TestConfigSchema:
         assert load_experiment_config(readme).snapshot() == load_experiment_config({}).snapshot()
 
     @pytest.mark.parametrize("blend", [{"kind": "linear"}, {"kind": "constant", "value": 0.5}])
-    def test_untabled_blend_loads_in_constant_memory(self, blend):
+    def test_untabled_blend_is_checked_at_one_step(self, blend, monkeypatch):
         # only a table has a weight per step to check; a million-step linear blend
         # once built a 38.6 MiB table at load
-        tracemalloc.start()
-        try:
-            load_experiment_config({"trajectory": {"steps": 10**6, "noise_blend": blend}})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        blend_at, steps = TrajectoryConfig._blend_at, []
+        monkeypatch.setattr(TrajectoryConfig, "_blend_at",
+                            lambda cfg, step: steps.append(step) or blend_at(cfg, step))
+        load_experiment_config({"trajectory": {"steps": MAX_STEPS, "noise_blend": blend}})
+        assert steps == [0]
 
     def test_loaded_dicts_are_copies(self):
         trajectory = {"structure_params": {"cycles_w": 3.0}, "noise_blend": {"kind": "linear"}}
@@ -714,7 +726,7 @@ class TestFlagFaults:
         # One float64 N x N matrix at N = 4096 is 128 MiB; the blocked path peaks
         # near 17 MiB on a 64 x 64 latent.
         path = tmp_path / "big.segl"
-        write_latent(LatentGrid.from_array(np.random.default_rng(5).standard_normal((64, 64, 4))), path)
+        write_latent(LatentGrid(np.random.default_rng(5).standard_normal((64, 64, 4))), path)
         latent = ["--latent", str(path)]
         for argv in (["entropy", *latent, "--scaling", "sega"], ["attn-map", *latent, *QUERY]):
             buf = io.StringIO()
@@ -768,7 +780,7 @@ class TestFlagSweep:
         source = []
         if command != "rope-table":
             source = ["--latent", str(tmp_path / "small.segl")]
-            grid = LatentGrid.from_array(np.random.default_rng(8).standard_normal((8, 8, 4)))
+            grid = LatentGrid(np.random.default_rng(8).standard_normal((8, 8, 4)))
             write_latent(grid, source[1])
         for value in SWEEP_VALUES:
             res = runner.invoke(main, [command, *source, *context, flag, value])
@@ -780,7 +792,7 @@ class TestFlagSweep:
 class TestConstantLatent:
     def test_modulate_and_entropy_succeed(self, runner, tmp_path):
         path = tmp_path / "const.segl"
-        write_latent(LatentGrid.from_array(np.full((8, 8, 2), 0.5)), path)
+        write_latent(LatentGrid(np.full((8, 8, 2), 0.5)), path)
         res = runner.invoke(main, ["modulate", "--latent", str(path)])
         assert res.exit_code == 0, res.output
         for axis in json.loads(res.output)["axes"]:

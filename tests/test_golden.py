@@ -180,13 +180,13 @@ DIGESTS = {
 
 def _inputs(tmp_path):
     latent = tmp_path / "latent.segl"
-    grid = LatentGrid.from_array(np.random.default_rng(31).standard_normal((16, 12, 3)))
+    grid = LatentGrid(np.random.default_rng(31).standard_normal((16, 12, 3)))
     write_latent(grid, latent)
     for seed, (height, width) in ((64, (64, 64)), (48, (48, 64)), (51, (51, 51))):
         values = np.random.default_rng(seed).standard_normal((height, width, 4))
-        write_latent(LatentGrid.from_array(values), tmp_path / f"latent_{height}x{width}.segl")
+        write_latent(LatentGrid(values), tmp_path / f"latent_{height}x{width}.segl")
     odd = np.random.default_rng(15).standard_normal((15, 13, 3))
-    write_latent(LatentGrid.from_array(odd), tmp_path / "latent_15x13.segl")
+    write_latent(LatentGrid(odd), tmp_path / "latent_15x13.segl")
     yarn_dype = tmp_path / "yarn_dype.json"
     yarn_dype.write_text(json.dumps(YARN_DYPE))
     return {

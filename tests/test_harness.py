@@ -74,8 +74,8 @@ class TestRunTrajectory:
     # so they run the trajectory's analysis and modulator without attention.
     @staticmethod
     def pure_noise_modulations():
-        sched_h = make_schedule("H", ROPE.dim, method="ntk_strong", ratio=ROPE.ratio_h)
-        sched_w = make_schedule("W", ROPE.dim, method="ntk_strong", ratio=ROPE.ratio_w)
+        sched_h = make_schedule(ROPE.dim, method="ntk_strong", ratio=ROPE.ratio_h)
+        sched_w = make_schedule(ROPE.dim, method="ntk_strong", ratio=ROPE.ratio_w)
         for seed in SEEDS_16:
             cfg = TrajectoryConfig(
                 steps=2, seed=seed, height=64, width=64, channels=4,
@@ -108,7 +108,7 @@ class TestRunTrajectory:
         assert rec[-1].sigma > rec[0].sigma
         from sega import band_lookup
 
-        sched_w = make_schedule("W", ROPE.dim, method="ntk_strong", ratio=2.0)
+        sched_w = make_schedule(ROPE.dim, method="ntk_strong", ratio=2.0)
         hot = [d for d in range(ROPE.dim // 2) if band_lookup(sched_w.theta[d], 32) == 5]
         assert hot
         final = rec[-1].methods["sega"]
@@ -202,7 +202,7 @@ class TestEntropyTrace:
         # (zero features make every logit 0, on a 4x4 and a 2x2 grid)
         from sega import TokenFeatures, make_schedule, rotary_entropy
 
-        sh, sw = make_schedule("H", 4), make_schedule("W", 4)
+        sh, sw = make_schedule(4), make_schedule(4)
         _, h16 = rotary_entropy(TokenFeatures(np.zeros((16, 8)), np.eye(8)), 4, 4, sh, sw)
         _, h4 = rotary_entropy(TokenFeatures(np.zeros((4, 8)), np.eye(8)), 2, 2, sh, sw)
         assert math.isclose(h16 - h4, math.log(16) - math.log(4), rel_tol=1e-12)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sega import apply_rotary, make_schedule
+from sega import make_schedule
 from oracles import (
     REFERENCE_SCALE_TABLE,
     OracleReport,
@@ -80,51 +80,23 @@ class TestDecimalEntropy:
 
 class TestRelativePositionOracle:
     def rotate(self, x, n, sched):
-        return apply_rotary(x, n, sched)
+        return rotate_tokens(x[None], [n], sched.theta)[0]
 
     def test_equal_positions_reduce_to_plain_inner_product(self, rng):
-        sched = make_schedule("H", 12)
+        sched = make_schedule(12)
         q, k = rng.standard_normal(12), rng.standard_normal(12)
-        lhs = np.dot(apply_rotary(q, 17.0, sched), apply_rotary(k, 17.0, sched))
+        lhs = np.dot(*rotate_tokens([q, k], [17.0, 17.0], sched.theta))
         assert abs(lhs - np.dot(q, k)) < 1e-9
 
     def test_random_sweep_all_pass(self, rng):
-        sched = make_schedule("H", 16)
+        sched = make_schedule(16)
         reports = relative_position_reports(self.rotate, 16, sched, rng, 200, 1e-5)
         assert all(r.passed for r in reports)
 
     def test_pi_schedule_keeps_property(self, rng):
-        sched = make_schedule("H", 16, method="pi", ratio=4.0)
+        sched = make_schedule(16, method="pi", ratio=4.0)
         reports = relative_position_reports(self.rotate, 16, sched, rng, 200, 1e-5)
         assert all(r.passed for r in reports)
-
-
-class TestRotationBits:
-    """apply_rotary takes cos/sin once per distinct position and gathers them;
-    every token must still get exactly the bits of its own rotation."""
-
-    # odd lengths, with repeated, negative, fractional and far positions
-    POSITIONS = (
-        np.array([3.0, -2.0, 0.5, 3.0, 0.0, -2.0, 7.25]),
-        np.array([1.0, 1.0, 1.0]),
-        np.array([-0.25, 1e4, -0.25, 2.5, 11.0, 2.5, -7.0, 1e4, 0.0]),
-    )
-
-    @pytest.mark.parametrize("case", range(len(POSITIONS)))
-    def test_apply_rotary_equals_per_token(self, rng, case):
-        positions = self.POSITIONS[case]
-        sched = make_schedule("H", 10, method="ntk", ratio=2.0)
-        x = rng.standard_normal((len(positions), 10))
-        scale = rng.uniform(0.5, 2.0, 5)
-        expected = rotate_tokens(x, positions, sched.theta, scale)
-        assert np.array_equal(apply_rotary(x, positions, sched, scale), expected)
-        assert np.array_equal(apply_rotary(x, positions, sched), rotate_tokens(x, positions, sched.theta))
-
-    def test_scalar_position_equals_per_token(self, rng):
-        sched = make_schedule("W", 6)
-        x = rng.standard_normal(6)
-        expected = rotate_tokens(x[None, :], [-3.5], sched.theta)[0]
-        assert np.array_equal(apply_rotary(x, -3.5, sched), expected)
 
 
 def test_oracles_do_not_import_the_package():

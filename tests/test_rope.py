@@ -4,13 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sega import (
     RopeParams,
     YarnParams,
-    apply_rotary,
     base_frequencies,
     dype_ratio,
     make_schedule,
@@ -21,7 +18,7 @@ from sega import (
     yarn_temperature,
 )
 from sega.rope import MAX_DIM
-from oracles import ntk_base_direct, temperature_direct, yarn_theta_direct
+from oracles import ntk_base_direct, rotate_tokens, temperature_direct, yarn_theta_direct
 
 
 class TestBaseFrequencies:
@@ -47,7 +44,7 @@ class TestBaseFrequencies:
     def test_rejects_dim_above_bound(self, dim):
         # refused before dim / 2 frequencies are allocated
         with pytest.raises(ValueError, match=f"dim must be <= {MAX_DIM}"):
-            make_schedule("H", dim)
+            make_schedule(dim)
         with pytest.raises(ValueError, match="dim must be an even integer in"):
             RopeParams(dim=dim)
 
@@ -67,12 +64,12 @@ class TestPi:
     def test_index_equivalence(self, rng):
         # rotating at n with theta/s == rotating at n/s with theta
         dim, s = 16, 4.0
-        sched = make_schedule("H", dim, method="none")
-        sched_pi = make_schedule("H", dim, method="pi", ratio=s)
+        sched = make_schedule(dim, method="none")
+        sched_pi = make_schedule(dim, method="pi", ratio=s)
         for n in range(0, 64):
             x = rng.standard_normal(dim)
-            a = apply_rotary(x, float(n), sched_pi)
-            b = apply_rotary(x, n / s, sched)
+            a = rotate_tokens(x[None], [float(n)], sched_pi.theta)[0]
+            b = rotate_tokens(x[None], [n / s], sched.theta)[0]
             np.testing.assert_allclose(a, b, atol=1e-5)
 
 
@@ -93,7 +90,7 @@ class TestNtk:
 
     def test_first_dim_unchanged_by_base(self):
         for method in ("ntk", "ntk_strong"):
-            sched = make_schedule("H", 64, method=method, ratio=8.0)
+            sched = make_schedule(64, method=method, ratio=8.0)
             assert sched.theta[0] == 1.0
 
     def test_rejects_dim_two(self):
@@ -165,10 +162,10 @@ class TestDype:
         assert dype_ratio(4.0, 0.5, 1.0) == 2.5
 
     def test_schedule_endpoints_match_none_and_ntk(self):
-        base = make_schedule("H", 32, method="none")
-        full = make_schedule("H", 32, method="ntk", ratio=4.0)
-        early = make_schedule("H", 32, method="dype", ratio=4.0, dype_time=1.0)
-        late = make_schedule("H", 32, method="dype", ratio=4.0, dype_time=0.0)
+        base = make_schedule(32, method="none")
+        full = make_schedule(32, method="ntk", ratio=4.0)
+        early = make_schedule(32, method="dype", ratio=4.0, dype_time=1.0)
+        late = make_schedule(32, method="dype", ratio=4.0, dype_time=0.0)
         np.testing.assert_allclose(early.theta, base.theta, rtol=1e-12)
         np.testing.assert_allclose(late.theta, full.theta, rtol=1e-12)
 
@@ -177,62 +174,11 @@ class TestDype:
             dype_ratio(4.0, 1.5)
 
 
-class TestApplyRotary:
-    def test_zero_position_identity(self, rng):
-        sched = make_schedule("H", 8)
-        x = rng.standard_normal(8)
-        np.testing.assert_allclose(apply_rotary(x, 0.0, sched), x, atol=1e-15)
-
-    def test_quarter_turn(self):
-        # one subspace at angle pi/2 maps (1, 0) to (0, 1)
-        sched = make_schedule("H", 2, base=1.0)  # theta = [1]
-        out = apply_rotary(np.array([1.0, 0.0]), np.pi / 2, sched)
-        np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
-
-    def test_scale_doubles_subspace_norm(self, rng):
-        sched = make_schedule("H", 8)
-        x = rng.standard_normal(8)
-        out = apply_rotary(x, 3.0, sched, scale=np.full(4, 2.0))
-        for d in range(4):
-            pair = slice(2 * d, 2 * d + 2)
-            assert math.isclose(
-                np.linalg.norm(out[pair]), 2.0 * np.linalg.norm(x[pair]), rel_tol=1e-12
-            )
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_norm_preserved_without_scaling(self, seed):
-        gen = np.random.default_rng(seed)
-        sched = make_schedule("H", 16)
-        x = gen.standard_normal(16)
-        out = apply_rotary(x, float(gen.integers(0, 512)), sched)
-        for d in range(8):
-            pair = slice(2 * d, 2 * d + 2)
-            a, b = np.linalg.norm(x[pair]), np.linalg.norm(out[pair])
-            assert abs(a - b) <= 1e-6 * max(a, 1e-12)
-
-    def test_rejects_bad_scale(self, rng):
-        sched = make_schedule("H", 8)
-        with pytest.raises(ValueError):
-            apply_rotary(rng.standard_normal(8), 1.0, sched, scale=np.array([1.0, -1.0, 1.0, 1.0]))
-        with pytest.raises(ValueError):
-            apply_rotary(rng.standard_normal(6), 1.0, sched)
-
-    def test_relative_position_property(self, rng):
-        sched = make_schedule("H", 16)
-        for _ in range(100):
-            q, k = rng.standard_normal(16), rng.standard_normal(16)
-            n, m = rng.integers(0, 128), rng.integers(0, 128)
-            lhs = np.dot(apply_rotary(q, float(n), sched), apply_rotary(k, float(m), sched))
-            rhs = np.dot(apply_rotary(q, float(n - m), sched), k)
-            assert abs(lhs - rhs) < 1e-5
-
-
 class TestScheduleInvariants:
     @pytest.mark.parametrize("method", ["none", "pi", "ntk", "ntk_strong", "dype"])
     @pytest.mark.parametrize("ratio", [1.0, 2.0, 8.0, 32.0])
     def test_monotone_non_increasing(self, method, ratio):
-        sched = make_schedule("H", 64, method=method, ratio=ratio, dype_time=0.25)
+        sched = make_schedule(64, method=method, ratio=ratio, dype_time=0.25)
         assert np.all(np.diff(sched.theta) <= 1e-15)
 
     @pytest.mark.parametrize("ratio", [1.0, 2.0, 8.0, 16.0, 32.0])
@@ -240,11 +186,11 @@ class TestScheduleInvariants:
         # Holds for the default wide ramp at dim >= 32; narrow ramps with
         # large ratios can locally reorder frequencies (see design notes).
         yarn = YarnParams(alpha=1.0, beta=32.0, train_len=64.0)
-        sched = make_schedule("H", 64, method="yarn", ratio=ratio, yarn=yarn)
+        sched = make_schedule(64, method="yarn", ratio=ratio, yarn=yarn)
         assert np.all(np.diff(sched.theta) <= 1e-15)
 
     @pytest.mark.parametrize("check", [
-        lambda r: make_schedule("H", 8, method="none", ratio=r),
+        lambda r: make_schedule(8, method="none", ratio=r),
         lambda r: pi_frequencies(np.array([1.0]), r),
         lambda r: ntk_base(10000.0, r, 8),
         lambda r: yarn_frequencies(np.array([1.0]), r, YarnParams(1.0, 32.0, 64.0)),
@@ -259,5 +205,5 @@ class TestScheduleInvariants:
     def test_all_schedules_positive(self):
         yarn = YarnParams(alpha=1.0, beta=32.0, train_len=64.0)
         for method in ("none", "pi", "ntk", "ntk_strong", "yarn", "dype"):
-            sched = make_schedule("H", 32, method=method, ratio=4.0, yarn=yarn, dype_time=0.5)
+            sched = make_schedule(32, method=method, ratio=4.0, yarn=yarn, dype_time=0.5)
             assert np.all(sched.theta > 0)

@@ -28,7 +28,7 @@ from oracles import flatness_direct, naive_dft2, reference_scale_direct
 
 
 def centered(arr2d):
-    return center_map(LatentGrid.from_array(np.asarray(arr2d, dtype=np.float64)[:, :, None]))
+    return center_map(LatentGrid(np.asarray(arr2d, dtype=np.float64)[:, :, None]))
 
 
 class TestPowerSpectrum:
@@ -167,13 +167,13 @@ class TestBandLookup:
 
 class TestPerDimCorrection:
     def test_flat_profile_gives_zero(self):
-        sched = make_schedule("H", 16)
+        sched = make_schedule(16)
         s = per_dim_correction(np.full(32, 2.0), sched, axis_len=64)
         np.testing.assert_array_equal(s, 0.0)
 
     def test_two_point_standardization(self):
         # energies (e, 10e) in the two bins hit by a 2-dim schedule -> z = +-1
-        sched = make_schedule("H", 4, base=4.0)  # theta = [1, 0.5]
+        sched = make_schedule(4, base=4.0)  # theta = [1, 0.5]
         L = 64
         bins = [band_lookup(t, L) for t in sched.theta]
         assert bins[0] != bins[1]
@@ -188,7 +188,7 @@ class TestPerDimCorrection:
     @settings(max_examples=30, deadline=None)
     def test_zero_sum(self, seed):
         gen = np.random.default_rng(seed)
-        sched = make_schedule("H", 32)
+        sched = make_schedule(32)
         profile = np.exp(gen.normal(0, 3, 32))
         s = per_dim_correction(profile, sched, axis_len=64)
         assert abs(s.sum()) <= 1e-9 * len(s)
@@ -198,7 +198,7 @@ class TestPerDimCorrection:
     @settings(max_examples=40, deadline=None)
     def test_raising_a_band_never_lowers_its_correction(self, seed, factor):
         gen = np.random.default_rng(seed)
-        sched = make_schedule("H", 16)
+        sched = make_schedule(16)
         profile = np.exp(gen.normal(0, 2, 32))
         d = int(gen.integers(0, 8))
         bin_d = band_lookup(sched.theta[d], 64)
@@ -287,7 +287,7 @@ class TestReferenceScale:
 
 class TestModulate:
     def make_scheds(self, dim=64):
-        return make_schedule("H", dim), make_schedule("W", dim)
+        return make_schedule(dim), make_schedule(dim)
 
     def test_mean_scaling_equals_reference(self, rng):
         sh, sw = self.make_scheds()
@@ -332,7 +332,7 @@ class TestModulate:
 
     def test_constant_latent_keeps_the_reference(self):
         sh, sw = self.make_scheds(16)
-        constant = LatentGrid.from_array(np.full((8, 8, 2), 0.5))
+        constant = LatentGrid(np.full((8, 8, 2), 0.5))
         result = modulate_detailed(analyze(constant), sh, sw, 2.0)
         assert result.flatness == 1.0
         for vec in (result.vec_h, result.vec_w):
@@ -341,7 +341,7 @@ class TestModulate:
 
     def test_default_bin_count_tracks_grid(self):
         def bins(h, w):
-            return analyze(LatentGrid.from_array(np.zeros((h, w)))).radial.size
+            return analyze(LatentGrid(np.zeros((h, w)))).radial.size
 
         assert bins(64, 64) == 32
         assert bins(8, 64) == 4

@@ -29,21 +29,36 @@ from sega.tensorio import (
 class TestLatentGrid:
     def test_rejects_degenerate_shapes(self):
         with pytest.raises(ValueError):
-            LatentGrid.from_array(np.zeros((1, 4, 1)))
+            LatentGrid(np.zeros((1, 4, 1)))
         with pytest.raises(ValueError):
-            LatentGrid.from_array(np.zeros((4, 1, 1)))
+            LatentGrid(np.zeros((4, 1, 1)))
         with pytest.raises(ValueError):
-            LatentGrid(2, 2, 0, np.zeros((2, 2, 0)))
+            LatentGrid(np.zeros((2, 2, 0)))
+        with pytest.raises(ValueError, match="expected 2D or 3D array"):
+            LatentGrid(np.zeros((2, 2, 1, 1)))
+
+    def test_shape_is_the_values_shape(self):
+        grid = LatentGrid(np.zeros((5, 3)))  # one channel
+        assert (grid.height, grid.width, grid.channels) == (5, 3, 1) == grid.values.shape
+
+    def test_keeps_a_copy_of_the_callers_array(self):
+        # float32 and contiguous already, so only the constructor's own copy
+        # keeps the caller's array writeable and apart from the grid
+        arr = np.ones((4, 3, 2), dtype=np.float32)
+        grid = LatentGrid(arr)
+        assert arr.flags.writeable and not grid.values.flags.writeable
+        arr[0, 0, 0] = 7.0
+        assert np.all(grid.values == 1.0)
 
     def test_rejects_non_finite(self):
         arr = np.zeros((2, 2, 1))
         arr[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
-            LatentGrid.from_array(arr)
+            LatentGrid(arr)
 
     def test_tokens_row_major(self):
         arr = np.arange(2 * 3 * 2, dtype=np.float32).reshape(2, 3, 2)
-        grid = LatentGrid.from_array(arr)
+        grid = LatentGrid(arr)
         toks = grid.tokens()
         assert toks.shape == (6, 2)
         # token (h=1, w=0) is row 3 in row-major order
@@ -52,7 +67,7 @@ class TestLatentGrid:
 
 class TestTokenFeatures:
     def test_seeded_projection_of_the_tokens(self):
-        grid = LatentGrid.from_array(np.random.default_rng(4).standard_normal((5, 7, 3)))
+        grid = LatentGrid(np.random.default_rng(4).standard_normal((5, 7, 3)))
         feats = token_features(grid, 16, seed=9, step=2)
         rng = np.random.default_rng(np.random.SeedSequence([9, 2, 2]))  # the feature stream
         proj = rng.standard_normal((3, 16)) / np.sqrt(3)
@@ -69,18 +84,18 @@ class TestTokenFeatures:
 
 class TestCenterMap:
     def test_constant_grid_becomes_zero(self):
-        grid = LatentGrid.from_array(np.full((4, 5, 3), 7.0))
+        grid = LatentGrid(np.full((4, 5, 3), 7.0))
         out = center_map(grid)
         np.testing.assert_allclose(out.values, 0.0, atol=1e-12)
 
     def test_hand_2x2(self):
-        grid = LatentGrid.from_array(np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None])
+        grid = LatentGrid(np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None])
         out = center_map(grid)
         np.testing.assert_allclose(out.values, [[-1.5, -0.5], [0.5, 1.5]], atol=1e-12)
 
     def test_opposite_channels_cancel(self):
         a = np.random.default_rng(3).standard_normal((6, 6)).astype(np.float32)
-        grid = LatentGrid.from_array(np.stack([a, -a], axis=2))
+        grid = LatentGrid(np.stack([a, -a], axis=2))
         out = center_map(grid)
         np.testing.assert_allclose(out.values, 0.0, atol=1e-6)
 
@@ -88,7 +103,7 @@ class TestCenterMap:
     @settings(max_examples=40, deadline=None)
     def test_sum_is_always_tiny(self, h, w, c, seed):
         gen = np.random.default_rng(seed)
-        grid = LatentGrid.from_array(gen.standard_normal((h, w, c)))
+        grid = LatentGrid(gen.standard_normal((h, w, c)))
         out = center_map(grid)
         assert abs(out.values.sum()) <= 1e-6 * h * w
 
@@ -98,7 +113,7 @@ class TestSeglFormat:
     @settings(max_examples=40, deadline=None)
     def test_round_trip_identity(self, tmp_path_factory, h, w, c, seed):
         gen = np.random.default_rng(seed)
-        grid = LatentGrid.from_array(gen.standard_normal((h, w, c)))
+        grid = LatentGrid(gen.standard_normal((h, w, c)))
         path = tmp_path_factory.mktemp("segl") / "grid.segl"
         write_latent(grid, path)
         back = read_latent(path)
@@ -118,7 +133,7 @@ class TestSeglFormat:
             read_latent(path)
 
     def test_truncated_payload(self, tmp_path):
-        grid = LatentGrid.from_array(np.zeros((4, 4, 1)))
+        grid = LatentGrid(np.zeros((4, 4, 1)))
         path = tmp_path / "trunc.segl"
         write_latent(grid, path)
         raw = path.read_bytes()
@@ -127,7 +142,7 @@ class TestSeglFormat:
             read_latent(path)
 
     def test_non_finite_payload(self, tmp_path):
-        grid = LatentGrid.from_array(np.ones((2, 2, 1)))
+        grid = LatentGrid(np.ones((2, 2, 1)))
         path = tmp_path / "nan.segl"
         write_latent(grid, path)
         raw = bytearray(path.read_bytes())
@@ -223,7 +238,7 @@ class TestGenerateLatent:
             generate_latent(cfg, 0)
 
     def test_file_structure_round_trip(self, tmp_path):
-        src = LatentGrid.from_array(np.random.default_rng(1).standard_normal((4, 4, 1)))
+        src = LatentGrid(np.random.default_rng(1).standard_normal((4, 4, 1)))
         path = tmp_path / "src.segl"
         write_latent(src, path)
         cfg = TrajectoryConfig(
