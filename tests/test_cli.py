@@ -615,9 +615,10 @@ class TestConfigSchema:
         assert load_experiment_config(readme).snapshot() == load_experiment_config({}).snapshot()
 
     @pytest.mark.parametrize("blend", [{"kind": "linear"}, {"kind": "constant", "value": 0.5}])
-    def test_untabled_blend_is_checked_at_one_step(self, blend, monkeypatch):
+    def test_untabled_blend_loads_in_constant_memory(self, blend, monkeypatch):
         # only a table has a weight per step to check; a million-step linear blend
-        # once built a 38.6 MiB table at load
+        # once built a 38.6 MiB table at load, so an untabled blend is checked at
+        # step 0 alone
         blend_at, steps = TrajectoryConfig._blend_at, []
         monkeypatch.setattr(TrajectoryConfig, "_blend_at",
                             lambda cfg, step: steps.append(step) or blend_at(cfg, step))

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sega import make_schedule
 from oracles import (
@@ -97,6 +99,39 @@ class TestRelativePositionOracle:
         sched = make_schedule(16, method="pi", ratio=4.0)
         reports = relative_position_reports(self.rotate, 16, sched, rng, 200, 1e-5)
         assert all(r.passed for r in reports)
+
+
+class TestRotateTokens:
+    """Closed-form cases of the rotation oracle that the kernel tests compare against."""
+
+    def test_zero_position_identity(self, rng):
+        x = rng.standard_normal((1, 8))
+        np.testing.assert_allclose(rotate_tokens(x, [0.0], make_schedule(8).theta), x, atol=1e-15)
+
+    def test_quarter_turn(self):
+        # one subspace at angle pi/2 maps (1, 0) to (0, 1)
+        out = rotate_tokens([[1.0, 0.0]], [np.pi / 2], np.array([1.0]))
+        np.testing.assert_allclose(out, [[0.0, 1.0]], atol=1e-12)
+
+    def test_scale_doubles_subspace_norm(self, rng):
+        x = rng.standard_normal((1, 8))
+        out = rotate_tokens(x, [3.0], make_schedule(8).theta, scale=np.full(4, 2.0))
+        for d in range(4):
+            pair = slice(2 * d, 2 * d + 2)
+            assert math.isclose(
+                np.linalg.norm(out[0, pair]), 2.0 * np.linalg.norm(x[0, pair]), rel_tol=1e-12
+            )
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_norm_preserved_without_scaling(self, seed):
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal((1, 16))
+        out = rotate_tokens(x, [float(gen.integers(0, 512))], make_schedule(16).theta)
+        for d in range(8):
+            pair = slice(2 * d, 2 * d + 2)
+            a, b = np.linalg.norm(x[0, pair]), np.linalg.norm(out[0, pair])
+            assert abs(a - b) <= 1e-6 * max(a, 1e-12)
 
 
 def test_oracles_do_not_import_the_package():
