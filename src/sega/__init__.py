@@ -41,7 +41,6 @@ from .spectral import (
     spectral_flatness,
 )
 from .tensorio import (
-    CenteredMap,
     LatentGrid,
     LatentIOError,
     TokenFeatures,

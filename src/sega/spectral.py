@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rope import RopeSchedule
-from .tensorio import CenteredMap, LatentGrid, center_map
+from .tensorio import LatentGrid, center_map
 
 logger = logging.getLogger(__name__)
 
@@ -45,14 +45,15 @@ class SegaConfig:
     n_bins_iso: int | None = None
 
     def __post_init__(self):
-        # Each message starts with the field it faults, as in RopeParams.
-        if self.kappa <= 0:
+        # Each message starts with the field it faults, as in RopeParams. The
+        # checks are written so that NaN fails them too.
+        if not self.kappa > 0:
             raise ValueError("kappa must be positive")
-        if self.gamma < 1.0:
+        if not self.gamma >= 1.0:
             raise ValueError("gamma must be >= 1")
         if self.ref_form not in REF_FORMS:
             raise ValueError(f"ref_form must be one of {REF_FORMS}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
         if self.n_bins_iso is not None and self.n_bins_iso < 2:
             raise ValueError("n_bins_iso must be >= 2")
@@ -73,22 +74,6 @@ class SpectralProfiles:
     height: int
     width: int
 
-    def __post_init__(self):
-        for name in ("axis_h", "axis_w", "radial"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 1 or arr.size < 1:
-                raise ValueError(f"{name} must be a nonempty 1D array")
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-                raise ValueError(f"{name} entries must be finite and nonnegative")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        occ = np.ascontiguousarray(self.occupied, dtype=bool)
-        if occ.shape != self.radial.shape:
-            raise ValueError("occupied mask must match radial profile length")
-        object.__setattr__(self, "occupied", occ)
-        if (self.axis_h.size, self.axis_w.size) != (self.height // 2, self.width // 2):
-            raise ValueError("axis profiles must hold floor(height/2) and floor(width/2) bins")
-
 
 @dataclass(frozen=True, eq=False)
 class ScalingVector:
@@ -100,26 +85,10 @@ class ScalingVector:
     m_ref: float
     s_corr: np.ndarray
 
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.m, dtype=np.float64)
-        s = np.ascontiguousarray(self.s_corr, dtype=np.float64)
-        if m.shape != s.shape or m.ndim != 1:
-            raise ValueError("m and s_corr must be 1D arrays of equal length")
-        if not np.all(m > 0):
-            raise ValueError("all scaling magnitudes must be positive")
-        if abs(float(s.sum())) > 1e-9 * s.size:
-            raise ValueError("correction vector must be zero-sum")
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError("sigma must lie in [0, 1]")
-        m.flags.writeable = False
-        s.flags.writeable = False
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s_corr", s)
 
-
-def power_spectrum_2d(cmap: CenteredMap) -> np.ndarray:
-    """|FFT2(map)|^2 on the full (wrapped) frequency grid."""
-    return np.abs(np.fft.fft2(cmap.values)) ** 2
+def power_spectrum_2d(cmap: np.ndarray) -> np.ndarray:
+    """|FFT2(map)|^2 on the full (wrapped) frequency grid of an (H, W) map."""
+    return np.abs(np.fft.fft2(cmap)) ** 2
 
 
 def axis_profiles(spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +199,7 @@ def amplitude_factor(flatness: float, gamma: float) -> float:
     """sigma = 1 - flatness**gamma, clipped into [0, 1] against roundoff."""
     if not 0.0 < flatness <= 1.0:
         raise ValueError("flatness must lie in (0, 1]")
-    if gamma < 1.0:
+    if not gamma >= 1.0:  # NaN fails this test too
         raise ValueError("gamma must be >= 1")
     return min(max(1.0 - flatness**gamma, 0.0), 1.0)
 

@@ -98,28 +98,10 @@ class LatentGrid:
         return self.values.reshape(-1, self.channels).astype(np.float64)
 
 
-@dataclass(frozen=True, eq=False)
-class CenteredMap:
-    """A zero-centered H x W map obtained by channel-averaging a latent grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("map values must be finite")
-        scale = float(np.mean(np.abs(vals)))
-        if abs(float(vals.sum())) > 1e-6 * vals.size * (scale + 1e-300):
-            raise ValueError("map is not zero-centered")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-
-def center_map(grid: LatentGrid) -> CenteredMap:
-    """Average a grid across channels and remove the spatial mean."""
+def center_map(grid: LatentGrid) -> np.ndarray:
+    """Average a grid across channels and remove the spatial mean: a float64 (H, W) array."""
     mean_field = grid.values.astype(np.float64).mean(axis=2)
-    centered = mean_field - mean_field.mean()
-    return CenteredMap(centered)
+    return mean_field - mean_field.mean()
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sega import (
@@ -23,6 +23,7 @@ from sega import (
     reference_scale,
     spectral_flatness,
 )
+from sega.spectral import MODULATOR_FLOOR
 from conftest import SEEDS_64, noise_grid, sinusoid_grid
 from oracles import flatness_direct, naive_dft2, reference_scale_direct
 
@@ -51,7 +52,7 @@ class TestPowerSpectrum:
     def test_matches_naive_dft(self, rng):
         m = centered(rng.standard_normal((8, 8)))
         fast = power_spectrum_2d(m)
-        slow = np.abs(naive_dft2(m.values)) ** 2
+        slow = np.abs(naive_dft2(m)) ** 2
         np.testing.assert_allclose(fast, slow, atol=1e-6 * max(1.0, slow.max()))
 
     @given(st.integers(2, 16), st.integers(2, 16), st.integers(0, 2**32 - 1))
@@ -61,7 +62,7 @@ class TestPowerSpectrum:
         m = centered(gen.standard_normal((h, w)))
         spec = power_spectrum_2d(m)
         lhs = spec.sum()
-        rhs = h * w * np.sum(m.values**2)
+        rhs = h * w * np.sum(m**2)
         assert abs(lhs - rhs) <= 1e-4 * max(rhs, 1e-12)
 
 
@@ -260,6 +261,28 @@ class TestAmplitude:
             amplitude_factor(0.0, 1.5)
         with pytest.raises(ValueError):
             amplitude_factor(1.2, 1.5)
+        with pytest.raises(ValueError):
+            amplitude_factor(math.nan, 1.5)
+        for gamma in (0.5, math.nan):  # NaN compares false, so `gamma < 1` would pass it
+            with pytest.raises(ValueError, match="gamma must be >= 1"):
+                amplitude_factor(0.5, gamma)
+
+
+class TestSegaConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kappa", 0.0), ("kappa", -1.0), ("kappa", math.nan),
+            ("gamma", 0.5), ("gamma", math.nan),
+            ("eps", 0.0), ("eps", math.nan),
+            ("n_bins_iso", 1),
+        ],
+    )
+    def test_rejects_out_of_range(self, field, value):
+        # The message starts with the field, which the config loader prefixes
+        # with its section.
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SegaConfig(**{field: value})
 
 
 class TestReferenceScale:
@@ -346,3 +369,72 @@ class TestModulate:
         assert bins(64, 64) == 32
         assert bins(8, 64) == 4
         assert bins(2, 2) == 2
+
+
+def structured_latent(kind, h, w, channels, seed, a, b):
+    """A random, sinusoid (a, b cycles) or checker ((a + 1) x (b + 1) blocks) latent."""
+    if kind == "random":
+        return LatentGrid(np.random.default_rng(seed).standard_normal((h, w, channels)))
+    i = np.arange(h)[:, None]
+    j = np.arange(w)[None, :]
+    if kind == "sinusoid":
+        plane = np.cos(2.0 * np.pi * (a * i / h + b * j / w))
+    else:
+        plane = np.where((i // (a + 1) + j // (b + 1)) % 2 == 0, 1.0, -1.0)
+    return LatentGrid(np.repeat(plane[:, :, None], channels, axis=2))
+
+
+# An 8x8 sinusoid of (1, 3) cycles at dim 8: sigma is 1 and one modulator on
+# each axis falls below zero, so the floor decides those magnitudes.
+CLAMPED_STEP = dict(kind="sinusoid", h=8, w=8, channels=1, seed=0, a=1, b=3)
+
+
+class TestModulationInvariants:
+    """What analyze and modulate_detailed guarantee, for every latent.
+
+    SpectralProfiles and ScalingVector hold these arrays as built and check
+    nothing on construction; this test holds the invariants instead.
+    """
+
+    def test_pinned_step_reaches_the_floor(self):
+        sched = make_schedule(8)
+        result = modulate_detailed(analyze(structured_latent(**CLAMPED_STEP)), sched, sched, 2.0)
+        for vec in (result.vec_h, result.vec_w):
+            assert np.min(1.0 - vec.sigma * vec.s_corr) < 0.0
+            assert np.min(vec.m) == vec.m_ref * MODULATOR_FLOOR
+
+    @given(
+        kind=st.sampled_from(["random", "sinusoid", "checker"]),
+        h=st.integers(2, 24),
+        w=st.integers(2, 24),
+        channels=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        a=st.integers(0, 5),
+        b=st.integers(0, 5),
+        dim=st.sampled_from([4, 8, 16, 32]),
+        ratio=st.floats(1.0, 8.0),
+        gamma=st.floats(1.0, 4.0),
+        ref_form=st.sampled_from(["power", "log"]),
+    )
+    @example(**CLAMPED_STEP, dim=8, ratio=2.0, gamma=1.5, ref_form="power")
+    @settings(max_examples=80, deadline=None)
+    def test_invariants(self, kind, h, w, channels, seed, a, b, dim, ratio, gamma, ref_form):
+        cfg = SegaConfig(gamma=gamma, ref_form=ref_form)
+        profiles = analyze(structured_latent(kind, h, w, channels, seed, a, b))
+        assert (profiles.axis_h.size, profiles.axis_w.size) == (h // 2, w // 2)
+        assert profiles.occupied.shape == profiles.radial.shape
+        for arr in (profiles.axis_h, profiles.axis_w, profiles.radial):
+            assert np.all(np.isfinite(arr)) and np.all(arr >= 0)
+
+        sched = make_schedule(dim)
+        result = modulate_detailed(profiles, sched, sched, ratio, cfg)
+        assert 0.0 < result.flatness <= 1.0
+        for vec in (result.vec_h, result.vec_w):
+            assert vec.m.shape == vec.s_corr.shape == (dim // 2,)
+            assert np.all(np.isfinite(vec.m)) and np.all(np.isfinite(vec.s_corr))
+            assert abs(vec.s_corr.sum()) <= 1e-9 * len(vec.s_corr)
+            assert 0.0 <= vec.sigma <= 1.0
+            assert np.all(vec.m > 0)
+            assert np.all(vec.m >= vec.m_ref * MODULATOR_FLOOR)
+            if np.all(1.0 - vec.sigma * vec.s_corr >= MODULATOR_FLOOR):
+                assert abs(vec.m.mean() - vec.m_ref) <= 1e-9 * vec.m_ref

@@ -86,18 +86,19 @@ class TestCenterMap:
     def test_constant_grid_becomes_zero(self):
         grid = LatentGrid(np.full((4, 5, 3), 7.0))
         out = center_map(grid)
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-12)
+        np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_hand_2x2(self):
         grid = LatentGrid(np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None])
         out = center_map(grid)
-        np.testing.assert_allclose(out.values, [[-1.5, -0.5], [0.5, 1.5]], atol=1e-12)
+        assert out.dtype == np.float64 and out.shape == (2, 2)
+        np.testing.assert_allclose(out, [[-1.5, -0.5], [0.5, 1.5]], atol=1e-12)
 
     def test_opposite_channels_cancel(self):
         a = np.random.default_rng(3).standard_normal((6, 6)).astype(np.float32)
         grid = LatentGrid(np.stack([a, -a], axis=2))
         out = center_map(grid)
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-6)
+        np.testing.assert_allclose(out, 0.0, atol=1e-6)
 
     @given(st.integers(2, 12), st.integers(2, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -105,7 +106,7 @@ class TestCenterMap:
         gen = np.random.default_rng(seed)
         grid = LatentGrid(gen.standard_normal((h, w, c)))
         out = center_map(grid)
-        assert abs(out.values.sum()) <= 1e-6 * h * w
+        assert abs(out.sum()) <= 1e-6 * h * w
 
 
 class TestSeglFormat:
