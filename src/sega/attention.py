@@ -20,13 +20,10 @@ import numpy as np
 from .rope import RopeSchedule, scale_vector
 from .tensorio import TokenFeatures
 
-# Logits per query block of rotary_entropy: 2 MiB of float64, one 64-token grid
-# column at N=4096.
-BLOCK_LOGITS = 1 << 18
-# Logits per reduction slice of a block: 512 KiB, 16 rows at N=4096. A slice and
-# its exp buffer stay in a 2 MiB L2 cache through all five reduction passes,
-# which run under a ufunc buffer of one row (see rotary_entropy).
-REDUCE_LOGITS = 1 << 16
+# Logits per query block of rotary_entropy: 512 KiB of float64, 16 rows at
+# N=4096. A block and its exp buffer stay in a 2 MiB L2 cache through all five
+# reduction passes, which run under a ufunc buffer of one row (see rotary_entropy).
+BLOCK_LOGITS = 1 << 16
 
 
 def _axis_table(proj: np.ndarray, sched: RopeSchedule, scale, extent: int, c: float) -> np.ndarray:
@@ -131,11 +128,10 @@ def rotary_entropy(
     rows. Five passes: argmax, subtract, exp and two BLAS dots per row, which
     write Z' and S in place; H is then taken for the whole grid at once.
 
-    A block is one query grid column, or part of one within BLOCK_LOGITS. Its
-    logits are formed once, then reduced in slices of rows that stay in cache,
-    each row by its own operations and dots, so the slice size does not change
-    the result. The block size decides which rows share a GEMM, which BLAS may
-    round differently, so it moves only the last bits.
+    A block is one query grid column, or part of one within BLOCK_LOGITS, and
+    stays in cache while each of its rows is reduced by its own operations and
+    dots. The block size decides which rows share a GEMM, which BLAS may round
+    differently, so it moves only the last bits.
 
     The loop runs under a ufunc buffer of one row (np.setbufsize, restored on
     return): with numpy's default 8192 elements, the subtract of each row's
@@ -145,25 +141,22 @@ def rotary_entropy(
     tokens, m_h, m_w = _tables(feats, height, width, sched_h, sched_w, scale_h, scale_w, logit_scale)
     n = tokens.shape[0]
     step = min(height, max(1, BLOCK_LOGITS // n))
-    rows = min(step, max(1, REDUCE_LOGITS // n))
     z, s = np.empty((height, width)), np.empty((height, width))
-    exp_buf = np.empty((rows, n))
-    ones, index = np.ones((n, 1)), np.arange(rows)
+    exp_buf = np.empty((step, n))
+    ones, index = np.ones((n, 1)), np.arange(step)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):  # as in _tables
         # one row, as a multiple of 16 in [16, 2**20] (numpy's range); longer rows go unbuffered
         bufsize = np.setbufsize(max(16, min(n, 1 << 20) // 16 * 16))
         try:
-            for w, start, block in _logit_blocks(tokens.reshape(height, width, -1), m_h, m_w, step):
-                for first in range(0, block.shape[0], rows):
-                    logits = block[first : first + rows]
-                    r, at = len(logits), start + first
-                    top = index[:r], logits.argmax(axis=1)
-                    logits -= logits[top][:, None]
-                    e = np.exp(logits, out=exp_buf[:r])
-                    e[top] = 0.0
-                    # a dot per row, not a gemv, written straight into Z' and S
-                    np.matmul(e[:, None], ones, out=z[at : at + r, w, None, None])
-                    np.matmul(e[:, None], logits[:, :, None], out=s[at : at + r, w, None, None])
+            for w, first, logits in _logit_blocks(tokens.reshape(height, width, -1), m_h, m_w, step):
+                r = len(logits)
+                top = index[:r], logits.argmax(axis=1)
+                logits -= logits[top][:, None]
+                e = np.exp(logits, out=exp_buf[:r])
+                e[top] = 0.0
+                # a dot per row, not a gemv, written straight into Z' and S
+                np.matmul(e[:, None], ones, out=z[first : first + r, w, None, None])
+                np.matmul(e[:, None], logits[:, :, None], out=s[first : first + r, w, None, None])
         finally:
             np.setbufsize(bufsize)
         per_row = np.log1p(z) - s / (1.0 + z)

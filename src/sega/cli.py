@@ -142,8 +142,8 @@ def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p,
     """Dump (d, theta, theta', wavelength[, lambda]) for a schedule as CSV."""
     if method != "yarn" and any(v is not None for v in (alpha, beta, train_len)):
         raise click.UsageError("--alpha/--beta/--train-len are only valid with --method yarn")
-    if method != "dype" and any(v is not None for v in (dype_t, dype_p)):
-        raise click.UsageError("--dype-t/--dype-p are only valid with --method dype")
+    if method != "dype" and (dype_strong or any(v is not None for v in (dype_t, dype_p))):
+        raise click.UsageError("--dype-t/--dype-p/--dype-strong are only valid with --method dype")
     if method == "yarn" and train_len is None:
         raise click.UsageError("--method yarn requires --train-len")
     with _usage_errors():
@@ -177,10 +177,11 @@ def modulate(latent_path, config_path, ratio):
     ratio_h = ratio if ratio is not None else cfg.rope.ratio_h
     ratio_w = ratio if ratio is not None else cfg.rope.ratio_w
     sched_h, sched_w = _schedules(cfg, grid, ratio_h, ratio_w)
-    result = spectral.modulate_detailed(
-        spectral.analyze(grid, cfg.sega.n_bins_iso),
-        sched_h, sched_w, float(np.sqrt(ratio_h * ratio_w)), cfg.sega,
-    )
+    with _usage_errors():  # the reference scale may overflow at a large --ratio
+        result = spectral.modulate_detailed(
+            spectral.analyze(grid, cfg.sega.n_bins_iso),
+            sched_h, sched_w, ratio if ratio is not None else cfg.rope.ratio_scalar, cfg.sega,
+        )
     payload = {"axes": []}
     for vec in (result.vec_h, result.vec_w):
         payload["axes"].append(
@@ -236,6 +237,8 @@ def attention_flags(fn):
 
 def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed):
     """(features, height, width, sched_h, sched_w, m_h, m_w) for the attention calls."""
+    if scaling != "fixed" and fixed_value is not None:
+        raise click.UsageError("--fixed-value is only valid with --scaling fixed")
     cfg = _load_config(config_path)
     rope_p = cfg.rope
     sched_h, sched_w = _schedules(cfg, grid, rope_p.ratio_h, rope_p.ratio_w)

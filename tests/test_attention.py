@@ -274,35 +274,13 @@ class TestBlockedRotary:
 
     def test_many_small_blocks_match_dense(self, rng, monkeypatch):
         # 7 rows per block on 24 x 25 tokens: each query column in parts of 7,
-        # 7, 7 and 3 rows, reduced one row at a time.
+        # 7, 7 and 3 rows.
         monkeypatch.setattr(attention, "BLOCK_LOGITS", 7 * 600)
-        monkeypatch.setattr(attention, "REDUCE_LOGITS", 42 * 16)
         sh, sw = make_schedule(8), make_schedule(8)
         feats = rng.standard_normal((600, 16))
         expected, _ = dense_rotary(feats, 24, 25, sh, sw, logit_scale=2.0)
         per_row, _ = rotary_entropy(dense(feats), 24, 25, sh, sw, logit_scale=2.0)
         np.testing.assert_allclose(per_row, expected, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("height, width", [(24, 25), (64, 64), (51, 51), (3, 50), (2, 2)])
-    def test_reduction_slices_are_bitwise_equal(self, rng, monkeypatch, height, width):
-        # A block's logits are formed once, whatever the reduction slice, and every
-        # row then takes the same NumPy operations in the same order. So one-row
-        # slices, the default and whole blocks agree exactly, on every BLAS core.
-        # Token counts off a multiple of 16, and 4 (below the buffer floor of 16),
-        # run under a ufunc buffer shorter or longer than one row.
-        n = height * width
-        sh = make_schedule(16, method="ntk", ratio=2.0)
-        sw = make_schedule(16, method="pi", ratio=1.5)
-        mh, mw = rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8)
-        feats = TokenFeatures(rng.standard_normal((n, 4)), rng.standard_normal((4, 32)))
-        results = []
-        for reduce_logits in (n, attention.REDUCE_LOGITS, n * n):
-            monkeypatch.setattr(attention, "REDUCE_LOGITS", reduce_logits)
-            results.append(rotary_entropy(feats, height, width, sh, sw, mh, mw, 1.5))
-        (one_row, one_mean), *others = results
-        for per_row, mean in others:
-            assert np.array_equal(per_row, one_row)
-            assert mean == one_mean
 
     def test_numpy_state_is_the_callers(self, rng):
         # The reduction runs under a one-row ufunc buffer. The caller's buffer size
@@ -337,19 +315,24 @@ class TestBlockedRotary:
                 assert np.array_equal(kernel(), expected)
                 assert np.geterr() == state
 
-    def test_block_size_moves_only_last_bits(self, rng, monkeypatch):
+    @pytest.mark.parametrize("height, width",
+                             [(41, 25), (24, 25), (64, 64), (51, 51), (3, 50), (2, 2)])
+    def test_block_size_moves_only_last_bits(self, rng, monkeypatch, height, width):
         # The block size decides which query rows share a GEMM (a one-row part
         # goes through gemv), and BLAS kernels may round those differently. So
-        # one-row blocks, parts of 5 rows and whole columns agree within a bound,
-        # not bitwise: 1e-12 relative, two orders above the logits' rounding.
-        n = 41 * 25
+        # one-row blocks, parts of 5 rows, the default and whole columns agree
+        # within a bound, not bitwise: 1e-12 relative, two orders above the
+        # logits' rounding. Token counts off a multiple of 16, and 4 (below the
+        # buffer floor of 16), run under a ufunc buffer shorter or longer than
+        # one row.
+        n = height * width
         sh, sw = schedules("yarn", 16)
         mh, mw = rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8)
         feats = TokenFeatures(rng.standard_normal((n, 4)), rng.standard_normal((4, 32)))
         results = []
-        for block_logits in (n, 5 * n, attention.BLOCK_LOGITS):
+        for block_logits in (n, 5 * n, attention.BLOCK_LOGITS, height * n):
             monkeypatch.setattr(attention, "BLOCK_LOGITS", block_logits)
-            results.append(rotary_entropy(feats, 41, 25, sh, sw, mh, mw, 1.5)[0])
+            results.append(rotary_entropy(feats, height, width, sh, sw, mh, mw, 1.5)[0])
         for per_row in results[1:]:
             np.testing.assert_allclose(per_row, results[0], rtol=1e-12, atol=0)
 
@@ -375,7 +358,7 @@ class TestBlockedRotary:
             assert abs(-np.sum(row * np.log(row)) - per_row[query]) <= 1e-12
 
     def test_memory_stays_blocked(self, rng):
-        # dense attention at 64 x 64 traces ~513 MiB; one 2 MiB logit block needs far less
+        # dense attention at 64 x 64 traces ~513 MiB; one 512 KiB logit block needs far less
         sh, sw = make_schedule(16), make_schedule(16)
         feats = dense(rng.standard_normal((4096, 32)))
         tracemalloc.start()
@@ -386,12 +369,13 @@ class TestBlockedRotary:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    @pytest.mark.parametrize("fn, bound_mib", [(rotary_entropy, 4), (rotary_attention_row, 1)])
+    @pytest.mark.parametrize("fn, bound_mib", [(rotary_entropy, 3), (rotary_attention_row, 1)])
     def test_memory_is_tables_plus_one_block(self, rng, fn, bound_mib):
         # At 64 x 64, D = 128 with C = 4 the tokens take 128 KiB and the tables
-        # 16 KiB, so rotary_entropy holds one 2 MiB logit block and its 512 KiB
-        # exp slice, and the one row needs no block. Rotated N x D keys alone
-        # would take 4 MiB.
+        # 16 KiB, so rotary_entropy holds one 512 KiB logit block and its 512 KiB
+        # exp buffer and traces ~1.8 MiB (a 2 MiB block reduced in 512 KiB
+        # slices traced 3.65 MiB), and the one row needs no block. Rotated
+        # N x D keys alone would take 4 MiB.
         sh, sw = make_schedule(64), make_schedule(64)
         feats = TokenFeatures(rng.standard_normal((4096, 4)), rng.standard_normal((4, 128)))
         kw = {"query": 4095} if fn is rotary_attention_row else {}

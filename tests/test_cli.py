@@ -18,10 +18,12 @@ from click.testing import CliRunner
 from sega import LatentGrid, TrajectoryConfig, write_latent
 from sega.cli import main
 from sega.config import load_experiment_config
+from sega.spectral import SegaConfig, reference_scale
 from sega.tensorio import MAX_STEPS
 from oracles import dense_softmax
 
 REPO = Path(__file__).resolve().parents[1]
+PI_CONFIG = '{"rope": {"method": "pi", "dim": 8}}'
 TRAJECTORY_CONFIG = REPO / "configs" / "trajectory_small.json"
 HEATMAP_CONFIG = REPO / "configs" / "heatmap_noise.json"
 
@@ -99,9 +101,13 @@ class TestRopeTable:
         _, rows = parse_csv(res.output)
         assert all(row[2] == row[1] and row[-1] == "1" for row in rows)
 
-    def test_dype_flags_only_with_dype(self, runner):
-        res = runner.invoke(main, ["rope-table", "--dim", "8", "--method", "ntk", "--dype-t", "0.5"])
+    @pytest.mark.parametrize("flags", [["--dype-t", "0.5"], ["--dype-strong"]],
+                             ids=["dype_t", "dype_strong"])
+    def test_dype_flags_only_with_dype(self, runner, flags):
+        res = runner.invoke(main, ["rope-table", "--dim", "8", "--method", "ntk", *flags])
         assert res.exit_code == 2
+        assert flags[0] in res.output and "only valid with --method dype" in res.output
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("method, given, defaults", [
         ("yarn", ["--train-len", "8"], ["--alpha", "1", "--beta", "32"]),
@@ -160,6 +166,28 @@ class TestModulate:
         path.write_bytes(b"XXXX" + bytes(40))
         res = runner.invoke(main, ["modulate", "--latent", str(path)])
         assert res.exit_code == 3
+
+    def test_ratio_feeds_the_reference_scale_unsquared(self, runner, noise_latent, tmp_path):
+        # R * R overflows at R = 1e200, but the reference scale R**0.08 is finite
+        cfg = tmp_path / "pi.json"
+        cfg.write_text(PI_CONFIG)
+        argv = ["modulate", "--latent", str(noise_latent), "--config", str(cfg)]
+        res = runner.invoke(main, [*argv, "--ratio", "1e200"])
+        assert res.exit_code == 0, res.output
+        m_ref = json.loads(res.output)["axes"][0]["m_ref"]
+        assert math.isclose(m_ref, reference_scale(1e200, SegaConfig()), rel_tol=1e-8)
+        # where R * R is finite, the same bytes as the config's own ratio
+        cfg.write_text('{"rope": {"method": "pi", "dim": 8, "ratio": 3}}')
+        assert runner.invoke(main, [*argv, "--ratio", "3"]).output == runner.invoke(main, argv).output
+
+    def test_reference_scale_overflow_exits_2(self, runner, noise_latent, tmp_path):
+        cfg = tmp_path / "kappa.json"
+        cfg.write_text('{"sega": {"kappa": 5}}')
+        res = runner.invoke(main, ["modulate", "--latent", str(noise_latent), "--config", str(cfg),
+                                   "--ratio", "1e100"])
+        assert res.exit_code == 2, res.output
+        assert "reference scale overflows" in res.output
+        assert res.stdout == ""
 
 
 class TestSpectrum:
@@ -223,6 +251,16 @@ class TestAttnMapAndEntropy:
         w2 = np.array([[float(x) for x in row[1:]] for row in rows_b]).ravel()
         expected = dense_softmax(c**2 * np.log(w1))
         np.testing.assert_allclose(w2, expected, atol=5e-6)
+
+    @pytest.mark.parametrize("command", ["attn-map", "entropy"])
+    @pytest.mark.parametrize("scaling", ["none", "sega"])
+    def test_fixed_value_only_with_fixed_scaling(self, runner, noise_latent, command, scaling):
+        query = QUERY if command == "attn-map" else []
+        res = runner.invoke(main, [command, "--latent", str(noise_latent), *query,
+                                   "--scaling", scaling, "--fixed-value", "3"])
+        assert res.exit_code == 2, res.output
+        assert "--fixed-value is only valid with --scaling fixed" in res.output
+        assert res.stdout == ""
 
     def test_entropy_rows_and_mean(self, runner, noise_latent):
         res = runner.invoke(main, ["entropy", "--latent", str(noise_latent)])
@@ -761,6 +799,7 @@ FLAG_SWEEP = {
     **{f"rope_table_dype_{flag[2:]}": ("rope-table", ["--dim", "8", *ROPE_CONTEXTS["dype"]], flag)
        for flag in ("--dype-t", "--dype-p")},
     "modulate_ratio": ("modulate", [], "--ratio"),
+    "modulate_pi_ratio": ("modulate", ["--config", "{dir}/pi.json"], "--ratio"),
     "spectrum_bins": ("spectrum", [], "--bins"),
     "attn_map_query_h": ("attn-map", ["--query-w", "5"], "--query-h"),
     "attn_map_query_w": ("attn-map", ["--query-h", "3"], "--query-w"),
@@ -783,6 +822,8 @@ class TestFlagSweep:
             source = ["--latent", str(tmp_path / "small.segl")]
             grid = LatentGrid(np.random.default_rng(8).standard_normal((8, 8, 4)))
             write_latent(grid, source[1])
+            (tmp_path / "pi.json").write_text(PI_CONFIG)
+        context = [arg.replace("{dir}", str(tmp_path)) for arg in context]
         for value in SWEEP_VALUES:
             res = runner.invoke(main, [command, *source, *context, flag, value])
             assert res.exit_code in (0, 2, 3), (value, res.output, res.exception)
