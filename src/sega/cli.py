@@ -1,14 +1,14 @@
 """Command-line interface: every pipeline stage as a subcommand.
 
 Exit codes: 0 success, 2 usage or config error, 3 I/O error (latent files,
-unwritable output directories). All numeric output is formatted at 9
+output files and directories); every subcommand's body is mapped to them
+once, by its command class. All numeric output is formatted at 9
 significant digits so identical configs yield byte-identical files.
 """
 
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -44,27 +44,24 @@ class FileError(click.ClickException):
     exit_code = 3
 
 
-@contextmanager
-def _io_errors():
-    """Report latent-file and filesystem failures as exit code 3."""
-    try:
-        yield
-    except (LatentIOError, OSError) as exc:
-        raise FileError(str(exc))
+class _Command(click.Command):
+    """A subcommand whose faults exit with the documented codes, wherever its body raises them.
+
+    A latent-file or filesystem failure exits 3; a ValueError (a config fault,
+    a ConfigError included, or a flag combination the math rejects) exits 2.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (LatentIOError, OSError) as exc:
+            raise FileError(str(exc))
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
 
 
-@contextmanager
-def _usage_errors():
-    """Report a ValueError (a config fault or a flag combination the math rejects) as exit 2."""
-    try:
-        yield
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-def _load_config(path: str | None) -> ExperimentConfig:
-    with _usage_errors():  # a ConfigError is a ValueError
-        return load_experiment_config(path if path is not None else {})
+class _Group(click.Group):
+    command_class = _Command
 
 
 def _emit(text: str) -> None:
@@ -97,11 +94,6 @@ def _even_dim(ctx, param, value):
     return value
 
 
-def _read_latent(path: str):
-    with _io_errors():
-        return read_latent(path)
-
-
 def _given(**values) -> dict:
     """The keyword arguments whose flags were given; the callee's defaults fill in the rest."""
     return {key: value for key, value in values.items() if value is not None}
@@ -120,8 +112,9 @@ def rope_flags(fn):
                       help="Upper ramp bound (yarn only; default 32).")(fn)
     fn = click.option("--alpha", type=float, default=None, callback=_positive_finite,
                       help="Lower ramp bound (yarn only; default 1).")(fn)
-    fn = click.option("--ratio", type=float, default=1.0, show_default=True, callback=_ratio,
-                      help="Extrapolation ratio, target over training length.")(fn)
+    fn = click.option("--ratio", type=float, default=None, callback=_ratio,
+                      help="Extrapolation ratio, target over training length "
+                           "(not with --method none; default 1).")(fn)
     fn = click.option("--method", type=click.Choice(METHODS), default="none",
                       show_default=True, help="Frequency recalibration method.")(fn)
     fn = click.option("--base", type=float, default=10000.0, show_default=True,
@@ -129,7 +122,7 @@ def rope_flags(fn):
     return fn
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Spectral-energy guided rotary scaling: analysis and experiment tooling."""
 
@@ -144,16 +137,17 @@ def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p,
         raise click.UsageError("--alpha/--beta/--train-len are only valid with --method yarn")
     if method != "dype" and (dype_strong or any(v is not None for v in (dype_t, dype_p))):
         raise click.UsageError("--dype-t/--dype-p/--dype-strong are only valid with --method dype")
+    if method == "none" and ratio is not None:
+        raise click.UsageError("--ratio is not valid with --method none, which has no ratio")
     if method == "yarn" and train_len is None:
         raise click.UsageError("--method yarn requires --train-len")
-    with _usage_errors():
-        yarn = None
-        if method == "yarn":
-            yarn = YarnParams(**_given(alpha=alpha, beta=beta), train_len=train_len)
-        sched = make_schedule(
-            dim, base, method, ratio, yarn, dype_strong=dype_strong,
-            **_given(dype_time=dype_t, dype_p=dype_p),
-        )
+    yarn = None
+    if method == "yarn":
+        yarn = YarnParams(**_given(alpha=alpha, beta=beta), train_len=train_len)
+    sched = make_schedule(
+        dim, base, method, yarn=yarn, dype_strong=dype_strong,
+        **_given(ratio=ratio, dype_time=dype_t, dype_p=dype_p),
+    )
     theta0 = base_frequencies(dim, base)  # make_schedule has checked dim and base
     wavelengths = 2.0 * np.pi / theta0
     header = ["d", "theta", "theta_prime", "wavelength"]
@@ -172,16 +166,17 @@ def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p,
               help="Override the config's rope ratio.")
 def modulate(latent_path, config_path, ratio):
     """Emit per-axis scaling vectors for one latent as JSON."""
-    cfg = _load_config(config_path)
-    grid = _read_latent(latent_path)
+    cfg = load_experiment_config({} if config_path is None else config_path)
+    grid = read_latent(latent_path)
     ratio_h = ratio if ratio is not None else cfg.rope.ratio_h
     ratio_w = ratio if ratio is not None else cfg.rope.ratio_w
-    sched_h, sched_w = _schedules(cfg, grid, ratio_h, ratio_w)
-    with _usage_errors():  # the reference scale may overflow at a large --ratio
-        result = spectral.modulate_detailed(
-            spectral.analyze(grid, cfg.sega.n_bins_iso),
-            sched_h, sched_w, ratio if ratio is not None else cfg.rope.ratio_scalar, cfg.sega,
-        )
+    sched_h, sched_w = axis_schedules(
+        cfg.rope, cfg.rope_method, grid.height, grid.width, ratio_h, ratio_w
+    )
+    result = spectral.modulate_detailed(
+        spectral.analyze(grid, cfg.sega.n_bins_iso),
+        sched_h, sched_w, ratio if ratio is not None else cfg.rope.ratio_scalar, cfg.sega,
+    )
     payload = {"axes": []}
     for vec in (result.vec_h, result.vec_w):
         payload["axes"].append(
@@ -202,7 +197,7 @@ def modulate(latent_path, config_path, ratio):
 @click.option("--bins", type=int, default=None, help="Radial bin count (default min(H,W)/2).")
 def spectrum(latent_path, bins):
     """Emit axis-wise and radial energy profiles as CSV (profile,bin,energy,occupied)."""
-    grid = _read_latent(latent_path)
+    grid = read_latent(latent_path)
     tokens = grid.height * grid.width  # past this count every extra bin is empty
     if bins is not None and not 2 <= bins <= tokens:
         raise click.UsageError(f"--bins must lie in [2, {tokens}], the latent's token count")
@@ -214,11 +209,6 @@ def spectrum(latent_path, bins):
     ]
     rows.extend(["radial", i, val, int(profiles.occupied[i])] for i, val in enumerate(profiles.radial))
     _emit(csv_text(["profile", "bin", "energy", "occupied"], rows))
-
-
-def _schedules(cfg: ExperimentConfig, grid, ratio_h: float, ratio_w: float):
-    with _usage_errors():
-        return axis_schedules(cfg.rope, cfg.rope_method, grid.height, grid.width, ratio_h, ratio_w)
 
 
 def attention_flags(fn):
@@ -239,9 +229,11 @@ def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed):
     """(features, height, width, sched_h, sched_w, m_h, m_w) for the attention calls."""
     if scaling != "fixed" and fixed_value is not None:
         raise click.UsageError("--fixed-value is only valid with --scaling fixed")
-    cfg = _load_config(config_path)
+    cfg = load_experiment_config({} if config_path is None else config_path)
     rope_p = cfg.rope
-    sched_h, sched_w = _schedules(cfg, grid, rope_p.ratio_h, rope_p.ratio_w)
+    sched_h, sched_w = axis_schedules(
+        rope_p, cfg.rope_method, grid.height, grid.width, rope_p.ratio_h, rope_p.ratio_w
+    )
     profiles = spectral.analyze(grid, cfg.sega.n_bins_iso) if scaling == "sega" else None
     m_h, m_w = scaling_vectors(
         scaling, profiles, sched_h, sched_w, rope_p.ratio_scalar, cfg.sega, fixed_value
@@ -258,12 +250,11 @@ def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed):
 def attn_map(latent_path, query_h, query_w, config_path, scaling, fixed_value,
              feature_seed, logit_scale):
     """Emit one query token's attention weights over the 2D grid as CSV."""
-    grid = _read_latent(latent_path)
+    grid = read_latent(latent_path)
     if not (0 <= query_h < grid.height and 0 <= query_w < grid.width):
         raise click.UsageError("query position outside the grid")
     args = _attention_setup(grid, config_path, scaling, fixed_value, feature_seed)
-    with _usage_errors():
-        row = rotary_attention_row(*args, logit_scale, query=query_h * grid.width + query_w)
+    row = rotary_attention_row(*args, logit_scale, query=query_h * grid.width + query_w)
     cells = fmt_floats(row)
     width = grid.width
     lines = [f"{h}," + ",".join(cells[h * width : (h + 1) * width]) + "\n" for h in range(grid.height)]
@@ -275,10 +266,9 @@ def attn_map(latent_path, query_h, query_w, config_path, scaling, fixed_value,
 @attention_flags
 def entropy(latent_path, config_path, scaling, fixed_value, feature_seed, logit_scale):
     """Emit per-token attention entropies as CSV, with a trailing mean row."""
-    grid = _read_latent(latent_path)
+    grid = read_latent(latent_path)
     args = _attention_setup(grid, config_path, scaling, fixed_value, feature_seed)
-    with _usage_errors():
-        per_row, mean = rotary_entropy(*args, logit_scale)
+    per_row, mean = rotary_entropy(*args, logit_scale)
     width = grid.width
     lines = [f"{i},{i // width},{i % width},{cell}\n" for i, cell in enumerate(fmt_floats(per_row))]
     _emit(csv_text(["token", "h", "w", "entropy"], ()) + "".join(lines) + f"mean,,,{fmt(mean)}\n")
@@ -313,12 +303,11 @@ def _prepare_out_dir(out_dir: str) -> Path:
 @click.option("--out-dir", required=True, help="Directory for CSV/JSON outputs.")
 def trajectory(config_path, out_dir):
     """Run a full simulated trajectory; write scaling maps, heatmap, entropy trace, summary."""
-    cfg = _load_config(config_path)
+    cfg = load_experiment_config(config_path)
     out = _prepare_out_dir(out_dir)
-    with _io_errors(), _usage_errors():
-        deltas, names, steps = entropy_trace(
-            cfg.trajectory, list(cfg.methods), cfg.baseline, cfg.sega, cfg.rope
-        )
+    deltas, names, steps = entropy_trace(
+        cfg.trajectory, list(cfg.methods), cfg.baseline, cfg.sega, cfg.rope
+    )
     heat, degenerate = heatmap_rows([s.radial for s in steps])
 
     sega_name = next((m.name for m in cfg.methods if m.scaling == "sega"), None)
@@ -378,10 +367,9 @@ def trajectory(config_path, out_dir):
 @click.option("--out-dir", required=True, help="Directory for CSV/JSON outputs.")
 def heatmap(config_path, out_dir):
     """Write the per-step normalized radial spectrum matrix."""
-    cfg = _load_config(config_path)
+    cfg = load_experiment_config(config_path)
     out = _prepare_out_dir(out_dir)
-    with _io_errors():
-        heat, degenerate = spectral_heatmap(cfg.trajectory, cfg.sega.n_bins_iso)
+    heat, degenerate = spectral_heatmap(cfg.trajectory, cfg.sega.n_bins_iso)
     _write_heatmap(out, heat)
     write_json(
         out / "summary.json",

@@ -4,8 +4,9 @@ The dataclass of each section (RopeParams, SegaConfig, TrajectoryConfig and
 MethodSpec) is the one statement of its keys and their defaults, and each
 field's annotation names the JSON type its value must have: values are
 checked, never coerced. The few keys that belong to no dataclass are read
-here, once each. Unknown keys are rejected so a typo cannot silently fall
-back to a default.
+here, once each. Unknown keys are rejected, in each section and inside the
+structure_params and noise_blend objects (where each kind reads its own
+keys), so a typo cannot silently fall back to a default.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import get_args, get_type_hints
 from .harness import MethodSpec, RopeParams, axis_schedules, train_shape
 from .rope import METHODS
 from .spectral import SegaConfig, reference_scale
-from .tensorio import TrajectoryConfig, finite_number
+from .tensorio import BLEND_KEYS, TrajectoryConfig, checked_structure_params, finite_number
 
 
 class ConfigError(ValueError):
@@ -164,6 +165,13 @@ def load_experiment_config(source) -> ExperimentConfig:
     sega = _built(SegaConfig, _fields(sega_raw, SegaConfig, "sega"), "sega")
     trajectory = _built(TrajectoryConfig, _fields(traj_raw, TrajectoryConfig, "trajectory"),
                         "trajectory")
+    # A dict the config gives holds only keys its kind reads. The default
+    # structure_params, {"cycles_w": 4.0}, is echoed whatever the kind.
+    if "structure_params" in traj_raw:
+        _check_keys(trajectory.structure_params, checked_structure_params(trajectory),
+                    "trajectory.structure_params")
+    blend = trajectory.noise_blend
+    _check_keys(blend, BLEND_KEYS[blend.get("kind", "linear")], "trajectory.noise_blend")
 
     if sega.n_bins_iso is not None and sega.n_bins_iso > trajectory.height * trajectory.width:
         raise ConfigError("sega.n_bins_iso must not exceed trajectory height * width")

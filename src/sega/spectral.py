@@ -55,7 +55,7 @@ class SegaConfig:
             raise ValueError(f"ref_form must be one of {REF_FORMS}")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.n_bins_iso is not None and self.n_bins_iso < 2:
+        if self.n_bins_iso is not None and not self.n_bins_iso >= 2:
             raise ValueError("n_bins_iso must be >= 2")
 
 
@@ -118,7 +118,7 @@ def radial_profile(spectrum: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.nd
     rho = 1 regardless of aspect ratio. The DC sample is excluded. Returns the
     per-bin means and an occupancy mask; empty bins hold 0.
     """
-    if n_bins < 2:
+    if not n_bins >= 2:
         raise ValueError("n_bins must be >= 2")
     h, w = spectrum.shape
     i = np.arange(h, dtype=np.float64)[:, None]
@@ -146,7 +146,7 @@ def band_lookup(theta_d: float, axis_len: int) -> int:
     count over the axis, rounded to nearest and clamped to the profile range.
     Wavelengths longer than the axis map to bin 0.
     """
-    if theta_d <= 0:
+    if not theta_d > 0:
         raise ValueError("theta_d must be positive")
     cycles = theta_d * axis_len / (2.0 * np.pi)
     if cycles < 1.0:

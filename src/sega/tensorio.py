@@ -26,7 +26,7 @@ MAGIC = b"SEGL"
 VERSION = 1
 
 STRUCTURE_KINDS = ("sinusoid", "band_limited", "checker", "file")
-BLEND_KINDS = ("linear", "constant", "table")
+BLEND_KEYS = {"linear": ("kind",), "constant": ("kind", "value"), "table": ("kind", "values")}
 MAX_STEPS = 1000  # DDPM's T = 1000 is the longest schedule a sampler runs
 
 # Sub-stream tags so noise, structure and feature draws never collide.
@@ -126,21 +126,22 @@ class TrajectoryConfig:
 
     def __post_init__(self):
         # Each message starts with the field it faults, which the config loader
-        # prefixes with the section: "trajectory.steps must be >= 1".
-        if self.steps < 1:
+        # prefixes with the section: "trajectory.steps must be >= 1". The tests
+        # are written so that NaN fails them too.
+        if not self.steps >= 1:
             raise ValueError("steps must be >= 1")
-        if self.steps > MAX_STEPS:
+        if not self.steps <= MAX_STEPS:
             raise ValueError(f"steps must be <= {MAX_STEPS}")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be unsigned")
         for name, least in (("height", 2), ("width", 2), ("channels", 1)):
-            if getattr(self, name) < least:
+            if not getattr(self, name) >= least:
                 raise ValueError(f"{name} must be >= {least}")
         if self.height * self.width * self.channels * 8 > sys.maxsize:
             raise ValueError("height * width * channels * 8 bytes exceeds the addressable size")
         if self.structure_kind not in STRUCTURE_KINDS:
             raise ValueError(f"structure_kind must be one of {STRUCTURE_KINDS}")
-        _structure_params(self)
+        checked_structure_params(self)
         try:
             # Linear weights fall from 1 to 0, and a constant is one weight: only
             # a table has a weight per step to check.
@@ -166,7 +167,7 @@ class TrajectoryConfig:
             if len(values) != self.steps:
                 raise ValueError("noise_blend.values must hold one weight per step")
             return json_number(values[step], f"noise_blend.values[{step}]")
-        raise ValueError(f"noise_blend.kind must be one of {BLEND_KINDS}")
+        raise ValueError(f"noise_blend.kind must be one of {tuple(BLEND_KEYS)}")
 
     def alpha(self, step: int) -> float:
         self._check_step(step)
@@ -214,8 +215,11 @@ def finite_number(value, name: str) -> float:
     return float(value)
 
 
-def _structure_params(cfg: TrajectoryConfig) -> dict:
-    """cfg's structure parameters with defaults filled in, checked for type and range."""
+def checked_structure_params(cfg: TrajectoryConfig) -> dict:
+    """cfg's structure parameters with defaults filled in, checked for type and range.
+
+    Its keys are the ones cfg's structure kind reads.
+    """
     kind, params = cfg.structure_kind, cfg.structure_params
     try:
         if kind == "sinusoid":
@@ -254,14 +258,15 @@ def structure_field(cfg: TrajectoryConfig) -> np.ndarray:
     """The deterministic structure component, normalized, shape (H, W, C)."""
     h_idx = np.arange(cfg.height, dtype=np.float64)[:, None]
     w_idx = np.arange(cfg.width, dtype=np.float64)[None, :]
-    params = _structure_params(cfg)
+    params = checked_structure_params(cfg)
     kind = cfg.structure_kind
 
     if kind == "sinusoid":
         cyc_h, cyc_w, phase = params["cycles_h"], params["cycles_w"], params["phase"]
         field2d = np.cos(2.0 * np.pi * (cyc_h * h_idx / cfg.height + cyc_w * w_idx / cfg.width) + phase)
     elif kind == "checker":
-        bh, bw = params["block_h"], params["block_w"]
+        # A block at least its axis long is one block; clamped, it fits a C long.
+        bh, bw = min(params["block_h"], cfg.height), min(params["block_w"], cfg.width)
         parity = (h_idx.astype(int) // bh + w_idx.astype(int) // bw) % 2
         field2d = np.where(parity == 0, 1.0, -1.0)
     elif kind == "band_limited":

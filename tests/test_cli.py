@@ -109,6 +109,15 @@ class TestRopeTable:
         assert flags[0] in res.output and "only valid with --method dype" in res.output
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("method", [["--method", "none"], []], ids=["none", "default"])
+    @pytest.mark.parametrize("ratio", ["4", "1"])
+    def test_ratio_not_with_method_none(self, runner, method, ratio):
+        # the base schedule has no ratio to apply, so one given would be ignored
+        res = runner.invoke(main, ["rope-table", "--dim", "8", *method, "--ratio", ratio])
+        assert res.exit_code == 2
+        assert "--ratio is not valid with --method none" in res.output
+        assert res.stdout == ""
+
     @pytest.mark.parametrize("method, given, defaults", [
         ("yarn", ["--train-len", "8"], ["--alpha", "1", "--beta", "32"]),
         ("yarn", ["--train-len", "8", "--beta", "16"], ["--alpha", "1"]),
@@ -214,6 +223,18 @@ class TestSpectrum:
 
 
 class TestAttnMapAndEntropy:
+    @pytest.mark.parametrize("command", [["entropy"], ["attn-map", "--query-h", "3", "--query-w", "5"]],
+                             ids=["entropy", "attn_map"])
+    def test_flatness_fault_exits_2(self, runner, noise_latent, tmp_path, command):
+        # radial bins floored at 1e308 overflow the flatness's arithmetic mean
+        config = tmp_path / "eps.json"
+        config.write_text('{"sega": {"eps": 1e308}}')
+        res = runner.invoke(main, [*command, "--latent", str(noise_latent), "--config", str(config),
+                                   "--scaling", "sega"])
+        assert res.exit_code == 2, res.output
+        assert "flatness must lie in (0, 1]" in res.output
+        assert res.stdout == ""
+
     def test_attn_map_shape_and_normalization(self, runner, noise_latent):
         res = runner.invoke(
             main,
@@ -327,6 +348,29 @@ class TestTrajectoryCommand:
             ["trajectory", "--config", str(TRAJECTORY_CONFIG), "--out-dir", str(blocker / "sub")],
         )
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("command", ["trajectory", "heatmap"])
+    @pytest.mark.parametrize("name", ["spectral_heatmap.csv", "summary.json"])
+    def test_unwritable_output_file_exits_3(self, runner, tmp_path, command, name):
+        # the directory is writable, but a directory stands where the file goes
+        (tmp_path / "out" / name).mkdir(parents=True)
+        res, _ = run_config(runner, tmp_path, command, small_config())
+        assert res.exit_code == 3, res.output
+        assert name in res.output
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("key, axis", [("block_h", "height"), ("block_w", "width")])
+    def test_checker_block_past_a_c_long_runs(self, runner, tmp_path, key, axis):
+        # 2**63 once overflowed the floor division and exited 1; every output but the
+        # config echo equals the run whose block is the whole axis
+        outputs = []
+        for block in (2**63, SMALL_TRAJECTORY[axis]):
+            cfg = small_config({"structure_kind": "checker", "structure_params": {key: block}})
+            res, out = run_config(runner, tmp_path, "trajectory", cfg)
+            assert res.exit_code == 0, res.output
+            outputs.append([(out / name).read_bytes()
+                            for name in EXPECTED_FILES if name != "summary.json"])
+        assert outputs[0] == outputs[1]
 
     def test_missing_config_exits_2(self, runner, tmp_path):
         res = runner.invoke(
@@ -663,6 +707,31 @@ class TestConfigSchema:
         load_experiment_config({"trajectory": {"steps": MAX_STEPS, "noise_blend": blend}})
         assert steps == [0]
 
+    @pytest.mark.parametrize("trajectory, where", [
+        ({"structure_params": {"cycle_w": 3.0}}, "trajectory.structure_params"),
+        ({"structure_kind": "checker", "structure_params": {"block_h": 2, "cycles_w": 4.0}},
+         "trajectory.structure_params"),
+        ({"structure_kind": "band_limited", "structure_params": {"low": 0.1, "hi": 0.3}},
+         "trajectory.structure_params"),
+        ({"noise_blend": {"kind": "linear", "value": 0.3}}, "trajectory.noise_blend"),
+        ({"noise_blend": {"value": 0.3}}, "trajectory.noise_blend"),
+        ({"noise_blend": {"kind": "constant", "value": 0.3, "values": [1, 0.5, 0]}},
+         "trajectory.noise_blend"),
+        ({"noise_blend": {"kind": "table", "values": [1, 0.5, 0], "value": 1}},
+         "trajectory.noise_blend"),
+    ], ids=["sinusoid", "checker", "band_limited", "linear", "kindless", "constant", "table"])
+    def test_key_its_kind_does_not_read_is_refused(self, runner, tmp_path, trajectory, where):
+        # once loaded, and the run fell back to the default the typo meant to replace
+        res, _ = run_config(runner, tmp_path, "heatmap", small_config(trajectory))
+        assert res.exit_code == 2, res.output
+        assert f"unknown key(s) in {where}: " in res.output
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("kind", ["sinusoid", "band_limited", "checker"])
+    def test_default_structure_params_load_for_every_kind(self, kind):
+        cfg = load_experiment_config({"trajectory": {"structure_kind": kind}})
+        assert cfg.snapshot()["trajectory"]["structure_params"] == {"cycles_w": 4.0}
+
     def test_loaded_dicts_are_copies(self):
         trajectory = {"structure_params": {"cycles_w": 3.0}, "noise_blend": {"kind": "linear"}}
         cfg = load_experiment_config({"trajectory": trajectory})
@@ -829,6 +898,55 @@ class TestFlagSweep:
             assert res.exit_code in (0, 2, 3), (value, res.output, res.exception)
             assert "Traceback" not in res.output, value
             assert res.exit_code == 0 or res.stdout == "", (value, res.stdout)
+
+
+# Every numeric config key, in a context that reads it, takes each of these values
+# (written into the JSON for SWEPT); the yarn and dype keys run under their own method.
+CONFIG_SWEEP_VALUES = [math.inf, 0, -1, -0.0, 1e308, 2**63, 5e-324]
+SWEPT = "@swept"
+SWEEP_GRID = {"steps": 2, "seed": 0, "height": 4, "width": 4, "channels": 2}
+STRUCTURE_KEYS = {"sinusoid": ("cycles_h", "cycles_w", "phase"), "checker": ("block_h", "block_w"),
+                  "band_limited": ("low", "high")}
+CONFIG_SWEEP = {
+    **{f"rope_{key}": {"rope": {key: SWEPT}}
+       for key in ("dim", "base", "ratio", "ratio_h", "ratio_w")},
+    **{f"rope_{key}": {"rope": {"method": "yarn", "ratio": 2, key: SWEPT}}
+       for key in ("yarn_alpha", "yarn_beta")},
+    "rope_dype_p": {"rope": {"method": "dype", "ratio": 2, "dype_p": SWEPT}},
+    **{f"sega_{key}": {"sega": {key: SWEPT}} for key in ("kappa", "gamma", "eps", "n_bins_iso")},
+    **{f"trajectory_{key}": {"trajectory": {key: SWEPT}} for key in SWEEP_GRID},
+    **{f"{kind}_{key}": {"trajectory": {"structure_kind": kind, "structure_params": {key: SWEPT}}}
+       for kind, keys in STRUCTURE_KEYS.items() for key in keys},
+    "blend_value": {"trajectory": {"noise_blend": {"kind": "constant", "value": SWEPT}}},
+    "blend_values": {"trajectory": {"noise_blend": {"kind": "table", "values": [SWEPT, SWEPT]}}},
+}
+
+
+class TestConfigSweep:
+    @pytest.mark.parametrize("case", sorted(CONFIG_SWEEP))
+    def test_every_value_exits_cleanly(self, runner, tmp_path, case):
+        # A documented exit code, no traceback, and nothing on stdout unless the
+        # command succeeded, for every value and every command that reads a config.
+        sections = CONFIG_SWEEP[case]
+        cfg = {"rope": {"dim": 8, **sections.get("rope", {})}, "sega": sections.get("sega", {}),
+               "trajectory": {**SWEEP_GRID, **sections.get("trajectory", {})}}
+        latent, config, out = tmp_path / "grid.segl", tmp_path / "cfg.json", tmp_path / "out"
+        write_latent(LatentGrid(np.random.default_rng(9).standard_normal((4, 4, 2))), latent)
+        source = ["--latent", str(latent), "--config", str(config)]
+        commands = [
+            ["trajectory", "--config", str(config), "--out-dir", str(out)],
+            ["heatmap", "--config", str(config), "--out-dir", str(out)],
+            ["modulate", *source],
+            ["entropy", *source, "--scaling", "sega"],
+            ["attn-map", *source, "--scaling", "sega", "--query-h", "1", "--query-w", "2"],
+        ]
+        for value in CONFIG_SWEEP_VALUES:
+            config.write_text(json.dumps(cfg).replace(json.dumps(SWEPT), json.dumps(value)))
+            for argv in commands:
+                res = runner.invoke(main, argv)
+                assert res.exit_code in (0, 2, 3), (value, argv[0], res.output, res.exception)
+                assert "Traceback" not in res.output, (value, argv[0])
+                assert res.exit_code == 0 or res.stdout == "", (value, argv[0], res.stdout)
 
 
 class TestConstantLatent:

@@ -139,9 +139,10 @@ class TestRadialProfile:
         e, occ = radial_profile(spec, 4)
         assert e[3] > 0 and occ[3]
 
-    def test_needs_two_bins(self):
-        with pytest.raises(ValueError):
-            radial_profile(np.ones((4, 4)), 1)
+    @pytest.mark.parametrize("n_bins", [1, math.nan])
+    def test_needs_two_bins(self, n_bins):
+        with pytest.raises(ValueError, match="n_bins must be >= 2"):
+            radial_profile(np.ones((4, 4)), n_bins)
 
 
 class TestBandLookup:
@@ -161,9 +162,10 @@ class TestBandLookup:
         L = 64
         assert band_lookup(np.pi, L) == L // 2 - 1
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            band_lookup(0.0, 64)
+    @pytest.mark.parametrize("theta", [0.0, math.nan])
+    def test_rejects_nonpositive(self, theta):
+        with pytest.raises(ValueError, match="theta_d must be positive"):
+            band_lookup(theta, 64)
 
 
 class TestPerDimCorrection:
@@ -275,7 +277,7 @@ class TestSegaConfig:
             ("kappa", 0.0), ("kappa", -1.0), ("kappa", math.nan),
             ("gamma", 0.5), ("gamma", math.nan),
             ("eps", 0.0), ("eps", math.nan),
-            ("n_bins_iso", 1),
+            ("n_bins_iso", 1), ("n_bins_iso", math.nan),
         ],
     )
     def test_rejects_out_of_range(self, field, value):

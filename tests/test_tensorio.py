@@ -1,5 +1,7 @@
 """Latent grid type, SEGL round-trips, and generator determinism."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,21 @@ class TestTrajectoryConfig:
     def test_unknown_structure_kind(self):
         with pytest.raises(ValueError):
             TrajectoryConfig(steps=1, seed=0, structure_kind="plasma")
+
+    @pytest.mark.parametrize("name", ["steps", "seed", "height", "width", "channels"])
+    def test_nan_size_is_refused_by_name(self, name):
+        # NaN compares false with everything, so a `steps < 1` test lets it through
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            TrajectoryConfig(**{name: math.nan})
+
+    @pytest.mark.parametrize("key, axis", [("block_h", "height"), ("block_w", "width")])
+    def test_checker_block_past_a_c_long_is_one_block(self, key, axis):
+        # 2**63 once overflowed the floor division; a block at least its axis long is one block
+        def field(block):
+            return structure_field(TrajectoryConfig(
+                steps=1, height=6, width=8, channels=1, structure_kind="checker",
+                structure_params={"block_h": 2, "block_w": 3, key: block}))
+        np.testing.assert_array_equal(field(2**63), field({"height": 6, "width": 8}[axis]))
 
 
 class TestGenerateLatent:
