@@ -2,8 +2,9 @@
 
 :func:`rotary_entropy` takes each query token's entropy from one block of
 logits at a time, and :func:`rotary_attention_row` computes the one row
-``sega attn-map`` prints. Neither rotates a feature or forms the N x N
-matrix: the features t P have rank C (:class:`~sega.tensorio.TokenFeatures`)
+``sega attn-map`` prints from a one-row block of the same GEMM, so every
+logit is formed in :func:`_logit_blocks`. Neither rotates a feature or forms
+the N x N matrix: the features t P have rank C (:class:`~sega.tensorio.TokenFeatures`)
 and rotary embedding is relative, R(a)^T R(b) = R(b - a), on each axial half
 of the D columns, so the logit of tokens i and j is t_i^T (M_H(h_j - h_i) +
 M_W(w_j - w_i)) t_j, with C x C tables over the 2H - 1 and 2W - 1 grid offsets
@@ -69,9 +70,11 @@ def _check_finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _logit_blocks(grid: np.ndarray, m_h: np.ndarray, m_w: np.ndarray, step: int):
+def _logit_blocks(grid: np.ndarray, m_h: np.ndarray, m_w: np.ndarray, step: int, query=None):
     """Yield (w, first, block): the logits of the query tokens (first .. first +
     step - 1, w) of the (H, W, C) token grid against every key, row-major.
+    With query = (h, w), only the block from that token down is formed (at
+    step 1, its one row).
 
     Per query grid column w, rhs[h'] = [M_W(w' - w) t_{h'w'} ; t_{h'w'}] over
     key columns w', and per block lhs[h'] = [t_{hw} | t_{hw}^T M_H(h' - h)]
@@ -89,9 +92,10 @@ def _logit_blocks(grid: np.ndarray, m_h: np.ndarray, m_w: np.ndarray, step: int)
     rhs[:, rank:] = grid.transpose(0, 2, 1)
     by_col = np.ascontiguousarray(grid.transpose(1, 2, 0))  # (w', C, h')
     m_h_flat = m_h.transpose(1, 0, 2).reshape(rank, -1)  # (C, (2H - 1) * C)
-    for w in range(width):
+    firsts, columns = (range(0, height, step), range(width)) if query is None else ([query[0]], [query[1]])
+    for w in columns:
         rhs[:, :rank] = np.matmul(m_w[width - 1 - w : 2 * width - 1 - w], by_col).transpose(2, 1, 0)
-        for first in range(0, height, step):
+        for first in firsts:
             queries = grid[first : first + step, w]
             q = queries.shape[0]
             lhs = lhs_buf[: height * q * 2 * rank].reshape(height, q, 2 * rank)
@@ -178,19 +182,16 @@ def rotary_attention_row(
 ) -> np.ndarray:
     """One query token's attention weights over all N tokens.
 
-    Given the tables, its logits cost O(N * C + (H + W) * C^2): the query
-    times M_H and M_W at every offset, then one C-long dot per key.
+    Its logits are the one-row block of :func:`_logit_blocks`, the same GEMM
+    that forms rotary_entropy's blocks. Given the tables, they cost O(N * C^2)
+    for its column's operands plus O(N * 2C) for the row.
     """
     tokens, m_h, m_w = _tables(feats, height, width, sched_h, sched_w, scale_h, scale_w, logit_scale)
     if not 0 <= query < tokens.shape[0]:
         raise ValueError("query index outside the token range")
-    h, w = divmod(query, width)
-    t = tokens[query]
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):  # as in _tables
-        along_h = t @ m_h[height - 1 - h : 2 * height - 1 - h]  # t^T M_H(h' - h), (H, C)
-        along_w = t @ m_w[width - 1 - w : 2 * width - 1 - w]
-        logits = ((along_h[:, None] + along_w) * tokens.reshape(height, width, -1)).sum(axis=2)
-        logits = logits.ravel()
+        grid = tokens.reshape(height, width, -1)
+        ((_, _, (logits,)),) = _logit_blocks(grid, m_h, m_w, 1, query=divmod(query, width))
         logits -= logits.max()
         e = np.exp(_check_finite(logits))
         return e / e.sum()

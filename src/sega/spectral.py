@@ -190,9 +190,13 @@ def spectral_flatness(
     if not occupied.any():
         raise ValueError("flatness needs at least one occupied bin")
     vals = np.maximum(e_iso[occupied], eps)
+    # Bins near the float maximum (a huge eps) overflow the arithmetic mean to
+    # inf, so the flatness is 0, which amplitude_factor reports.
+    with np.errstate(over="ignore"):
+        arithmetic = np.mean(vals)
     # The geometric mean never exceeds the arithmetic mean; equal values
     # (a constant latent) can round the ratio to just above 1.
-    return min(float(np.exp(np.mean(np.log(vals))) / np.mean(vals)), 1.0)
+    return min(float(np.exp(np.mean(np.log(vals))) / arithmetic), 1.0)
 
 
 def amplitude_factor(flatness: float, gamma: float) -> float:

@@ -126,8 +126,13 @@ class TrajectoryConfig:
 
     def __post_init__(self):
         # Each message starts with the field it faults, which the config loader
-        # prefixes with the section: "trajectory.steps must be >= 1". The tests
-        # are written so that NaN fails them too.
+        # prefixes with the section: "trajectory.steps must be >= 1". The sizes
+        # and the seed become numpy shapes and seeds, which take only integers
+        # (a numpy integer is one), so a float such as 1.5, inf or NaN stops here.
+        for name in ("steps", "seed", "height", "width", "channels"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if not self.steps >= 1:
             raise ValueError("steps must be >= 1")
         if not self.steps <= MAX_STEPS:
@@ -137,7 +142,8 @@ class TrajectoryConfig:
         for name, least in (("height", 2), ("width", 2), ("channels", 1)):
             if not getattr(self, name) >= least:
                 raise ValueError(f"{name} must be >= {least}")
-        if self.height * self.width * self.channels * 8 > sys.maxsize:
+        # as Python ints, which a numpy integer's product could wrap past
+        if int(self.height) * int(self.width) * int(self.channels) * 8 > sys.maxsize:
             raise ValueError("height * width * channels * 8 bytes exceeds the addressable size")
         if self.structure_kind not in STRUCTURE_KINDS:
             raise ValueError(f"structure_kind must be one of {STRUCTURE_KINDS}")

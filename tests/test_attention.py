@@ -200,14 +200,21 @@ class TestTableLogits:
         grid_tokens, m_h, m_w = attention._tables(
             TokenFeatures(tokens, proj), height, width, sh, sw, mh, mw, 1.7
         )
+        grid = grid_tokens.reshape(height, width, -1)
         for step in {height, min(5, height)}:
             seen = 0
-            blocks = attention._logit_blocks(grid_tokens.reshape(height, width, -1), m_h, m_w, step)
-            for w, first, block in blocks:
+            for w, first, block in attention._logit_blocks(grid, m_h, m_w, step):
                 want = expected[(first + np.arange(block.shape[0])) * width + w]
                 assert np.max(np.abs(block - want)) <= 1e-13 * np.max(np.abs(want))
                 seen += block.shape[0]
             assert seen == height * width
+        # the one-query block that rotary_attention_row takes, at the grid's corners
+        for h in (0, height - 1):
+            for w in (0, width - 1):
+                ((_, _, block),) = attention._logit_blocks(grid, m_h, m_w, 1, query=(h, w))
+                want = expected[h * width + w]
+                assert block.shape == (1, height * width)
+                assert np.max(np.abs(block[0] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestExactEntropy:

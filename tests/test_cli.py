@@ -5,7 +5,10 @@ import gc
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import sega
 from sega import LatentGrid, TrajectoryConfig, write_latent
 from sega.cli import main
 from sega.config import load_experiment_config
@@ -40,6 +44,14 @@ def noise_latent(tmp_path):
     path = tmp_path / "noise.segl"
     write_latent(grid, path)
     return path
+
+
+def run_cli(argv):
+    """`python -m sega.cli argv` in a new process, with the package's source on its path."""
+    src = str(Path(sega.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "sega.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def parse_csv(text):
@@ -225,14 +237,17 @@ class TestSpectrum:
 class TestAttnMapAndEntropy:
     @pytest.mark.parametrize("command", [["entropy"], ["attn-map", "--query-h", "3", "--query-w", "5"]],
                              ids=["entropy", "attn_map"])
-    def test_flatness_fault_exits_2(self, runner, noise_latent, tmp_path, command):
-        # radial bins floored at 1e308 overflow the flatness's arithmetic mean
+    def test_flatness_fault_exits_2(self, noise_latent, tmp_path, command):
+        # Radial bins floored at 1e308 overflow the flatness's arithmetic mean.
+        # Run as its own process, so stderr is what a user sees: the exit-2
+        # message alone, with no numpy warning before it.
         config = tmp_path / "eps.json"
         config.write_text('{"sega": {"eps": 1e308}}')
-        res = runner.invoke(main, [*command, "--latent", str(noise_latent), "--config", str(config),
-                                   "--scaling", "sega"])
-        assert res.exit_code == 2, res.output
-        assert "flatness must lie in (0, 1]" in res.output
+        res = run_cli([*command, "--latent", str(noise_latent), "--config", str(config),
+                       "--scaling", "sega"])
+        assert res.returncode == 2, res.stderr
+        assert "flatness must lie in (0, 1]" in res.stderr
+        assert "Warning" not in res.stderr, res.stderr
         assert res.stdout == ""
 
     def test_attn_map_shape_and_normalization(self, runner, noise_latent):

@@ -10,16 +10,17 @@ yarn on the target grid with ratio_h != ratio_w, a sega method and a yarn
 baseline on the train grid, dype with its time schedule, the log anchor form
 and an explicit radial bin count. ``modulate``, ``entropy`` and ``attn-map``
 pin the derivation from a latent file's own shape; the two ``attn-map`` cases
-pin one query row under sega and under unit scaling. The 16x12 latent is too
-small for ``entropy`` to split its rows into blocks, so ``entropy`` is also
-pinned on a 64x64 latent (several blocks of whole rows) and on a 48x64 latent
-(blocks that do not divide the row count). ``modulate`` and ``entropy`` are
+pin one query row under sega and under unit scaling. On the 16x12 latent
+each query column is one block, so ``entropy`` is also pinned on a 64x64
+latent (columns in parts of 16 rows) and on a 48x64 latent (parts of 21, 21
+and 6 rows, which do not divide the column). ``modulate`` and ``entropy`` are
 also pinned on a 15x13 latent, where both axes are odd and a profile's length
 is not half its axis. ``entropy`` and ``attn-map`` are pinned on a 51x51
-latent: its 2601 tokens split into 100-row blocks and a last block of one
-row, which BLAS takes as a matrix-vector product whose bits differ from the
-same row inside a larger block. ``spectrum`` and three
-``rope-table`` schedules pin the remaining stdout writers.
+latent: at ``BLOCK_LOGITS`` = 2**16 each of its 51-row query columns splits
+into parts of 25, 25 and 1 rows, and BLAS may round the one-row part, like
+``attn-map``'s row, differently from the same row inside a larger part.
+``spectrum`` and three ``rope-table`` schedules pin the remaining stdout
+writers.
 """
 
 import hashlib

@@ -203,6 +203,24 @@ class TestTrajectoryConfig:
         with pytest.raises(ValueError, match=f"^{name} must"):
             TrajectoryConfig(**{name: math.nan})
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("seed", math.inf), ("seed", True), ("height", 4.5), ("width", 3.0),
+        ("channels", 1.5), ("steps", 2.5),
+    ])
+    def test_integer_fields_refuse_other_numbers(self, name, value):
+        # These constructed once, and generate_latent (or, for steps,
+        # run_trajectory's range) then raised TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            TrajectoryConfig(**{name: value})
+
+    def test_numpy_integer_fields_are_integers(self):
+        cfg = TrajectoryConfig(steps=np.int64(2), seed=np.uint32(3), height=np.int32(4),
+                               width=np.int16(5), channels=np.int8(2))
+        assert generate_latent(cfg, 1).values.shape == (4, 5, 2)
+        # the addressable-size product is taken in Python ints, which do not wrap
+        with pytest.raises(ValueError, match="addressable"):
+            TrajectoryConfig(height=np.int32(2**20), width=np.int32(2**20), channels=np.int32(2**20))
+
     @pytest.mark.parametrize("key, axis", [("block_h", "height"), ("block_w", "width")])
     def test_checker_block_past_a_c_long_is_one_block(self, key, axis):
         # 2**63 once overflowed the floor division; a block at least its axis long is one block
