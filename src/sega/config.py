@@ -1,22 +1,20 @@
 """Experiment configuration: JSON in, validated dataclasses out.
 
 The dataclass of each section (RopeParams, SegaConfig, TrajectoryConfig and
-MethodSpec) is the one statement of its keys and their defaults, and each
-field's annotation names the JSON type its value must have: values are
-checked, never coerced. The few keys that belong to no dataclass are read
-here, once each. Unknown keys are rejected, in each section and inside the
-structure_params and noise_blend objects (where each kind reads its own
-keys), so a typo cannot silently fall back to a default.
+MethodSpec) states its keys and defaults and checks each field against its
+annotation, for library callers too: nothing is coerced, except that an integer
+in a float field is stored as a float. The loader checks what JSON alone needs
+and reads the keys no dataclass holds. Unknown keys are rejected, in each
+section and inside the structure_params and noise_blend objects (where each
+kind reads its own keys), so a typo cannot silently fall back to a default.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 from .harness import MethodSpec, RopeParams, axis_schedules, train_shape
 from .rope import METHODS
@@ -26,11 +24,6 @@ from .tensorio import BLEND_KEYS, TrajectoryConfig, checked_structure_params, fi
 
 class ConfigError(ValueError):
     """Raised for malformed or contradictory experiment configs."""
-
-
-# The JSON type each field annotation asks for; float fields take finite JSON numbers.
-_JSON_TYPES = {int: "an integer", bool: "true or false", str: "a string", dict: "an object"}
-_type_hints = functools.cache(get_type_hints)  # evaluated once per class, not on every load
 
 
 @dataclass(frozen=True)
@@ -70,39 +63,14 @@ def _finite(token: str) -> float:
     return value
 
 
-def _checked(value, hint, where: str):
-    """value if its JSON type is the one the annotation hint names (int | None also takes null)."""
-    if get_args(hint):
-        if value is None:
-            return None
-        hint = get_args(hint)[0]
-    if hint is float:
-        try:
-            return finite_number(value, where)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if type(value) is not hint:  # so true is not an integer, nor "2" a number
-        raise ConfigError(f"{where} must be {_JSON_TYPES[hint]}")
-    return dict(value) if hint is dict else value  # a copy: the caller's dict stays theirs
-
-
-def _fields(section: dict, cls, where: str) -> dict:
-    """The values section gives for cls's fields, each checked against its annotation.
-
-    The loader pops a section's keys that belong to no dataclass first, so any
-    key left over that names no field is unknown.
-    """
-    hints = _type_hints(cls)
-    _check_keys(section, hints, where)
-    return {key: _checked(value, hints[key], f"{where}.{key}") for key, value in section.items()}
-
-
 def _built(cls, values: dict, where: str):
-    """cls(**values), with a range fault named by its dotted key.
+    """cls(**values), refusing keys that name no field; a fault names its dotted key.
 
-    Each section's __post_init__ starts its messages with the field at fault,
-    so prefixing where gives the key: "trajectory.steps must be >= 1".
+    The loader pops the keys that belong to no dataclass first. Each
+    __post_init__ starts its messages with the field at fault, so prefixing
+    where gives the key: "trajectory.steps must be >= 1".
     """
+    _check_keys(values, [f.name for f in fields(cls)], where)
     try:
         return cls(**values)
     except ValueError as exc:
@@ -120,7 +88,7 @@ def _section(raw: dict, name: str) -> dict:
 def _method_spec(raw, default_rope: str, where: str) -> MethodSpec:
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object")
-    return _built(MethodSpec, {"rope": default_rope, **_fields(raw, MethodSpec, where)}, where)
+    return _built(MethodSpec, {"rope": default_rope, **raw}, where)
 
 
 def load_experiment_config(source) -> ExperimentConfig:
@@ -149,7 +117,10 @@ def load_experiment_config(source) -> ExperimentConfig:
     if rope_method not in METHODS:
         raise ConfigError(f"rope.method must be one of {METHODS}")
     if "ratio" in rope_raw:  # shorthand for both axes; ratio_h and ratio_w override it
-        ratio = _checked(rope_raw.pop("ratio"), float, "rope.ratio")
+        try:
+            ratio = finite_number(rope_raw.pop("ratio"), "rope.ratio")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not ratio >= 1.0:  # checked here, so the fault names the key the config holds
             raise ConfigError("rope.ratio must be >= 1")
         rope_raw = {"ratio_h": ratio, "ratio_w": ratio, **rope_raw}
@@ -159,12 +130,13 @@ def load_experiment_config(source) -> ExperimentConfig:
     baseline_raw = traj_raw.pop(
         "baseline", {"name": "baseline", "rope": "none", "scaling": "none", "grid": "train"}
     )
-    output_dir = _checked(out_raw.pop("dir", "out"), str, "output.dir")
+    output_dir = out_raw.pop("dir", "out")
+    if type(output_dir) is not str:
+        raise ConfigError("output.dir must be a string")
     _check_keys(out_raw, (), "output")
-    rope = _built(RopeParams, _fields(rope_raw, RopeParams, "rope"), "rope")
-    sega = _built(SegaConfig, _fields(sega_raw, SegaConfig, "sega"), "sega")
-    trajectory = _built(TrajectoryConfig, _fields(traj_raw, TrajectoryConfig, "trajectory"),
-                        "trajectory")
+    rope = _built(RopeParams, rope_raw, "rope")
+    sega = _built(SegaConfig, sega_raw, "sega")
+    trajectory = _built(TrajectoryConfig, traj_raw, "trajectory")
     # A dict the config gives holds only keys its kind reads. The default
     # structure_params, {"cycles_w": 4.0}, is echoed whatever the kind.
     if "structure_params" in traj_raw:
@@ -195,7 +167,7 @@ def load_experiment_config(source) -> ExperimentConfig:
     used = {rope_method, *(m.rope for m in runs)}
     if "yarn" in used and not 0.0 < rope.yarn_alpha < rope.yarn_beta:
         raise ConfigError("a yarn method needs 0 < rope.yarn_alpha < rope.yarn_beta")
-    if "dype" in used and not 0.0 < rope.dype_p < math.inf:
+    if "dype" in used and not rope.dype_p > 0.0:
         raise ConfigError("a dype method needs rope.dype_p > 0")
     # Build each target-grid schedule once, at the last step: its denoising time is
     # the smallest, so dype's effective ratio is the largest.

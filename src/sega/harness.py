@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from . import spectral
 from .attention import rotary_entropy
 from .rope import MAX_DIM, METHODS, RopeSchedule, YarnParams, make_schedule, yarn_temperature
 from .spectral import SegaConfig, SpectralProfiles, reference_scale
-from .tensorio import TrajectoryConfig, generate_latent, token_features
+from .tensorio import TrajectoryConfig, check_fields, generate_latent, token_features
 
 SCALING_MODES = ("none", "fixed", "sega")
 GRID_KINDS = ("target", "train")
@@ -36,18 +37,16 @@ class MethodSpec:
     """
 
     name: str = ""
-    rope: str = "ntk_strong"
-    scaling: str = "sega"
+    rope: Literal[METHODS] = "ntk_strong"
+    scaling: Literal[SCALING_MODES] = "sega"
     temperature: bool = False
-    grid: str = "target"
+    grid: Literal[GRID_KINDS] = "target"
 
     def __post_init__(self):
         # Each message starts with the field it faults, as in RopeParams.
-        if not isinstance(self.name, str) or not self.name:
+        check_fields(self)
+        if not self.name:
             raise ValueError("name must be a nonempty string")
-        for name, allowed in (("rope", METHODS), ("scaling", SCALING_MODES), ("grid", GRID_KINDS)):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}")
 
 
 @dataclass(frozen=True)
@@ -66,12 +65,13 @@ class RopeParams:
     def __post_init__(self):
         # Each message starts with the field it faults, which the config loader
         # prefixes with the section: "rope.dim must be ...".
+        check_fields(self)
         if not 4 <= self.dim <= MAX_DIM or self.dim % 2 != 0:
             raise ValueError(f"dim must be an even integer in [4, {MAX_DIM}]")
-        if not 0.0 < self.base < math.inf:
+        if not self.base > 0.0:
             raise ValueError("base must be finite and > 0")
         for name in ("ratio_h", "ratio_w"):
-            if not getattr(self, name) >= 1.0:  # NaN fails this test too
+            if not getattr(self, name) >= 1.0:
                 raise ValueError(f"{name} must be >= 1")
 
     @property

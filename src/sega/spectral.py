@@ -19,11 +19,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
 from .rope import RopeSchedule
-from .tensorio import LatentGrid, center_map
+from .tensorio import LatentGrid, center_map, check_fields
 
 logger = logging.getLogger(__name__)
 
@@ -40,19 +41,17 @@ class SegaConfig:
 
     kappa: float = 0.08
     gamma: float = 1.5
-    ref_form: str = "power"
+    ref_form: Literal[REF_FORMS] = "power"
     eps: float = 1e-12
     n_bins_iso: int | None = None
 
     def __post_init__(self):
-        # Each message starts with the field it faults, as in RopeParams. The
-        # checks are written so that NaN fails them too.
+        # Each message starts with the field it faults, as in RopeParams.
+        check_fields(self)
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
         if not self.gamma >= 1.0:
             raise ValueError("gamma must be >= 1")
-        if self.ref_form not in REF_FORMS:
-            raise ValueError(f"ref_form must be one of {REF_FORMS}")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         if self.n_bins_iso is not None and not self.n_bins_iso >= 2:

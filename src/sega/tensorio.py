@@ -14,11 +14,13 @@ SEGL format (little-endian throughout)::
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -120,19 +122,14 @@ class TrajectoryConfig:
     height: int = 64
     width: int = 64
     channels: int = 4
-    structure_kind: str = "sinusoid"
+    structure_kind: Literal[STRUCTURE_KINDS] = "sinusoid"
     structure_params: dict = field(default_factory=lambda: {"cycles_w": 4.0})
     noise_blend: dict = field(default_factory=lambda: {"kind": "linear"})
 
     def __post_init__(self):
         # Each message starts with the field it faults, which the config loader
-        # prefixes with the section: "trajectory.steps must be >= 1". The sizes
-        # and the seed become numpy shapes and seeds, which take only integers
-        # (a numpy integer is one), so a float such as 1.5, inf or NaN stops here.
-        for name in ("steps", "seed", "height", "width", "channels"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
+        # prefixes with the section: "trajectory.steps must be >= 1".
+        check_fields(self)
         if not self.steps >= 1:
             raise ValueError("steps must be >= 1")
         if not self.steps <= MAX_STEPS:
@@ -145,8 +142,6 @@ class TrajectoryConfig:
         # as Python ints, which a numpy integer's product could wrap past
         if int(self.height) * int(self.width) * int(self.channels) * 8 > sys.maxsize:
             raise ValueError("height * width * channels * 8 bytes exceeds the addressable size")
-        if self.structure_kind not in STRUCTURE_KINDS:
-            raise ValueError(f"structure_kind must be one of {STRUCTURE_KINDS}")
         checked_structure_params(self)
         try:
             # Linear weights fall from 1 to 0, and a constant is one weight: only
@@ -219,6 +214,40 @@ def finite_number(value, name: str) -> float:
     if not abs(json_number(value, name)) <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number")
     return float(value)
+
+
+_KINDS = {bool: "true or false", str: "a string", dict: "an object"}
+_type_hints = functools.cache(get_type_hints)  # evaluated once per class, not on every build
+
+
+def check_fields(obj) -> None:
+    """Check each field of the dataclass obj against its annotation, in field order.
+
+    int also takes a numpy integer, and float a finite real, numpy's too, stored
+    as a Python float; neither takes a bool. bool, str and dict take their own
+    type (a dict is copied), Literal a str from its set, and X | None also None.
+    """
+    for name, hint in _type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if type(None) in get_args(hint):
+            if value is None:
+                continue
+            hint = get_args(hint)[0]
+        if get_origin(hint) is Literal:
+            if type(value) is not str:
+                raise ValueError(f"{name} must be a string")
+            if value not in get_args(hint):
+                raise ValueError(f"{name} must be one of {get_args(hint)}")
+        elif hint is float:  # a numpy number as the Python number it holds
+            real = value.item() if isinstance(value, np.number) else value
+            object.__setattr__(obj, name, finite_number(real, name))
+        elif hint is int:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
+        elif type(value) is not hint:
+            raise ValueError(f"{name} must be {_KINDS[hint]}")
+        elif hint is dict:
+            object.__setattr__(obj, name, dict(value))
 
 
 def checked_structure_params(cfg: TrajectoryConfig) -> dict:

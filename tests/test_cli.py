@@ -711,6 +711,14 @@ class TestConfigSchema:
         readme = json.loads(re.sub(r"//.*", "", block))
         assert load_experiment_config(readme).snapshot() == load_experiment_config({}).snapshot()
 
+    def test_readme_library_block_runs(self):
+        # It builds the four config sections directly, as a library caller does.
+        text = (REPO / "README.md").read_text()
+        block = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        scope = {}
+        exec(compile(block, "README.md", "exec"), scope)
+        assert len(scope["steps"]) == scope["cfg"].steps
+
     @pytest.mark.parametrize("blend", [{"kind": "linear"}, {"kind": "constant", "value": 0.5}])
     def test_untabled_blend_loads_in_constant_memory(self, blend, monkeypatch):
         # only a table has a weight per step to check; a million-step linear blend

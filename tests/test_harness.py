@@ -120,9 +120,16 @@ class TestRunTrajectory:
         with pytest.raises(ValueError):
             run_trajectory(small_cfg(), [SEGA_METHOD, SEGA_METHOD], rope=ROPE)
 
-    @pytest.mark.parametrize("ratio_h, ratio_w", [(0.5, 2.0), (2.0, math.nan), (math.nan, 2.0)])
-    def test_rope_params_reject_bad_ratios(self, ratio_h, ratio_w):
-        with pytest.raises(ValueError, match=r"ratio_[hw] must be >= 1"):
+    def test_rope_params_reject_bad_ratios(self):
+        with pytest.raises(ValueError, match=r"^ratio_h must be >= 1$"):
+            RopeParams(dim=16, ratio_h=0.5, ratio_w=2.0)
+
+    @pytest.mark.parametrize("ratio_h, ratio_w, name", [
+        (2.0, math.nan, "ratio_w"), (math.nan, 2.0, "ratio_h"),
+    ])
+    def test_rope_params_reject_nan_ratios(self, ratio_h, ratio_w, name):
+        # a NaN is refused by the field's type check, before any range test
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number$"):
             RopeParams(dim=16, ratio_h=ratio_h, ratio_w=ratio_w)
 
     def test_logit_temperature_sharpens_attention(self):

@@ -1,6 +1,7 @@
 """Latent grid type, SEGL round-trips, and generator determinism."""
 
 import math
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 
 from sega import (
     LatentGrid,
+    MethodSpec,
+    RopeParams,
+    SegaConfig,
     TokenFeatures,
     TrajectoryConfig,
     center_map,
@@ -203,16 +207,6 @@ class TestTrajectoryConfig:
         with pytest.raises(ValueError, match=f"^{name} must"):
             TrajectoryConfig(**{name: math.nan})
 
-    @pytest.mark.parametrize("name, value", [
-        ("seed", 1.5), ("seed", math.inf), ("seed", True), ("height", 4.5), ("width", 3.0),
-        ("channels", 1.5), ("steps", 2.5),
-    ])
-    def test_integer_fields_refuse_other_numbers(self, name, value):
-        # These constructed once, and generate_latent (or, for steps,
-        # run_trajectory's range) then raised TypeError
-        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
-            TrajectoryConfig(**{name: value})
-
     def test_numpy_integer_fields_are_integers(self):
         cfg = TrajectoryConfig(steps=np.int64(2), seed=np.uint32(3), height=np.int32(4),
                                width=np.int16(5), channels=np.int8(2))
@@ -229,6 +223,68 @@ class TestTrajectoryConfig:
                 steps=1, height=6, width=8, channels=1, structure_kind="checker",
                 structure_params={"block_h": 2, "block_w": 3, key: block}))
         np.testing.assert_array_equal(field(2**63), field({"height": 6, "width": 8}[axis]))
+
+
+class TestCheckFields:
+    """Each section's annotations are its type checks, for a direct construction too."""
+
+    @pytest.mark.parametrize("cls, values, message", [
+        # Each of these once constructed; the first two then raised TypeError in
+        # run_trajectory, the other three were never refused.
+        (RopeParams, {"dim": 16.0}, "dim must be an integer"),
+        (SegaConfig, {"n_bins_iso": 3.5}, "n_bins_iso must be an integer"),
+        (RopeParams, {"base": True}, "base must be a number"),
+        (RopeParams, {"dype_strong": 3}, "dype_strong must be true or false"),
+        (MethodSpec, {"name": "a", "temperature": "no"}, "temperature must be true or false"),
+        # Each of these once constructed, and generate_latent (or, for steps,
+        # run_trajectory's range) then raised TypeError.
+        (TrajectoryConfig, {"seed": 1.5}, "seed must be an integer"),
+        (TrajectoryConfig, {"seed": math.inf}, "seed must be an integer"),
+        (TrajectoryConfig, {"seed": True}, "seed must be an integer"),
+        (TrajectoryConfig, {"height": 4.5}, "height must be an integer"),
+        (TrajectoryConfig, {"width": 3.0}, "width must be an integer"),
+        (TrajectoryConfig, {"channels": 1.5}, "channels must be an integer"),
+        (TrajectoryConfig, {"steps": 2.5}, "steps must be an integer"),
+        (SegaConfig, {"kappa": True}, "kappa must be a number"),
+        (SegaConfig, {"eps": math.inf}, "eps must be a finite number"),
+        (SegaConfig, {"gamma": "2"}, "gamma must be a number"),
+        (SegaConfig, {"gamma": np.bool_(True)}, "gamma must be a number"),
+        (RopeParams, {"ratio_h": np.float64(math.nan)}, "ratio_h must be a finite number"),
+        (SegaConfig, {"ref_form": 1}, "ref_form must be a string"),
+        (SegaConfig, {"ref_form": "cubic"}, r"ref_form must be one of \('power', 'log'\)$"),
+        (TrajectoryConfig, {"structure_kind": "plasma"}, "structure_kind must be one of"),
+        (TrajectoryConfig, {"noise_blend": [["kind", "linear"]]}, "noise_blend must be an object"),
+        (MethodSpec, {"name": 5}, "name must be a string"),
+        (MethodSpec, {"name": "a", "grid": "both"}, r"grid must be one of \('target', 'train'\)$"),
+    ])
+    def test_wrong_type_is_refused_by_name(self, cls, values, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            cls(**values)
+
+    def test_accepted_values(self):
+        assert RopeParams(dim=np.int64(16)).dim == 16
+        base = RopeParams(base=10000).base
+        assert type(base) is float and base == 10000.0
+        ratio = RopeParams(ratio_h=np.float32(2.5)).ratio_h
+        assert type(ratio) is float and ratio == 2.5
+        assert SegaConfig(n_bins_iso=None).n_bins_iso is None
+        assert SegaConfig(n_bins_iso=np.int32(4)).n_bins_iso == 4
+        params = {"cycles_w": 3.0}
+        cfg = TrajectoryConfig(structure_params=params)
+        assert cfg.structure_params == params and cfg.structure_params is not params
+
+    @pytest.mark.parametrize("cls", [RopeParams, SegaConfig, TrajectoryConfig, MethodSpec],
+                             ids=lambda cls: cls.__name__)
+    def test_every_annotation_is_one_check_fields_handles(self, cls):
+        # A new field whose annotation check_fields cannot read fails here, not
+        # with a KeyError at its first construction.
+        for name, hint in get_type_hints(cls).items():
+            args = get_args(hint)
+            if type(None) in args:  # X | None, as check_fields reads it
+                assert len(args) == 2 and args[1] is type(None), f"{name}: {hint}"
+                hint = args[0]
+            literal = get_origin(hint) is Literal and all(type(a) is str for a in get_args(hint))
+            assert literal or hint in (int, float, bool, str, dict), f"{name}: {hint}"
 
 
 class TestGenerateLatent:
