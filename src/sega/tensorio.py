@@ -203,14 +203,15 @@ def _normalize_field(arr: np.ndarray) -> np.ndarray:
 
 
 def json_number(value, name: str):
-    """value itself if its JSON type is a number: an int or a float, not a bool or a string."""
+    """value if it is an int or a float, a numpy number as the Python one it holds; not a bool."""
+    value = value.item() if isinstance(value, np.number) else value
     if type(value) not in (int, float):
         raise ValueError(f"{name} must be a number")
     return value
 
 
 def finite_number(value, name: str) -> float:
-    """value as a float if it is a finite JSON number."""
+    """value as a float if it is a finite number."""
     if not abs(json_number(value, name)) <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number")
     return float(value)
@@ -238,9 +239,8 @@ def check_fields(obj) -> None:
                 raise ValueError(f"{name} must be a string")
             if value not in get_args(hint):
                 raise ValueError(f"{name} must be one of {get_args(hint)}")
-        elif hint is float:  # a numpy number as the Python number it holds
-            real = value.item() if isinstance(value, np.number) else value
-            object.__setattr__(obj, name, finite_number(real, name))
+        elif hint is float:
+            object.__setattr__(obj, name, finite_number(value, name))
         elif hint is int:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")

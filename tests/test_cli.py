@@ -23,7 +23,7 @@ from sega import LatentGrid, TrajectoryConfig, write_latent
 from sega.cli import main
 from sega.config import load_experiment_config
 from sega.spectral import SegaConfig, reference_scale
-from sega.tensorio import MAX_STEPS
+from sega.tensorio import MAX_STEPS, checked_structure_params
 from oracles import dense_softmax
 
 REPO = Path(__file__).resolve().parents[1]
@@ -761,6 +761,18 @@ class TestConfigSchema:
         assert cfg.trajectory.structure_params == trajectory["structure_params"]
         assert cfg.trajectory.structure_params is not trajectory["structure_params"]
         assert cfg.trajectory.noise_blend is not trajectory["noise_blend"]
+
+    def test_numpy_numbers_load_where_the_loader_reads_them(self):
+        # A dataclass field and a number the loader or structure check reads
+        # itself follow one rule; the latter two once said "must be a number".
+        cfg = load_experiment_config({
+            "rope": {"ratio": np.float64(2.0)},
+            "trajectory": {"structure_params": {"cycles_w": np.float32(3.0)},
+                           "noise_blend": {"kind": "constant", "value": np.float64(0.5)}},
+        })
+        assert (cfg.rope.ratio_h, cfg.rope.ratio_w) == (2.0, 2.0)
+        assert checked_structure_params(cfg.trajectory)["cycles_w"] == 3.0
+        assert cfg.trajectory.alpha(0) == 0.5
 
 
 QUERY = ["--query-h", "3", "--query-w", "5"]

@@ -251,15 +251,17 @@ class TestCheckFields:
         (SegaConfig, {"gamma": np.bool_(True)}, "gamma must be a number"),
         (RopeParams, {"ratio_h": np.float64(math.nan)}, "ratio_h must be a finite number"),
         (SegaConfig, {"ref_form": 1}, "ref_form must be a string"),
-        (SegaConfig, {"ref_form": "cubic"}, r"ref_form must be one of \('power', 'log'\)$"),
-        (TrajectoryConfig, {"structure_kind": "plasma"}, "structure_kind must be one of"),
+        (SegaConfig, {"ref_form": "cubic"}, "ref_form must be one of ('power', 'log')"),
+        (TrajectoryConfig, {"structure_kind": "plasma"},
+         "structure_kind must be one of ('sinusoid', 'band_limited', 'checker', 'file')"),
         (TrajectoryConfig, {"noise_blend": [["kind", "linear"]]}, "noise_blend must be an object"),
         (MethodSpec, {"name": 5}, "name must be a string"),
-        (MethodSpec, {"name": "a", "grid": "both"}, r"grid must be one of \('target', 'train'\)$"),
+        (MethodSpec, {"name": "a", "grid": "both"}, "grid must be one of ('target', 'train')"),
     ])
     def test_wrong_type_is_refused_by_name(self, cls, values, message):
-        with pytest.raises(ValueError, match=f"^{message}"):
+        with pytest.raises(ValueError) as err:
             cls(**values)
+        assert str(err.value) == message
 
     def test_accepted_values(self):
         assert RopeParams(dim=np.int64(16)).dim == 16
