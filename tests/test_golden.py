@@ -8,9 +8,10 @@ digest and CHANGES.md says which bytes moved and why.
 The inline ``yarn_dype`` config pins each way a per-axis schedule is derived:
 yarn on the target grid with ratio_h != ratio_w, a sega method and a yarn
 baseline on the train grid, dype with its time schedule, the log anchor form
-and an explicit radial bin count. ``modulate``, ``entropy`` and ``attn-map``
-pin the derivation from a latent file's own shape; the two ``attn-map`` cases
-pin one query row under sega and under unit scaling. On the 16x12 latent
+and an explicit radial bin count. The inline ``no_sega`` and ``no_fixed``
+configs pin the summary's two fallbacks, described at their definitions.
+``modulate``, ``entropy`` and ``attn-map`` pin the derivation from a latent
+file's own shape; the two ``attn-map`` cases pin one query row under sega and under unit scaling. On the 16x12 latent
 each query column is one block, so ``entropy`` is also pinned on a 64x64
 latent (columns in parts of 16 rows) and on a 48x64 latent (parts of 21, 21
 and 6 rows, which do not divide the column). ``modulate`` and ``entropy`` are
@@ -67,6 +68,26 @@ YARN_DYPE = {
     },
 }
 
+# Tiny runs for the summary's fallbacks. NO_SEGA has no sega method: its
+# scaling maps come from its first method, and its comparison is null.
+# NO_FIXED has no fixed method, so its comparison is null too; a method with
+# unit magnitudes comes before two sega methods, and the first of those two
+# gives the maps.
+TINY = {
+    "rope": {"dim": 8, "method": "ntk_strong", "ratio": 2.0},
+    "trajectory": {"steps": 3, "seed": 9, "height": 12, "width": 10, "channels": 2,
+                   "structure_params": {"cycles_w": 2.0}},
+}
+NO_SEGA = {**TINY, "trajectory": {**TINY["trajectory"], "methods": [
+    {"name": "ntk_fixed", "rope": "ntk_strong", "scaling": "fixed"},
+    {"name": "pi_none", "rope": "pi", "scaling": "none", "temperature": True},
+]}}
+NO_FIXED = {**TINY, "trajectory": {**TINY["trajectory"], "methods": [
+    {"name": "unscaled", "rope": "ntk_strong", "scaling": "none"},
+    {"name": "ntk_sega", "rope": "ntk_strong", "scaling": "sega"},
+    {"name": "pi_sega", "rope": "pi", "scaling": "sega"},
+]}}
+
 # (case, argv with {placeholders}, files written into {out}; None means stdout)
 CASES = (
     ("trajectory_small",
@@ -77,6 +98,10 @@ CASES = (
      ["heatmap", "--config", "{heatmap_noise}", "--out-dir", "{out}"], HEATMAP_FILES),
     ("trajectory_yarn_dype",
      ["trajectory", "--config", "{yarn_dype}", "--out-dir", "{out}"], TRAJECTORY_FILES),
+    ("trajectory_no_sega",
+     ["trajectory", "--config", "{no_sega}", "--out-dir", "{out}"], TRAJECTORY_FILES),
+    ("trajectory_no_fixed",
+     ["trajectory", "--config", "{no_fixed}", "--out-dir", "{out}"], TRAJECTORY_FILES),
     ("modulate", ["modulate", "--latent", "{latent}"], None),
     ("modulate_yarn_ratio",
      ["modulate", "--latent", "{latent}", "--config", "{yarn_dype}", "--ratio", "3"], None),
@@ -127,6 +152,20 @@ DIGESTS = {
         "entropy_trace.csv": "0b924d193dd17fb64bfc1c303c0153a9373b4a8a5ef694d26d2f8c6156e4c748",
         "spectral_heatmap.csv": "15191ad94520e64badf20c61efb6b1cbd3170d29202877fe3bdd9ff204f7a7df",
         "summary.json": "1eea27e745b3dcaee2d52d54e4fa66dba4953baa378973a31ef6ab2b24596349",
+    },
+    "trajectory_no_sega": {
+        "scaling_map_H.csv": "43568349f8cf85a6051f18f8cc144f75c11c2a5b9c2ef3fd41a9f93128a45666",
+        "scaling_map_W.csv": "43568349f8cf85a6051f18f8cc144f75c11c2a5b9c2ef3fd41a9f93128a45666",
+        "entropy_trace.csv": "f68e79890d1a21a14b7445602eb7c08796fe4407b2d3c8b4c12e1aaa0672aa14",
+        "spectral_heatmap.csv": "8a9fada2b3f40656d795e7838d47414e5fbfb14e846f484ef7c929aea772ffa0",
+        "summary.json": "f353c17429ec260d54b0ed127ddc0f0fc6cdd48b835f1a4bd425d969445fa2bd",
+    },
+    "trajectory_no_fixed": {
+        "scaling_map_H.csv": "6bc21107732e420cb6536ac029621e241c656fb03288b2b3965e70b61650cf0b",
+        "scaling_map_W.csv": "3784c5da05b0fe8343c1d0e749cf80071f3e56489b5744b94e6dc4f819465ce9",
+        "entropy_trace.csv": "322ed5f9ec225359cbc983c29f433f46df7a2b647a4e91896e763098bdae249e",
+        "spectral_heatmap.csv": "8a9fada2b3f40656d795e7838d47414e5fbfb14e846f484ef7c929aea772ffa0",
+        "summary.json": "b1aaf61f3806c41046cdaf2ec90e179674af6ecf368a350d71ab578b4634293f",
     },
     "modulate": {
         "stdout": "2fb5b6fa2071ebdf15c793d3b8340258d6d87c900fbbdf2901684d89f605a720",
@@ -188,12 +227,14 @@ def _inputs(tmp_path):
         write_latent(LatentGrid(values), tmp_path / f"latent_{height}x{width}.segl")
     odd = np.random.default_rng(15).standard_normal((15, 13, 3))
     write_latent(LatentGrid(odd), tmp_path / "latent_15x13.segl")
-    yarn_dype = tmp_path / "yarn_dype.json"
-    yarn_dype.write_text(json.dumps(YARN_DYPE))
+    for name, config in (("yarn_dype", YARN_DYPE), ("no_sega", NO_SEGA), ("no_fixed", NO_FIXED)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
     return {
         "trajectory_small": str(REPO / "configs" / "trajectory_small.json"),
         "heatmap_noise": str(REPO / "configs" / "heatmap_noise.json"),
-        "yarn_dype": str(yarn_dype),
+        "yarn_dype": str(tmp_path / "yarn_dype.json"),
+        "no_sega": str(tmp_path / "no_sega.json"),
+        "no_fixed": str(tmp_path / "no_fixed.json"),
         "latent": str(latent),
         "latent_64x64": str(tmp_path / "latent_64x64.segl"),
         "latent_48x64": str(tmp_path / "latent_48x64.segl"),
