@@ -7,12 +7,12 @@ Library layout:
 * :mod:`sega.spectral`  - spectra, profiles, flatness, the scaling modulator
 * :mod:`sega.attention` - blocked rotary attention: per-token entropy and one
   query's weight row, never the N x N matrix
-* :mod:`sega.harness`   - simulated denoising trajectories and traces
+* :mod:`sega.harness`   - simulated denoising trajectories and every file of a run
 * :mod:`sega.cli`       - the `sega` command
 """
 
 from .attention import rotary_attention_row, rotary_entropy
-from .harness import MethodSpec, RopeParams, entropy_trace, run_trajectory, spectral_heatmap
+from .harness import MethodSpec, RopeParams, run_trajectory, spectral_heatmap, trajectory_files
 from .rope import (
     RopeSchedule,
     YarnParams,

@@ -18,9 +18,7 @@ from . import spectral
 from .attention import rotary_attention_row, rotary_entropy
 from .config import ExperimentConfig, load_experiment_config
 from .fmtio import canonical_json, csv_text, fmt, fmt_floats, write_csv, write_json
-from .harness import (
-    SCALING_MODES, axis_schedules, entropy_trace, heatmap_rows, scaling_vectors, spectral_heatmap,
-)
+from .harness import SCALING_MODES, axis_schedules, scaling_vectors, spectral_heatmap, trajectory_files
 from .rope import MAX_DIM, METHODS, YarnParams, base_frequencies, make_schedule, yarn_weights
 from .tensorio import LatentIOError, read_latent, token_features
 
@@ -274,18 +272,6 @@ def entropy(latent_path, config_path, scaling, fixed_value, feature_seed, logit_
     _emit(csv_text(["token", "h", "w", "entropy"], ()) + "".join(lines) + f"mean,,,{fmt(mean)}\n")
 
 
-def _write_heatmap(out: Path, heat: np.ndarray) -> None:
-    write_csv(
-        out / "spectral_heatmap.csv",
-        ["step"] + [f"bin_{b}" for b in range(heat.shape[1])],
-        [[t] + [heat[t, b] for b in range(heat.shape[1])] for t in range(heat.shape[0])],
-    )
-
-
-def _emit_wrote(out: Path, *names: str) -> None:
-    _emit("".join(f"wrote {out / name}\n" for name in names))
-
-
 def _prepare_out_dir(out_dir: str) -> Path:
     path = Path(out_dir)
     try:
@@ -298,6 +284,16 @@ def _prepare_out_dir(out_dir: str) -> Path:
     return path
 
 
+def _write_files(out: Path, cfg: ExperimentConfig, files: dict) -> None:
+    """Write a run's files into out, the config echo first in its summary, and list them."""
+    for name, content in files.items():
+        if name.endswith(".csv"):
+            write_csv(out / name, *content)
+        else:
+            write_json(out / name, {"config": cfg.snapshot(), **content})
+    _emit("".join(f"wrote {out / name}\n" for name in files))
+
+
 @main.command(epilog=CONFIG_EPILOG)
 @click.option("--config", "config_path", required=True, help="Experiment config JSON.")
 @click.option("--out-dir", required=True, help="Directory for CSV/JSON outputs.")
@@ -305,61 +301,8 @@ def trajectory(config_path, out_dir):
     """Run a full simulated trajectory; write scaling maps, heatmap, entropy trace, summary."""
     cfg = load_experiment_config(config_path)
     out = _prepare_out_dir(out_dir)
-    deltas, names, steps = entropy_trace(
-        cfg.trajectory, list(cfg.methods), cfg.baseline, cfg.sega, cfg.rope
-    )
-    heat, degenerate = heatmap_rows([s.radial for s in steps])
-
-    sega_name = next((m.name for m in cfg.methods if m.scaling == "sega"), None)
-    map_method = sega_name or cfg.methods[0].name
-    half = cfg.rope.dim // 2
-    for axis, key in (("H", "m_h"), ("W", "m_w")):
-        rows = []
-        for step_rec in steps:
-            vec = getattr(step_rec.methods[map_method], key)
-            rows.append([step_rec.step] + [float(x) for x in vec])
-        write_csv(out / f"scaling_map_{axis}.csv",
-                  ["step"] + [f"m_{d}" for d in range(half)], rows)
-
-    write_csv(
-        out / "entropy_trace.csv",
-        ["step"] + names,
-        [[t] + [deltas[t, j] for j in range(len(names))] for t in range(deltas.shape[0])],
-    )
-    _write_heatmap(out, heat)
-
-    abs_means = {name: float(np.mean(np.abs(deltas[:, j]))) for j, name in enumerate(names)}
-    directional = None
-    fixed_name = next((m.name for m in cfg.methods if m.scaling == "fixed"), None)
-    if sega_name and fixed_name:
-        directional = {
-            "sega_method": sega_name,
-            "fixed_method": fixed_name,
-            "sega_abs_delta_mean": abs_means[sega_name],
-            "fixed_abs_delta_mean": abs_means[fixed_name],
-            "sega_no_worse": abs_means[sega_name] <= abs_means[fixed_name],
-        }
-    summary = {
-        "config": cfg.snapshot(),
-        "scaling_map_method": map_method,
-        "per_step": [
-            {
-                "step": s.step,
-                "alpha": s.alpha,
-                "time": s.time,
-                "flatness": s.flatness,
-                "sigma": s.sigma,
-                "mean_entropy": {name: rec.mean_entropy for name, rec in s.methods.items()},
-            }
-            for s in steps
-        ],
-        "entropy_delta_abs_mean": abs_means,
-        "entropy_shift_comparison": directional,
-        "degenerate_heatmap_rows": degenerate,
-    }
-    write_json(out / "summary.json", summary)
-    _emit_wrote(out, "scaling_map_H.csv", "scaling_map_W.csv", "entropy_trace.csv",
-                "spectral_heatmap.csv", "summary.json")
+    files = trajectory_files(cfg.trajectory, cfg.methods, cfg.baseline, cfg.sega, cfg.rope)
+    _write_files(out, cfg, files)
 
 
 @main.command(epilog=CONFIG_EPILOG)
@@ -369,13 +312,7 @@ def heatmap(config_path, out_dir):
     """Write the per-step normalized radial spectrum matrix."""
     cfg = load_experiment_config(config_path)
     out = _prepare_out_dir(out_dir)
-    heat, degenerate = spectral_heatmap(cfg.trajectory, cfg.sega.n_bins_iso)
-    _write_heatmap(out, heat)
-    write_json(
-        out / "summary.json",
-        {"config": cfg.snapshot(), "degenerate_heatmap_rows": degenerate},
-    )
-    _emit_wrote(out, "spectral_heatmap.csv", "summary.json")
+    _write_files(out, cfg, spectral_heatmap(cfg.trajectory, cfg.sega.n_bins_iso))
 
 
 if __name__ == "__main__":

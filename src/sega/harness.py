@@ -200,48 +200,92 @@ def run_trajectory(
     return steps
 
 
-def heatmap_rows(radials: list) -> tuple[np.ndarray, list]:
-    """Stack per-step radial profiles, each row normalized to sum 1.
+def _heatmap_files(radials: list) -> dict:
+    """spectral_heatmap.csv from per-step radial profiles, each row normalized to sum 1.
 
     Rows with no spectral energy at all (possible for degenerate structure
-    fields) are left as zeros and their step indices returned as flags.
+    fields) are left as zeros, and summary.json lists their step indices.
     """
-    rows = np.zeros((len(radials), len(radials[0])), dtype=np.float64)
-    degenerate = []
+    rows, degenerate = [], []
     for step, radial in enumerate(radials):
         total = radial.sum()
         if total <= 0.0:
             degenerate.append(step)
-            continue
-        rows[step] = radial / total
-    return rows, degenerate
+            radial, total = np.zeros_like(radial), 1.0
+        rows.append([step, *(radial / total)])
+    header = ["step"] + [f"bin_{b}" for b in range(len(radials[0]))]
+    return {
+        "spectral_heatmap.csv": (header, rows),
+        "summary.json": {"degenerate_heatmap_rows": degenerate},
+    }
 
 
-def spectral_heatmap(
-    cfg: TrajectoryConfig, n_bins: int | None = None
-) -> tuple[np.ndarray, list]:
-    """Per-step normalized radial profiles of a trajectory's target latents."""
-    return heatmap_rows(
+def spectral_heatmap(cfg: TrajectoryConfig, n_bins: int | None = None) -> dict:
+    """The heatmap command's files: per-step normalized radial profiles of the target latents."""
+    return _heatmap_files(
         [spectral.analyze(generate_latent(cfg, step), n_bins).radial for step in range(cfg.steps)]
     )
 
 
-def entropy_trace(
+def trajectory_files(
     cfg: TrajectoryConfig,
     methods: list,
     baseline: MethodSpec,
     sega_cfg: SegaConfig | None = None,
     rope: RopeParams | None = None,
-) -> tuple[np.ndarray, list, list]:
-    """Per-step mean-entropy deltas of each method against the baseline.
+) -> dict:
+    """Every file of one trajectory run by name, in the order they are written.
 
-    The baseline is usually evaluated at the training-scale grid; deltas are
-    method minus baseline, so positive means the method is more diffuse.
+    A CSV is a (header, rows) pair; summary.json is a dict without the config
+    echo. The scaling maps come from the first sega method, else the first
+    method. The entropy deltas are each method minus the baseline, so
+    positive means the method is more diffuse; the baseline usually runs on
+    the training-scale grid. The sega-vs-fixed comparison is None unless both
+    a sega and a fixed method run.
     """
     steps = run_trajectory(cfg, [*methods, baseline], sega_cfg, rope)
-    deltas = np.zeros((cfg.steps, len(methods)), dtype=np.float64)
-    for t, step_rec in enumerate(steps):
-        base_e = step_rec.methods[baseline.name].mean_entropy
-        for j, m in enumerate(methods):
-            deltas[t, j] = step_rec.methods[m.name].mean_entropy - base_e
-    return deltas, [m.name for m in methods], steps
+    names = [m.name for m in methods]
+    sega_name, fixed_name = (
+        next((m.name for m in methods if m.scaling == kind), None) for kind in ("sega", "fixed")
+    )
+    map_method = sega_name or names[0]
+    files = {}
+    for axis, key in (("H", "m_h"), ("W", "m_w")):
+        maps = [getattr(s.methods[map_method], key) for s in steps]
+        header = ["step"] + [f"m_{d}" for d in range(len(maps[0]))]
+        files[f"scaling_map_{axis}.csv"] = (header, [[s.step, *m] for s, m in zip(steps, maps)])
+
+    entropies = np.array([[s.methods[name].mean_entropy for name in names] for s in steps])
+    deltas = entropies - np.array([[s.methods[baseline.name].mean_entropy] for s in steps])
+    files["entropy_trace.csv"] = (["step"] + names, [[t, *row] for t, row in enumerate(deltas)])
+    heat = _heatmap_files([s.radial for s in steps])
+    files["spectral_heatmap.csv"] = heat["spectral_heatmap.csv"]
+
+    abs_means = {name: float(np.mean(np.abs(deltas[:, j]))) for j, name in enumerate(names)}
+    comparison = None
+    if sega_name and fixed_name:
+        comparison = {
+            "sega_method": sega_name,
+            "fixed_method": fixed_name,
+            "sega_abs_delta_mean": abs_means[sega_name],
+            "fixed_abs_delta_mean": abs_means[fixed_name],
+            "sega_no_worse": abs_means[sega_name] <= abs_means[fixed_name],
+        }
+    files["summary.json"] = {
+        "scaling_map_method": map_method,
+        "per_step": [
+            {
+                "step": s.step,
+                "alpha": s.alpha,
+                "time": s.time,
+                "flatness": s.flatness,
+                "sigma": s.sigma,
+                "mean_entropy": {name: rec.mean_entropy for name, rec in s.methods.items()},
+            }
+            for s in steps
+        ],
+        "entropy_delta_abs_mean": abs_means,
+        "entropy_shift_comparison": comparison,
+        **heat["summary.json"],
+    }
+    return files

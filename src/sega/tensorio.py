@@ -158,9 +158,7 @@ class TrajectoryConfig:
     def _blend_at(self, step: int) -> int | float:
         kind = self.noise_blend.get("kind", "linear")
         if kind == "linear":
-            if self.steps == 1:
-                return 1.0
-            return 1.0 - step / (self.steps - 1)
+            return self.time(step)  # the noise weight falls with the denoising time
         if kind == "constant":
             return json_number(self.noise_blend["value"], "noise_blend.value")
         if kind == "table":

@@ -718,6 +718,8 @@ class TestConfigSchema:
         scope = {}
         exec(compile(block, "README.md", "exec"), scope)
         assert len(scope["steps"]) == scope["cfg"].steps
+        assert len(scope["rows"]) == scope["cfg"].steps
+        assert scope["files"]["summary.json"]["scaling_map_method"] == "sega"
 
     @pytest.mark.parametrize("blend", [{"kind": "linear"}, {"kind": "constant", "value": 0.5}])
     def test_untabled_blend_loads_in_constant_memory(self, blend, monkeypatch):

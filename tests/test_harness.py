@@ -1,4 +1,4 @@
-"""Trajectory simulation: determinism, invariants, heatmaps, entropy traces."""
+"""Trajectory simulation: determinism, invariants, heatmaps, entropy traces, findings."""
 
 import math
 import tracemalloc
@@ -13,13 +13,13 @@ from sega import (
     SegaConfig,
     TrajectoryConfig,
     analyze,
-    entropy_trace,
     generate_latent,
     make_schedule,
     modulate_detailed,
     reference_scale,
     run_trajectory,
     spectral_heatmap,
+    trajectory_files,
 )
 from sega.fmtio import canonical_json
 from conftest import SEEDS_16
@@ -38,6 +38,17 @@ SEGA_METHOD = MethodSpec("sega", rope="ntk_strong", scaling="sega")
 FIXED_METHOD = MethodSpec("fixed", rope="ntk_strong", scaling="fixed")
 BASELINE = MethodSpec("baseline", rope="none", scaling="none", grid="train")
 ROPE = RopeParams(dim=16, ratio_h=2.0, ratio_w=2.0)
+TRAJECTORY_FILES = [
+    "scaling_map_H.csv", "scaling_map_W.csv", "entropy_trace.csv", "spectral_heatmap.csv",
+    "summary.json",
+]
+
+
+def table(files, name):
+    """One CSV of a run's files: its header and its rows as floats, the step column dropped."""
+    header, rows = files[name]
+    assert [row[0] for row in rows] == list(range(len(rows)))
+    return header, np.array([row[1:] for row in rows], dtype=np.float64)
 
 
 class TestRunTrajectory:
@@ -143,9 +154,12 @@ class TestRunTrajectory:
 
 class TestSpectralHeatmap:
     def test_rows_normalized(self):
-        heat, degenerate = spectral_heatmap(small_cfg())
+        files = spectral_heatmap(small_cfg())
+        assert list(files) == ["spectral_heatmap.csv", "summary.json"]
+        header, heat = table(files, "spectral_heatmap.csv")
+        assert header == ["step"] + [f"bin_{b}" for b in range(8)]
         assert heat.shape == (4, 8)
-        assert degenerate == []
+        assert files["summary.json"] == {"degenerate_heatmap_rows": []}
         np.testing.assert_allclose(heat.sum(axis=1), 1.0, atol=1e-9)
 
     def test_pure_noise_rows_roughly_flat(self):
@@ -155,7 +169,7 @@ class TestSpectralHeatmap:
                 steps=1, seed=seed, height=64, width=64, channels=4,
                 noise_blend={"kind": "constant", "value": 1.0},
             )
-            heat, _ = spectral_heatmap(cfg)
+            heat = table(spectral_heatmap(cfg), "spectral_heatmap.csv")[1]
             acc = heat if acc is None else acc + heat
         mean_row = acc[0] / len(SEEDS_16)
         occupied = mean_row > 0
@@ -166,8 +180,7 @@ class TestSpectralHeatmap:
             steps=3, seed=1, height=64, width=64, channels=2,
             structure_kind="sinusoid", structure_params={"cycles_w": 2.0},
         )
-        heat, _ = spectral_heatmap(cfg)
-        final = heat[-1]
+        final = table(spectral_heatmap(cfg), "spectral_heatmap.csv")[1][-1]
         quartile = len(final) // 4
         assert final[:quartile].sum() >= 0.6
 
@@ -177,32 +190,73 @@ class TestSpectralHeatmap:
             structure_kind="sinusoid", structure_params={"cycles_w": 0.0},
             noise_blend={"kind": "constant", "value": 0.0},
         )
-        heat, degenerate = spectral_heatmap(cfg)
-        assert degenerate == [0, 1]
+        files = spectral_heatmap(cfg)
+        heat = table(files, "spectral_heatmap.csv")[1]
+        assert files["summary.json"]["degenerate_heatmap_rows"] == [0, 1]
         assert np.all(np.isfinite(heat))
         np.testing.assert_array_equal(heat, 0.0)
 
 
-class TestEntropyTrace:
+class TestTrajectoryFiles:
     def test_same_method_same_grid_gives_zero(self):
         cfg = small_cfg()
         probe = MethodSpec("probe", rope="ntk_strong", scaling="fixed")
         twin = MethodSpec("twin", rope="ntk_strong", scaling="fixed", grid="target")
-        deltas, names, _ = entropy_trace(cfg, [probe], twin, rope=ROPE)
-        assert names == ["probe"]
+        header, deltas = table(trajectory_files(cfg, [probe], twin, rope=ROPE), "entropy_trace.csv")
+        assert header == ["step", "probe"]
         np.testing.assert_allclose(deltas, 0.0, atol=1e-12)
 
     def test_baseline_on_train_grid(self):
         cfg = small_cfg(steps=3)
-        deltas, names, record = entropy_trace(
-            cfg, [SEGA_METHOD, FIXED_METHOD], BASELINE, rope=ROPE
-        )
+        files = trajectory_files(cfg, [SEGA_METHOD, FIXED_METHOD], BASELINE, rope=ROPE)
+        assert list(files) == TRAJECTORY_FILES
+        header, deltas = table(files, "entropy_trace.csv")
         assert deltas.shape == (3, 2)
-        assert names == ["sega", "fixed"]
+        assert header == ["step", "sega", "fixed"]
         # baseline attends over an 8x8 grid, methods over 16x16
-        for step in record:
-            assert step.methods["baseline"].mean_entropy <= math.log(64) + 1e-9
-            assert step.methods["sega"].mean_entropy <= math.log(256) + 1e-9
+        for step in files["summary.json"]["per_step"]:
+            assert step["mean_entropy"]["baseline"] <= math.log(64) + 1e-9
+            assert step["mean_entropy"]["sega"] <= math.log(256) + 1e-9
+
+    def test_abs_delta_means_are_the_trace_columns(self):
+        files = trajectory_files(small_cfg(steps=3), [SEGA_METHOD, FIXED_METHOD], BASELINE, rope=ROPE)
+        header, deltas = table(files, "entropy_trace.csv")
+        summary = files["summary.json"]
+        means = summary["entropy_delta_abs_mean"]
+        assert list(means) == header[1:]
+        for j, name in enumerate(header[1:]):
+            assert means[name] == np.mean(np.abs(deltas[:, j]))
+        comparison = summary["entropy_shift_comparison"]
+        assert comparison == {
+            "sega_method": "sega",
+            "fixed_method": "fixed",
+            "sega_abs_delta_mean": means["sega"],
+            "fixed_abs_delta_mean": means["fixed"],
+            "sega_no_worse": means["sega"] <= means["fixed"],
+        }
+
+    def test_maps_fall_back_to_the_first_method_and_comparison_to_none(self):
+        cfg = small_cfg(steps=2)
+        unit = MethodSpec("unit", rope="ntk_strong", scaling="none")
+        files = trajectory_files(cfg, [unit, FIXED_METHOD], BASELINE, rope=ROPE)
+        assert files["summary.json"]["scaling_map_method"] == "unit"
+        np.testing.assert_array_equal(table(files, "scaling_map_H.csv")[1], 1.0)
+        assert files["summary.json"]["entropy_shift_comparison"] is None
+
+        files = trajectory_files(cfg, [unit, SEGA_METHOD], BASELINE, rope=ROPE)
+        assert files["summary.json"]["scaling_map_method"] == "sega"
+        assert files["summary.json"]["entropy_shift_comparison"] is None
+
+    def test_sega_no_worse_on_a_tie(self):
+        # A constant latent has flatness 1, so sigma is 0 and sega's magnitudes
+        # are exactly fixed's m_ref: both runs give the same entropies.
+        cfg = small_cfg(
+            steps=2, structure_params={"cycles_w": 0.0}, noise_blend={"kind": "constant", "value": 0.0}
+        )
+        files = trajectory_files(cfg, [SEGA_METHOD, FIXED_METHOD], BASELINE, rope=ROPE)
+        comparison = files["summary.json"]["entropy_shift_comparison"]
+        assert comparison["sega_abs_delta_mean"] == comparison["fixed_abs_delta_mean"]
+        assert comparison["sega_no_worse"] is True
 
     def test_uniform_standins_differ_by_log_ratio(self):
         # closed-form sanity: uniform attention at N1 vs N2 -> ln N1 - ln N2
