@@ -9,6 +9,7 @@ significant digits so identical configs yield byte-identical files.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -29,7 +30,7 @@ def _config_epilog(cfg: ExperimentConfig) -> str:
     return (
         f"Config defaults: sega kappa={sega.kappa:g}, gamma={sega.gamma:g}, "
         f"ref_form={sega.ref_form}, eps={sega.eps:g}; rope dim={rope.dim}, "
-        f"base={rope.base:g}, method={cfg.rope_method}, ratio={rope.ratio_scalar:g}; "
+        f"base={rope.base:g}, method={rope.method}, ratio={rope.ratio_scalar:g}; "
         f"trajectory {traj.steps} steps of {traj.height}x{traj.width}x{traj.channels} "
         f"with a {traj.noise_blend['kind']} noise blend."
     )
@@ -166,14 +167,10 @@ def modulate(latent_path, config_path, ratio):
     """Emit per-axis scaling vectors for one latent as JSON."""
     cfg = load_experiment_config({} if config_path is None else config_path)
     grid = read_latent(latent_path)
-    ratio_h = ratio if ratio is not None else cfg.rope.ratio_h
-    ratio_w = ratio if ratio is not None else cfg.rope.ratio_w
-    sched_h, sched_w = axis_schedules(
-        cfg.rope, cfg.rope_method, grid.height, grid.width, ratio_h, ratio_w
-    )
+    rope = replace(cfg.rope, **_given(ratio_h=ratio, ratio_w=ratio))
+    sched_h, sched_w = axis_schedules(rope, rope.method, grid.height, grid.width)
     result = spectral.modulate_detailed(
-        spectral.analyze(grid, cfg.sega.n_bins_iso),
-        sched_h, sched_w, ratio if ratio is not None else cfg.rope.ratio_scalar, cfg.sega,
+        spectral.analyze(grid, cfg.sega.n_bins_iso), sched_h, sched_w, rope.ratio_scalar, cfg.sega
     )
     payload = {"axes": []}
     for vec in (result.vec_h, result.vec_w):
@@ -183,8 +180,8 @@ def modulate(latent_path, config_path, ratio):
                 "m_ref": vec.m_ref,
                 "sigma": vec.sigma,
                 "SF": result.flatness,
-                "s_corr": [float(x) for x in vec.s_corr],
-                "m": [float(x) for x in vec.m],
+                "s_corr": vec.s_corr,
+                "m": vec.m,
             }
         )
     _emit(canonical_json(payload) + "\n")
@@ -229,9 +226,7 @@ def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed):
         raise click.UsageError("--fixed-value is only valid with --scaling fixed")
     cfg = load_experiment_config({} if config_path is None else config_path)
     rope_p = cfg.rope
-    sched_h, sched_w = axis_schedules(
-        rope_p, cfg.rope_method, grid.height, grid.width, rope_p.ratio_h, rope_p.ratio_w
-    )
+    sched_h, sched_w = axis_schedules(rope_p, rope_p.method, grid.height, grid.width)
     profiles = spectral.analyze(grid, cfg.sega.n_bins_iso) if scaling == "sega" else None
     m_h, m_w = scaling_vectors(
         scaling, profiles, sched_h, sched_w, rope_p.ratio_scalar, cfg.sega, fixed_value

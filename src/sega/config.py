@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .harness import MethodSpec, RopeParams, axis_schedules, train_shape
-from .rope import METHODS
 from .spectral import SegaConfig, reference_scale
 from .tensorio import BLEND_KEYS, TrajectoryConfig, checked_structure_params, finite_number
 
@@ -31,7 +30,6 @@ class ExperimentConfig:
     trajectory: TrajectoryConfig
     sega: SegaConfig
     rope: RopeParams
-    rope_method: str
     methods: tuple
     baseline: MethodSpec
     output_dir: str
@@ -39,7 +37,7 @@ class ExperimentConfig:
     def snapshot(self) -> dict:
         """Fully resolved config echo for summaries."""
         return {
-            "rope": {**asdict(self.rope), "method": self.rope_method},
+            "rope": asdict(self.rope),
             "sega": asdict(self.sega),
             "trajectory": {
                 **asdict(self.trajectory),
@@ -112,10 +110,6 @@ def load_experiment_config(source) -> ExperimentConfig:
     )
     _check_keys(raw, (), "config")
 
-    # Every method's rope defaults to the experiment's, and that to MethodSpec's.
-    rope_method = rope_raw.pop("method", MethodSpec.rope)
-    if rope_method not in METHODS:
-        raise ConfigError(f"rope.method must be one of {METHODS}")
     if "ratio" in rope_raw:  # shorthand for both axes; ratio_h and ratio_w override it
         try:
             ratio = finite_number(rope_raw.pop("ratio"), "rope.ratio")
@@ -154,8 +148,9 @@ def load_experiment_config(source) -> ExperimentConfig:
 
     if not isinstance(methods_raw, list) or not methods_raw:
         raise ConfigError("trajectory.methods must be a nonempty list")
+    # Every method's rope defaults to the experiment's, and that to MethodSpec's.
     methods = tuple(
-        _method_spec(m, rope_method, f"trajectory.methods[{i}]") for i, m in enumerate(methods_raw)
+        _method_spec(m, rope.method, f"trajectory.methods[{i}]") for i, m in enumerate(methods_raw)
     )
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
@@ -164,7 +159,7 @@ def load_experiment_config(source) -> ExperimentConfig:
     if baseline.name in names:
         raise ConfigError("baseline name collides with a method name")
     runs = (*methods, baseline)
-    used = {rope_method, *(m.rope for m in runs)}
+    used = {rope.method, *(m.rope for m in runs)}
     if "yarn" in used and not 0.0 < rope.yarn_alpha < rope.yarn_beta:
         raise ConfigError("a yarn method needs 0 < rope.yarn_alpha < rope.yarn_beta")
     if "dype" in used and not rope.dype_p > 0.0:
@@ -174,8 +169,7 @@ def load_experiment_config(source) -> ExperimentConfig:
     last_t = trajectory.time(trajectory.steps - 1)
     for name in dict.fromkeys(m.rope for m in runs if m.grid == "target"):
         try:
-            axis_schedules(rope, name, trajectory.height, trajectory.width,
-                           rope.ratio_h, rope.ratio_w, last_t)
+            axis_schedules(rope, name, trajectory.height, trajectory.width, last_t)
         except ValueError as exc:
             raise ConfigError(f"rope method {name!r}: {exc}") from exc
     shape = (trajectory.height, trajectory.width)
@@ -194,7 +188,6 @@ def load_experiment_config(source) -> ExperimentConfig:
         trajectory=trajectory,
         sega=sega,
         rope=rope,
-        rope_method=rope_method,
         methods=methods,
         baseline=baseline,
         output_dir=output_dir,

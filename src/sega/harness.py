@@ -11,7 +11,7 @@ scaling without a learned model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -51,7 +51,11 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class RopeParams:
-    """Experiment-level rotary settings shared by all methods."""
+    """The rotary side of one grid: the settings every method shares, and the grid's ratios.
+
+    method is the rope of a configured method that names none, and the one that
+    modulate, attn-map and entropy use; run_trajectory reads each method's own rope.
+    """
 
     dim: int = 64
     base: float = 10000.0
@@ -61,6 +65,7 @@ class RopeParams:
     yarn_beta: float = YarnParams.beta
     dype_p: float = 1.0
     dype_strong: bool = False
+    method: Literal[METHODS] = MethodSpec.rope
 
     def __post_init__(self):
         # Each message starts with the field it faults, which the config loader
@@ -76,8 +81,11 @@ class RopeParams:
 
     @property
     def ratio_scalar(self) -> float:
-        """Single resolution ratio feeding m_ref; geometric mean when axes differ."""
-        return math.sqrt(self.ratio_h * self.ratio_w)
+        """Single resolution ratio feeding m_ref: the geometric mean, finite for finite ratios."""
+        product = self.ratio_h * self.ratio_w
+        if math.isinf(product):  # scaling by a power of two is exact
+            return math.sqrt((self.ratio_h * 2.0**-512) * (self.ratio_w * 2.0**-512)) * 2.0**512
+        return math.sqrt(product)
 
 
 @dataclass
@@ -99,10 +107,9 @@ class StepRecord:
 
 
 def axis_schedules(
-    rope: RopeParams, method: str, height: int, width: int,
-    ratio_h: float, ratio_w: float, t: float = 0.0,
+    rope: RopeParams, method: str, height: int, width: int, t: float = 0.0
 ) -> tuple[RopeSchedule, RopeSchedule]:
-    """Per-axis schedules for a height x width grid extrapolated by (ratio_h, ratio_w).
+    """Per-axis schedules for a height x width grid extrapolated by rope's (ratio_h, ratio_w).
 
     yarn's training length on each axis is that axis's length over its ratio;
     t is the denoising time that drives dype.
@@ -114,7 +121,7 @@ def axis_schedules(
             rope.dim, rope.base, method, ratio, yarn, t, rope.dype_p, rope.dype_strong
         )
 
-    return one(height, ratio_h), one(width, ratio_w)
+    return one(height, rope.ratio_h), one(width, rope.ratio_w)
 
 
 def scaling_vectors(
@@ -169,29 +176,32 @@ def run_trajectory(
         raise ValueError("method names must be unique")
 
     used = {m.grid for m in methods}
-    grids = {"target": (cfg, rope.ratio_h, rope.ratio_w, rope.ratio_scalar)}
+    grids = {"target": (cfg, rope)}
     if "train" in used:
-        grids["train"] = (cfg.with_shape(*train_shape(cfg, rope)), 1.0, 1.0, 1.0)
+        th, tw = train_shape(cfg, rope)
+        grids["train"] = (replace(cfg, height=th, width=tw),
+                          replace(rope, ratio_h=1.0, ratio_w=1.0))
     analyzed = {"target"} | {m.grid for m in methods if m.scaling == "sega"}
 
     steps = []
     for step in range(cfg.steps):
         time = cfg.time(step)
         inputs = {}
-        for kind, (grid_cfg, *ratios) in grids.items():
+        for kind, (grid_cfg, grid_rope) in grids.items():
             latent = generate_latent(grid_cfg, step)
             profiles = spectral.analyze(latent, sega_cfg.n_bins_iso) if kind in analyzed else None
             feats = token_features(latent, 2 * rope.dim, cfg.seed, step) if kind in used else None
-            inputs[kind] = (latent, profiles, feats, *ratios)
+            inputs[kind] = (latent, profiles, feats, grid_rope)
 
         target = inputs["target"][1]
         flatness = spectral.spectral_flatness(target.radial, target.occupied, sega_cfg.eps)
         sigma = spectral.amplitude_factor(flatness, sega_cfg.gamma)
         step_rec = StepRecord(step, cfg.alpha(step), time, flatness, sigma, target.radial, {})
         for method in methods:
-            latent, profiles, feats, ratio_h, ratio_w, ratio = inputs[method.grid]
+            latent, profiles, feats, grid_rope = inputs[method.grid]
             shape = (latent.height, latent.width)
-            sched_h, sched_w = axis_schedules(rope, method.rope, *shape, ratio_h, ratio_w, time)
+            ratio = grid_rope.ratio_scalar
+            sched_h, sched_w = axis_schedules(grid_rope, method.rope, *shape, time)
             m_h, m_w = scaling_vectors(method.scaling, profiles, sched_h, sched_w, ratio, sega_cfg)
             tau = yarn_temperature(ratio) if method.temperature else 1.0
             mean_entropy = rotary_entropy(feats, *shape, sched_h, sched_w, m_h, m_w, tau)[1]
@@ -243,6 +253,8 @@ def trajectory_files(
     the training-scale grid. The sega-vs-fixed comparison is None unless both
     a sega and a fixed method run.
     """
+    if not methods:
+        raise ValueError("methods must be a nonempty list")
     steps = run_trajectory(cfg, [*methods, baseline], sega_cfg, rope)
     names = [m.name for m in methods]
     sega_name, fixed_name = (

@@ -18,7 +18,7 @@ import functools
 import math
 import struct
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
 
@@ -182,9 +182,6 @@ class TrajectoryConfig:
     def _check_step(self, step: int) -> None:
         if not 0 <= step < self.steps:
             raise ValueError(f"step {step} outside [0, {self.steps})")
-
-    def with_shape(self, height: int, width: int) -> "TrajectoryConfig":
-        return replace(self, height=height, width=width)
 
 
 def _normalize_field(arr: np.ndarray) -> np.ndarray:

@@ -201,6 +201,19 @@ class TestModulate:
         cfg.write_text('{"rope": {"method": "pi", "dim": 8, "ratio": 3}}')
         assert runner.invoke(main, [*argv, "--ratio", "3"]).output == runner.invoke(main, argv).output
 
+    def test_config_ratio_past_the_root_of_the_largest_float_loads(self, runner, noise_latent,
+                                                                 tmp_path):
+        # R * R overflowed, so the geometric mean of the config's ratios was inf and
+        # the config was refused as "sega.kappa: reference scale overflows"
+        cfg = tmp_path / "pi.json"
+        argv = ["modulate", "--latent", str(noise_latent), "--config", str(cfg)]
+        cfg.write_text('{"rope": {"method": "pi", "dim": 8, "ratio": 1e200}}')
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 0, res.output
+        assert "sega.kappa" not in res.output
+        cfg.write_text(PI_CONFIG)
+        assert runner.invoke(main, [*argv, "--ratio", "1e200"]).output == res.output
+
     def test_reference_scale_overflow_exits_2(self, runner, noise_latent, tmp_path):
         cfg = tmp_path / "kappa.json"
         cfg.write_text('{"sega": {"kappa": 5}}')
@@ -560,6 +573,7 @@ RANGE_FAULTS = {
     # past MAX_DIM: refused before a schedule, the features or the keys are allocated
     "dim_above_bound": (small_config(rope={"dim": 1026}), "rope.dim"),
     "dim_huge": (small_config(rope={"dim": 10**18}), "rope.dim"),
+    "rope_method_unknown": (small_config(rope={"method": "x"}), "rope.method"),
     "method_rope_unknown": (small_config({"methods": [{"name": "a", "rope": "x"}]}),
                             "trajectory.methods[0].rope"),
     "method_name_empty": (small_config({"methods": [{"name": ""}]}), "trajectory.methods[0].name"),

@@ -6,6 +6,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sega import (
     MethodSpec,
@@ -143,6 +145,31 @@ class TestRunTrajectory:
         with pytest.raises(ValueError, match=f"^{name} must be a finite number$"):
             RopeParams(dim=16, ratio_h=ratio_h, ratio_w=ratio_w)
 
+    @pytest.mark.parametrize("ratio", [1.0, 2.0, 3.7, 1e154, 1e200, 1.7e308])
+    def test_ratio_scalar_of_equal_ratios_is_the_ratio(self, ratio):
+        # sqrt(R * R) was inf past R = 1.3e154
+        assert RopeParams(ratio_h=ratio, ratio_w=ratio).ratio_scalar == ratio
+
+    @given(st.floats(1.0, 1.7e308), st.floats(1.0, 1.7e308))
+    @settings(max_examples=200, deadline=None)
+    def test_ratio_scalar_is_the_geometric_mean(self, ratio_h, ratio_w):
+        scalar = RopeParams(ratio_h=ratio_h, ratio_w=ratio_w).ratio_scalar
+        if math.isfinite(ratio_h * ratio_w):  # as in every committed config and golden
+            assert scalar == math.sqrt(ratio_h * ratio_w)
+        else:
+            assert math.isclose(scalar, math.sqrt(ratio_h) * math.sqrt(ratio_w), rel_tol=1e-15)
+
+    def test_train_grid_runs_at_ratio_one(self):
+        # Without this test, only the trajectory_yarn_dype digest sees a train grid
+        # that runs at the target's ratios.
+        fixed = MethodSpec("fixed", rope="ntk_strong", scaling="fixed", grid="train")
+        warm = MethodSpec("warm", rope="yarn", scaling="none", grid="train")
+        cool = MethodSpec("cool", rope="yarn", scaling="none", temperature=True, grid="train")
+        for step in run_trajectory(small_cfg(steps=2), [fixed, warm, cool], rope=ROPE):
+            np.testing.assert_array_equal(step.methods["fixed"].m_h, 1.0)
+            np.testing.assert_array_equal(step.methods["fixed"].m_w, 1.0)
+            assert step.methods["cool"].mean_entropy == step.methods["warm"].mean_entropy
+
     def test_logit_temperature_sharpens_attention(self):
         cfg = small_cfg(seed=8)
         warm = MethodSpec("warm", rope="yarn", scaling="none", temperature=False)
@@ -257,6 +284,11 @@ class TestTrajectoryFiles:
         comparison = files["summary.json"]["entropy_shift_comparison"]
         assert comparison["sega_abs_delta_mean"] == comparison["fixed_abs_delta_mean"]
         assert comparison["sega_no_worse"] is True
+
+    def test_empty_method_list_is_refused(self):
+        # names[0] once raised an IndexError
+        with pytest.raises(ValueError, match="^methods must be a nonempty list$"):
+            trajectory_files(small_cfg(), [], BASELINE, rope=ROPE)
 
     def test_uniform_standins_differ_by_log_ratio(self):
         # closed-form sanity: uniform attention at N1 vs N2 -> ln N1 - ln N2

@@ -252,6 +252,10 @@ class TestCheckFields:
         (RopeParams, {"ratio_h": np.float64(math.nan)}, "ratio_h must be a finite number"),
         (SegaConfig, {"ref_form": 1}, "ref_form must be a string"),
         (SegaConfig, {"ref_form": "cubic"}, "ref_form must be one of ('power', 'log')"),
+        # rope.method, once checked by the config loader alone
+        (RopeParams, {"method": "rope2d"},
+         "method must be one of ('none', 'pi', 'ntk', 'ntk_strong', 'yarn', 'dype')"),
+        (RopeParams, {"method": 5}, "method must be a string"),
         (TrajectoryConfig, {"structure_kind": "plasma"},
          "structure_kind must be one of ('sinusoid', 'band_limited', 'checker', 'file')"),
         (TrajectoryConfig, {"noise_blend": [["kind", "linear"]]}, "noise_blend must be an object"),
