@@ -44,11 +44,10 @@ def _axis_table(proj: np.ndarray, sched: RopeSchedule, scale, extent: int, c: fl
     return left @ np.concatenate([pe, po], axis=1).T
 
 
-def _tables(feats, height, width, sched_h, sched_w, scale_h, scale_w, logit_scale):
-    """The (N, C) tokens and the H and W tables of the logits, checked finite."""
+def _tables(feats, sched_h, sched_w, scale_h, scale_w, logit_scale):
+    """The (H, W, C) tokens and the H and W tables of the logits, checked finite."""
     tokens, proj = feats.tokens, feats.proj
-    if height < 1 or width < 1 or height * width != tokens.shape[0]:
-        raise ValueError("grid shape must cover every token")
+    height, width, _ = tokens.shape
     if proj.shape[1] != sched_h.dim + sched_w.dim:
         raise ValueError(f"feature length {proj.shape[1]} != {sched_h.dim} + {sched_w.dim}")
     if not logit_scale > 0:
@@ -114,8 +113,6 @@ def _logit_blocks(grid: np.ndarray, m_h: np.ndarray, m_w: np.ndarray, step: int,
 
 def rotary_entropy(
     feats: TokenFeatures,
-    height: int,
-    width: int,
     sched_h: RopeSchedule,
     sched_w: RopeSchedule,
     scale_h: np.ndarray | None = None,
@@ -124,7 +121,7 @@ def rotary_entropy(
 ) -> tuple[np.ndarray, float]:
     """Per-token entropy (natural log) and mean of rotary self-attention with Q = K.
 
-    The tokens are the height x width grid in row-major order, and the logits
+    The entropies are flat over the token grid in row-major order, and the logits
     logit_scale * x_rot @ x_rot.T / sqrt(D) of the rotated features come from
     the tables. With l a row's logits minus the one at its argmax, Z' the sum
     of e^l over the other keys and S = sum(e^l * l), H = log1p(Z') - S / (1 + Z').
@@ -142,8 +139,9 @@ def rotary_entropy(
     top logit buffers that (r, 1) column to fuse rows, at three times the cost
     of a scalar subtract. The buffer size does not change any result.
     """
-    tokens, m_h, m_w = _tables(feats, height, width, sched_h, sched_w, scale_h, scale_w, logit_scale)
-    n = tokens.shape[0]
+    tokens, m_h, m_w = _tables(feats, sched_h, sched_w, scale_h, scale_w, logit_scale)
+    height, width, _ = tokens.shape
+    n = height * width
     step = min(height, max(1, BLOCK_LOGITS // n))
     z, s = np.empty((height, width)), np.empty((height, width))
     exp_buf = np.empty((step, n))
@@ -152,7 +150,7 @@ def rotary_entropy(
         # one row, as a multiple of 16 in [16, 2**20] (numpy's range); longer rows go unbuffered
         bufsize = np.setbufsize(max(16, min(n, 1 << 20) // 16 * 16))
         try:
-            for w, first, logits in _logit_blocks(tokens.reshape(height, width, -1), m_h, m_w, step):
+            for w, first, logits in _logit_blocks(tokens, m_h, m_w, step):
                 r = len(logits)
                 top = index[:r], logits.argmax(axis=1)
                 logits -= logits[top][:, None]
@@ -170,28 +168,26 @@ def rotary_entropy(
 
 def rotary_attention_row(
     feats: TokenFeatures,
-    height: int,
-    width: int,
     sched_h: RopeSchedule,
     sched_w: RopeSchedule,
     scale_h: np.ndarray | None = None,
     scale_w: np.ndarray | None = None,
     logit_scale: float = 1.0,
     *,
-    query: int,
+    query: tuple[int, int],
 ) -> np.ndarray:
-    """One query token's attention weights over all N tokens.
+    """The attention weights of the query token (h, w) over all N tokens, row-major.
 
     Its logits are the one-row block of :func:`_logit_blocks`, the same GEMM
     that forms rotary_entropy's blocks. Given the tables, they cost O(N * C^2)
     for its column's operands plus O(N * 2C) for the row.
     """
-    tokens, m_h, m_w = _tables(feats, height, width, sched_h, sched_w, scale_h, scale_w, logit_scale)
-    if not 0 <= query < tokens.shape[0]:
-        raise ValueError("query index outside the token range")
+    tokens, m_h, m_w = _tables(feats, sched_h, sched_w, scale_h, scale_w, logit_scale)
+    (height, width, _), (h, w) = tokens.shape, query
+    if not (0 <= h < height and 0 <= w < width):
+        raise ValueError(f"query {query} outside the {height}x{width} token grid")
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):  # as in _tables
-        grid = tokens.reshape(height, width, -1)
-        ((_, _, (logits,)),) = _logit_blocks(grid, m_h, m_w, 1, query=divmod(query, width))
+        ((_, _, (logits,)),) = _logit_blocks(tokens, m_h, m_w, 1, query=query)
         logits -= logits.max()
         e = np.exp(_check_finite(logits))
         return e / e.sum()

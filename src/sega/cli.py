@@ -221,7 +221,7 @@ def attention_flags(fn):
 
 
 def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed):
-    """(features, height, width, sched_h, sched_w, m_h, m_w) for the attention calls."""
+    """(features, sched_h, sched_w, m_h, m_w) for the attention calls."""
     if scaling != "fixed" and fixed_value is not None:
         raise click.UsageError("--fixed-value is only valid with --scaling fixed")
     cfg = load_experiment_config({} if config_path is None else config_path)
@@ -232,7 +232,7 @@ def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed):
         scaling, profiles, sched_h, sched_w, rope_p.ratio_scalar, cfg.sega, fixed_value
     )
     feats = token_features(grid, 2 * rope_p.dim, feature_seed, 0)
-    return feats, grid.height, grid.width, sched_h, sched_w, m_h, m_w
+    return feats, sched_h, sched_w, m_h, m_w
 
 
 @main.command("attn-map", epilog=CONFIG_EPILOG)
@@ -247,7 +247,7 @@ def attn_map(latent_path, query_h, query_w, config_path, scaling, fixed_value,
     if not (0 <= query_h < grid.height and 0 <= query_w < grid.width):
         raise click.UsageError("query position outside the grid")
     args = _attention_setup(grid, config_path, scaling, fixed_value, feature_seed)
-    row = rotary_attention_row(*args, logit_scale, query=query_h * grid.width + query_w)
+    row = rotary_attention_row(*args, logit_scale, query=(query_h, query_w))
     cells = fmt_floats(row)
     width = grid.width
     lines = [f"{h}," + ",".join(cells[h * width : (h + 1) * width]) + "\n" for h in range(grid.height)]

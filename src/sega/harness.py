@@ -20,7 +20,7 @@ from . import spectral
 from .attention import rotary_entropy
 from .rope import MAX_DIM, METHODS, RopeSchedule, YarnParams, make_schedule, yarn_temperature
 from .spectral import SegaConfig, SpectralProfiles, reference_scale
-from .tensorio import TrajectoryConfig, check_fields, generate_latent, token_features
+from .tensorio import TrajectoryConfig, check_fields, generate_latent, structure_field, token_features
 
 SCALING_MODES = ("none", "fixed", "sega")
 GRID_KINDS = ("target", "train")
@@ -162,12 +162,12 @@ def run_trajectory(
 ) -> list:
     """Evaluate every method at every step of one simulated denoising run.
 
-    Each step generates each latent once, analyzes the target (and the train
-    latent only when a sega method runs on it) once, and draws the token
-    features of each grid a method runs on once; the methods on a grid share
-    them. The features are TokenFeatures, whose tokens and projection the
-    attention kernel reads without forming an N x D matrix. Returns one
-    StepRecord per step.
+    Each grid's structure field is built once per run. Each step generates each
+    latent once, analyzes the target (and the train latent only when a sega
+    method runs on it) once, and draws the token features of each grid a method
+    runs on once; the methods on a grid share them. The features are
+    TokenFeatures, whose token grid and projection the attention kernel reads
+    without forming an N x D matrix. Returns one StepRecord per step.
     """
     sega_cfg = sega_cfg or SegaConfig()
     rope = rope or RopeParams()
@@ -182,13 +182,14 @@ def run_trajectory(
         grids["train"] = (replace(cfg, height=th, width=tw),
                           replace(rope, ratio_h=1.0, ratio_w=1.0))
     analyzed = {"target"} | {m.grid for m in methods if m.scaling == "sega"}
+    structures = {kind: structure_field(grid_cfg) for kind, (grid_cfg, _) in grids.items()}
 
     steps = []
     for step in range(cfg.steps):
         time = cfg.time(step)
         inputs = {}
         for kind, (grid_cfg, grid_rope) in grids.items():
-            latent = generate_latent(grid_cfg, step)
+            latent = generate_latent(grid_cfg, step, structures[kind])
             profiles = spectral.analyze(latent, sega_cfg.n_bins_iso) if kind in analyzed else None
             feats = token_features(latent, 2 * rope.dim, cfg.seed, step) if kind in used else None
             inputs[kind] = (latent, profiles, feats, grid_rope)
@@ -199,12 +200,11 @@ def run_trajectory(
         step_rec = StepRecord(step, cfg.alpha(step), time, flatness, sigma, target.radial, {})
         for method in methods:
             latent, profiles, feats, grid_rope = inputs[method.grid]
-            shape = (latent.height, latent.width)
             ratio = grid_rope.ratio_scalar
-            sched_h, sched_w = axis_schedules(grid_rope, method.rope, *shape, time)
+            sched_h, sched_w = axis_schedules(grid_rope, method.rope, latent.height, latent.width, time)
             m_h, m_w = scaling_vectors(method.scaling, profiles, sched_h, sched_w, ratio, sega_cfg)
             tau = yarn_temperature(ratio) if method.temperature else 1.0
-            mean_entropy = rotary_entropy(feats, *shape, sched_h, sched_w, m_h, m_w, tau)[1]
+            mean_entropy = rotary_entropy(feats, sched_h, sched_w, m_h, m_w, tau)[1]
             step_rec.methods[method.name] = MethodStepRecord(m_h, m_w, mean_entropy)
         steps.append(step_rec)
     return steps
@@ -232,9 +232,9 @@ def _heatmap_files(radials: list) -> dict:
 
 def spectral_heatmap(cfg: TrajectoryConfig, n_bins: int | None = None) -> dict:
     """The heatmap command's files: per-step normalized radial profiles of the target latents."""
-    return _heatmap_files(
-        [spectral.analyze(generate_latent(cfg, step), n_bins).radial for step in range(cfg.steps)]
-    )
+    structure = structure_field(cfg)
+    latents = (generate_latent(cfg, step, structure) for step in range(cfg.steps))
+    return _heatmap_files([spectral.analyze(latent, n_bins).radial for latent in latents])
 
 
 def trajectory_files(

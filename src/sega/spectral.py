@@ -24,7 +24,7 @@ from typing import Literal
 import numpy as np
 
 from .rope import RopeSchedule
-from .tensorio import LatentGrid, center_map, check_fields
+from .tensorio import LatentGrid, center_map, check_fields, normalized_radius
 
 logger = logging.getLogger(__name__)
 
@@ -112,19 +112,13 @@ def axis_profiles(spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def radial_profile(spectrum: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Ring-average the power spectrum over normalized isotropic frequency.
 
-    Sample (i, j) has normalized radius rho = sqrt(u^2 + v^2) / sqrt(0.5) with
-    u = min(i, H-i)/H and v = min(j, W-j)/W, so the grid corner lands at
-    rho = 1 regardless of aspect ratio. The DC sample is excluded. Returns the
-    per-bin means and an occupancy mask; empty bins hold 0.
+    Sample (i, j) falls in the bin of its normalized_radius, which is 1 at the
+    grid corner regardless of aspect ratio. The DC sample is excluded. Returns
+    the per-bin means and an occupancy mask; empty bins hold 0.
     """
     if not n_bins >= 2:
         raise ValueError("n_bins must be >= 2")
-    h, w = spectrum.shape
-    i = np.arange(h, dtype=np.float64)[:, None]
-    j = np.arange(w, dtype=np.float64)[None, :]
-    u = np.minimum(i, h - i) / h
-    v = np.minimum(j, w - j) / w
-    rho = np.sqrt(u**2 + v**2) / math.sqrt(0.5)
+    rho = normalized_radius(*spectrum.shape)
     bins = np.minimum((rho * n_bins).astype(np.int64), n_bins - 1)
     flat_bins = bins.ravel()
     flat_spec = spectrum.ravel()

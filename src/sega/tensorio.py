@@ -68,7 +68,7 @@ class LatentGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float32, order="C")
+        vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim == 2:
             vals = vals[:, :, None]
         if vals.ndim != 3:
@@ -78,8 +78,10 @@ class LatentGrid:
             raise ValueError(f"grid must be at least 2x2, got {height}x{width}")
         if channels < 1:
             raise ValueError("grid needs at least one channel")
-        if not np.all(np.isfinite(vals)):
+        # float32 rounds a magnitude from 2**128 - 2**103 up to inf: refuse one before the cast
+        if not np.all(np.abs(vals) < 2.0**128 - 2.0**103):
             raise ValueError("grid values must be finite")
+        vals = np.array(vals, dtype=np.float32, order="C")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -95,9 +97,14 @@ class LatentGrid:
     def channels(self) -> int:
         return self.values.shape[2]
 
-    def tokens(self) -> np.ndarray:
-        """Row-major (H*W, C) float64 view of the grid."""
-        return self.values.reshape(-1, self.channels).astype(np.float64)
+
+def normalized_radius(height: int, width: int) -> np.ndarray:
+    """The (H, W) radius rho = sqrt(u^2 + v^2) / sqrt(0.5) of each 2D FFT sample (i, j), with
+    u = min(i, H-i)/H and v = min(j, W-j)/W: the grid corner is at 1 for any aspect ratio."""
+    i = np.arange(height, dtype=np.float64)[:, None]
+    j = np.arange(width, dtype=np.float64)[None, :]
+    u, v = np.minimum(i, height - i) / height, np.minimum(j, width - j) / width
+    return np.sqrt(u**2 + v**2) / math.sqrt(0.5)
 
 
 def center_map(grid: LatentGrid) -> np.ndarray:
@@ -303,9 +310,7 @@ def structure_field(cfg: TrajectoryConfig) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _STREAM_STRUCTURE]))
         noise = rng.standard_normal((cfg.height, cfg.width))
         spec = np.fft.fft2(noise)
-        u = np.minimum(h_idx, cfg.height - h_idx) / cfg.height
-        v = np.minimum(w_idx, cfg.width - w_idx) / cfg.width
-        rho = np.sqrt(u**2 + v**2) / np.sqrt(0.5)
+        rho = normalized_radius(cfg.height, cfg.width)
         mask = (rho >= params["low"]) & (rho <= params["high"])
         field2d = np.fft.ifft2(spec * mask).real
     else:  # file
@@ -321,26 +326,28 @@ def structure_field(cfg: TrajectoryConfig) -> np.ndarray:
     return _normalize_field(field3d)
 
 
-def generate_latent(cfg: TrajectoryConfig, step: int) -> LatentGrid:
+def generate_latent(cfg: TrajectoryConfig, step: int, structure: np.ndarray) -> LatentGrid:
     """alpha(step) * seeded Gaussian noise + (1 - alpha(step)) * structure.
 
-    Noise is drawn from an independent stream keyed by (seed, step), so any
-    single step is reproducible in isolation.
+    structure is structure_field(cfg), built once per run. Noise is drawn from
+    an independent stream keyed by (seed, step), so any single step is
+    reproducible in isolation.
     """
     a = cfg.alpha(step)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _STREAM_NOISE, step]))
     noise = rng.standard_normal((cfg.height, cfg.width, cfg.channels))
-    blended = a * noise + (1.0 - a) * structure_field(cfg)
+    blended = a * noise + (1.0 - a) * structure
     return LatentGrid(blended)
 
 
 @dataclass(frozen=True, eq=False)
 class TokenFeatures:
-    """The (N, D) token features tokens @ proj, kept as their two factors.
+    """The (H, W, D) token features tokens @ proj, kept as their two factors.
 
-    tokens is (N, C) and proj (C, D), with C the few latent channels, so the
-    product has rank C and storing it densely would cost N * D floats for
-    nothing. The attention kernels read the factors, never the product.
+    tokens is the (H, W, C) token grid and proj (C, D), with C the few latent
+    channels, so the product has rank C and storing it densely would cost
+    H * W * D floats for nothing. The attention kernels read the factors,
+    never the product, and the grid's shape from tokens.
     """
 
     tokens: np.ndarray
@@ -349,14 +356,16 @@ class TokenFeatures:
     def __post_init__(self):
         tokens = np.ascontiguousarray(self.tokens, dtype=np.float64)
         proj = np.ascontiguousarray(self.proj, dtype=np.float64)
-        if tokens.ndim != 2 or proj.ndim != 2 or tokens.shape[1] != proj.shape[0]:
+        if tokens.ndim != 3 or proj.ndim != 2 or tokens.shape[2] != proj.shape[0]:
             raise ValueError(f"cannot project {tokens.shape} tokens by a {proj.shape} matrix")
+        if tokens.shape[0] < 1 or tokens.shape[1] < 1:
+            raise ValueError(f"token grid {tokens.shape[0]}x{tokens.shape[1]} has no tokens")
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "proj", proj)
 
 
 def token_features(grid: LatentGrid, feature_dim: int, seed: int, step: int) -> TokenFeatures:
-    """Seeded Gaussian projection of grid channels to (H*W, feature_dim) token features.
+    """Seeded Gaussian projection of grid channels to (H, W, feature_dim) token features.
 
     The features stay the grid's tokens and the projection; the attention
     kernels build their logits from these two factors.
@@ -365,7 +374,7 @@ def token_features(grid: LatentGrid, feature_dim: int, seed: int, step: int) -> 
         raise ValueError("feature_dim must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_FEATURES, step]))
     proj = rng.standard_normal((grid.channels, feature_dim)) / np.sqrt(grid.channels)
-    return TokenFeatures(grid.tokens(), proj)
+    return TokenFeatures(grid.values, proj)
 
 
 def write_latent(grid: LatentGrid, path) -> None:

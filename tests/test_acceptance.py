@@ -246,11 +246,11 @@ def test_attention_contracts():
         for _ in range(20):
             height, width = int(rng.integers(1, 5)), int(rng.integers(2, 11))
             n = height * width
-            feats = TokenFeatures(rng.normal(0, 3, (n, 8)), np.eye(8))
-            for query in range(n):
-                row = rotary_attention_row(feats, height, width, sched_h, sched_w, query=query)
+            feats = TokenFeatures(rng.normal(0, 3, (height, width, 8)), np.eye(8))
+            for query in np.ndindex(height, width):
+                row = rotary_attention_row(feats, sched_h, sched_w, query=query)
                 assert abs(row.sum() - 1.0) < 1e-5
-            per_row, mean = rotary_entropy(feats, height, width, sched_h, sched_w)
+            per_row, mean = rotary_entropy(feats, sched_h, sched_w)
             assert np.all(per_row >= -1e-12)
             assert np.all(per_row <= np.log(n) + 1e-9)
             assert -1e-12 <= mean <= np.log(n) + 1e-9
@@ -260,23 +260,23 @@ def test_attention_contracts():
         expected = dense_softmax(rotary_logits(feats, 2, 5, sched_h.theta, sched_w.theta))
         for query in range(10):
             row = rotary_attention_row(
-                TokenFeatures(feats, np.eye(8)), 2, 5, sched_h, sched_w, logit_scale=1.0,
-                query=query,
+                TokenFeatures(feats.reshape(2, 5, 8), np.eye(8)), sched_h, sched_w, logit_scale=1.0,
+                query=divmod(query, 5),
             )
             np.testing.assert_allclose(row, expected[query], atol=1e-12)
 
         # unit per-dimension scaling is bit-identical to plain rotary attention
         sched_h = make_schedule(8)
         sched_w = make_schedule(8)
-        feats = TokenFeatures(np.random.default_rng(123).standard_normal((36, 16)), np.eye(16))
+        feats = TokenFeatures(np.random.default_rng(123).standard_normal((6, 6, 16)), np.eye(16))
         ones = np.ones(4)
-        plain = rotary_entropy(feats, 6, 6, sched_h, sched_w)
-        unit = rotary_entropy(feats, 6, 6, sched_h, sched_w, ones, ones)
+        plain = rotary_entropy(feats, sched_h, sched_w)
+        unit = rotary_entropy(feats, sched_h, sched_w, ones, ones)
         assert np.array_equal(plain[0], unit[0]) and plain[1] == unit[1]
-        for query in range(36):
+        for query in np.ndindex(6, 6):
             assert np.array_equal(
-                rotary_attention_row(feats, 6, 6, sched_h, sched_w, query=query),
-                rotary_attention_row(feats, 6, 6, sched_h, sched_w, ones, ones, query=query),
+                rotary_attention_row(feats, sched_h, sched_w, query=query),
+                rotary_attention_row(feats, sched_h, sched_w, ones, ones, query=query),
             )
 
 

@@ -20,10 +20,11 @@ from sega.attention import rotary_attention_row, rotary_entropy
 from oracles import decimal_entropy, dense_entropy, dense_softmax, rotary_logits, rotated_features
 
 
-def dense(x):
-    """Dense (N, D) features as the kernels take them: tokens x, projection I_D."""
-    x = np.asarray(x, dtype=np.float64)
-    return TokenFeatures(x, np.eye(x.shape[1]))
+def dense(x, height, width):
+    """Dense (N, D) features as the kernels take them: the row-major tokens x as a
+    height x width grid, projection I_D."""
+    x = np.asarray(x, dtype=np.float64).reshape(height, width, -1)
+    return TokenFeatures(x, np.eye(x.shape[2]))
 
 
 def rotated(x, height, width, sh, sw, mh=None, mw=None):
@@ -31,9 +32,9 @@ def rotated(x, height, width, sh, sw, mh=None, mw=None):
 
 
 def all_rows(x, height, width, sh, sw, mh=None, mw=None, logit_scale=1.0):
-    feats = dense(x)
+    feats = dense(x, height, width)
     return np.stack([
-        rotary_attention_row(feats, height, width, sh, sw, mh, mw, logit_scale, query=q)
+        rotary_attention_row(feats, sh, sw, mh, mw, logit_scale, query=divmod(q, width))
         for q in range(height * width)
     ])
 
@@ -85,8 +86,8 @@ class TestAttendRotary:
     def test_unit_scaling_matches_plain_rope(self, rng):
         feats = rng.standard_normal((16, 16))
         ones = np.ones(4)
-        h1, mean1 = rotary_entropy(dense(feats), 4, 4, self.sh, self.sw)
-        h2, mean2 = rotary_entropy(dense(feats), 4, 4, self.sh, self.sw, ones, ones)
+        h1, mean1 = rotary_entropy(dense(feats, 4, 4), self.sh, self.sw)
+        h2, mean2 = rotary_entropy(dense(feats, 4, 4), self.sh, self.sw, ones, ones)
         np.testing.assert_array_equal(h1, h2)
         assert mean1 == mean2
         np.testing.assert_array_equal(
@@ -122,18 +123,11 @@ class TestAttendRotary:
         (np.ones(3), "scale must have length 4"),
     ])
     def test_rejects_bad_scale(self, rng, scale, message):
-        feats = dense(rng.standard_normal((16, 16)))
+        feats = dense(rng.standard_normal((16, 16)), 4, 4)
         with pytest.raises(ValueError, match=message):
-            rotary_entropy(feats, 4, 4, self.sh, self.sw, scale)
+            rotary_entropy(feats, self.sh, self.sw, scale)
         with pytest.raises(ValueError, match=message):
-            rotary_attention_row(feats, 4, 4, self.sh, self.sw, None, scale, query=0)
-
-    def test_grid_must_cover_tokens(self, rng):
-        feats = dense(rng.standard_normal((16, 16)))
-        with pytest.raises(ValueError):
-            rotary_entropy(feats, 2, 4, self.sh, self.sw)
-        with pytest.raises(ValueError):
-            rotary_attention_row(feats, 2, 4, self.sh, self.sw, query=0)
+            rotary_attention_row(feats, self.sh, self.sw, None, scale, query=(0, 0))
 
 
 class TestEntropy:
@@ -162,7 +156,7 @@ class TestEntropy:
     def test_bounds(self, seed, n):
         gen = np.random.default_rng(seed)
         sh, sw = make_schedule(2), make_schedule(2)
-        per_row, mean = rotary_entropy(dense(gen.normal(0, 4, (n, 4))), 1, n, sh, sw)
+        per_row, mean = rotary_entropy(dense(gen.normal(0, 4, (n, 4)), 1, n), sh, sw)
         assert np.all(per_row >= -1e-12)
         assert np.all(per_row <= math.log(n) + 1e-9)
         assert -1e-12 <= mean <= math.log(n) + 1e-9
@@ -197,10 +191,8 @@ class TestTableLogits:
         tokens = gen.standard_normal((height * width, rank))
         proj = gen.standard_normal((rank, 2 * dim)) / np.sqrt(rank)
         expected = rotary_logits(tokens @ proj, height, width, sh.theta, sw.theta, mh, mw, 1.7)
-        grid_tokens, m_h, m_w = attention._tables(
-            TokenFeatures(tokens, proj), height, width, sh, sw, mh, mw, 1.7
-        )
-        grid = grid_tokens.reshape(height, width, -1)
+        feats = TokenFeatures(tokens.reshape(height, width, -1), proj)
+        grid, m_h, m_w = attention._tables(feats, sh, sw, mh, mw, 1.7)
         for step in {height, min(5, height)}:
             seen = 0
             for w, first, block in attention._logit_blocks(grid, m_h, m_w, step):
@@ -242,7 +234,7 @@ class TestExactEntropy:
         mw = factor * np.linspace(1.2, 0.8, dim // 2)
         x = gen.standard_normal((height * width, 2 * dim))
         expected = np.array(decimal_entropy(rotated(x, height, width, sh, sw, mh, mw), logit_scale))
-        per_row, _ = rotary_entropy(dense(x), height, width, sh, sw, mh, mw, logit_scale)
+        per_row, _ = rotary_entropy(dense(x, height, width), sh, sw, mh, mw, logit_scale)
         rel = np.abs(per_row - expected) / np.maximum(np.abs(expected), 1e-300)
         assert rel.max() <= 1e-11, (rel.max(), expected[rel.argmax()])
 
@@ -266,7 +258,7 @@ class TestBlockedRotary:
         mh, mw = gen.uniform(0.05, 3.0, dim // 2), gen.uniform(0.05, 3.0, dim // 2)
         feats = gen.standard_normal((height * width, 2 * dim))
         expected, expected_mean = dense_rotary(feats, height, width, sh, sw, mh, mw, logit_scale)
-        per_row, mean = rotary_entropy(dense(feats), height, width, sh, sw, mh, mw, logit_scale)
+        per_row, mean = rotary_entropy(dense(feats, height, width), sh, sw, mh, mw, logit_scale)
         np.testing.assert_allclose(per_row, expected, rtol=0, atol=1e-12)
         assert abs(mean - expected_mean) <= 1e-12
 
@@ -276,7 +268,8 @@ class TestBlockedRotary:
         mh, mw = rng.uniform(0.5, 2.0, 16), rng.uniform(0.5, 2.0, 16)
         tokens, proj = rng.standard_normal((27 * 31, 4)), rng.standard_normal((4, 64)) / 2.0
         expected, _ = dense_rotary(tokens @ proj, 27, 31, sh, sw, mh, mw, 1.3)
-        per_row, _ = rotary_entropy(TokenFeatures(tokens, proj), 27, 31, sh, sw, mh, mw, 1.3)
+        feats = TokenFeatures(tokens.reshape(27, 31, 4), proj)
+        per_row, _ = rotary_entropy(feats, sh, sw, mh, mw, 1.3)
         np.testing.assert_allclose(per_row, expected, rtol=0, atol=1e-12)
 
     def test_many_small_blocks_match_dense(self, rng, monkeypatch):
@@ -286,7 +279,7 @@ class TestBlockedRotary:
         sh, sw = make_schedule(8), make_schedule(8)
         feats = rng.standard_normal((600, 16))
         expected, _ = dense_rotary(feats, 24, 25, sh, sw, logit_scale=2.0)
-        per_row, _ = rotary_entropy(dense(feats), 24, 25, sh, sw, logit_scale=2.0)
+        per_row, _ = rotary_entropy(dense(feats, 24, 25), sh, sw, logit_scale=2.0)
         np.testing.assert_allclose(per_row, expected, rtol=0, atol=1e-12)
 
     def test_numpy_state_is_the_callers(self, rng):
@@ -297,25 +290,25 @@ class TestBlockedRotary:
         # push some e^l below float64's normal range, and that underflow is
         # rounding, which neither kernel raises.
         sh, sw = make_schedule(8), make_schedule(8)
-        tokens, proj = rng.standard_normal((51 * 51, 4)), rng.standard_normal((4, 16))
+        tokens, proj = rng.standard_normal((51, 51, 4)), rng.standard_normal((4, 16))
         results = []
         for bufsize in (16, 8192, 2**20):
             with np.errstate(over="raise", divide="raise"):
                 saved = np.setbufsize(bufsize)
                 try:
                     state = np.geterr()
-                    results.append(rotary_entropy(TokenFeatures(tokens, proj), 51, 51, sh, sw)[0])
+                    results.append(rotary_entropy(TokenFeatures(tokens, proj), sh, sw)[0])
                     assert (np.getbufsize(), np.geterr()) == (bufsize, state)
                     with pytest.raises(ValueError, match="attention logits overflowed"):
-                        rotary_entropy(TokenFeatures(1e160 * tokens, proj), 51, 51, sh, sw)
+                        rotary_entropy(TokenFeatures(1e160 * tokens, proj), sh, sw)
                     assert (np.getbufsize(), np.geterr()) == (bufsize, state)
                 finally:
                     np.setbufsize(saved)
         for per_row in results[1:]:
             assert np.array_equal(per_row, results[0])
-        feats = TokenFeatures(5.0 * rng.standard_normal((64, 4)), rng.standard_normal((4, 16)))
-        for kernel in (lambda: rotary_entropy(feats, 8, 8, sh, sw)[0],
-                       lambda: rotary_attention_row(feats, 8, 8, sh, sw, query=9)):
+        feats = TokenFeatures(5.0 * rng.standard_normal((8, 8, 4)), rng.standard_normal((4, 16)))
+        for kernel in (lambda: rotary_entropy(feats, sh, sw)[0],
+                       lambda: rotary_attention_row(feats, sh, sw, query=(1, 1))):
             expected = kernel()
             with np.errstate(all="raise"):
                 state = np.geterr()
@@ -335,11 +328,11 @@ class TestBlockedRotary:
         n = height * width
         sh, sw = schedules("yarn", 16)
         mh, mw = rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8)
-        feats = TokenFeatures(rng.standard_normal((n, 4)), rng.standard_normal((4, 32)))
+        feats = TokenFeatures(rng.standard_normal((height, width, 4)), rng.standard_normal((4, 32)))
         results = []
         for block_logits in (n, 5 * n, attention.BLOCK_LOGITS, height * n):
             monkeypatch.setattr(attention, "BLOCK_LOGITS", block_logits)
-            results.append(rotary_entropy(feats, height, width, sh, sw, mh, mw, 1.5)[0])
+            results.append(rotary_entropy(feats, sh, sw, mh, mw, 1.5)[0])
         for per_row in results[1:]:
             np.testing.assert_allclose(per_row, results[0], rtol=1e-12, atol=0)
 
@@ -351,26 +344,28 @@ class TestBlockedRotary:
         x_rot = rotated(feats, 7, 9, sh, sw, mh, mw)
         weights = dense_softmax(1.7 * (x_rot @ x_rot.T) / np.sqrt(16))
         for query in (0, 31, 62):
-            row = rotary_attention_row(dense(feats), 7, 9, sh, sw, mh, mw, 1.7, query=query)
+            row = rotary_attention_row(
+                dense(feats, 7, 9), sh, sw, mh, mw, 1.7, query=divmod(query, 9)
+            )
             np.testing.assert_allclose(row, weights[query], rtol=0, atol=1e-12)
 
     def test_attention_row_is_its_entropy_row(self, rng):
         # rank-4 features on an odd grid: the row's weights, taken to an
         # entropy, give rotary_entropy's value for that query
         sh, sw = schedules("dype", 16)
-        feats = TokenFeatures(rng.standard_normal((51 * 13, 4)), rng.standard_normal((4, 32)))
-        per_row, _ = rotary_entropy(feats, 51, 13, sh, sw, logit_scale=2.0)
+        feats = TokenFeatures(rng.standard_normal((51, 13, 4)), rng.standard_normal((4, 32)))
+        per_row, _ = rotary_entropy(feats, sh, sw, logit_scale=2.0)
         for query in (0, 1, 330, 51 * 13 - 1):
-            row = rotary_attention_row(feats, 51, 13, sh, sw, logit_scale=2.0, query=query)
+            row = rotary_attention_row(feats, sh, sw, logit_scale=2.0, query=divmod(query, 13))
             assert abs(-np.sum(row * np.log(row)) - per_row[query]) <= 1e-12
 
     def test_memory_stays_blocked(self, rng):
         # dense attention at 64 x 64 traces ~513 MiB; one 512 KiB logit block needs far less
         sh, sw = make_schedule(16), make_schedule(16)
-        feats = dense(rng.standard_normal((4096, 32)))
+        feats = dense(rng.standard_normal((4096, 32)), 64, 64)
         tracemalloc.start()
         try:
-            rotary_entropy(feats, 64, 64, sh, sw)
+            rotary_entropy(feats, sh, sw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -384,11 +379,11 @@ class TestBlockedRotary:
         # slices traced 3.65 MiB), and the one row needs no block. Rotated
         # N x D keys alone would take 4 MiB.
         sh, sw = make_schedule(64), make_schedule(64)
-        feats = TokenFeatures(rng.standard_normal((4096, 4)), rng.standard_normal((4, 128)))
-        kw = {"query": 4095} if fn is rotary_attention_row else {}
+        feats = TokenFeatures(rng.standard_normal((64, 64, 4)), rng.standard_normal((4, 128)))
+        kw = {"query": (63, 63)} if fn is rotary_attention_row else {}
         tracemalloc.start()
         try:
-            fn(feats, 64, 64, sh, sw, **kw)
+            fn(feats, sh, sw, **kw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -397,19 +392,18 @@ class TestBlockedRotary:
     @pytest.mark.parametrize("fn", [rotary_entropy, rotary_attention_row])
     def test_validation(self, rng, fn):
         sh, sw = make_schedule(8), make_schedule(8)
-        x = rng.standard_normal((16, 16))
-        feats = dense(x)
-        kw = {"query": 3} if fn is rotary_attention_row else {}
+        x = rng.standard_normal((4, 4, 16))
+        feats = TokenFeatures(x, np.eye(16))
+        kw = {"query": (0, 3)} if fn is rotary_attention_row else {}
         bad = x.copy()
-        bad[2, 5] = np.nan
+        bad[0, 2, 5] = np.nan
         bad_proj = np.eye(16)
         bad_proj[1, 1] = np.inf
         cases = [
-            dict(feats=dense(bad)),
+            dict(feats=TokenFeatures(bad, np.eye(16))),
             dict(feats=TokenFeatures(x, bad_proj)),
-            dict(feats=feats, height=3),  # 3 x 4 grid, 16 tokens
-            dict(feats=feats, height=0, width=0),
-            dict(feats=dense(x[:, :12])),  # 12 feature columns, schedules for 8 + 8
+            # 12 feature columns, schedules for 8 + 8
+            dict(feats=TokenFeatures(x[:, :, :12], np.eye(12))),
             dict(feats=feats, logit_scale=0.0),
             dict(feats=feats, logit_scale=float("nan")),
             dict(feats=feats, logit_scale=1e308),  # logits overflow
@@ -418,17 +412,20 @@ class TestBlockedRotary:
             dict(feats=feats, scale_w=-np.ones(4)),
         ]
         for case in cases:
-            args = {"height": 4, "width": 4, **case}
             with pytest.raises(ValueError):
-                fn(sched_h=sh, sched_w=sw, **args, **kw)
-        if fn is rotary_attention_row:
-            with pytest.raises(ValueError):
-                fn(feats, 4, 4, sh, sw, query=16)
+                fn(sched_h=sh, sched_w=sw, **case, **kw)
+
+    @pytest.mark.parametrize("query", [(-1, 0), (3, 0), (0, -1), (0, 5), (1, 5)])
+    def test_row_refuses_a_query_outside_the_grid(self, query):
+        # flattened, (0, 5) and (1, 5) fall inside the 15 tokens, so each axis is checked
+        sh, sw = make_schedule(8), make_schedule(8)
+        with pytest.raises(ValueError, match="outside the 3x5 token grid"):
+            rotary_attention_row(dense(np.ones((15, 16)), 3, 5), sh, sw, query=query)
 
     def test_uniform_and_one_hot_limits(self):
         sh, sw = make_schedule(4), make_schedule(4)
-        per_row, mean = rotary_entropy(dense(np.zeros((9, 8))), 3, 3, sh, sw)
+        per_row, mean = rotary_entropy(dense(np.zeros((9, 8)), 3, 3), sh, sw)
         np.testing.assert_allclose(per_row, math.log(9), rtol=0, atol=1e-15)
         # orthogonal, large features: every row attends to itself alone
-        per_row, _ = rotary_entropy(dense(100.0 * np.eye(9, 8)), 3, 3, sh, sw, logit_scale=50.0)
+        per_row, _ = rotary_entropy(dense(100.0 * np.eye(9, 8), 3, 3), sh, sw, logit_scale=50.0)
         assert np.all(per_row[:8] >= 0) and np.all(per_row[:8] < 1e-12)

@@ -734,6 +734,7 @@ class TestConfigSchema:
         assert len(scope["steps"]) == scope["cfg"].steps
         assert len(scope["rows"]) == scope["cfg"].steps
         assert scope["files"]["summary.json"]["scaling_map_method"] == "sega"
+        assert scope["per_token"].shape == (64 * 64,)
 
     @pytest.mark.parametrize("blend", [{"kind": "linear"}, {"kind": "constant", "value": 0.5}])
     def test_untabled_blend_loads_in_constant_memory(self, blend, monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sega import (
+    LatentGrid,
     MethodSpec,
     RopeParams,
     SegaConfig,
@@ -22,8 +23,10 @@ from sega import (
     run_trajectory,
     spectral_heatmap,
     trajectory_files,
+    write_latent,
 )
 from sega.fmtio import canonical_json
+from sega.tensorio import structure_field
 from conftest import SEEDS_16
 
 
@@ -94,9 +97,11 @@ class TestRunTrajectory:
                 steps=2, seed=seed, height=64, width=64, channels=4,
                 noise_blend={"kind": "constant", "value": 1.0},
             )
+            structure = structure_field(cfg)
             yield [
                 modulate_detailed(
-                    analyze(generate_latent(cfg, step)), sched_h, sched_w, ROPE.ratio_scalar
+                    analyze(generate_latent(cfg, step, structure)), sched_h, sched_w,
+                    ROPE.ratio_scalar,
                 )
                 for step in range(cfg.steps)
             ]
@@ -296,8 +301,8 @@ class TestTrajectoryFiles:
         from sega import TokenFeatures, make_schedule, rotary_entropy
 
         sh, sw = make_schedule(4), make_schedule(4)
-        _, h16 = rotary_entropy(TokenFeatures(np.zeros((16, 8)), np.eye(8)), 4, 4, sh, sw)
-        _, h4 = rotary_entropy(TokenFeatures(np.zeros((4, 8)), np.eye(8)), 2, 2, sh, sw)
+        _, h16 = rotary_entropy(TokenFeatures(np.zeros((4, 4, 8)), np.eye(8)), sh, sw)
+        _, h4 = rotary_entropy(TokenFeatures(np.zeros((2, 2, 8)), np.eye(8)), sh, sw)
         assert math.isclose(h16 - h4, math.log(16) - math.log(4), rel_tol=1e-12)
 
 
@@ -352,3 +357,17 @@ class TestOneAnalysisPerLatent:
         draws.clear()
         run_trajectory(cfg, [BASELINE], rope=ROPE)  # the target is analyzed, never attended
         assert (len(analyses), len(draws)) == (3, 3)
+
+    def test_a_structure_file_is_read_once_per_run(self, monkeypatch, tmp_path):
+        # each step once read it again, so a file rewritten mid-run mixed two fields
+        import sega.tensorio
+
+        path = tmp_path / "structure.segl"
+        write_latent(LatentGrid(np.random.default_rng(2).standard_normal((16, 16, 4))), path)
+        cfg = small_cfg(steps=3, structure_kind="file", structure_params={"path": str(path)})
+        reads = self.counter(monkeypatch, sega.tensorio, "read_latent")
+        run_trajectory(cfg, [SEGA_METHOD, FIXED_METHOD], rope=ROPE)
+        assert len(reads) == 1
+        reads.clear()
+        spectral_heatmap(cfg)
+        assert len(reads) == 1

@@ -62,13 +62,18 @@ class TestLatentGrid:
         with pytest.raises(ValueError):
             LatentGrid(arr)
 
-    def test_tokens_row_major(self):
-        arr = np.arange(2 * 3 * 2, dtype=np.float32).reshape(2, 3, 2)
-        grid = LatentGrid(arr)
-        toks = grid.tokens()
-        assert toks.shape == (6, 2)
-        # token (h=1, w=0) is row 3 in row-major order
-        np.testing.assert_array_equal(toks[3], arr[1, 0])
+    def test_refuses_a_value_float32_cannot_hold_without_a_warning(self):
+        # 1e39 once cast to inf with "overflow encountered in cast" before the
+        # refusal; Tier-1 runs with RuntimeWarning as an error
+        with pytest.raises(ValueError, match="^grid values must be finite$"):
+            LatentGrid(np.full((2, 2), 1e39))
+        # float32 rounds from 2**128 - 2**103 up to inf, and just below it down
+        # to its largest finite value
+        limit = 2.0**128 - 2.0**103
+        with pytest.raises(ValueError, match="^grid values must be finite$"):
+            LatentGrid(np.full((2, 2), -limit))
+        grid = LatentGrid(np.full((2, 2), np.nextafter(limit, 0.0)))
+        assert np.all(grid.values == np.finfo(np.float32).max)
 
 
 class TestTokenFeatures:
@@ -77,15 +82,25 @@ class TestTokenFeatures:
         feats = token_features(grid, 16, seed=9, step=2)
         rng = np.random.default_rng(np.random.SeedSequence([9, 2, 2]))  # the feature stream
         proj = rng.standard_normal((3, 16)) / np.sqrt(3)
-        # the two factors are kept, not multiplied out, so their bits are fixed
-        assert np.array_equal(feats.tokens, grid.tokens())
+        # the two factors are kept, not multiplied out, so their bits are fixed;
+        # the tokens are the grid itself, in float64
+        assert feats.tokens.dtype == np.float64 and np.array_equal(feats.tokens, grid.values)
         assert np.array_equal(feats.proj, proj)
         with pytest.raises(ValueError):
             token_features(grid, 0, seed=9, step=2)
 
-    def test_rejects_mismatched_projection(self):
-        with pytest.raises(ValueError):
-            TokenFeatures(np.ones((4, 3)), np.ones((2, 8)))
+    @pytest.mark.parametrize("tokens, proj, message", [
+        (np.ones((4, 3)), np.ones((3, 8)), "cannot project"),  # flat tokens: no grid
+        (np.ones((2, 2, 3)), np.ones((2, 8)), "cannot project"),  # 3 channels, 2 projected
+        (np.ones((2, 2, 2)), np.ones(8), "cannot project"),
+        # an empty axis once reached the kernel's block size as a ZeroDivisionError
+        (np.zeros((0, 5, 2)), np.ones((2, 8)), "has no tokens"),
+        (np.zeros((5, 0, 2)), np.ones((2, 8)), "has no tokens"),
+        (np.zeros((0, 0, 2)), np.ones((2, 8)), "has no tokens"),
+    ])
+    def test_rejects_mismatched_projection(self, tokens, proj, message):
+        with pytest.raises(ValueError, match=message):
+            TokenFeatures(tokens, proj)
 
 
 class TestCenterMap:
@@ -210,7 +225,7 @@ class TestTrajectoryConfig:
     def test_numpy_integer_fields_are_integers(self):
         cfg = TrajectoryConfig(steps=np.int64(2), seed=np.uint32(3), height=np.int32(4),
                                width=np.int16(5), channels=np.int8(2))
-        assert generate_latent(cfg, 1).values.shape == (4, 5, 2)
+        assert latent(cfg, 1).values.shape == (4, 5, 2)
         # the addressable-size product is taken in Python ints, which do not wrap
         with pytest.raises(ValueError, match="addressable"):
             TrajectoryConfig(height=np.int32(2**20), width=np.int32(2**20), channels=np.int32(2**20))
@@ -293,13 +308,18 @@ class TestCheckFields:
             assert literal or hint in (int, float, bool, str, dict), f"{name}: {hint}"
 
 
+def latent(cfg, step):
+    """generate_latent at one step, with cfg's structure field built for it."""
+    return generate_latent(cfg, step, structure_field(cfg))
+
+
 class TestGenerateLatent:
     def test_pure_noise_is_the_seeded_stream(self):
         cfg = TrajectoryConfig(
             steps=2, seed=11, height=8, width=8, channels=2,
             noise_blend={"kind": "constant", "value": 1.0},
         )
-        grid = generate_latent(cfg, 1)
+        grid = latent(cfg, 1)
         rng = np.random.default_rng(np.random.SeedSequence([11, 0, 1]))
         expected = rng.standard_normal((8, 8, 2)).astype(np.float32)
         np.testing.assert_array_equal(grid.values, expected)
@@ -310,7 +330,7 @@ class TestGenerateLatent:
             structure_kind="sinusoid", structure_params={"cycles_w": 3.0},
             noise_blend={"kind": "constant", "value": 0.0},
         )
-        grid = generate_latent(cfg, 0)
+        grid = latent(cfg, 0)
         field = structure_field(cfg)
         np.testing.assert_allclose(grid.values, field.astype(np.float32), atol=1e-6)
         assert abs(field.mean()) < 1e-12
@@ -318,14 +338,14 @@ class TestGenerateLatent:
 
     def test_deterministic_across_calls(self):
         cfg = TrajectoryConfig(steps=4, seed=9, height=8, width=8, channels=3)
-        a = generate_latent(cfg, 2)
-        b = generate_latent(cfg, 2)
+        a = latent(cfg, 2)
+        b = latent(cfg, 2)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_step_bounds_checked(self):
         cfg = TrajectoryConfig(steps=2, seed=0, height=4, width=4, channels=1)
         with pytest.raises(ValueError):
-            generate_latent(cfg, 2)
+            latent(cfg, 2)
 
     def test_file_structure_missing(self, tmp_path):
         cfg = TrajectoryConfig(
@@ -333,7 +353,7 @@ class TestGenerateLatent:
             structure_kind="file", structure_params={"path": str(tmp_path / "nope.segl")},
         )
         with pytest.raises(OSError):
-            generate_latent(cfg, 0)
+            latent(cfg, 0)
 
     def test_file_structure_round_trip(self, tmp_path):
         src = LatentGrid(np.random.default_rng(1).standard_normal((4, 4, 1)))
@@ -344,7 +364,7 @@ class TestGenerateLatent:
             structure_kind="file", structure_params={"path": str(path)},
             noise_blend={"kind": "constant", "value": 0.0},
         )
-        grid = generate_latent(cfg, 0)
+        grid = latent(cfg, 0)
         norm = src.values.astype(np.float64)
         norm = (norm - norm.mean()) / norm.std()
         np.testing.assert_allclose(grid.values, norm.astype(np.float32), atol=1e-6)
@@ -355,7 +375,7 @@ class TestGenerateLatent:
             structure_kind="sinusoid", structure_params={"cycles_w": 0.0},
             noise_blend={"kind": "constant", "value": 0.0},
         )
-        grid = generate_latent(cfg, 0)
+        grid = latent(cfg, 0)
         np.testing.assert_array_equal(grid.values, 0.0)
 
     def test_non_finite_structure_is_refused_not_zeroed(self):
