@@ -145,7 +145,7 @@ def rotary_entropy(
     step = min(height, max(1, BLOCK_LOGITS // n))
     z, s = np.empty((height, width)), np.empty((height, width))
     exp_buf = np.empty((step, n))
-    ones, index = np.ones((n, 1)), np.arange(step)
+    ones, index = np.ones(n), np.arange(step)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):  # as in _tables
         # one row, as a multiple of 16 in [16, 2**20] (numpy's range); longer rows go unbuffered
         bufsize = np.setbufsize(max(16, min(n, 1 << 20) // 16 * 16))
@@ -157,8 +157,8 @@ def rotary_entropy(
                 e = np.exp(logits, out=exp_buf[:r])
                 e[top] = 0.0
                 # a dot per row, not a gemv, written straight into Z' and S
-                np.matmul(e[:, None], ones, out=z[first : first + r, w, None, None])
-                np.matmul(e[:, None], logits[:, :, None], out=s[first : first + r, w, None, None])
+                np.vecdot(e, ones, out=z[first : first + r, w])
+                np.vecdot(e, logits, out=s[first : first + r, w])
         finally:
             np.setbufsize(bufsize)
         per_row = np.log1p(z) - s / (1.0 + z)

@@ -12,7 +12,6 @@ kind reads its own keys), so a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -54,13 +53,6 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
-def _finite(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        raise ConfigError(f"config holds a non-finite number: {token}")
-    return value
-
-
 def _built(cls, values: dict, where: str):
     """cls(**values), refusing keys that name no field; a fault names its dotted key.
 
@@ -99,7 +91,7 @@ def load_experiment_config(source) -> ExperimentConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         try:
-            raw = json.loads(text, parse_float=_finite, parse_constant=_finite)
+            raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -114,10 +114,11 @@ def radial_profile(spectrum: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.nd
 
     Sample (i, j) falls in the bin of its normalized_radius, which is 1 at the
     grid corner regardless of aspect ratio. The DC sample is excluded. Returns
-    the per-bin means and an occupancy mask; empty bins hold 0.
+    the per-bin means and an occupancy mask; empty bins hold 0. Past the
+    spectrum's N samples every extra bin is empty, so n_bins lies in [2, N].
     """
-    if not n_bins >= 2:
-        raise ValueError("n_bins must be >= 2")
+    if not 2 <= n_bins <= spectrum.size:  # NaN fails this test too, and no bin is allocated
+        raise ValueError(f"bins must lie in [2, {spectrum.size}], the latent's token count")
     rho = normalized_radius(*spectrum.shape)
     bins = np.minimum((rho * n_bins).astype(np.int64), n_bins - 1)
     flat_bins = bins.ravel()

@@ -239,7 +239,7 @@ class TestSpectrum:
         # past the 256 tokens of a 16 x 16 latent every extra bin is empty
         res = runner.invoke(main, ["spectrum", "--latent", str(noise_latent), "--bins", bins])
         assert res.exit_code == 2, res.output
-        assert "--bins must lie in [2, 256]" in res.output
+        assert "bins must lie in [2, 256], the latent's token count" in res.output
 
     def test_bins_up_to_token_count_accepted(self, runner, noise_latent):
         res = runner.invoke(main, ["spectrum", "--latent", str(noise_latent), "--bins", "256"])
@@ -274,12 +274,14 @@ class TestAttnMapAndEntropy:
         total = sum(float(x) for row in rows for x in row[1:])
         assert math.isclose(total, 1.0, abs_tol=1e-6)
 
-    def test_attn_map_query_bounds(self, runner, noise_latent):
-        res = runner.invoke(
-            main,
-            ["attn-map", "--latent", str(noise_latent), "--query-h", "99", "--query-w", "0"],
-        )
-        assert res.exit_code == 2
+    @pytest.mark.parametrize("query", [(99, 0), (0, 16), (-1, 0), (0, -1)])
+    def test_attn_map_query_bounds(self, runner, noise_latent, query):
+        # the kernel refuses the query on each axis; the command maps that to exit 2
+        res = runner.invoke(main, ["attn-map", "--latent", str(noise_latent),
+                                   "--query-h", str(query[0]), "--query-w", str(query[1])])
+        assert res.exit_code == 2, res.output
+        assert f"query {query} outside the 16x16 token grid" in res.output
+        assert res.stdout == ""
 
     def test_fixed_scale_changes_only_logit_sharpness(self, runner, noise_latent):
         base = runner.invoke(
@@ -648,6 +650,15 @@ class TestMalformedConfigs:
         assert res.exit_code == 0, res.output
         assert (out / "spectral_heatmap.csv").read_text().splitlines()[0].count(",bin_") == 64
 
+    def test_n_bins_iso_past_a_sega_train_grid_exits_2_from_the_run(self, runner, tmp_path):
+        # 64 bins fit the 8x8 target grid, but not the 4x4 train grid at ratio 2
+        cfg = {**small_config({"methods": [{"name": "s", "scaling": "sega", "grid": "train"}]},
+                              {"ratio": 2.0}), "sega": {"n_bins_iso": 64}}
+        res, _ = run_config(runner, tmp_path, "trajectory", cfg)
+        assert res.exit_code == 2, res.output
+        assert "bins must lie in [2, 16], the latent's token count" in res.output
+        assert res.stdout == ""
+
     @pytest.mark.parametrize("rope, baseline", [
         ({"ratio": 1.0}, {}),  # the train grid is the target grid
         ({"ratio": 2.0}, {"baseline": TARGET_BASELINE}),
@@ -999,6 +1010,66 @@ class TestConfigSweep:
                 assert res.exit_code in (0, 2, 3), (value, argv[0], res.output, res.exception)
                 assert "Traceback" not in res.output, (value, argv[0])
                 assert res.exit_code == 0 or res.stdout == "", (value, argv[0], res.stdout)
+
+
+# sega.n_bins_iso within the config's trajectory grid but above a 4x4 latent's
+# 16 tokens. The first once printed empty radial bins; the second once tried to
+# allocate 7.11 PiB of them and exited 1.
+BINS_PAST_THE_LATENT = {
+    "default_grid": {"sega": {"n_bins_iso": 17}},
+    "huge_grid": {"sega": {"n_bins_iso": 10**15},
+                  "trajectory": {"height": 10**8, "width": 10**8, "channels": 1}},
+}
+
+
+class TestBinsPastTheLatent:
+    @pytest.mark.parametrize("command", [
+        ["modulate"],
+        ["attn-map", "--scaling", "sega", "--query-h", "1", "--query-w", "2"],
+        ["entropy", "--scaling", "sega"],
+    ], ids=["modulate", "attn_map", "entropy"])
+    @pytest.mark.parametrize("case", sorted(BINS_PAST_THE_LATENT))
+    def test_refused_at_the_latent_token_count(self, runner, tmp_path, case, command):
+        latent, config = tmp_path / "grid.segl", tmp_path / "cfg.json"
+        write_latent(LatentGrid(np.random.default_rng(9).standard_normal((4, 4, 2))), latent)
+        config.write_text(json.dumps(BINS_PAST_THE_LATENT[case]))
+        res = runner.invoke(main, [*command, "--latent", str(latent), "--config", str(config)])
+        assert res.exit_code == 2, (res.output, res.exception)
+        assert isinstance(res.exception, SystemExit)
+        assert "bins must lie in [2, 16], the latent's token count" in res.output
+        assert "Traceback" not in res.output
+        assert res.stdout == ""
+
+
+# Each non-finite JSON number is written into each of these fields as the config
+# file holds it: (config, the dotted key its message names). A blend's weights
+# are checked as one field.
+NON_FINITE_TOKENS = ["NaN", "Infinity", "-Infinity", "1e999"]
+NON_FINITE_FIELDS = {
+    "rope_base": ({"rope": {"base": SWEPT}}, "rope.base"),
+    "rope_ratio": ({"rope": {"ratio": SWEPT}}, "rope.ratio"),
+    "sega_kappa": ({"sega": {"kappa": SWEPT}}, "sega.kappa"),
+    "cycles_w": ({"trajectory": {"structure_params": {"cycles_w": SWEPT}}},
+                 "trajectory.structure_params for 'sinusoid': cycles_w"),
+    "blend_value": ({"trajectory": {"noise_blend": {"kind": "constant", "value": SWEPT}}},
+                    "trajectory.noise_blend"),
+    "blend_values": ({"trajectory": {"steps": 2, "noise_blend": {"kind": "table",
+                                                                 "values": [1.0, SWEPT]}}},
+                     "trajectory.noise_blend"),
+}
+
+
+class TestNonFiniteConfigNumbers:
+    @pytest.mark.parametrize("token", NON_FINITE_TOKENS)
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_FIELDS))
+    def test_fault_names_its_dotted_key(self, runner, tmp_path, case, token):
+        cfg, key = NON_FINITE_FIELDS[case]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg).replace(json.dumps(SWEPT), token))
+        res = runner.invoke(main, ["heatmap", "--config", str(config), "--out-dir", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert f"{key} " in res.output
+        assert "Traceback" not in res.output
 
 
 class TestConstantLatent:

@@ -141,8 +141,16 @@ class TestRadialProfile:
 
     @pytest.mark.parametrize("n_bins", [1, math.nan])
     def test_needs_two_bins(self, n_bins):
-        with pytest.raises(ValueError, match="n_bins must be >= 2"):
+        with pytest.raises(ValueError, match=r"bins must lie in \[2, 16\]"):
             radial_profile(np.ones((4, 4)), n_bins)
+
+    @pytest.mark.parametrize("n_bins", [17, 10**15])
+    def test_at_most_one_bin_per_sample(self, n_bins):
+        # refused before any bin is allocated; 10**15 bins would take 7.11 PiB
+        with pytest.raises(ValueError, match=r"bins must lie in \[2, 16\], the latent's token count"):
+            radial_profile(np.ones((4, 4)), n_bins)
+        e, occupied = radial_profile(np.ones((4, 4)), 16)
+        assert e.shape == occupied.shape == (16,)
 
 
 class TestBandLookup:
