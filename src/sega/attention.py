@@ -79,33 +79,31 @@ def _logit_blocks(grid: np.ndarray, m_h: np.ndarray, m_w: np.ndarray, step: int,
     key columns w', and per block lhs[h'] = [t_{hw} | t_{hw}^T M_H(h' - h)]
     over its query rows h, so one batched GEMM over key rows h', of inner
     dimension 2C, forms both terms. Its output is the block viewed (h', h, w'),
-    so BLAS writes the block's row-major rows in place. Its buffers, lhs and
-    the M_H products are allocated once and reused: each block is valid until
-    the next is yielded.
+    so BLAS writes the block's row-major rows in place. lhs is read in place
+    from one matmul of the block's tokens by [I | M_H]; that product, rhs and
+    the block are allocated once and reused; a block is valid until the next.
     """
     height, width, rank = grid.shape
     block_buf = np.empty((step, height * width))
-    lhs_buf = np.empty(height * step * 2 * rank)
-    products_buf = np.empty((step, (2 * height - 1) * rank))
+    pairs_buf = np.empty((step, (2 * height - 1) * 2 * rank))
     rhs = np.empty((height, 2 * rank, width))
     rhs[:, rank:] = grid.transpose(0, 2, 1)
     by_col = np.ascontiguousarray(grid.transpose(1, 2, 0))  # (w', C, h')
-    m_h_flat = m_h.transpose(1, 0, 2).reshape(rank, -1)  # (C, (2H - 1) * C)
+    eye = np.broadcast_to(np.eye(rank)[:, None], (rank, 2 * height - 1, rank))
+    m_h_pairs = np.concatenate([eye, m_h.transpose(1, 0, 2)], axis=2).reshape(rank, -1)  # (C, (2H - 1) * 2C)
     firsts, columns = (range(0, height, step), range(width)) if query is None else ([query[0]], [query[1]])
     for w in columns:
         rhs[:, :rank] = np.matmul(m_w[width - 1 - w : 2 * width - 1 - w], by_col).transpose(2, 1, 0)
         for first in firsts:
             queries = grid[first : first + step, w]
             q = queries.shape[0]
-            lhs = lhs_buf[: height * q * 2 * rank].reshape(height, q, 2 * rank)
-            lhs[:, :, :rank] = queries
-            # t^T M_H(k + 1 - H) for query row first + r at [r, k], read through a
-            # strided (r, h') view at k = h' - first - r + H - 1
-            products = np.matmul(queries, m_h_flat, out=products_buf[:q]).reshape(q, -1, rank)
-            s0, s1, s2 = products.strides
-            lhs[:, :, rank:] = np.lib.stride_tricks.as_strided(
-                products[:, height - 1 - first :], (q, height, rank), (s0 - s1, s1, s2)
-            ).transpose(1, 0, 2)
+            # [t | t^T M_H(k + 1 - H)] for query row first + r at [r, k], read as
+            # lhs through a strided (h', r) view at k = h' - first - r + H - 1
+            pairs = np.matmul(queries, m_h_pairs, out=pairs_buf[:q]).reshape(q, -1, 2 * rank)
+            s0, s1, s2 = pairs.strides
+            lhs = np.lib.stride_tricks.as_strided(
+                pairs[:, height - 1 - first :], (height, q, 2 * rank), (s1, s0 - s1, s2)
+            )
             block = block_buf[:q]
             np.matmul(lhs, rhs, out=block.reshape(q, height, width).transpose(1, 0, 2))
             yield w, first, block

@@ -157,22 +157,22 @@ class TrajectoryConfig:
             alphas = [self._blend_at(t) for t in (range(self.steps) if tabled else (0,))]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"noise_blend is malformed: {self.noise_blend!r}") from exc
-        if not all(0.0 <= a <= 1.0 for a in alphas):  # NaN fails this test too
+        if not all(0.0 <= a <= 1.0 for a in alphas):
             raise ValueError("noise_blend weights must lie in [0, 1]")
         if any(b > a + 1e-12 for a, b in zip(alphas, alphas[1:])):
             raise ValueError("noise_blend weights must be non-increasing in step index")
 
-    def _blend_at(self, step: int) -> int | float:
+    def _blend_at(self, step: int) -> float:
         kind = self.noise_blend.get("kind", "linear")
         if kind == "linear":
             return self.time(step)  # the noise weight falls with the denoising time
         if kind == "constant":
-            return json_number(self.noise_blend["value"], "noise_blend.value")
+            return finite_number(self.noise_blend["value"], "noise_blend.value")
         if kind == "table":
             values = self.noise_blend["values"]
             if len(values) != self.steps:
                 raise ValueError("noise_blend.values must hold one weight per step")
-            return json_number(values[step], f"noise_blend.values[{step}]")
+            return finite_number(values[step], f"noise_blend.values[{step}]")
         raise ValueError(f"noise_blend.kind must be one of {tuple(BLEND_KEYS)}")
 
     def alpha(self, step: int) -> float:

@@ -177,12 +177,13 @@ def schedules(method, dim):
 class TestTableLogits:
     """The kernel's table-built logit blocks against the rotated-feature oracle."""
 
-    @pytest.mark.parametrize("height, width", [(15, 13), (41, 25), (3, 50), (2, 2)])
+    @pytest.mark.parametrize("height, width", [(15, 13), (41, 25), (3, 50), (2, 2), (1, 7), (7, 1)])
     @pytest.mark.parametrize("method", ["none", "pi", "ntk", "ntk_strong", "yarn", "dype"])
     @pytest.mark.parametrize("rank", [1, 3, 4, 16])
     def test_blocks_match_the_rotation_oracle(self, height, width, method, rank):
         # Whole query columns and parts of 5 rows (41 = 8 * 5 + 1 leaves a one-row
-        # part). The bound is relative to the block's largest logit: the two
+        # part); on a one-row grid the left operand's view has a zero query-row
+        # stride. The bound is relative to the block's largest logit: the two
         # forms sum the same products in different orders and groupings.
         gen = np.random.default_rng(height * width + rank)
         dim = 16

@@ -1042,8 +1042,7 @@ class TestBinsPastTheLatent:
 
 
 # Each non-finite JSON number is written into each of these fields as the config
-# file holds it: (config, the dotted key its message names). A blend's weights
-# are checked as one field.
+# file holds it: (config, the dotted key its message names).
 NON_FINITE_TOKENS = ["NaN", "Infinity", "-Infinity", "1e999"]
 NON_FINITE_FIELDS = {
     "rope_base": ({"rope": {"base": SWEPT}}, "rope.base"),
@@ -1052,10 +1051,10 @@ NON_FINITE_FIELDS = {
     "cycles_w": ({"trajectory": {"structure_params": {"cycles_w": SWEPT}}},
                  "trajectory.structure_params for 'sinusoid': cycles_w"),
     "blend_value": ({"trajectory": {"noise_blend": {"kind": "constant", "value": SWEPT}}},
-                    "trajectory.noise_blend"),
+                    "trajectory.noise_blend.value"),
     "blend_values": ({"trajectory": {"steps": 2, "noise_blend": {"kind": "table",
                                                                  "values": [1.0, SWEPT]}}},
-                     "trajectory.noise_blend"),
+                     "trajectory.noise_blend.values[1]"),
 }
 
 

@@ -188,11 +188,13 @@ class TestTrajectoryConfig:
             TrajectoryConfig(steps=3, seed=0, noise_blend={"kind": "table", "values": [0.1, 0.5, 0.9]})
 
     def test_blend_range_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"blend weights must lie in \[0, 1\]"):
             TrajectoryConfig(steps=2, seed=0, noise_blend={"kind": "constant", "value": 1.5})
-        nan_blend = {"kind": "constant", "value": float("nan")}  # NaN compares false
-        with pytest.raises(ValueError, match="blend weights"):
+        nan_blend = {"kind": "constant", "value": float("nan")}  # named by its key, not the range
+        with pytest.raises(ValueError, match="noise_blend.value must be a finite number"):
             TrajectoryConfig(steps=2, seed=0, noise_blend=nan_blend)
+        with pytest.raises(ValueError, match=r"noise_blend.values\[1\] must be a number"):
+            TrajectoryConfig(steps=2, seed=0, noise_blend={"kind": "table", "values": [1.0, "0.5"]})
 
     def test_grid_past_addressable_size_rejected(self):
         # checked from the sizes alone: nothing is allocated
