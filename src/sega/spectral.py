@@ -96,17 +96,13 @@ def axis_profiles(spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Bin i of the H profile sums rows i and H-i of the spectrum (row 0 alone
     for i = 0); profile lengths are floor(H/2) and floor(W/2).
     """
-    h, w = spectrum.shape
 
-    def one_axis(spec: np.ndarray, length: int) -> np.ndarray:
-        rows = spec.sum(axis=1)
-        bins = np.empty(length // 2, dtype=np.float64)
-        bins[0] = rows[0]
-        for i in range(1, length // 2):
-            bins[i] = rows[i] + rows[length - i]
+    def fold(rows: np.ndarray) -> np.ndarray:
+        bins = rows[: len(rows) // 2].copy()
+        bins[1:] += rows[: -len(bins) : -1]  # rows L-1 down to L-len(bins)+1
         return bins
 
-    return one_axis(spectrum, h), one_axis(spectrum.T, w)
+    return fold(spectrum.sum(axis=1)), fold(spectrum.T.sum(axis=1))
 
 
 def radial_profile(spectrum: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,32 +117,30 @@ def radial_profile(spectrum: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.nd
         raise ValueError(f"bins must lie in [2, {spectrum.size}], the latent's token count")
     rho = normalized_radius(*spectrum.shape)
     bins = np.minimum((rho * n_bins).astype(np.int64), n_bins - 1)
-    flat_bins = bins.ravel()
-    flat_spec = spectrum.ravel()
-    keep = np.ones(flat_bins.shape, dtype=bool)
-    keep[0] = False  # DC sits at flat index 0
-    counts = np.bincount(flat_bins[keep], minlength=n_bins)
-    sums = np.bincount(flat_bins[keep], weights=flat_spec[keep], minlength=n_bins)
+    flat_bins = bins.ravel()[1:]  # DC sits at flat index 0
+    counts = np.bincount(flat_bins, minlength=n_bins)
+    sums = np.bincount(flat_bins, weights=spectrum.ravel()[1:], minlength=n_bins)
     occupied = counts > 0
     e_iso = np.zeros(n_bins, dtype=np.float64)
     e_iso[occupied] = sums[occupied] / counts[occupied]
     return e_iso, occupied
 
 
-def band_lookup(theta_d: float, axis_len: int) -> int:
-    """Profile bin matching one rotary frequency.
+def band_lookup(theta, axis_len: int) -> np.ndarray | int:
+    """Profile bin of each rotary frequency in theta, a vector or a scalar.
 
     The frequency in cycles/token is theta_d / (2*pi); the bin is its cycle
-    count over the axis, rounded to nearest and clamped to the profile range.
-    Wavelengths longer than the axis map to bin 0.
+    count over the axis, rounded half up and clamped to the profile range.
+    Wavelengths longer than the axis map to bin 0. A vector gives an integer
+    array of bins, a scalar one Python int.
     """
-    if not theta_d > 0:
+    theta = np.asarray(theta, dtype=np.float64)
+    if not np.all(theta > 0):
         raise ValueError("theta_d must be positive")
-    cycles = theta_d * axis_len / (2.0 * np.pi)
-    if cycles < 1.0:
-        return 0
+    cycles = theta * axis_len / (2.0 * np.pi)
     top = max(axis_len // 2 - 1, 0)
-    return min(int(math.floor(cycles + 0.5)), top)
+    bins = np.where(cycles < 1.0, 0, np.minimum(np.floor(cycles + 0.5), top).astype(np.int64))
+    return bins.item() if bins.ndim == 0 else bins
 
 
 def per_dim_correction(
@@ -164,9 +158,7 @@ def per_dim_correction(
     profile = np.asarray(profile, dtype=np.float64)
     if profile.size < 1:
         raise ValueError("profile must be nonempty")
-    banded = np.array(
-        [profile[band_lookup(t, axis_len)] for t in schedule.theta], dtype=np.float64
-    )
+    banded = profile[band_lookup(schedule.theta, axis_len)]
     log_e = np.log(banded + eps)
     mu = log_e.mean()
     nu = log_e.std()

@@ -219,6 +219,11 @@ def finite_number(value, name: str) -> float:
     return float(value)
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 _KINDS = {bool: "true or false", str: "a string", dict: "an object"}
 _type_hints = functools.cache(get_type_hints)  # evaluated once per class, not on every build
 
@@ -244,7 +249,7 @@ def check_fields(obj) -> None:
         elif hint is float:
             object.__setattr__(obj, name, finite_number(value, name))
         elif hint is int:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer")
         elif type(value) is not hint:
             raise ValueError(f"{name} must be {_KINDS[hint]}")
@@ -275,9 +280,9 @@ def checked_structure_params(cfg: TrajectoryConfig) -> dict:
             return values
         if kind == "checker":
             blocks = {key: params.get(key, 1) for key in ("block_h", "block_w")}
-            if not all(type(b) is int and b >= 1 for b in blocks.values()):
+            if not all(_is_integer(b) and b >= 1 for b in blocks.values()):
                 raise ValueError("block_h and block_w must be integers >= 1")
-            return blocks
+            return {key: int(b) for key, b in blocks.items()}
         if kind == "band_limited":
             low = finite_number(params.get("low", 0.0), "low")
             high = finite_number(params.get("high", 0.25), "high")

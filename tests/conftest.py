@@ -36,3 +36,21 @@ def sinusoid_grid(cycles_w: float, height: int = 64, width: int = 64, channels: 
     plane = np.cos(2.0 * np.pi * cycles_w * w / width)
     field = np.broadcast_to(plane[None, :, None], (height, width, channels)).copy()
     return LatentGrid(field)
+
+
+def structured_latent(kind, h, w, channels, seed, a, b):
+    """A random, sinusoid (a, b cycles) or checker ((a + 1) x (b + 1) blocks) latent."""
+    if kind == "random":
+        return LatentGrid(np.random.default_rng(seed).standard_normal((h, w, channels)))
+    i = np.arange(h)[:, None]
+    j = np.arange(w)[None, :]
+    if kind == "sinusoid":
+        plane = np.cos(2.0 * np.pi * (a * i / h + b * j / w))
+    else:
+        plane = np.where((i // (a + 1) + j // (b + 1)) % 2 == 0, 1.0, -1.0)
+    return LatentGrid(np.repeat(plane[:, :, None], channels, axis=2))
+
+
+# An 8x8 sinusoid of (1, 3) cycles at dim 8: sigma is 1 and one modulator on
+# each axis falls below zero, so the floor decides those magnitudes.
+CLAMPED_STEP = dict(kind="sinusoid", h=8, w=8, channels=1, seed=0, a=1, b=3)

@@ -8,7 +8,8 @@ already rotated, and the rotary embedding is applied one token at a time.
 The rotated features and their key product are the reference for the
 logits that the attention kernels build from relative-position tables, and
 an entropy evaluated in stdlib ``decimal`` is the reference for their
-reduction.
+reduction. ``sega modulate``'s spectral stage is recomputed from its formulas
+with one loop per sample and per rotary dimension.
 """
 
 from __future__ import annotations
@@ -191,6 +192,79 @@ def flatness_direct(values) -> float:
     gm = math.exp(sum(math.log(v) for v in values) / len(values))
     am = sum(values) / len(values)
     return gm / am
+
+
+def modulate_direct(values, theta_h, theta_w, ratio: float, kappa: float = 0.08, gamma: float = 1.5,
+                    ref_form: str = "power", eps: float = 1e-12, n_bins=None) -> dict:
+    """The payload of ``sega modulate`` for an (H, W, C) latent, from the spectral formulas.
+
+    The channel mean less its spatial mean goes through naive_dft2; after that
+    every step is plain Python over samples and rotary dimensions:
+    - axis profile bin i sums spectrum rows (columns) i and L - i, row 0 alone
+      for i = 0, for i < L // 2;
+    - radial bin of sample (i, j) is floor(rho * n_bins), at most n_bins - 1,
+      with rho = sqrt(u^2 + v^2) / sqrt(0.5), u = min(i, H - i) / H and
+      v = min(j, W - j) / W; DC is left out, a bin holds the mean of its
+      samples and an empty bin is unoccupied. n_bins defaults to
+      max(2, min(H, W) // 2). rho is rounded before it is scaled, in that
+      order: a sample whose exact rho * n_bins is an integer, such as (2, 2)
+      of a 6 x 6 grid at 3 bins, falls below the edge;
+    - SF is the geometric over the arithmetic mean of the occupied bins, each
+      floored at eps, at most 1; sigma = 1 - SF**gamma within [0, 1];
+    - m_ref is ratio**kappa, or 1 + kappa ln ratio for the log form;
+    - theta_d has c = theta_d L / (2 pi) cycles over its axis. Its band is 0
+      for c < 1, else floor(c + 1/2), at most L // 2 - 1;
+    - s_d is tanh of the standardized ln(E[band] + eps), less its mean (all
+      zeros when their standard deviation is below 1e-12);
+    - m_d = m_ref * max(1 - sigma s_d, 0.05).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    h, w, c = values.shape
+    plane = [[math.fsum(values[i, j].tolist()) / c for j in range(w)] for i in range(h)]
+    mean = math.fsum(v for row in plane for v in row) / (h * w)
+    dft = naive_dft2(np.array([[v - mean for v in row] for row in plane]))
+    power = [[z.real**2 + z.imag**2 for z in row] for row in dft.tolist()]
+
+    def fold(rows):
+        length = len(rows)
+        return [rows[0]] + [rows[i] + rows[length - i] for i in range(1, length // 2)]
+
+    profile_h = fold([math.fsum(row) for row in power])
+    profile_w = fold([math.fsum(power[i][j] for i in range(h)) for j in range(w)])
+
+    n_bins = max(2, min(h, w) // 2) if n_bins is None else n_bins
+    sums, counts = [0.0] * n_bins, [0] * n_bins
+    for i in range(h):
+        for j in range(w):
+            if i == j == 0:
+                continue
+            u, v = min(i, h - i) / h, min(j, w - j) / w
+            rho = math.sqrt(u * u + v * v) / math.sqrt(0.5)
+            b = min(int(rho * n_bins), n_bins - 1)
+            sums[b] += power[i][j]
+            counts[b] += 1
+    ring = [max(s / n, eps) for s, n in zip(sums, counts) if n]
+    arithmetic = math.fsum(ring) / len(ring)
+    geometric = math.exp(math.fsum(math.log(e) for e in ring) / len(ring))
+    flatness = min(geometric / arithmetic, 1.0)
+    sigma = min(max(1.0 - flatness**gamma, 0.0), 1.0)
+    m_ref = ratio**kappa if ref_form == "power" else 1.0 + kappa * math.log(ratio)
+
+    def axis(name, profile, length, thetas):
+        logs = []
+        for theta in thetas:
+            cycles = float(theta) * length / (2.0 * math.pi)
+            band = 0 if cycles < 1.0 else min(math.floor(cycles + 0.5), max(length // 2 - 1, 0))
+            logs.append(math.log(profile[band] + eps))
+        mu = math.fsum(logs) / len(logs)
+        nu = math.sqrt(math.fsum((x - mu) ** 2 for x in logs) / len(logs))
+        t = [math.tanh((x - mu) / nu) if nu >= 1e-12 else 0.0 for x in logs]
+        t_mean = math.fsum(t) / len(t)
+        s = [x - t_mean for x in t]
+        m = [m_ref * max(1.0 - sigma * x, 0.05) for x in s]
+        return {"axis": name, "m_ref": m_ref, "sigma": sigma, "SF": flatness, "s_corr": s, "m": m}
+
+    return {"axes": [axis("H", profile_h, h, theta_h), axis("W", profile_w, w, theta_w)]}
 
 
 def yarn_theta_direct(theta_d: float, ratio: float, alpha: float, beta: float, train_len: float) -> float:

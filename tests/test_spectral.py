@@ -23,8 +23,9 @@ from sega import (
     reference_scale,
     spectral_flatness,
 )
+from sega.rope import METHODS
 from sega.spectral import MODULATOR_FLOOR
-from conftest import SEEDS_64, noise_grid, sinusoid_grid
+from conftest import CLAMPED_STEP, SEEDS_64, noise_grid, sinusoid_grid, structured_latent
 from oracles import flatness_direct, naive_dft2, reference_scale_direct
 
 
@@ -86,6 +87,9 @@ class TestAxisProfiles:
         np.testing.assert_array_equal(e_w, 0.0)
 
     @given(st.integers(2, 11), st.integers(2, 11), st.integers(0, 2**32 - 1))
+    @example(2, 2, 0)
+    @example(3, 3, 0)
+    @example(2, 3, 0)  # lengths 2 and 3 fold nothing: each profile is one bin
     @settings(max_examples=30, deadline=None)
     def test_fold_matches_loop_reference(self, h, w, seed):
         spec = np.random.default_rng(seed).uniform(0, 5, (h, w))
@@ -170,10 +174,21 @@ class TestBandLookup:
         L = 64
         assert band_lookup(np.pi, L) == L // 2 - 1
 
-    @pytest.mark.parametrize("theta", [0.0, math.nan])
+    @pytest.mark.parametrize("theta", [0.0, math.nan, [1.0, 0.0], [math.nan, 1.0]])
     def test_rejects_nonpositive(self, theta):
         with pytest.raises(ValueError, match="theta_d must be positive"):
             band_lookup(theta, 64)
+
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "yarn"])
+    def test_vector_is_the_scalar_calls(self, method):
+        for dim in range(4, 65, 2):
+            theta = make_schedule(dim, method=method, ratio=2.0, dype_time=0.5).theta
+            for axis_len in (2, 3, 17, 64, 65):
+                bins = band_lookup(theta, axis_len)
+                scalars = [band_lookup(t, axis_len) for t in theta]
+                assert np.issubdtype(bins.dtype, np.integer)
+                assert all(type(b) is int for b in scalars)
+                assert bins.tolist() == scalars
 
 
 class TestPerDimCorrection:
@@ -379,24 +394,6 @@ class TestModulate:
         assert bins(64, 64) == 32
         assert bins(8, 64) == 4
         assert bins(2, 2) == 2
-
-
-def structured_latent(kind, h, w, channels, seed, a, b):
-    """A random, sinusoid (a, b cycles) or checker ((a + 1) x (b + 1) blocks) latent."""
-    if kind == "random":
-        return LatentGrid(np.random.default_rng(seed).standard_normal((h, w, channels)))
-    i = np.arange(h)[:, None]
-    j = np.arange(w)[None, :]
-    if kind == "sinusoid":
-        plane = np.cos(2.0 * np.pi * (a * i / h + b * j / w))
-    else:
-        plane = np.where((i // (a + 1) + j // (b + 1)) % 2 == 0, 1.0, -1.0)
-    return LatentGrid(np.repeat(plane[:, :, None], channels, axis=2))
-
-
-# An 8x8 sinusoid of (1, 3) cycles at dim 8: sigma is 1 and one modulator on
-# each axis falls below zero, so the floor decides those magnitudes.
-CLAMPED_STEP = dict(kind="sinusoid", h=8, w=8, channels=1, seed=0, a=1, b=3)
 
 
 class TestModulationInvariants:

@@ -28,6 +28,7 @@ from sega.tensorio import (
     TruncatedPayloadError,
     VersionMismatchError,
     _normalize_field,
+    checked_structure_params,
     structure_field,
 )
 
@@ -201,11 +202,24 @@ class TestTrajectoryConfig:
         with pytest.raises(ValueError, match="addressable"):
             TrajectoryConfig(steps=1, seed=0, height=2**32, width=2**32, channels=1)
 
-    @pytest.mark.parametrize("block", [1.5, True, "2", 0])
+    @pytest.mark.parametrize("block", [1.5, True, np.True_, "2", 0, np.int64(0)])
     def test_checker_blocks_are_positive_integers(self, block):
-        with pytest.raises(ValueError, match="block_h and block_w"):
+        with pytest.raises(ValueError, match="^structure_params for 'checker': block_h and block_w "
+                                             "must be integers >= 1$"):
             TrajectoryConfig(steps=1, seed=0, structure_kind="checker",
                              structure_params={"block_w": block})
+
+    def test_numpy_integer_checker_blocks(self):
+        # as every int field does, a checker block takes a numpy integer
+        def config(block_h, block_w):
+            return TrajectoryConfig(steps=1, height=6, width=8, channels=1, structure_kind="checker",
+                                    structure_params={"block_h": block_h, "block_w": block_w})
+
+        blocks = checked_structure_params(config(np.int64(2), np.uint8(3)))
+        assert blocks == {"block_h": 2, "block_w": 3}
+        assert all(type(b) is int for b in blocks.values())
+        np.testing.assert_array_equal(structure_field(config(np.int64(2), np.uint8(3))),
+                                      structure_field(config(2, 3)))
 
     def test_linear_blend_endpoints(self):
         cfg = TrajectoryConfig(steps=5, seed=0)
