@@ -22,9 +22,10 @@ from .rope import RopeSchedule, scale_vector
 from .tensorio import TokenFeatures
 
 # Logits per query block of rotary_entropy: 512 KiB of float64, 16 rows at
-# N=4096. A block and its exp buffer stay in a 2 MiB L2 cache through all five
-# reduction passes, which run under a ufunc buffer of one row (see rotary_entropy).
+# N=4096. A block and its exp buffer stay in a 2 MiB L2 cache through its four
+# or five reduction passes, which run under a ufunc buffer of one row (see rotary_entropy).
 BLOCK_LOGITS = 1 << 16
+RAW_TOP = 128.0  # the largest logit bound at which rotary_entropy exponentiates raw logits
 
 
 def _axis_table(proj: np.ndarray, sched: RopeSchedule, scale, extent: int, c: float) -> np.ndarray:
@@ -85,7 +86,13 @@ def _logit_blocks(grid: np.ndarray, m_h: np.ndarray, m_w: np.ndarray, step: int,
     """
     height, width, rank = grid.shape
     block_buf = np.empty((step, height * width))
-    pairs_buf = np.empty((step, (2 * height - 1) * 2 * rank))
+    pairs_buf = np.empty((step, 2 * height - 1, 2 * rank))
+    # [t | t^T M_H(k + 1 - H)] for query row first + r sits at pairs_buf[r, k],
+    # and lhs_at[first, h', r] views it at k = h' - first - r + H - 1
+    s0, s1, s2 = pairs_buf.strides
+    lhs_at = np.lib.stride_tricks.as_strided(
+        pairs_buf[:, height - 1 :], (height, height, step, 2 * rank), (-s1, s1, s0 - s1, s2)
+    )
     rhs = np.empty((height, 2 * rank, width))
     rhs[:, rank:] = grid.transpose(0, 2, 1)
     by_col = np.ascontiguousarray(grid.transpose(1, 2, 0))  # (w', C, h')
@@ -97,15 +104,9 @@ def _logit_blocks(grid: np.ndarray, m_h: np.ndarray, m_w: np.ndarray, step: int,
         for first in firsts:
             queries = grid[first : first + step, w]
             q = queries.shape[0]
-            # [t | t^T M_H(k + 1 - H)] for query row first + r at [r, k], read as
-            # lhs through a strided (h', r) view at k = h' - first - r + H - 1
-            pairs = np.matmul(queries, m_h_pairs, out=pairs_buf[:q]).reshape(q, -1, 2 * rank)
-            s0, s1, s2 = pairs.strides
-            lhs = np.lib.stride_tricks.as_strided(
-                pairs[:, height - 1 - first :], (height, q, 2 * rank), (s1, s0 - s1, s2)
-            )
+            np.matmul(queries, m_h_pairs, out=pairs_buf[:q].reshape(q, -1))
             block = block_buf[:q]
-            np.matmul(lhs, rhs, out=block.reshape(q, height, width).transpose(1, 0, 2))
+            np.matmul(lhs_at[first, :, :q], rhs, out=block.reshape(q, height, width).transpose(1, 0, 2))
             yield w, first, block
 
 
@@ -121,44 +122,53 @@ def rotary_entropy(
 
     The entropies are flat over the token grid in row-major order, and the logits
     logit_scale * x_rot @ x_rot.T / sqrt(D) of the rotated features come from
-    the tables. With l a row's logits minus the one at its argmax, Z' the sum
+    the tables. With l a row's logits minus the one at its argmax t, Z' the sum
     of e^l over the other keys and S = sum(e^l * l), H = log1p(Z') - S / (1 + Z').
-    Both terms are non-negative, so nothing cancels even on nearly one-hot
-    rows. Five passes: argmax, subtract, exp and two BLAS dots per row, which
-    write Z' and S in place; H is then taken for the whole grid at once.
+    Both terms are non-negative, so nothing cancels even on nearly one-hot rows.
+    Per row: an argmax, an exp, a gemv for Z' and a dot for S, in place.
+
+    No |logit| exceeds peak, the largest self-logit (Cauchy-Schwarz with Q = K;
+    independent keys would give sqrt(max query l_ii * max key l_jj)). If peak <=
+    RAW_TOP, no raw e^l overflows or nears the subnormals below e^-708 (where exp
+    is 20-200x slower), so the sums take raw logits and each row is shifted once
+    at the end, Z' = e^-t Z and S = e^-t (S - t Z), cancelling ~|t| eps per unit
+    of Z' (the GEMM's own rounding). Else, or at a non-finite peak, t is subtracted first.
 
     A block is one query grid column, or part of one within BLOCK_LOGITS, and
-    stays in cache while each of its rows is reduced by its own operations and
-    dots. The block size decides which rows share a GEMM, which BLAS may round
-    differently, so it moves only the last bits.
+    stays in cache while its rows are reduced. The block size decides which rows
+    share a GEMM, which BLAS may round differently, so it moves only the last bits.
 
-    The loop runs under a ufunc buffer of one row (np.setbufsize, restored on
-    return): with numpy's default 8192 elements, the subtract of each row's
-    top logit buffers that (r, 1) column to fuse rows, at three times the cost
-    of a scalar subtract. The buffer size does not change any result.
+    The loop runs under a one-row ufunc buffer (np.setbufsize, restored on return):
+    under numpy's default 8192 elements, the subtract buffers each row's top logit
+    column to fuse rows, at three times the cost. The buffer size moves no result.
     """
     tokens, m_h, m_w = _tables(feats, sched_h, sched_w, scale_h, scale_w, logit_scale)
     height, width, _ = tokens.shape
     n = height * width
     step = min(height, max(1, BLOCK_LOGITS // n))
-    z, s = np.empty((height, width)), np.empty((height, width))
+    z, s, tops = np.empty((height, width)), np.empty((height, width)), np.zeros((height, width))
     exp_buf = np.empty((step, n))
     ones, index = np.ones(n), np.arange(step)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):  # as in _tables
+        raw = np.einsum("hwc,cd,hwd->hw", tokens, m_h[height - 1] + m_w[width - 1], tokens).max() <= RAW_TOP
         # one row, as a multiple of 16 in [16, 2**20] (numpy's range); longer rows go unbuffered
         bufsize = np.setbufsize(max(16, min(n, 1 << 20) // 16 * 16))
         try:
             for w, first, logits in _logit_blocks(tokens, m_h, m_w, step):
                 r = len(logits)
                 top = index[:r], logits.argmax(axis=1)
-                logits -= logits[top][:, None]
+                if raw:
+                    tops[first : first + r, w] = logits[top]
+                else:
+                    logits -= logits[top][:, None]
                 e = np.exp(logits, out=exp_buf[:r])
                 e[top] = 0.0
-                # a dot per row, not a gemv, written straight into Z' and S
-                np.vecdot(e, ones, out=z[first : first + r, w])
+                np.matmul(e, ones, out=z[first : first + r, w])
                 np.vecdot(e, logits, out=s[first : first + r, w])
         finally:
             np.setbufsize(bufsize)
+        scale = np.exp(-tops)  # 1 where tops is 0: then these steps are exact
+        z, s = z * scale, (s - tops * z) * scale
         per_row = np.log1p(z) - s / (1.0 + z)
     per_row = _check_finite(per_row.ravel())
     return per_row, float(per_row.mean())

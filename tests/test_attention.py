@@ -209,6 +209,94 @@ class TestTableLogits:
                 assert block.shape == (1, height * width)
                 assert np.max(np.abs(block[0] - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("height, width, step, parts", [(48, 64, 21, (21, 21, 6)), (51, 51, 25, (25, 25, 1))])
+    def test_remainder_blocks_match_the_rotation_oracle(self, height, width, step, parts):
+        # Each block reads its left operand from one view of the pairs buffer
+        # built per call, at its first row and its row count; the last part of
+        # each column (6 rows, and a one-row gemv) reads the view's last rows.
+        gen = np.random.default_rng(height * width)
+        sh, sw = schedules("ntk_strong", 16)
+        mh, mw = gen.uniform(0.5, 2.0, 8), gen.uniform(0.5, 2.0, 8)
+        tokens, proj = gen.standard_normal((height * width, 4)), gen.standard_normal((4, 32)) / 2.0
+        expected = rotary_logits(tokens @ proj, height, width, sh.theta, sw.theta, mh, mw, 1.3)
+        feats = TokenFeatures(tokens.reshape(height, width, 4), proj)
+        grid, m_h, m_w = attention._tables(feats, sh, sw, mh, mw, 1.3)
+        seen = []
+        for w, first, block in attention._logit_blocks(grid, m_h, m_w, step):
+            want = expected[(first + np.arange(block.shape[0])) * width + w]
+            assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
+            seen.append((w, first, block.shape[0]))
+        starts = range(0, height, step)
+        assert seen == [(w, first, part) for w in range(width) for first, part in zip(starts, parts)]
+        for h, w in [(0, 0), (height // 2, width - 1), (height - 1, 7)]:
+            ((_, _, block),) = attention._logit_blocks(grid, m_h, m_w, 1, query=(h, w))
+            want = expected[h * width + w]
+            assert np.max(np.abs(block[0] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def peak_logit(feats, sh, sw, mh=None, mw=None, logit_scale=1.0):
+    """rotary_entropy's bound: the largest self-logit t^T (M_H(0) + M_W(0)) t."""
+    grid, m_h, m_w = attention._tables(feats, sh, sw, mh, mw, logit_scale)
+    height, width, _ = grid.shape
+    return np.einsum("hwc,cd,hwd->hw", grid, m_h[height - 1] + m_w[width - 1], grid).max()
+
+
+class TestRawAndShiftedPaths:
+    """rotary_entropy sums raw logits when the largest self-logit is at most
+    RAW_TOP and shifts each row once at the end; otherwise it subtracts each
+    row's top logit per block first."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 9), st.sampled_from([1, 4, 16]))
+    @settings(max_examples=25, deadline=None)
+    def test_peak_bounds_every_logit(self, seed, height, width, rank):
+        # Cauchy-Schwarz with Q = K: |l_ij| <= sqrt(l_ii l_jj), so the bound is
+        # attained on the diagonal and no logit exceeds it
+        gen = np.random.default_rng(seed)
+        sh, sw = schedules("ntk", 16)
+        mh, mw = gen.uniform(0.5, 2.0, 8), gen.uniform(0.5, 2.0, 8)
+        tokens, proj = gen.standard_normal((height * width, rank)), gen.standard_normal((rank, 32))
+        logits = rotary_logits(tokens @ proj, height, width, sh.theta, sw.theta, mh, mw, 1.7)
+        feats = TokenFeatures(tokens.reshape(height, width, rank), proj)
+        peak = peak_logit(feats, sh, sw, mh, mw, 1.7)
+        assert np.all(np.abs(logits) <= peak * (1 + 1e-12))
+        assert math.isclose(peak, np.diag(logits).max(), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("height, width",
+                             [(2, 2), (3, 50), (24, 25), (41, 25), (51, 51), (64, 64)])
+    def test_shifted_path_matches_raw(self, rng, monkeypatch, height, width):
+        # With the peak at 0.9 RAW_TOP the raw sums run up to e^115 and their
+        # shift cancels the most; RAW_TOP = 0 sends every call down the shifted path.
+        sh, sw = schedules("yarn", 16)
+        mh, mw = rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8)
+        feats = TokenFeatures(rng.standard_normal((height, width, 4)), rng.standard_normal((4, 32)))
+        logit_scale = 0.9 * attention.RAW_TOP / peak_logit(feats, sh, sw, mh, mw)
+        assert peak_logit(feats, sh, sw, mh, mw, logit_scale) <= attention.RAW_TOP
+        raw = rotary_entropy(feats, sh, sw, mh, mw, logit_scale)[0]
+        monkeypatch.setattr(attention, "RAW_TOP", 0.0)
+        shifted = rotary_entropy(feats, sh, sw, mh, mw, logit_scale)[0]
+        np.testing.assert_allclose(raw, shifted, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("factor", [0.5, 0.99, 2.0, 6.0])
+    def test_near_tie_rows_match_decimal_oracle(self, factor):
+        # Tokens come in neighbouring pairs whose rotated features differ by
+        # ~1e-4, so each row's top two logits nearly tie and S - t Z cancels.
+        # logit_scale puts the largest self-logit at factor * 128 (RAW_TOP's
+        # value, fixed here): below 1 the raw path runs, above it the shifted
+        # one, and at 6 (768) a raw e^l would overflow.
+        height, width, dim = 6, 8, 8
+        gen = np.random.default_rng(31)
+        sh = make_schedule(dim, method="ntk", ratio=2.0)
+        sw = make_schedule(dim, method="pi", ratio=1.5)
+        pairs = np.repeat(gen.standard_normal((height * width // 2, 2 * dim)), 2, axis=0)
+        want = pairs + 1e-4 * gen.standard_normal(pairs.shape)
+        x = rotated_features(want, height, width, -sh.theta, -sw.theta)
+        x_rot = rotated(x, height, width, sh, sw)
+        logit_scale = factor * 128.0 * np.sqrt(2 * dim) / np.max(np.sum(x_rot**2, axis=1))
+        expected = np.array(decimal_entropy(x_rot, logit_scale))
+        per_row, _ = rotary_entropy(dense(x, height, width), sh, sw, logit_scale=logit_scale)
+        rel = np.abs(per_row - expected) / np.maximum(np.abs(expected), 1e-300)
+        assert rel.max() <= 1e-11, (rel.max(), expected[rel.argmax()])
+
 
 class TestExactEntropy:
     """rotary_entropy against stdlib decimal on the same float64 features.
