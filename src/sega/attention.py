@@ -23,9 +23,13 @@ from .tensorio import TokenFeatures
 
 # Logits per query block of rotary_entropy: 512 KiB of float64, 16 rows at
 # N=4096. A block and its exp buffer stay in a 2 MiB L2 cache through its four
-# or five reduction passes, which run under a ufunc buffer of one row (see rotary_entropy).
+# reduction passes (five on the shifted path).
 BLOCK_LOGITS = 1 << 16
-RAW_TOP = 128.0  # the largest logit bound at which rotary_entropy exponentiates raw logits
+# The largest logit bound at which rotary_entropy exponentiates raw logits. For
+# N <= 2**62 tokens the raw sums z <= N e^peak and |s - t z| <= 2 N peak e^peak
+# stay below float64's largest value e^709.78 while peak <= 709.78 -
+# ln(2 * 2**62 * peak) ~ 659; at 640 no raw e^l or e^-t nears the subnormals below e^-708.
+RAW_TOP = 640.0
 
 
 def _axis_table(proj: np.ndarray, sched: RopeSchedule, scale, extent: int, c: float) -> np.ndarray:
@@ -129,18 +133,16 @@ def rotary_entropy(
 
     No |logit| exceeds peak, the largest self-logit (Cauchy-Schwarz with Q = K;
     independent keys would give sqrt(max query l_ii * max key l_jj)). If peak <=
-    RAW_TOP, no raw e^l overflows or nears the subnormals below e^-708 (where exp
-    is 20-200x slower), so the sums take raw logits and each row is shifted once
-    at the end, Z' = e^-t Z and S = e^-t (S - t Z), cancelling ~|t| eps per unit
-    of Z' (the GEMM's own rounding). Else, or at a non-finite peak, t is subtracted first.
+    RAW_TOP, the raw sums Z <= N e^peak and |S - t Z| <= 2 N peak e^peak stay
+    finite for N <= 2**62, and no raw e^l nears the subnormals below e^-708 (where
+    exp is 20-200x slower), so the sums take raw logits and each row is shifted
+    once at the end, Z' = e^-t Z and S = e^-t (S - t Z), cancelling ~|t| eps per
+    unit of Z' (the GEMM's own rounding). Else, or at a non-finite peak, t is
+    subtracted first.
 
     A block is one query grid column, or part of one within BLOCK_LOGITS, and
     stays in cache while its rows are reduced. The block size decides which rows
     share a GEMM, which BLAS may round differently, so it moves only the last bits.
-
-    The loop runs under a one-row ufunc buffer (np.setbufsize, restored on return):
-    under numpy's default 8192 elements, the subtract buffers each row's top logit
-    column to fuse rows, at three times the cost. The buffer size moves no result.
     """
     tokens, m_h, m_w = _tables(feats, sched_h, sched_w, scale_h, scale_w, logit_scale)
     height, width, _ = tokens.shape
@@ -151,22 +153,17 @@ def rotary_entropy(
     ones, index = np.ones(n), np.arange(step)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):  # as in _tables
         raw = np.einsum("hwc,cd,hwd->hw", tokens, m_h[height - 1] + m_w[width - 1], tokens).max() <= RAW_TOP
-        # one row, as a multiple of 16 in [16, 2**20] (numpy's range); longer rows go unbuffered
-        bufsize = np.setbufsize(max(16, min(n, 1 << 20) // 16 * 16))
-        try:
-            for w, first, logits in _logit_blocks(tokens, m_h, m_w, step):
-                r = len(logits)
-                top = index[:r], logits.argmax(axis=1)
-                if raw:
-                    tops[first : first + r, w] = logits[top]
-                else:
-                    logits -= logits[top][:, None]
-                e = np.exp(logits, out=exp_buf[:r])
-                e[top] = 0.0
-                np.matmul(e, ones, out=z[first : first + r, w])
-                np.vecdot(e, logits, out=s[first : first + r, w])
-        finally:
-            np.setbufsize(bufsize)
+        for w, first, logits in _logit_blocks(tokens, m_h, m_w, step):
+            r = len(logits)
+            top = index[:r], logits.argmax(axis=1)
+            if raw:
+                tops[first : first + r, w] = logits[top]
+            else:
+                logits -= logits[top][:, None]
+            e = np.exp(logits, out=exp_buf[:r])
+            e[top] = 0.0
+            np.matmul(e, ones, out=z[first : first + r, w])
+            np.vecdot(e, logits, out=s[first : first + r, w])
         scale = np.exp(-tops)  # 1 where tops is 0: then these steps are exact
         z, s = z * scale, (s - tops * z) * scale
         per_row = np.log1p(z) - s / (1.0 + z)

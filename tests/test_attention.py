@@ -261,28 +261,30 @@ class TestRawAndShiftedPaths:
         assert np.all(np.abs(logits) <= peak * (1 + 1e-12))
         assert math.isclose(peak, np.diag(logits).max(), rel_tol=1e-12)
 
+    @pytest.mark.parametrize("fraction", [0.9, 0.999])
     @pytest.mark.parametrize("height, width",
                              [(2, 2), (3, 50), (24, 25), (41, 25), (51, 51), (64, 64)])
-    def test_shifted_path_matches_raw(self, rng, monkeypatch, height, width):
-        # With the peak at 0.9 RAW_TOP the raw sums run up to e^115 and their
-        # shift cancels the most; RAW_TOP = 0 sends every call down the shifted path.
+    def test_shifted_path_matches_raw(self, rng, monkeypatch, height, width, fraction):
+        # With the peak just below RAW_TOP the raw sums are largest (up to
+        # e^639) and their shift cancels the most; RAW_TOP = 0 sends every call
+        # down the shifted path.
         sh, sw = schedules("yarn", 16)
         mh, mw = rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8)
         feats = TokenFeatures(rng.standard_normal((height, width, 4)), rng.standard_normal((4, 32)))
-        logit_scale = 0.9 * attention.RAW_TOP / peak_logit(feats, sh, sw, mh, mw)
+        logit_scale = fraction * attention.RAW_TOP / peak_logit(feats, sh, sw, mh, mw)
         assert peak_logit(feats, sh, sw, mh, mw, logit_scale) <= attention.RAW_TOP
         raw = rotary_entropy(feats, sh, sw, mh, mw, logit_scale)[0]
         monkeypatch.setattr(attention, "RAW_TOP", 0.0)
         shifted = rotary_entropy(feats, sh, sw, mh, mw, logit_scale)[0]
         np.testing.assert_allclose(raw, shifted, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("factor", [0.5, 0.99, 2.0, 6.0])
-    def test_near_tie_rows_match_decimal_oracle(self, factor):
+    @pytest.mark.parametrize("peak", [64.0, 126.72, 256.0, 634.0, 646.0, 768.0])
+    def test_near_tie_rows_match_decimal_oracle(self, peak):
         # Tokens come in neighbouring pairs whose rotated features differ by
         # ~1e-4, so each row's top two logits nearly tie and S - t Z cancels.
-        # logit_scale puts the largest self-logit at factor * 128 (RAW_TOP's
-        # value, fixed here): below 1 the raw path runs, above it the shifted
-        # one, and at 6 (768) a raw e^l would overflow.
+        # logit_scale puts the largest self-logit at peak. Up to 634 the raw
+        # path runs, from 646 the shifted one (RAW_TOP is 640, fixed here so
+        # that a changed bound moves no case), and at 768 a raw e^l would overflow.
         height, width, dim = 6, 8, 8
         gen = np.random.default_rng(31)
         sh = make_schedule(dim, method="ntk", ratio=2.0)
@@ -291,7 +293,7 @@ class TestRawAndShiftedPaths:
         want = pairs + 1e-4 * gen.standard_normal(pairs.shape)
         x = rotated_features(want, height, width, -sh.theta, -sw.theta)
         x_rot = rotated(x, height, width, sh, sw)
-        logit_scale = factor * 128.0 * np.sqrt(2 * dim) / np.max(np.sum(x_rot**2, axis=1))
+        logit_scale = peak * np.sqrt(2 * dim) / np.max(np.sum(x_rot**2, axis=1))
         expected = np.array(decimal_entropy(x_rot, logit_scale))
         per_row, _ = rotary_entropy(dense(x, height, width), sh, sw, logit_scale=logit_scale)
         rel = np.abs(per_row - expected) / np.maximum(np.abs(expected), 1e-300)
@@ -372,29 +374,33 @@ class TestBlockedRotary:
         np.testing.assert_allclose(per_row, expected, rtol=0, atol=1e-12)
 
     def test_numpy_state_is_the_callers(self, rng):
-        # The reduction runs under a one-row ufunc buffer. The caller's buffer size
-        # and error state are back on return and after the overflow error, which
-        # huge tokens raise past the (finite) tables, and no buffer size the
-        # caller set changes a bit. Nor does a caller's all="raise": 5x tokens
-        # push some e^l below float64's normal range, and that underflow is
-        # rounding, which neither kernel raises.
+        # The caller's buffer size and error state are back on return and after
+        # the overflow error, which huge tokens raise past the (finite) tables,
+        # and no buffer size the caller set changes a bit, on the raw path or on
+        # the shifted one (a peak of 700). Nor does a caller's all="raise": 5x
+        # tokens push some e^l below float64's normal range, and that underflow
+        # is rounding, which neither kernel raises.
         sh, sw = make_schedule(8), make_schedule(8)
-        tokens, proj = rng.standard_normal((51, 51, 4)), rng.standard_normal((4, 16))
+        feats = TokenFeatures(rng.standard_normal((51, 51, 4)), rng.standard_normal((4, 16)))
+        peak = peak_logit(feats, sh, sw)
+        shifted_scale = 700.0 / peak
+        assert peak <= attention.RAW_TOP < peak_logit(feats, sh, sw, logit_scale=shifted_scale)
         results = []
         for bufsize in (16, 8192, 2**20):
             with np.errstate(over="raise", divide="raise"):
                 saved = np.setbufsize(bufsize)
                 try:
                     state = np.geterr()
-                    results.append(rotary_entropy(TokenFeatures(tokens, proj), sh, sw)[0])
+                    results.append([rotary_entropy(feats, sh, sw, logit_scale=scale)[0]
+                                    for scale in (1.0, shifted_scale)])
                     assert (np.getbufsize(), np.geterr()) == (bufsize, state)
                     with pytest.raises(ValueError, match="attention logits overflowed"):
-                        rotary_entropy(TokenFeatures(1e160 * tokens, proj), sh, sw)
+                        rotary_entropy(TokenFeatures(1e160 * feats.tokens, feats.proj), sh, sw)
                     assert (np.getbufsize(), np.geterr()) == (bufsize, state)
                 finally:
                     np.setbufsize(saved)
-        for per_row in results[1:]:
-            assert np.array_equal(per_row, results[0])
+        for raw, shifted in results[1:]:
+            assert np.array_equal(raw, results[0][0]) and np.array_equal(shifted, results[0][1])
         feats = TokenFeatures(5.0 * rng.standard_normal((8, 8, 4)), rng.standard_normal((4, 16)))
         for kernel in (lambda: rotary_entropy(feats, sh, sw)[0],
                        lambda: rotary_attention_row(feats, sh, sw, query=(1, 1))):
@@ -404,20 +410,24 @@ class TestBlockedRotary:
                 assert np.array_equal(kernel(), expected)
                 assert np.geterr() == state
 
+    @pytest.mark.parametrize("path", ["raw", "shifted"])
     @pytest.mark.parametrize("height, width",
                              [(41, 25), (24, 25), (64, 64), (51, 51), (3, 50), (2, 2)])
-    def test_block_size_moves_only_last_bits(self, rng, monkeypatch, height, width):
+    def test_block_size_moves_only_last_bits(self, rng, monkeypatch, height, width, path):
         # The block size decides which query rows share a GEMM (a one-row part
         # goes through gemv), and BLAS kernels may round those differently. So
         # one-row blocks, parts of 5 rows, the default and whole columns agree
         # within a bound, not bitwise: 1e-12 relative, two orders above the
-        # logits' rounding. Token counts off a multiple of 16, and 4 (below the
-        # buffer floor of 16), run under a ufunc buffer shorter or longer than
-        # one row.
+        # logits' rounding. The peaks (138-498) take the raw path at the default
+        # RAW_TOP, and RAW_TOP = 0 sends the same calls down the shifted one.
         n = height * width
         sh, sw = schedules("yarn", 16)
         mh, mw = rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8)
         feats = TokenFeatures(rng.standard_normal((height, width, 4)), rng.standard_normal((4, 32)))
+        if path == "raw":
+            assert peak_logit(feats, sh, sw, mh, mw, 1.5) <= attention.RAW_TOP
+        else:
+            monkeypatch.setattr(attention, "RAW_TOP", 0.0)
         results = []
         for block_logits in (n, 5 * n, attention.BLOCK_LOGITS, height * n):
             monkeypatch.setattr(attention, "BLOCK_LOGITS", block_logits)
