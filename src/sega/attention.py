@@ -23,12 +23,12 @@ from .tensorio import TokenFeatures
 
 # Logits per query block of rotary_entropy: 512 KiB of float64, 16 rows at
 # N=4096. A block and its exp buffer stay in a 2 MiB L2 cache through its four
-# reduction passes (five on the shifted path).
+# reduction passes (five when it is shifted).
 BLOCK_LOGITS = 1 << 16
-# The largest logit bound at which rotary_entropy exponentiates raw logits. For
-# N <= 2**62 tokens the raw sums z <= N e^peak and |s - t z| <= 2 N peak e^peak
-# stay below float64's largest value e^709.78 while peak <= 709.78 -
-# ln(2 * 2**62 * peak) ~ 659; at 640 no raw e^l or e^-t nears the subnormals below e^-708.
+# The largest |row top| t at which rotary_entropy exponentiates a block's raw
+# logits. No logit of a row exceeds its t, so over N <= 2**62 keys z <= N e^t and
+# |s|, |t z| <= N t e^t stay below float64's largest value e^709.78 while t <=
+# 709.78 - ln(2**62 * t) ~ 660, and no e^-t nears the subnormals below e^-708.
 RAW_TOP = 640.0
 
 
@@ -131,14 +131,11 @@ def rotary_entropy(
     Both terms are non-negative, so nothing cancels even on nearly one-hot rows.
     Per row: an argmax, an exp, a gemv for Z' and a dot for S, in place.
 
-    No |logit| exceeds peak, the largest self-logit (Cauchy-Schwarz with Q = K;
-    independent keys would give sqrt(max query l_ii * max key l_jj)). If peak <=
-    RAW_TOP, the raw sums Z <= N e^peak and |S - t Z| <= 2 N peak e^peak stay
-    finite for N <= 2**62, and no raw e^l nears the subnormals below e^-708 (where
-    exp is 20-200x slower), so the sums take raw logits and each row is shifted
-    once at the end, Z' = e^-t Z and S = e^-t (S - t Z), cancelling ~|t| eps per
-    unit of Z' (the GEMM's own rounding). Else, or at a non-finite peak, t is
-    subtracted first.
+    Each block takes its row tops t from the argmax. If every |t| is at most
+    RAW_TOP, its sums take raw logits, which stay finite (see RAW_TOP), and each
+    row is shifted once at the end, Z' = e^-t Z and S = e^-t (S - t Z), cancelling
+    ~|t| eps per unit of Z' (the GEMM's own rounding). Else, or at a non-finite t,
+    the block subtracts t first.
 
     A block is one query grid column, or part of one within BLOCK_LOGITS, and
     stays in cache while its rows are reduced. The block size decides which rows
@@ -152,14 +149,14 @@ def rotary_entropy(
     exp_buf = np.empty((step, n))
     ones, index = np.ones(n), np.arange(step)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):  # as in _tables
-        raw = np.einsum("hwc,cd,hwd->hw", tokens, m_h[height - 1] + m_w[width - 1], tokens).max() <= RAW_TOP
         for w, first, logits in _logit_blocks(tokens, m_h, m_w, step):
             r = len(logits)
             top = index[:r], logits.argmax(axis=1)
-            if raw:
-                tops[first : first + r, w] = logits[top]
+            t = logits[top]
+            if np.abs(t).max() <= RAW_TOP:
+                tops[first : first + r, w] = t
             else:
-                logits -= logits[top][:, None]
+                logits -= t[:, None]
             e = np.exp(logits, out=exp_buf[:r])
             e[top] = 0.0
             np.matmul(e, ones, out=z[first : first + r, w])

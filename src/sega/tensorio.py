@@ -38,23 +38,7 @@ _STREAM_FEATURES = 2
 
 
 class LatentIOError(Exception):
-    """Base class for SEGL read/write failures."""
-
-
-class BadMagicError(LatentIOError):
-    pass
-
-
-class VersionMismatchError(LatentIOError):
-    pass
-
-
-class TruncatedPayloadError(LatentIOError):
-    pass
-
-
-class NonFiniteValuesError(LatentIOError):
-    pass
+    """A SEGL file that cannot be read as a latent grid; the message names the file."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,24 +373,22 @@ def write_latent(grid: LatentGrid, path) -> None:
 
 
 def read_latent(path) -> LatentGrid:
+    """The grid a SEGL file holds. A format fault, or a grid LatentGrid refuses,
+    raises LatentIOError."""
     raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != MAGIC:
-        raise BadMagicError(f"{path}: not a SEGL file")
-    if len(raw) < 5 or raw[4] != VERSION:
-        got = raw[4] if len(raw) >= 5 else None
-        raise VersionMismatchError(f"{path}: unsupported version {got!r}")
+    if raw[:4] != MAGIC:
+        raise LatentIOError(f"{path}: not a SEGL file")
+    if raw[4:5] != bytes([VERSION]):
+        raise LatentIOError(f"{path}: unsupported version {raw[4] if len(raw) > 4 else None!r}")
     if len(raw) < 17:
-        raise TruncatedPayloadError(f"{path}: header truncated")
+        raise LatentIOError(f"{path}: header truncated")
     h, w, c = struct.unpack("<III", raw[5:17])
-    if h < 2 or w < 2 or c < 1:
-        raise LatentIOError(f"{path}: invalid dimensions {h}x{w}x{c}")
-    expected = h * w * c * 4
     payload = raw[17:]
-    if len(payload) != expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {len(payload) // 4} floats, header declares {h * w * c}"
+    if len(payload) != h * w * c * 4:
+        raise LatentIOError(
+            f"{path}: payload holds {len(payload)} bytes, not the {h * w * c * 4} of {h}x{w}x{c} floats"
         )
-    vals = np.frombuffer(payload, dtype="<f4").reshape(h, w, c)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteValuesError(f"{path}: payload contains NaN or Inf")
-    return LatentGrid(vals)
+    try:
+        return LatentGrid(np.frombuffer(payload, dtype="<f4").reshape(h, w, c))
+    except ValueError as exc:
+        raise LatentIOError(f"{path}: {exc}") from exc

@@ -234,17 +234,23 @@ class TestTableLogits:
             assert np.max(np.abs(block[0] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def peak_logit(feats, sh, sw, mh=None, mw=None, logit_scale=1.0):
-    """rotary_entropy's bound: the largest self-logit t^T (M_H(0) + M_W(0)) t."""
+def self_logits(feats, sh, sw, mh=None, mw=None, logit_scale=1.0):
+    """The (H, W) self-logits t^T (M_H(0) + M_W(0)) t; each is at most its row's top."""
     grid, m_h, m_w = attention._tables(feats, sh, sw, mh, mw, logit_scale)
     height, width, _ = grid.shape
-    return np.einsum("hwc,cd,hwd->hw", grid, m_h[height - 1] + m_w[width - 1], grid).max()
+    return np.einsum("hwc,cd,hwd->hw", grid, m_h[height - 1] + m_w[width - 1], grid)
+
+
+def peak_logit(feats, sh, sw, mh=None, mw=None, logit_scale=1.0):
+    """The largest self-logit. With Q = K it bounds every logit, so at most
+    RAW_TOP every block of rotary_entropy sums raw logits."""
+    return self_logits(feats, sh, sw, mh, mw, logit_scale).max()
 
 
 class TestRawAndShiftedPaths:
-    """rotary_entropy sums raw logits when the largest self-logit is at most
-    RAW_TOP and shifts each row once at the end; otherwise it subtracts each
-    row's top logit per block first."""
+    """rotary_entropy sums a block's raw logits when none of its row tops
+    exceeds RAW_TOP in magnitude and shifts each row once at the end; otherwise
+    the block subtracts each row's top logit first."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 9), st.sampled_from([1, 4, 16]))
     @settings(max_examples=25, deadline=None)
@@ -278,13 +284,36 @@ class TestRawAndShiftedPaths:
         shifted = rotary_entropy(feats, sh, sw, mh, mw, logit_scale)[0]
         np.testing.assert_allclose(raw, shifted, rtol=1e-12, atol=0)
 
+    def test_one_shifted_column_among_raw_ones(self, monkeypatch):
+        # Token (3, 5)'s self-logit is 720, past RAW_TOP (a raw e^720 would
+        # overflow), so its query column, one block of 8 x 8 tokens, must
+        # shift. Every other self-logit is at most 40, so by Cauchy-Schwarz no
+        # other row top passes sqrt(720 * 40) ~ 170, and those columns sum raw.
+        height, width, dim = 8, 8, 8
+        gen = np.random.default_rng(33)
+        sh = make_schedule(dim, method="ntk", ratio=2.0)
+        sw = make_schedule(dim, method="pi", ratio=1.5)
+        x = gen.standard_normal((height * width, 2 * dim))
+        logit_scale = 40.0 * np.sqrt(2 * dim) / np.max(np.sum(x**2, axis=1))
+        big = 3 * width + 5
+        x[big] *= np.sqrt(720.0 * np.sqrt(2 * dim) / logit_scale / np.sum(x[big] ** 2))
+        tops = rotary_logits(x, height, width, sh.theta, sw.theta, logit_scale=logit_scale).max(axis=1)
+        assert tops[big] > 709.79 and np.delete(tops, big).max() <= 170.0
+        expected = np.array(decimal_entropy(rotated(x, height, width, sh, sw), logit_scale))
+        mixed, _ = rotary_entropy(dense(x, height, width), sh, sw, logit_scale=logit_scale)
+        np.testing.assert_allclose(mixed, expected, rtol=1e-12, atol=0)
+        monkeypatch.setattr(attention, "RAW_TOP", 0.0)
+        shifted, _ = rotary_entropy(dense(x, height, width), sh, sw, logit_scale=logit_scale)
+        np.testing.assert_allclose(mixed, shifted, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("peak", [64.0, 126.72, 256.0, 634.0, 646.0, 768.0])
     def test_near_tie_rows_match_decimal_oracle(self, peak):
         # Tokens come in neighbouring pairs whose rotated features differ by
         # ~1e-4, so each row's top two logits nearly tie and S - t Z cancels.
-        # logit_scale puts the largest self-logit at peak. Up to 634 the raw
-        # path runs, from 646 the shifted one (RAW_TOP is 640, fixed here so
-        # that a changed bound moves no case), and at 768 a raw e^l would overflow.
+        # logit_scale puts the largest self-logit at peak. Up to 634 every
+        # block sums raw; from 646 the blocks with a row top past 640 shift
+        # (RAW_TOP is 640, fixed here so that a changed bound moves no case),
+        # and at 768 a raw e^l would overflow.
         height, width, dim = 6, 8, 8
         gen = np.random.default_rng(31)
         sh = make_schedule(dim, method="ntk", ratio=2.0)
@@ -377,14 +406,16 @@ class TestBlockedRotary:
         # The caller's buffer size and error state are back on return and after
         # the overflow error, which huge tokens raise past the (finite) tables,
         # and no buffer size the caller set changes a bit, on the raw path or on
-        # the shifted one (a peak of 700). Nor does a caller's all="raise": 5x
-        # tokens push some e^l below float64's normal range, and that underflow
-        # is rounding, which neither kernel raises.
+        # the shifted one. Every self-logit, and so every row top, is 350 at
+        # logit scale 0.5 (raw) and 700 at 1 (shifted). Nor does a caller's
+        # all="raise": 5x tokens push some e^l below float64's normal range,
+        # and that underflow is rounding, which neither kernel raises.
         sh, sw = make_schedule(8), make_schedule(8)
         feats = TokenFeatures(rng.standard_normal((51, 51, 4)), rng.standard_normal((4, 16)))
-        peak = peak_logit(feats, sh, sw)
-        shifted_scale = 700.0 / peak
-        assert peak <= attention.RAW_TOP < peak_logit(feats, sh, sw, logit_scale=shifted_scale)
+        stretch = np.sqrt(700.0 / self_logits(feats, sh, sw))[..., None]
+        feats = TokenFeatures(stretch * feats.tokens, feats.proj)
+        assert attention.RAW_TOP < self_logits(feats, sh, sw).min()
+        assert peak_logit(feats, sh, sw, logit_scale=0.5) <= attention.RAW_TOP
         results = []
         for bufsize in (16, 8192, 2**20):
             with np.errstate(over="raise", divide="raise"):
@@ -392,7 +423,7 @@ class TestBlockedRotary:
                 try:
                     state = np.geterr()
                     results.append([rotary_entropy(feats, sh, sw, logit_scale=scale)[0]
-                                    for scale in (1.0, shifted_scale)])
+                                    for scale in (0.5, 1.0)])
                     assert (np.getbufsize(), np.geterr()) == (bufsize, state)
                     with pytest.raises(ValueError, match="attention logits overflowed"):
                         rotary_entropy(TokenFeatures(1e160 * feats.tokens, feats.proj), sh, sw)

@@ -2,9 +2,10 @@
 
 numpy's OpenBLAS chooses its GEMM kernel by CPU, and kernels may round a row
 differently, so each digest in tests/test_golden.py must hold under every
-family. OPENBLAS_CORETYPE is read when numpy loads, so each family runs that
-one file in its own process; it runs no other test file, so this module never
-starts itself again.
+family, at one BLAS thread and at two (a threaded split may round a row
+differently too). OPENBLAS_CORETYPE and OPENBLAS_NUM_THREADS are read when
+numpy loads, so each case runs that one file in its own process; it runs no
+other test file, so this module never starts itself again.
 """
 
 import os
@@ -19,9 +20,10 @@ import sega
 TESTS = Path(__file__).resolve().parent
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("core", ["Nehalem", "Sandybridge", "Haswell"])
-def test_goldens_hold_under_core_type(core):
-    env = dict(os.environ, OPENBLAS_CORETYPE=core)
+def test_goldens_hold_under_core_type(core, threads):
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS=threads)
     src = str(Path(sega.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     res = subprocess.run(

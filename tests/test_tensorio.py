@@ -1,10 +1,12 @@
 """Latent grid type, SEGL round-trips, and generator determinism."""
 
 import math
+import struct
 from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,12 +23,9 @@ from sega import (
     token_features,
     write_latent,
 )
+from sega.cli import main
 from sega.tensorio import (
-    BadMagicError,
     LatentIOError,
-    NonFiniteValuesError,
-    TruncatedPayloadError,
-    VersionMismatchError,
     _normalize_field,
     checked_structure_params,
     structure_field,
@@ -131,6 +130,12 @@ class TestCenterMap:
         assert abs(out.sum()) <= 1e-6 * h * w
 
 
+def segl(h=2, w=2, c=1, values=None, version=1):
+    """A SEGL file's bytes: its header for h x w x c and values (h * w * c ones if None)."""
+    values = np.ones(h * w * c) if values is None else values
+    return b"SEGL" + bytes([version]) + struct.pack("<III", h, w, c) + np.asarray(values, "<f4").tobytes()
+
+
 class TestSeglFormat:
     @given(st.integers(2, 9), st.integers(2, 9), st.integers(1, 3), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -143,44 +148,32 @@ class TestSeglFormat:
         assert (back.height, back.width, back.channels) == (h, w, c)
         np.testing.assert_array_equal(back.values, grid.values)
 
-    def test_bad_magic(self, tmp_path):
+    @pytest.mark.parametrize("data, fault", [
+        (b"", "not a SEGL file"),
+        (b"XXXX" + bytes(20), "not a SEGL file"),
+        (segl(version=2), "unsupported version 2"),
+        (segl()[:16], "header truncated"),
+        (segl()[:-4], "payload holds 12 bytes, not the 16 of 2x2x1 floats"),
+        (segl() + bytes(4), "payload holds 20 bytes, not the 16 of 2x2x1 floats"),
+        (segl(values=[1.0, math.nan, 1.0, 1.0]), "grid values must be finite"),
+        (segl(values=[1.0, 1.0, math.inf, 1.0]), "grid values must be finite"),
+        (segl(values=[-math.inf, 1.0, 1.0, 1.0]), "grid values must be finite"),
+        (segl(1, 4, 1), "grid must be at least 2x2, got 1x4"),
+        (segl(2, 2, 0), "grid needs at least one channel"),
+    ], ids=["empty", "bad_magic", "version_2", "header_16_bytes", "payload_short", "payload_long",
+            "nan", "pos_inf", "neg_inf", "dims_1x4", "zero_channels"])
+    def test_malformed_file_names_its_path_and_fault(self, tmp_path, data, fault):
+        # Each fault is a LatentIOError, whether the reader or LatentGrid finds
+        # it, so every command that reads a latent exits 3 on it.
         path = tmp_path / "bad.segl"
-        path.write_bytes(b"XXXX" + bytes(20))
-        with pytest.raises(BadMagicError):
+        path.write_bytes(data)
+        message = f"{path}: {fault}"
+        with pytest.raises(LatentIOError) as info:
             read_latent(path)
-
-    def test_version_mismatch(self, tmp_path):
-        path = tmp_path / "v2.segl"
-        path.write_bytes(b"SEGL" + bytes([2]) + bytes(12))
-        with pytest.raises(VersionMismatchError):
-            read_latent(path)
-
-    def test_truncated_payload(self, tmp_path):
-        grid = LatentGrid(np.zeros((4, 4, 1)))
-        path = tmp_path / "trunc.segl"
-        write_latent(grid, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-4])  # drop one float: 15 present vs 16 declared
-        with pytest.raises(TruncatedPayloadError):
-            read_latent(path)
-
-    def test_non_finite_payload(self, tmp_path):
-        grid = LatentGrid(np.ones((2, 2, 1)))
-        path = tmp_path / "nan.segl"
-        write_latent(grid, path)
-        raw = bytearray(path.read_bytes())
-        raw[17:21] = np.float32(np.nan).tobytes()
-        path.write_bytes(bytes(raw))
-        with pytest.raises(NonFiniteValuesError):
-            read_latent(path)
-
-    def test_invalid_header_dims(self, tmp_path):
-        import struct
-
-        path = tmp_path / "thin.segl"
-        path.write_bytes(b"SEGL" + bytes([1]) + struct.pack("<III", 1, 4, 1) + bytes(16))
-        with pytest.raises(LatentIOError):
-            read_latent(path)
+        assert str(info.value) == message
+        res = CliRunner().invoke(main, ["modulate", "--latent", str(path)])
+        assert res.exit_code == 3
+        assert message in res.stderr and res.stdout == ""
 
 
 class TestTrajectoryConfig:
