@@ -184,7 +184,8 @@ class TestTableLogits:
         # Whole query columns and parts of 5 rows (41 = 8 * 5 + 1 leaves a one-row
         # part); on a one-row grid the left operand's view has a zero query-row
         # stride. The bound is relative to the block's largest logit: the two
-        # forms sum the same products in different orders and groupings.
+        # forms sum the same products in different orders and groupings. Every
+        # block starts on a 64-byte line, wherever the process's heap puts it.
         gen = np.random.default_rng(height * width + rank)
         dim = 16
         sh, sw = schedules(method, dim)
@@ -199,6 +200,7 @@ class TestTableLogits:
             for w, first, block in attention._logit_blocks(grid, m_h, m_w, step):
                 want = expected[(first + np.arange(block.shape[0])) * width + w]
                 assert np.max(np.abs(block - want)) <= 1e-13 * np.max(np.abs(want))
+                assert block.ctypes.data % 64 == 0
                 seen += block.shape[0]
             assert seen == height * width
         # the one-query block that rotary_attention_row takes, at the grid's corners
@@ -206,7 +208,7 @@ class TestTableLogits:
             for w in (0, width - 1):
                 ((_, _, block),) = attention._logit_blocks(grid, m_h, m_w, 1, query=(h, w))
                 want = expected[h * width + w]
-                assert block.shape == (1, height * width)
+                assert block.shape == (1, height * width) and block.ctypes.data % 64 == 0
                 assert np.max(np.abs(block[0] - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("height, width, step, parts", [(48, 64, 21, (21, 21, 6)), (51, 51, 25, (25, 25, 1))])
