@@ -3,12 +3,15 @@
 Exit codes: 0 success, 2 usage or config error, 3 I/O error (latent files,
 output files and directories); every subcommand's body is mapped to them
 once, by its command class. All numeric output is formatted at 9
-significant digits so identical configs yield byte-identical files.
+significant digits so identical configs yield byte-identical files: at one
+BLAS thread, and at the golden sizes, which are tested at one and two (two
+threads can move the low bits of larger grids' entropies; ROADMAP item 10).
 """
 
 from __future__ import annotations
 
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -208,25 +211,19 @@ def attention_flags(fn):
                       callback=_positive_finite, help="Extra uniform logit factor.")(fn)
     fn = click.option("--feature-seed", type=click.IntRange(min=0), default=0, show_default=True,
                       help="Seed for the token feature projection.")(fn)
-    fn = click.option("--fixed-value", type=float, default=None, callback=_positive_finite,
-                      help="Uniform magnitude for --scaling fixed (default: the reference scale).")(fn)
     fn = click.option("--scaling", type=click.Choice(SCALING_MODES), default="none",
                       show_default=True, help="Rotary magnitude mode.")(fn)
     fn = click.option("--config", "config_path", default=None, help="Experiment config JSON.")(fn)
     return fn
 
 
-def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed):
+def _attention_setup(grid, config_path, scaling, feature_seed):
     """(features, sched_h, sched_w, m_h, m_w) for the attention calls."""
-    if scaling != "fixed" and fixed_value is not None:
-        raise click.UsageError("--fixed-value is only valid with --scaling fixed")
     cfg = load_experiment_config({} if config_path is None else config_path)
     rope_p = cfg.rope
     sched_h, sched_w = axis_schedules(rope_p, rope_p.method, grid.height, grid.width)
     profiles = spectral.analyze(grid, cfg.sega.n_bins_iso) if scaling == "sega" else None
-    m_h, m_w = scaling_vectors(
-        scaling, profiles, sched_h, sched_w, rope_p.ratio_scalar, cfg.sega, fixed_value
-    )
+    m_h, m_w = scaling_vectors(scaling, profiles, sched_h, sched_w, rope_p.ratio_scalar, cfg.sega)
     feats = token_features(grid, 2 * rope_p.dim, feature_seed, 0)
     return feats, sched_h, sched_w, m_h, m_w
 
@@ -236,11 +233,10 @@ def _attention_setup(grid, config_path, scaling, fixed_value, feature_seed):
 @click.option("--query-h", type=int, required=True, help="Query token row.")
 @click.option("--query-w", type=int, required=True, help="Query token column.")
 @attention_flags
-def attn_map(latent_path, query_h, query_w, config_path, scaling, fixed_value,
-             feature_seed, logit_scale):
+def attn_map(latent_path, query_h, query_w, config_path, scaling, feature_seed, logit_scale):
     """Emit one query token's attention weights over the 2D grid as CSV."""
     grid = read_latent(latent_path)
-    args = _attention_setup(grid, config_path, scaling, fixed_value, feature_seed)
+    args = _attention_setup(grid, config_path, scaling, feature_seed)
     row = rotary_attention_row(*args, logit_scale, query=(query_h, query_w))
     cells = fmt_floats(row)
     width = grid.width
@@ -251,10 +247,10 @@ def attn_map(latent_path, query_h, query_w, config_path, scaling, fixed_value,
 @main.command(epilog=CONFIG_EPILOG)
 @click.option("--latent", "latent_path", required=True, help="Path to a SEGL latent file.")
 @attention_flags
-def entropy(latent_path, config_path, scaling, fixed_value, feature_seed, logit_scale):
+def entropy(latent_path, config_path, scaling, feature_seed, logit_scale):
     """Emit per-token attention entropies as CSV, with a trailing mean row."""
     grid = read_latent(latent_path)
-    args = _attention_setup(grid, config_path, scaling, fixed_value, feature_seed)
+    args = _attention_setup(grid, config_path, scaling, feature_seed)
     per_row, mean = rotary_entropy(*args, logit_scale)
     width = grid.width
     lines = [f"{i},{i // width},{i % width},{cell}\n" for i, cell in enumerate(fmt_floats(per_row))]
@@ -265,9 +261,7 @@ def _prepare_out_dir(out_dir: str) -> Path:
     path = Path(out_dir)
     try:
         path.mkdir(parents=True, exist_ok=True)
-        probe = path / ".writable"
-        probe.write_text("")
-        probe.unlink()
+        tempfile.TemporaryFile(dir=path).close()
     except OSError as exc:
         raise FileError(f"output directory not writable: {exc}")
     return path

@@ -131,17 +131,13 @@ def scaling_vectors(
     sched_w: RopeSchedule,
     ratio: float,
     sega_cfg: SegaConfig,
-    fixed_value: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(m_h, m_w) for one scaling mode; only "sega" reads the latent's profiles.
-
-    "fixed" fills every dimension with fixed_value, or with m_ref when it is None.
-    """
+    """(m_h, m_w) for one scaling mode; only "sega" reads the latent's profiles."""
     half = sched_h.dim // 2
     if scaling == "none":
         return np.ones(half), np.ones(half)
     if scaling == "fixed":
-        value = reference_scale(ratio, sega_cfg) if fixed_value is None else fixed_value
+        value = reference_scale(ratio, sega_cfg)
         return np.full(half, value), np.full(half, value)
     result = spectral.modulate_detailed(profiles, sched_h, sched_w, ratio, sega_cfg)
     return result.vec_h.m, result.vec_w.m

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -284,17 +286,10 @@ class TestAttnMapAndEntropy:
         assert res.stdout == ""
 
     def test_fixed_scale_changes_only_logit_sharpness(self, runner, noise_latent):
-        base = runner.invoke(
-            main,
-            ["attn-map", "--latent", str(noise_latent), "--query-h", "0", "--query-w", "0",
-             "--scaling", "none"],
-        )
+        argv = ["attn-map", "--latent", str(noise_latent), "--query-h", "0", "--query-w", "0"]
+        base = runner.invoke(main, argv)
         c = 2.0
-        scaled = runner.invoke(
-            main,
-            ["attn-map", "--latent", str(noise_latent), "--query-h", "0", "--query-w", "0",
-             "--scaling", "fixed", "--fixed-value", str(c)],
-        )
+        scaled = runner.invoke(main, [*argv, "--logit-scale", repr(c * c)])
         assert base.exit_code == 0 and scaled.exit_code == 0
         _, rows_a = parse_csv(base.output)
         _, rows_b = parse_csv(scaled.output)
@@ -303,14 +298,27 @@ class TestAttnMapAndEntropy:
         expected = dense_softmax(c**2 * np.log(w1))
         np.testing.assert_allclose(w2, expected, atol=5e-6)
 
+    @pytest.mark.parametrize("shape", [(16, 16, 4), (48, 64, 4)], ids=["16x16", "48x64"])
     @pytest.mark.parametrize("command", ["attn-map", "entropy"])
-    @pytest.mark.parametrize("scaling", ["none", "sega"])
-    def test_fixed_value_only_with_fixed_scaling(self, runner, noise_latent, command, scaling):
+    def test_fixed_scaling_is_the_logit_scale_m_ref_squared(self, runner, tmp_path, shape, command):
+        # a magnitude m_ref on every rotary component multiplies every logit by m_ref**2
+        latent = tmp_path / "latent.segl"
+        write_latent(LatentGrid(np.random.default_rng(11).standard_normal(shape)), latent)
+        config = tmp_path / "ratio.json"
+        config.write_text('{"rope": {"method": "pi", "dim": 16, "ratio": 3}}')
+        cfg = load_experiment_config(str(config))
+        m_ref = reference_scale(cfg.rope.ratio_scalar, cfg.sega)
+        assert m_ref > 1.0
         query = QUERY if command == "attn-map" else []
-        res = runner.invoke(main, [command, "--latent", str(noise_latent), *query,
-                                   "--scaling", scaling, "--fixed-value", "3"])
+        argv = [command, "--latent", str(latent), "--config", str(config), *query]
+        fixed = runner.invoke(main, [*argv, "--scaling", "fixed"])
+        scaled = runner.invoke(main, [*argv, "--scaling", "none", "--logit-scale", repr(m_ref**2)])
+        assert fixed.exit_code == 0 and scaled.exit_code == 0, (fixed.output, scaled.output)
+        assert fixed.stdout_bytes == scaled.stdout_bytes
+        # the removed uniform-magnitude flag is an unknown option, not silently ignored
+        res = runner.invoke(main, [*argv, "--scaling", "fixed", "--fixed-value", "1.12"])
         assert res.exit_code == 2, res.output
-        assert "--fixed-value is only valid with --scaling fixed" in res.output
+        assert "No such option" in res.output and "--fixed-value" in res.output
         assert res.stdout == ""
 
     def test_entropy_rows_and_mean(self, runner, noise_latent):
@@ -388,6 +396,19 @@ class TestTrajectoryCommand:
         assert res.exit_code == 3, res.output
         assert name in res.output
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("command", ["trajectory", "heatmap"])
+    def test_out_dir_probe_leaves_user_files(self, runner, tmp_path, command):
+        # the writability probe once wrote and deleted out_dir/.writable
+        keep = tmp_path / "out" / ".writable"
+        keep.parent.mkdir()
+        keep.write_text("keep me")
+        res, out = run_config(runner, tmp_path, command, small_config())
+        assert res.exit_code == 0, res.output
+        assert keep.read_text() == "keep me"
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [".writable", *(EXPECTED_FILES if command == "trajectory"
+                            else ["spectral_heatmap.csv", "summary.json"])])
 
     @pytest.mark.parametrize("key, axis", [("block_h", "height"), ("block_w", "width")])
     def test_checker_block_past_a_c_long_runs(self, runner, tmp_path, key, axis):
@@ -584,8 +605,17 @@ RANGE_FAULTS = {
     "baseline_grid_unknown": (small_config({"baseline": {"name": "b", "grid": "x"}}),
                               "trajectory.baseline.grid"),
 }
+# Each config breaks one rule of the config's shape; (config, its message). All exit 2.
+SHAPE_FAULTS = {
+    "root_not_an_object": ([small_config()], "config root must be a JSON object"),
+    "method_names_repeated": (small_config({"methods": [{"name": "a"}, {"name": "a"}]}),
+                              "method names must be unique"),
+    "baseline_named_like_a_method": (small_config({"methods": [{"name": "baseline"}]}),
+                                     "baseline name collides with a method name"),
+}
 MALFORMED_CONFIGS.update(
-    {case: (cfg, 2) for faults in (TYPED_FAULTS, RANGE_FAULTS) for case, (cfg, _) in faults.items()}
+    {case: (cfg, 2) for faults in (TYPED_FAULTS, RANGE_FAULTS, SHAPE_FAULTS)
+     for case, (cfg, _) in faults.items()}
 )
 
 
@@ -620,6 +650,15 @@ class TestMalformedConfigs:
         assert f"{key} " in res.output
         assert res.stdout == ""
         assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("command", ["trajectory", "heatmap"])
+    @pytest.mark.parametrize("case", sorted(SHAPE_FAULTS))
+    def test_shape_fault_states_its_rule(self, runner, tmp_path, command, case):
+        cfg, message = SHAPE_FAULTS[case]
+        res, _ = run_config(runner, tmp_path, command, cfg)
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("command", ["trajectory", "heatmap"])
     def test_ratio_shorthand_fault_names_the_shorthand(self, runner, tmp_path, command):
@@ -747,6 +786,20 @@ class TestConfigSchema:
         assert scope["files"]["summary.json"]["scaling_map_method"] == "sega"
         assert scope["per_token"].shape == (64 * 64,)
 
+    def test_readme_cli_block_runs(self, runner, tmp_path, monkeypatch):
+        text = (REPO / "README.md").read_text()
+        block = next(b for b in text.split("```sh\n")[1:] if "sega rope-table" in b.split("```")[0])
+        lines = [l for l in block.split("```", 1)[0].splitlines() if l.startswith("sega ")]
+        assert lines
+        write_latent(LatentGrid(np.random.default_rng(6).standard_normal((16, 16, 4))),
+                     tmp_path / "latent.segl")
+        shutil.copytree(REPO / "configs", tmp_path / "configs")
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            res = runner.invoke(main, shlex.split(line)[1:])
+            assert res.exit_code == 0, (line, res.output)
+        assert (tmp_path / "out" / "summary.json").is_file()
+
     @pytest.mark.parametrize("blend", [{"kind": "linear"}, {"kind": "constant", "value": 0.5}])
     def test_untabled_blend_loads_in_constant_memory(self, blend, monkeypatch):
         # only a table has a weight per step to check; a million-step linear blend
@@ -813,9 +866,6 @@ FLAG_FAULTS = {
     "entropy_logit_scale_inf": ["entropy", "--logit-scale", "inf"],
     "entropy_logit_scale_overflow": ["entropy", "--logit-scale", "1e308"],
     "attn_map_logit_scale_overflow": ["attn-map", *QUERY, "--logit-scale", "1e308"],
-    "entropy_fixed_value_nan": ["entropy", "--scaling", "fixed", "--fixed-value", "nan"],
-    "attn_map_fixed_value_inf": ["attn-map", *QUERY, "--scaling", "fixed", "--fixed-value", "inf"],
-    "entropy_fixed_value_overflow": ["entropy", "--scaling", "fixed", "--fixed-value", "1e300"],
     "entropy_feature_seed_negative": ["entropy", "--feature-seed", "-1"],
     "attn_map_feature_seed_negative": ["attn-map", *QUERY, "--feature-seed", "-1"],
 }
@@ -937,9 +987,7 @@ FLAG_SWEEP = {
     "attn_map_query_w": ("attn-map", ["--query-h", "3"], "--query-w"),
     **{f"{cmd.replace('-', '_')}_{scaling}_{flag[2:]}": (cmd, [*query, "--scaling", scaling], flag)
        for cmd, query in (("attn-map", QUERY), ("entropy", []))
-       for scaling, flag in [("fixed", "--fixed-value")] + [
-           (scaling, flag) for scaling in ("none", "fixed", "sega")
-           for flag in ("--logit-scale", "--feature-seed")]},
+       for scaling in ("none", "fixed", "sega") for flag in ("--logit-scale", "--feature-seed")},
 }
 
 

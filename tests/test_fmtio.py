@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sega.fmtio import csv_line, csv_text, fmt, fmt_floats
+from sega.fmtio import canonical_json, csv_line, csv_text, fmt, fmt_floats
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -43,3 +43,10 @@ class TestCsvText:
         assert csv_line([True, np.int64(3), 7, "s", np.float32(0.1), -0.0]) == (
             "true,3,7,s,0.100000001,-0"
         )
+
+
+class TestCanonicalJson:
+    @pytest.mark.parametrize("value, name", [(object(), "object"), ({1, 2}, "set"), (1j, "complex")])
+    def test_unknown_type_raises(self, value, name):
+        with pytest.raises(TypeError, match=f"cannot serialize {name} canonically"):
+            canonical_json({"a": [value]})

@@ -7,6 +7,7 @@ import pytest
 
 from sega import (
     RopeParams,
+    RopeSchedule,
     YarnParams,
     base_frequencies,
     dype_ratio,
@@ -149,8 +150,11 @@ class TestYarn:
             yarn_temperature(0.5)
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need 0 < alpha < beta"):
             YarnParams(alpha=2.0, beta=1.0, train_len=64.0)
+        for train_len in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="train_len must be finite and > 0"):
+                YarnParams(train_len=train_len)
 
 
 class TestDype:
@@ -170,8 +174,24 @@ class TestDype:
         np.testing.assert_allclose(late.theta, full.theta, rtol=1e-12)
 
     def test_time_domain_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
             dype_ratio(4.0, 1.5)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.inf, math.nan])
+    def test_exponent_checked(self, p):
+        with pytest.raises(ValueError, match="dype_p must be finite and > 0"):
+            dype_ratio(4.0, 0.5, p)
+
+
+RATIO_CHECKS = [
+    lambda r: make_schedule(8, method="none", ratio=r),
+    lambda r: pi_frequencies(np.array([1.0]), r),
+    lambda r: ntk_base(10000.0, r, 8),
+    lambda r: yarn_frequencies(np.array([1.0]), r, YarnParams(1.0, 32.0, 64.0)),
+    lambda r: yarn_temperature(r),
+    lambda r: dype_ratio(r, 0.5),
+]
+RATIO_CHECK_IDS = ["schedule", "pi", "ntk", "yarn", "yarn_temperature", "dype"]
 
 
 class TestScheduleInvariants:
@@ -189,18 +209,29 @@ class TestScheduleInvariants:
         sched = make_schedule(64, method="yarn", ratio=ratio, yarn=yarn)
         assert np.all(np.diff(sched.theta) <= 1e-15)
 
-    @pytest.mark.parametrize("check", [
-        lambda r: make_schedule(8, method="none", ratio=r),
-        lambda r: pi_frequencies(np.array([1.0]), r),
-        lambda r: ntk_base(10000.0, r, 8),
-        lambda r: yarn_frequencies(np.array([1.0]), r, YarnParams(1.0, 32.0, 64.0)),
-        lambda r: yarn_temperature(r),
-        lambda r: dype_ratio(r, 0.5),
-    ], ids=["schedule", "pi", "ntk", "yarn", "yarn_temperature", "dype"])
+    @pytest.mark.parametrize("check", RATIO_CHECKS, ids=RATIO_CHECK_IDS)
     def test_nan_ratio_rejected(self, check):
         # NaN compares false with everything, so `ratio < 1` would let it through
         with pytest.raises(ValueError, match="ratio must be >= 1"):
             check(float("nan"))
+
+    @pytest.mark.parametrize("check", RATIO_CHECKS, ids=RATIO_CHECK_IDS)
+    def test_inf_ratio_rejected(self, check):
+        with pytest.raises(ValueError, match="ratio must be finite"):
+            check(math.inf)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: make_schedule(8, method="x"), "unknown method 'x'"),
+        (lambda: make_schedule(8, method="yarn", ratio=2.0), "yarn method requires YarnParams"),
+        (lambda: RopeSchedule(np.array([])), "theta must be a nonempty vector"),
+        (lambda: RopeSchedule(np.ones((2, 2))), "theta must be a nonempty vector"),
+        (lambda: RopeSchedule(np.array([1.0, 0.0])), "theta must be strictly positive"),
+        (lambda: RopeSchedule(np.array([1.0, np.nan])), "theta must be strictly positive"),
+    ], ids=["unknown_method", "yarn_without_params", "empty_theta", "matrix_theta",
+            "zero_theta", "nan_theta"])
+    def test_schedule_fault_named(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_all_schedules_positive(self):
         yarn = YarnParams(alpha=1.0, beta=32.0, train_len=64.0)

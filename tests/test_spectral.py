@@ -197,6 +197,10 @@ class TestPerDimCorrection:
         s = per_dim_correction(np.full(32, 2.0), sched, axis_len=64)
         np.testing.assert_array_equal(s, 0.0)
 
+    def test_rejects_empty_profile(self):
+        with pytest.raises(ValueError, match="profile must be nonempty"):
+            per_dim_correction(np.array([]), make_schedule(16), axis_len=64)
+
     def test_two_point_standardization(self):
         # energies (e, 10e) in the two bins hit by a 2-dim schedule -> z = +-1
         sched = make_schedule(4, base=4.0)  # theta = [1, 0.5]
