@@ -26,7 +26,7 @@ from .rope import (
     yarn_temperature,
 )
 from .spectral import (
-    ScalingVector,
+    ModulationResult,
     SegaConfig,
     SpectralProfiles,
     amplitude_factor,

@@ -175,19 +175,12 @@ def modulate(latent_path, config_path, ratio):
     result = spectral.modulate_detailed(
         spectral.analyze(grid, cfg.sega.n_bins_iso), sched_h, sched_w, rope.ratio_scalar, cfg.sega
     )
-    payload = {"axes": []}
-    for vec in (result.vec_h, result.vec_w):
-        payload["axes"].append(
-            {
-                "axis": vec.axis,
-                "m_ref": vec.m_ref,
-                "sigma": vec.sigma,
-                "SF": result.flatness,
-                "s_corr": vec.s_corr,
-                "m": vec.m,
-            }
-        )
-    _emit(canonical_json(payload) + "\n")
+    axes = [
+        {"axis": axis, "m_ref": result.m_ref, "sigma": result.sigma, "SF": result.flatness,
+         "s_corr": s, "m": m}
+        for axis, s, m in (("H", result.s_h, result.m_h), ("W", result.s_w, result.m_w))
+    ]
+    _emit(canonical_json({"axes": axes}) + "\n")
 
 
 @main.command()

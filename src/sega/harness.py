@@ -47,6 +47,9 @@ class MethodSpec:
         check_fields(self)
         if not self.name:
             raise ValueError("name must be a nonempty string")
+        # A name is a raw cell of entropy_trace.csv's header, which starts with "step"
+        if self.name == "step" or any(c in self.name for c in ',"\r\n'):
+            raise ValueError('name must not be "step" or contain a comma, quote or line break')
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ def scaling_vectors(
         value = reference_scale(ratio, sega_cfg)
         return np.full(half, value), np.full(half, value)
     result = spectral.modulate_detailed(profiles, sched_h, sched_w, ratio, sega_cfg)
-    return result.vec_h.m, result.vec_w.m
+    return result.m_h, result.m_w
 
 
 def train_shape(cfg: TrajectoryConfig, rope: RopeParams) -> tuple[int, int]:

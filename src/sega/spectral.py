@@ -74,17 +74,6 @@ class SpectralProfiles:
     width: int
 
 
-@dataclass(frozen=True, eq=False)
-class ScalingVector:
-    """Per-dimension scaling magnitudes for one axis, plus the pieces they came from."""
-
-    axis: str
-    m: np.ndarray
-    sigma: float
-    m_ref: float
-    s_corr: np.ndarray
-
-
 def power_spectrum_2d(cmap: np.ndarray) -> np.ndarray:
     """|FFT2(map)|^2 on the full (wrapped) frequency grid of an (H, W) map."""
     return np.abs(np.fft.fft2(cmap)) ** 2
@@ -219,16 +208,19 @@ def analyze(grid: LatentGrid, n_bins: int | None = None) -> SpectralProfiles:
 
 @dataclass(frozen=True, eq=False)
 class ModulationResult:
-    """Both axis scaling vectors plus the flatness that gated them."""
+    """Each axis's magnitudes m and corrections s, and the flatness, sigma and m_ref both share."""
 
-    vec_h: ScalingVector
-    vec_w: ScalingVector
+    m_h: np.ndarray
+    m_w: np.ndarray
+    s_h: np.ndarray
+    s_w: np.ndarray
     flatness: float
+    sigma: float
+    m_ref: float
 
 
-def _scaling_vector(axis, profile, axis_len, schedule, sigma, m_ref, eps) -> ScalingVector:
-    s = per_dim_correction(profile, schedule, eps=eps, axis_len=axis_len)
-    modulator = 1.0 - sigma * s
+def _floored(axis: str, modulator: np.ndarray) -> np.ndarray:
+    """The modulator raised to MODULATOR_FLOOR, with one warning if any value was."""
     floored = np.maximum(modulator, MODULATOR_FLOOR)
     n_clamped = int(np.count_nonzero(floored != modulator))
     if n_clamped:
@@ -239,7 +231,7 @@ def _scaling_vector(axis, profile, axis_len, schedule, sigma, m_ref, eps) -> Sca
             n_clamped,
             MODULATOR_FLOOR,
         )
-    return ScalingVector(axis=axis, m=m_ref * floored, sigma=sigma, m_ref=m_ref, s_corr=s)
+    return floored
 
 
 def modulate_detailed(
@@ -254,6 +246,8 @@ def modulate_detailed(
     flatness = spectral_flatness(profiles.radial, profiles.occupied, cfg.eps)
     sigma = amplitude_factor(flatness, cfg.gamma)
     m_ref = reference_scale(ratio, cfg)
-    vec_h = _scaling_vector("H", profiles.axis_h, profiles.height, sched_h, sigma, m_ref, cfg.eps)
-    vec_w = _scaling_vector("W", profiles.axis_w, profiles.width, sched_w, sigma, m_ref, cfg.eps)
-    return ModulationResult(vec_h=vec_h, vec_w=vec_w, flatness=flatness)
+    s_h = per_dim_correction(profiles.axis_h, sched_h, profiles.height, cfg.eps)
+    s_w = per_dim_correction(profiles.axis_w, sched_w, profiles.width, cfg.eps)
+    m_h = m_ref * _floored("H", 1.0 - sigma * s_h)
+    m_w = m_ref * _floored("W", 1.0 - sigma * s_w)
+    return ModulationResult(m_h, m_w, s_h, s_w, flatness, sigma, m_ref)

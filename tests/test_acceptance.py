@@ -91,9 +91,9 @@ def test_zero_sum_redistribution():
             sched_w = make_schedule(64)
             ratio = float(rng.choice([1.0, 2.0, 4.0, 8.0]))
             result = modulate_detailed(analyze(grid), sched_h, sched_w, ratio, sega_cfg)
-            for vec in (result.vec_h, result.vec_w):
-                assert abs(vec.s_corr.sum()) <= 1e-9 * half
-                assert abs(vec.m.mean() - vec.m_ref) <= 1e-9
+            for m, s in ((result.m_h, result.s_h), (result.m_w, result.s_w)):
+                assert abs(s.sum()) <= 1e-9 * half
+                assert abs(m.mean() - result.m_ref) <= 1e-9
 
 
 def test_flatness_gate():
@@ -197,18 +197,17 @@ def test_sinusoid_redistribution():
         sched_h = make_schedule(64)
         sched_w = make_schedule(64)
         result = modulate_detailed(analyze(grid), sched_h, sched_w, 2.0)
-        vec = result.vec_w
         bins = [band_lookup(t, grid.width) for t in sched_w.theta]
         hot_dims = [d for d, b in enumerate(bins) if b == k]
         assert hot_dims, "no rotary dimension samples the sinusoid band"
-        hot_min = min(vec.s_corr[d] for d in hot_dims)
+        hot_min = min(result.s_w[d] for d in hot_dims)
         for d in hot_dims:
-            assert vec.s_corr[d] > 0
-            assert vec.m[d] < vec.m_ref
+            assert result.s_w[d] > 0
+            assert result.m_w[d] < result.m_ref
         empty_bins = {b for b in bins if b != k}
         for d, b in enumerate(bins):
             if b in empty_bins:
-                assert vec.s_corr[d] < hot_min
+                assert result.s_w[d] < hot_min
 
 
 def test_scaling_map_fingerprint():

@@ -600,6 +600,13 @@ RANGE_FAULTS = {
     "method_rope_unknown": (small_config({"methods": [{"name": "a", "rope": "x"}]}),
                             "trajectory.methods[0].rope"),
     "method_name_empty": (small_config({"methods": [{"name": ""}]}), "trajectory.methods[0].name"),
+    # each once ran, writing an entropy_trace.csv header of 4 cells over rows of 3
+    "method_name_with_comma": (small_config({"methods": [{"name": "a,b"},
+                                                         {"name": "step", "scaling": "fixed"}]}),
+                               "trajectory.methods[0].name"),
+    "method_named_step": (small_config({"methods": [{"name": "step", "scaling": "fixed"},
+                                                    {"name": "a", "scaling": "sega"}]}),
+                          "trajectory.methods[0].name"),
     "method_scaling_unknown": (small_config({"methods": [{"name": "a", "scaling": "x"}]}),
                                "trajectory.methods[0].scaling"),
     "baseline_grid_unknown": (small_config({"baseline": {"name": "b", "grid": "x"}}),

@@ -107,7 +107,7 @@ class TestRunTrajectory:
             ]
 
     def test_pure_noise_sigma_stays_small(self):
-        sigmas = [[r.vec_h.sigma for r in run] for run in self.pure_noise_modulations()]
+        sigmas = [[r.sigma for r in run] for run in self.pure_noise_modulations()]
         per_step = np.asarray(sigmas).mean(axis=0)
         assert np.all(per_step < 0.2)
 
@@ -115,7 +115,7 @@ class TestRunTrajectory:
         devs = []
         for run in self.pure_noise_modulations():
             for result in run:
-                m, m_ref = result.vec_h.m, result.vec_h.m_ref
+                m, m_ref = result.m_h, result.m_ref
                 devs.append(np.mean(np.abs(m - m_ref)) / m_ref)
         assert float(np.mean(devs)) < 0.15
 

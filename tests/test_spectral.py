@@ -1,5 +1,6 @@
 """Spectrum, profiles, flatness, and the scaling modulator."""
 
+import logging
 import math
 
 import numpy as np
@@ -345,17 +346,17 @@ class TestModulate:
         sh, sw = self.make_scheds()
         grid = noise_grid(0)
         result = modulate_detailed(analyze(grid), sh, sw, 2.0)
-        for vec in (result.vec_h, result.vec_w):
-            assert abs(vec.m.mean() - vec.m_ref) < 1e-9
-            assert abs(vec.s_corr.sum()) < 1e-9 * len(vec.s_corr)
-            assert np.all(vec.m > 0)
+        for m, s in ((result.m_h, result.s_h), (result.m_w, result.s_w)):
+            assert abs(m.mean() - result.m_ref) < 1e-9
+            assert abs(s.sum()) < 1e-9 * len(s)
+            assert np.all(m > 0)
 
     def test_white_noise_stays_near_reference(self):
         sh, sw = self.make_scheds()
         devs = []
         for seed in range(32):
-            vh = modulate_detailed(analyze(noise_grid(seed)), sh, sw, 2.0).vec_h
-            devs.append(np.mean(np.abs(vh.m - vh.m_ref)) / vh.m_ref)
+            result = modulate_detailed(analyze(noise_grid(seed)), sh, sw, 2.0)
+            devs.append(np.mean(np.abs(result.m_h - result.m_ref)) / result.m_ref)
         assert float(np.mean(devs)) < 0.1
 
     def test_sinusoid_band_is_suppressed(self):
@@ -366,20 +367,19 @@ class TestModulate:
         hot_dims = [d for d, b in enumerate(bins) if b == 4]
         cold_dims = [d for d, b in enumerate(bins) if b != 4]
         assert hot_dims
-        vec = result.vec_w
         for d in hot_dims:
-            assert vec.s_corr[d] > 0
-            assert vec.m[d] < vec.m_ref
-        hot = max(vec.s_corr[d] for d in hot_dims)
-        assert all(vec.s_corr[d] < hot for d in cold_dims)
+            assert result.s_w[d] > 0
+            assert result.m_w[d] < result.m_ref
+        hot = max(result.s_w[d] for d in hot_dims)
+        assert all(result.s_w[d] < hot for d in cold_dims)
 
     def test_deterministic(self):
         sh, sw = self.make_scheds()
         grid = noise_grid(5)
         a = modulate_detailed(analyze(grid), sh, sw, 2.0)
         b = modulate_detailed(analyze(grid), sh, sw, 2.0)
-        np.testing.assert_array_equal(a.vec_h.m, b.vec_h.m)
-        np.testing.assert_array_equal(a.vec_w.s_corr, b.vec_w.s_corr)
+        np.testing.assert_array_equal(a.m_h, b.m_h)
+        np.testing.assert_array_equal(a.s_w, b.s_w)
         assert a.flatness == b.flatness
 
     def test_constant_latent_keeps_the_reference(self):
@@ -387,9 +387,9 @@ class TestModulate:
         constant = LatentGrid(np.full((8, 8, 2), 0.5))
         result = modulate_detailed(analyze(constant), sh, sw, 2.0)
         assert result.flatness == 1.0
-        for vec in (result.vec_h, result.vec_w):
-            assert vec.sigma == 0.0
-            np.testing.assert_array_equal(vec.m, vec.m_ref)
+        assert result.sigma == 0.0
+        for m in (result.m_h, result.m_w):
+            np.testing.assert_array_equal(m, result.m_ref)
 
     def test_default_bin_count_tracks_grid(self):
         def bins(h, w):
@@ -403,16 +403,31 @@ class TestModulate:
 class TestModulationInvariants:
     """What analyze and modulate_detailed guarantee, for every latent.
 
-    SpectralProfiles and ScalingVector hold these arrays as built and check
+    SpectralProfiles and ModulationResult hold these arrays as built and check
     nothing on construction; this test holds the invariants instead.
     """
 
     def test_pinned_step_reaches_the_floor(self):
         sched = make_schedule(8)
         result = modulate_detailed(analyze(structured_latent(**CLAMPED_STEP)), sched, sched, 2.0)
-        for vec in (result.vec_h, result.vec_w):
-            assert np.min(1.0 - vec.sigma * vec.s_corr) < 0.0
-            assert np.min(vec.m) == vec.m_ref * MODULATOR_FLOOR
+        for m, s in ((result.m_h, result.s_h), (result.m_w, result.s_w)):
+            assert np.min(1.0 - result.sigma * s) < 0.0
+            assert np.min(m) == result.m_ref * MODULATOR_FLOOR
+
+    def test_each_clamped_axis_logs_one_warning(self, caplog):
+        # These records are what the benchmark's spectral.floor_clamps counts.
+        caplog.set_level(logging.WARNING, logger="sega.spectral")
+        sched = make_schedule(8)
+        modulate_detailed(analyze(structured_latent(**CLAMPED_STEP)), sched, sched, 2.0)
+        assert caplog.record_tuples == [
+            ("sega.spectral", logging.WARNING, f"axis {axis}: clamped 1 modulator value(s) "
+             "at floor 0.05; mean scaling is no longer exactly m_ref")
+            for axis in "HW"
+        ]
+        caplog.clear()
+        sched = make_schedule(64)
+        modulate_detailed(analyze(noise_grid(0)), sched, sched, 2.0)
+        assert caplog.records == []
 
     @given(
         kind=st.sampled_from(["random", "sinusoid", "checker"]),
@@ -440,12 +455,12 @@ class TestModulationInvariants:
         sched = make_schedule(dim)
         result = modulate_detailed(profiles, sched, sched, ratio, cfg)
         assert 0.0 < result.flatness <= 1.0
-        for vec in (result.vec_h, result.vec_w):
-            assert vec.m.shape == vec.s_corr.shape == (dim // 2,)
-            assert np.all(np.isfinite(vec.m)) and np.all(np.isfinite(vec.s_corr))
-            assert abs(vec.s_corr.sum()) <= 1e-9 * len(vec.s_corr)
-            assert 0.0 <= vec.sigma <= 1.0
-            assert np.all(vec.m > 0)
-            assert np.all(vec.m >= vec.m_ref * MODULATOR_FLOOR)
-            if np.all(1.0 - vec.sigma * vec.s_corr >= MODULATOR_FLOOR):
-                assert abs(vec.m.mean() - vec.m_ref) <= 1e-9 * vec.m_ref
+        for m, s in ((result.m_h, result.s_h), (result.m_w, result.s_w)):
+            assert m.shape == s.shape == (dim // 2,)
+            assert np.all(np.isfinite(m)) and np.all(np.isfinite(s))
+            assert abs(s.sum()) <= 1e-9 * len(s)
+            assert 0.0 <= result.sigma <= 1.0
+            assert np.all(m > 0)
+            assert np.all(m >= result.m_ref * MODULATOR_FLOOR)
+            if np.all(1.0 - result.sigma * s >= MODULATOR_FLOOR):
+                assert abs(m.mean() - result.m_ref) <= 1e-9 * result.m_ref

@@ -317,6 +317,14 @@ class TestCheckFields:
             assert literal or hint in (int, float, bool, str, dict), f"{name}: {hint}"
 
 
+@pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb", "step"])
+def test_method_name_must_fit_one_csv_header_cell(name):
+    # entropy_trace.csv writes each name raw into a header that starts with "step"
+    with pytest.raises(ValueError) as err:
+        MethodSpec(name)
+    assert str(err.value) == 'name must not be "step" or contain a comma, quote or line break'
+
+
 def latent(cfg, step):
     """generate_latent at one step, with cfg's structure field built for it."""
     return generate_latent(cfg, step, structure_field(cfg))
