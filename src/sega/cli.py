@@ -21,7 +21,7 @@ import numpy as np
 from . import spectral
 from .attention import rotary_attention_row, rotary_entropy
 from .config import ExperimentConfig, load_experiment_config
-from .fmtio import canonical_json, csv_text, fmt, fmt_floats, write_csv, write_json
+from .fmtio import canonical_json, csv_text, fmt, write_csv, write_json
 from .harness import SCALING_MODES, axis_schedules, scaling_vectors, spectral_heatmap, trajectory_files
 from .rope import MAX_DIM, METHODS, YarnParams, base_frequencies, make_schedule, yarn_weights
 from .tensorio import LatentIOError, read_latent, token_features
@@ -151,14 +151,12 @@ def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p,
         **_given(ratio=ratio, dype_time=dype_t, dype_p=dype_p),
     )
     theta0 = base_frequencies(dim, base)  # make_schedule has checked dim and base
-    wavelengths = 2.0 * np.pi / theta0
     header = ["d", "theta", "theta_prime", "wavelength"]
-    rows = [[d, theta0[d], sched.theta[d], wavelengths[d]] for d in range(dim // 2)]
+    columns = [np.arange(dim // 2), theta0, sched.theta, 2.0 * np.pi / theta0]
     if method == "yarn":
         header.append("lambda")
-        for row, lam in zip(rows, yarn_weights(theta0, yarn)):
-            row.append(lam)
-    _emit(csv_text(header, rows))
+        columns.append(yarn_weights(theta0, yarn))
+    _emit(csv_text(header, columns))
 
 
 @main.command(epilog=CONFIG_EPILOG)
@@ -189,13 +187,15 @@ def modulate(latent_path, config_path, ratio):
 def spectrum(latent_path, bins):
     """Emit axis-wise and radial energy profiles as CSV (profile,bin,energy,occupied)."""
     profiles = spectral.analyze(read_latent(latent_path), bins)
-    rows = [
-        [name, i, val, 1]
-        for name, arr in (("axis_h", profiles.axis_h), ("axis_w", profiles.axis_w))
-        for i, val in enumerate(arr)
+    energies = (profiles.axis_h, profiles.axis_w, profiles.radial)
+    sizes = [len(energy) for energy in energies]
+    columns = [
+        np.repeat(["axis_h", "axis_w", "radial"], sizes),
+        np.concatenate([np.arange(size) for size in sizes]),
+        np.concatenate(energies),
+        np.concatenate([np.ones(sizes[0] + sizes[1], dtype=int), profiles.occupied.astype(int)]),
     ]
-    rows.extend(["radial", i, val, int(profiles.occupied[i])] for i, val in enumerate(profiles.radial))
-    _emit(csv_text(["profile", "bin", "energy", "occupied"], rows))
+    _emit(csv_text(["profile", "bin", "energy", "occupied"], columns))
 
 
 def attention_flags(fn):
@@ -231,10 +231,8 @@ def attn_map(latent_path, query_h, query_w, config_path, scaling, feature_seed, 
     grid = read_latent(latent_path)
     args = _attention_setup(grid, config_path, scaling, feature_seed)
     row = rotary_attention_row(*args, logit_scale, query=(query_h, query_w))
-    cells = fmt_floats(row)
-    width = grid.width
-    lines = [f"{h}," + ",".join(cells[h * width : (h + 1) * width]) + "\n" for h in range(grid.height)]
-    _emit(csv_text(["h"] + [f"w{j}" for j in range(width)], ()) + "".join(lines))
+    header = ["h"] + [f"w{j}" for j in range(grid.width)]
+    _emit(csv_text(header, [np.arange(grid.height), *row.reshape(grid.height, grid.width).T]))
 
 
 @main.command(epilog=CONFIG_EPILOG)
@@ -245,9 +243,9 @@ def entropy(latent_path, config_path, scaling, feature_seed, logit_scale):
     grid = read_latent(latent_path)
     args = _attention_setup(grid, config_path, scaling, feature_seed)
     per_row, mean = rotary_entropy(*args, logit_scale)
-    width = grid.width
-    lines = [f"{i},{i // width},{i % width},{cell}\n" for i, cell in enumerate(fmt_floats(per_row))]
-    _emit(csv_text(["token", "h", "w", "entropy"], ()) + "".join(lines) + f"mean,,,{fmt(mean)}\n")
+    token = np.arange(per_row.size)
+    table = csv_text(["token", "h", "w", "entropy"], [token, token // grid.width, token % grid.width, per_row])
+    _emit(table + f"mean,,,{fmt(mean)}\n")
 
 
 def _prepare_out_dir(out_dir: str) -> Path:

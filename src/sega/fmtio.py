@@ -1,66 +1,69 @@
-"""Deterministic text output: fixed float formatting, canonical JSON, CSV rows.
+"""Deterministic text output: fixed float formatting, canonical JSON, CSV tables.
 
-Every number this package writes goes through :func:`fmt` (9 significant
-digits, '.' decimal separator, no locale) so repeated runs with the same
-config produce byte-identical files.
+Every float this package writes is rendered by the one rule in ``_FLOAT``
+(9 significant digits, '.' decimal separator, no locale) once it is checked
+finite: :func:`fmt` applies it to one number, :func:`csv_text` to whole
+columns, so repeated runs with the same config produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from itertools import chain
 from typing import Any, Iterable
 
 import numpy as np
 
-
-def fmt(value: Any) -> str:
-    """Render one cell: floats at 9 significant digits, everything else as str."""
-    if type(value) in (str, int):  # the common table cells; bool is not an exact int
-        return str(value)
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, np.integer):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"refusing to serialize non-finite value {value!r}")
-        return f"{value:.9g}"
-    return str(value)
+_FLOAT = "%.9g"
+_CELL = {"f": _FLOAT, "i": "%d", "u": "%d", "U": "%s"}  # by numpy dtype kind
 
 
-def fmt_floats(values) -> list[str]:
-    """fmt() of every element of a float array (flattened in C order).
-
-    Finiteness is checked once for the whole array, so a long column costs one
-    format call per element.
-    """
-    values = np.asarray(values, dtype=np.float64).ravel()
+def _finite(values) -> np.ndarray:
+    """values as float64, refusing NaN and infinities."""
+    values = np.asarray(values, dtype=np.float64)
     bad = ~np.isfinite(values)
     if bad.any():
         raise ValueError(f"refusing to serialize non-finite value {float(values[bad][0])!r}")
-    return [f"{v:.9g}" for v in values.tolist()]
+    return values
 
 
-def csv_line(cells: Iterable[Any]) -> str:
-    return ",".join(map(fmt, cells))
+def fmt(value: Any) -> str:
+    """One number: an integer in full, anything else as a finite float at 9 significant digits."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return _FLOAT % float(_finite(value))
 
 
-def csv_text(header: Iterable[Any], rows: Iterable[Iterable[Any]]) -> str:
-    """A whole CSV document: the header line, one line per row, a final newline."""
-    lines = [csv_line(header)]
-    lines.extend(csv_line(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def csv_text(header: Iterable[str], columns: Iterable[Any]) -> str:
+    """A whole CSV document: the header line, one line per row of the columns, a final newline.
+
+    The columns are equal-length 1-D arrays. A float column is printed like fmt()
+    after one finiteness check, an integer column in full and a str column as is;
+    any other dtype raises TypeError. All rows are rendered by one %-format call.
+    """
+    columns = [np.asarray(col) for col in columns]
+    rows = columns[0].size if columns else 0
+    cells = []
+    for j, col in enumerate(columns):
+        if col.shape != (rows,):
+            raise ValueError(f"column {j} has shape {col.shape}, not ({rows},)")
+        if col.dtype.kind not in _CELL:
+            raise TypeError(f"cannot write a {col.dtype} column as CSV")
+        cells.append(_CELL[col.dtype.kind])
+        if col.dtype.kind == "f":
+            columns[j] = _finite(col)
+    line = ",".join(cells) + "\n"
+    values = tuple(chain.from_iterable(zip(*(col.tolist() for col in columns))))
+    return ",".join(header) + "\n" + (line * rows) % values
 
 
-def write_csv(path, header: Iterable[Any], rows: Iterable[Iterable[Any]]) -> None:
+def write_csv(path, header: Iterable[str], columns: Iterable[Any]) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(csv_text(header, rows))
+        fh.write(csv_text(header, columns))
 
 
 def canonical_json(obj: Any, indent: int = 0) -> str:
-    """Serialize dicts/lists/arrays/scalars with fmt() floats; key order is insertion order."""
+    """Serialize dicts/lists/arrays/scalars with fmt() numbers; key order is insertion order."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):

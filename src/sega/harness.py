@@ -215,16 +215,13 @@ def _heatmap_files(radials: list) -> dict:
     Rows with no spectral energy at all (possible for degenerate structure
     fields) are left as zeros, and summary.json lists their step indices.
     """
-    rows, degenerate = [], []
-    for step, radial in enumerate(radials):
-        total = radial.sum()
-        if total <= 0.0:
-            degenerate.append(step)
-            radial, total = np.zeros_like(radial), 1.0
-        rows.append([step, *(radial / total)])
-    header = ["step"] + [f"bin_{b}" for b in range(len(radials[0]))]
+    heat = np.array(radials, dtype=np.float64)
+    totals = heat.sum(axis=1, keepdims=True)
+    degenerate = np.flatnonzero(totals <= 0.0).tolist()
+    heat = np.divide(heat, totals, out=np.zeros_like(heat), where=~(totals <= 0.0))
+    header = ["step"] + [f"bin_{b}" for b in range(heat.shape[1])]
     return {
-        "spectral_heatmap.csv": (header, rows),
+        "spectral_heatmap.csv": (header, [np.arange(len(heat)), *heat.T]),
         "summary.json": {"degenerate_heatmap_rows": degenerate},
     }
 
@@ -245,7 +242,7 @@ def trajectory_files(
 ) -> dict:
     """Every file of one trajectory run by name, in the order they are written.
 
-    A CSV is a (header, rows) pair; summary.json is a dict without the config
+    A CSV is a (header, columns) pair; summary.json is a dict without the config
     echo. The scaling maps come from the first sega method, else the first
     method. The entropy deltas are each method minus the baseline, so
     positive means the method is more diffuse; the baseline usually runs on
@@ -260,15 +257,16 @@ def trajectory_files(
         next((m.name for m in methods if m.scaling == kind), None) for kind in ("sega", "fixed")
     )
     map_method = sega_name or names[0]
+    step_column = np.arange(len(steps))
     files = {}
     for axis, key in (("H", "m_h"), ("W", "m_w")):
-        maps = [getattr(s.methods[map_method], key) for s in steps]
-        header = ["step"] + [f"m_{d}" for d in range(len(maps[0]))]
-        files[f"scaling_map_{axis}.csv"] = (header, [[s.step, *m] for s, m in zip(steps, maps)])
+        maps = np.array([getattr(s.methods[map_method], key) for s in steps])
+        header = ["step"] + [f"m_{d}" for d in range(maps.shape[1])]
+        files[f"scaling_map_{axis}.csv"] = (header, [step_column, *maps.T])
 
     entropies = np.array([[s.methods[name].mean_entropy for name in names] for s in steps])
     deltas = entropies - np.array([[s.methods[baseline.name].mean_entropy] for s in steps])
-    files["entropy_trace.csv"] = (["step"] + names, [[t, *row] for t, row in enumerate(deltas)])
+    files["entropy_trace.csv"] = (["step"] + names, [step_column, *deltas.T])
     heat = _heatmap_files([s.radial for s in steps])
     files["spectral_heatmap.csv"] = heat["spectral_heatmap.csv"]
 

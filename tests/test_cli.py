@@ -789,7 +789,7 @@ class TestConfigSchema:
         scope = {}
         exec(compile(block, "README.md", "exec"), scope)
         assert len(scope["steps"]) == scope["cfg"].steps
-        assert len(scope["rows"]) == scope["cfg"].steps
+        assert len(scope["columns"][0]) == scope["cfg"].steps
         assert scope["files"]["summary.json"]["scaling_map_method"] == "sega"
         assert scope["per_token"].shape == (64 * 64,)
 

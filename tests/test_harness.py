@@ -51,9 +51,9 @@ TRAJECTORY_FILES = [
 
 def table(files, name):
     """One CSV of a run's files: its header and its rows as floats, the step column dropped."""
-    header, rows = files[name]
-    assert [row[0] for row in rows] == list(range(len(rows)))
-    return header, np.array([row[1:] for row in rows], dtype=np.float64)
+    header, (steps, *columns) = files[name]
+    assert list(steps) == list(range(len(steps)))
+    return header, np.column_stack(columns)
 
 
 class TestRunTrajectory:
