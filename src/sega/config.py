@@ -151,17 +151,11 @@ def load_experiment_config(source) -> ExperimentConfig:
     if baseline.name in names:
         raise ConfigError("baseline name collides with a method name")
     runs = (*methods, baseline)
-    used = {rope.method, *(m.rope for m in runs)}
-    if "yarn" in used and not 0.0 < rope.yarn_alpha < rope.yarn_beta:
-        raise ConfigError("a yarn method needs 0 < rope.yarn_alpha < rope.yarn_beta")
-    if "dype" in used and not rope.dype_p > 0.0:
-        raise ConfigError("a dype method needs rope.dype_p > 0")
-    # Build each target-grid schedule once, at the last step: its denoising time is
-    # the smallest, so dype's effective ratio is the largest.
-    last_t = trajectory.time(trajectory.steps - 1)
-    for name in dict.fromkeys(m.rope for m in runs if m.grid == "target"):
+    # The rope layer owns every schedule rule, so build each named rope on the target
+    # grid at t = 0, where dype's ratio is largest; a train grid's ratio 1 then builds too.
+    for name in dict.fromkeys((rope.method, *(m.rope for m in runs))):
         try:
-            axis_schedules(rope, name, trajectory.height, trajectory.width, last_t)
+            axis_schedules(rope, name, trajectory.height, trajectory.width)
         except ValueError as exc:
             raise ConfigError(f"rope method {name!r}: {exc}") from exc
     shape = (trajectory.height, trajectory.width)

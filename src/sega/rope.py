@@ -77,7 +77,11 @@ def base_frequencies(dim: int, base: float) -> np.ndarray:
     if not 0.0 < base < math.inf:
         raise ValueError("base must be finite and > 0")
     d = np.arange(dim // 2, dtype=np.float64)
-    return base ** (-2.0 * d / dim)
+    with np.errstate(over="ignore"):
+        theta = base ** (-2.0 * d / dim)
+    if not np.isfinite(theta).all():
+        raise ValueError(f"base {base:g} is too small for dim {dim}: its frequencies overflow")
+    return theta
 
 
 def pi_frequencies(theta: np.ndarray, ratio: float) -> np.ndarray:

@@ -517,6 +517,14 @@ MALFORMED_CONFIGS = {
     "rope_not_an_object": ({"rope": 5}, 2),
     "n_bins_iso_above_tokens": ({**small_config(), "sega": {"n_bins_iso": 65}}, 2),
     "n_bins_iso_overflows": ({**small_config(), "sega": {"n_bins_iso": 10**20}}, 2),
+    # rope.method is built at load though no method runs it, and dype at t = 0, where
+    # its ratio is largest: both once ran, under trajectory and heatmap
+    "unused_rope_method_overflows_ntk_base": (small_config(
+        {"methods": [{"name": "a", "rope": "pi", "scaling": "none"}]},
+        rope={"method": "ntk", "ratio": 1e300}), 2),
+    "unused_dype_rope_overflows_at_one_step": (small_config(
+        {"steps": 1, "methods": [{"name": "a", "rope": "pi", "scaling": "none"}]},
+        rope={"method": "dype", "ratio": 1e300}), 2),
 }
 
 # Each config holds one value of the wrong JSON type, or one that overflows at load;
@@ -674,6 +682,17 @@ class TestMalformedConfigs:
         assert res.exit_code == 2, res.output
         assert "rope.ratio must be >= 1" in res.output
         assert "ratio_h" not in res.output
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("case, words", [
+        ("yarn_alpha_not_below_beta", ("rope method 'yarn'", "alpha < beta")),
+        ("dype_p_zero", ("rope method 'dype'", "dype_p")),
+    ])
+    def test_rope_fault_comes_from_its_owner(self, runner, tmp_path, case, words):
+        res, _ = run_config(runner, tmp_path, "trajectory", MALFORMED_CONFIGS[case][0])
+        assert res.exit_code == 2, res.output
+        for word in words:
+            assert word in res.output
         assert res.stdout == ""
 
     def test_logit_overflow_during_a_run_exits_2(self, runner, tmp_path):
@@ -987,6 +1006,8 @@ FLAG_SWEEP = {
        for flag in ("--alpha", "--beta", "--train-len")},
     **{f"rope_table_dype_{flag[2:]}": ("rope-table", ["--dim", "8", *ROPE_CONTEXTS["dype"]], flag)
        for flag in ("--dype-t", "--dype-p")},
+    # at dim 64 a subnormal base overflows its frequencies; at dim 8 it does not
+    "rope_table_dim64_base": ("rope-table", ["--dim", "64"], "--base"),
     "modulate_ratio": ("modulate", [], "--ratio"),
     "modulate_pi_ratio": ("modulate", ["--config", "{dir}/pi.json"], "--ratio"),
     "spectrum_bins": ("spectrum", [], "--bins"),
@@ -1028,6 +1049,7 @@ STRUCTURE_KEYS = {"sinusoid": ("cycles_h", "cycles_w", "phase"), "checker": ("bl
 CONFIG_SWEEP = {
     **{f"rope_{key}": {"rope": {key: SWEPT}}
        for key in ("dim", "base", "ratio", "ratio_h", "ratio_w")},
+    "rope_base_dim64": {"rope": {"dim": 64, "base": SWEPT}},
     **{f"rope_{key}": {"rope": {"method": "yarn", "ratio": 2, key: SWEPT}}
        for key in ("yarn_alpha", "yarn_beta")},
     "rope_dype_p": {"rope": {"method": "dype", "ratio": 2, "dype_p": SWEPT}},
