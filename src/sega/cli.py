@@ -49,8 +49,8 @@ class FileError(click.ClickException):
 class _Command(click.Command):
     """A subcommand whose faults exit with the documented codes, wherever its body raises them.
 
-    A latent-file or filesystem failure exits 3; a ValueError (a config fault,
-    a ConfigError included, or a flag combination the math rejects) exits 2.
+    A latent-file or filesystem failure exits 3; a ValueError (a config fault
+    or a flag combination the math rejects) exits 2.
     """
 
     def invoke(self, ctx):
@@ -286,7 +286,7 @@ def heatmap(config_path, out_dir):
     """Write the per-step normalized radial spectrum matrix."""
     cfg = load_experiment_config(config_path)
     out = _prepare_out_dir(out_dir)
-    _write_files(out, cfg, spectral_heatmap(cfg.trajectory, cfg.sega.n_bins_iso))
+    _write_files(out, cfg, spectral_heatmap(cfg.trajectory, cfg.sega))
 
 
 if __name__ == "__main__":

@@ -15,13 +15,9 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .harness import MethodSpec, RopeParams, axis_schedules, train_shape
+from .harness import MethodSpec, RopeParams, axis_schedules, run_grids
 from .spectral import SegaConfig, reference_scale
 from .tensorio import BLEND_KEYS, TrajectoryConfig, checked_structure_params, finite_number
-
-
-class ConfigError(ValueError):
-    """Raised for malformed or contradictory experiment configs."""
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,7 @@ class ExperimentConfig:
 def _check_keys(section: dict, allowed, where: str) -> None:
     unknown = set(section) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
 def _built(cls, values: dict, where: str):
@@ -64,20 +60,20 @@ def _built(cls, values: dict, where: str):
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{where}.{exc}") from exc
+        raise ValueError(f"{where}.{exc}") from exc
 
 
 def _section(raw: dict, name: str) -> dict:
     """A copy of one top-level section, popped from raw."""
     section = raw.pop(name, {})
     if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be an object")
+        raise ValueError(f"{name} must be an object")
     return dict(section)
 
 
 def _method_spec(raw, default_rope: str, where: str) -> MethodSpec:
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be an object")
+        raise ValueError(f"{where} must be an object")
     return _built(MethodSpec, {"rope": default_rope, **raw}, where)
 
 
@@ -89,13 +85,13 @@ def load_experiment_config(source) -> ExperimentConfig:
         try:
             text = Path(source).read_text()
         except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
+            raise ValueError(f"cannot read config: {exc}") from exc
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            raise ValueError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ValueError("config root must be a JSON object")
     raw = dict(raw)
     rope_raw, sega_raw, traj_raw, out_raw = (
         _section(raw, name) for name in ("rope", "sega", "trajectory", "output")
@@ -103,12 +99,9 @@ def load_experiment_config(source) -> ExperimentConfig:
     _check_keys(raw, (), "config")
 
     if "ratio" in rope_raw:  # shorthand for both axes; ratio_h and ratio_w override it
-        try:
-            ratio = finite_number(rope_raw.pop("ratio"), "rope.ratio")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        ratio = finite_number(rope_raw.pop("ratio"), "rope.ratio")
         if not ratio >= 1.0:  # checked here, so the fault names the key the config holds
-            raise ConfigError("rope.ratio must be >= 1")
+            raise ValueError("rope.ratio must be >= 1")
         rope_raw = {"ratio_h": ratio, "ratio_w": ratio, **rope_raw}
     methods_raw = traj_raw.pop(
         "methods", [{"name": "sega", "scaling": "sega"}, {"name": "fixed", "scaling": "fixed"}]
@@ -118,7 +111,7 @@ def load_experiment_config(source) -> ExperimentConfig:
     )
     output_dir = out_raw.pop("dir", "out")
     if type(output_dir) is not str:
-        raise ConfigError("output.dir must be a string")
+        raise ValueError("output.dir must be a string")
     _check_keys(out_raw, (), "output")
     rope = _built(RopeParams, rope_raw, "rope")
     sega = _built(SegaConfig, sega_raw, "sega")
@@ -131,25 +124,23 @@ def load_experiment_config(source) -> ExperimentConfig:
     blend = trajectory.noise_blend
     _check_keys(blend, BLEND_KEYS[blend.get("kind", "linear")], "trajectory.noise_blend")
 
-    if sega.n_bins_iso is not None and sega.n_bins_iso > trajectory.height * trajectory.width:
-        raise ConfigError("sega.n_bins_iso must not exceed trajectory height * width")
     try:
         reference_scale(rope.ratio_scalar, sega)
     except ValueError as exc:
-        raise ConfigError(f"sega.kappa: {exc}") from exc
+        raise ValueError(f"sega.kappa: {exc}") from exc
 
     if not isinstance(methods_raw, list) or not methods_raw:
-        raise ConfigError("trajectory.methods must be a nonempty list")
+        raise ValueError("trajectory.methods must be a nonempty list")
     # Every method's rope defaults to the experiment's, and that to MethodSpec's.
     methods = tuple(
         _method_spec(m, rope.method, f"trajectory.methods[{i}]") for i, m in enumerate(methods_raw)
     )
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
-        raise ConfigError("method names must be unique")
+        raise ValueError("method names must be unique")
     baseline = _method_spec(baseline_raw, "none", "trajectory.baseline")
     if baseline.name in names:
-        raise ConfigError("baseline name collides with a method name")
+        raise ValueError("baseline name collides with a method name")
     runs = (*methods, baseline)
     # The rope layer owns every schedule rule, so build each named rope on the target
     # grid at t = 0, where dype's ratio is largest; a train grid's ratio 1 then builds too.
@@ -157,14 +148,19 @@ def load_experiment_config(source) -> ExperimentConfig:
         try:
             axis_schedules(rope, name, trajectory.height, trajectory.width)
         except ValueError as exc:
-            raise ConfigError(f"rope method {name!r}: {exc}") from exc
+            raise ValueError(f"rope method {name!r}: {exc}") from exc
+    # Past the token count of a grid a sega run analyzes, every extra radial bin is empty.
+    for kind, (grid, _) in run_grids(trajectory, rope, [m for m in runs if m.scaling == "sega"]).items():
+        if sega.n_bins_iso is not None and sega.n_bins_iso > grid.height * grid.width:
+            raise ValueError("sega.n_bins_iso must not exceed trajectory height * width" if kind == "target"
+                             else f"sega.n_bins_iso must not exceed the token count of the "
+                             f"{grid.height}x{grid.width} {kind} grid a sega method runs on")
+    # Only a file structure builds every run's grids here, as each build rechecks the blend.
     shape = (trajectory.height, trajectory.width)
-    if (
-        trajectory.structure_kind == "file"
-        and any(m.grid == "train" for m in runs)
-        and train_shape(trajectory, rope) != shape
+    if trajectory.structure_kind == "file" and any(
+        (grid.height, grid.width) != shape for grid, _ in run_grids(trajectory, rope, runs).values()
     ):
-        raise ConfigError(
+        raise ValueError(
             "structure_kind 'file' cannot run on a train grid: the file holds the "
             f"{shape[0]}x{shape[1]} target field only; give every method and the "
             "baseline grid 'target'"

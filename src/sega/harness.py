@@ -146,11 +146,17 @@ def scaling_vectors(
     return result.m_h, result.m_w
 
 
-def train_shape(cfg: TrajectoryConfig, rope: RopeParams) -> tuple[int, int]:
-    """The training-scale grid: each axis divided by its ratio, at least 2 tokens."""
-    th = max(2, round(cfg.height / rope.ratio_h))
-    tw = max(2, round(cfg.width / rope.ratio_w))
-    return th, tw
+def run_grids(cfg: TrajectoryConfig, rope: RopeParams, methods) -> dict:
+    """{kind: (TrajectoryConfig, RopeParams)} for the target and each grid the methods run on.
+
+    The train grid is each axis over its ratio (at least 2 tokens), at ratio 1.
+    """
+    grids = {"target": (cfg, rope)}
+    if any(m.grid == "train" for m in methods):
+        th = max(2, round(cfg.height / rope.ratio_h))
+        tw = max(2, round(cfg.width / rope.ratio_w))
+        grids["train"] = (replace(cfg, height=th, width=tw), replace(rope, ratio_h=1.0, ratio_w=1.0))
+    return grids
 
 
 def run_trajectory(
@@ -161,12 +167,13 @@ def run_trajectory(
 ) -> list:
     """Evaluate every method at every step of one simulated denoising run.
 
-    Each grid's structure field is built once per run. Each step generates each
-    latent once, analyzes the target (and the train latent only when a sega
-    method runs on it) once, and draws the token features of each grid a method
-    runs on once; the methods on a grid share them. The features are
-    TokenFeatures, whose token grid and projection the attention kernel reads
-    without forming an N x D matrix. Returns one StepRecord per step.
+    The grids are run_grids over the methods, each one's structure field built
+    once per run. Each step generates each latent once, analyzes those of
+    run_grids over the sega methods (the target always) once, and draws the
+    token features of each grid a method runs on once; the methods on a grid
+    share them. The features are TokenFeatures, whose token grid and projection
+    the attention kernel reads without forming an N x D matrix. Returns one
+    StepRecord per step.
     """
     sega_cfg = sega_cfg or SegaConfig()
     rope = rope or RopeParams()
@@ -175,12 +182,8 @@ def run_trajectory(
         raise ValueError("method names must be unique")
 
     used = {m.grid for m in methods}
-    grids = {"target": (cfg, rope)}
-    if "train" in used:
-        th, tw = train_shape(cfg, rope)
-        grids["train"] = (replace(cfg, height=th, width=tw),
-                          replace(rope, ratio_h=1.0, ratio_w=1.0))
-    analyzed = {"target"} | {m.grid for m in methods if m.scaling == "sega"}
+    grids = run_grids(cfg, rope, methods)
+    analyzed = run_grids(cfg, rope, [m for m in methods if m.scaling == "sega"])
     structures = {kind: structure_field(grid_cfg) for kind, (grid_cfg, _) in grids.items()}
 
     steps = []
@@ -226,11 +229,9 @@ def _heatmap_files(radials: list) -> dict:
     }
 
 
-def spectral_heatmap(cfg: TrajectoryConfig, n_bins: int | None = None) -> dict:
-    """The heatmap command's files: per-step normalized radial profiles of the target latents."""
-    structure = structure_field(cfg)
-    latents = (generate_latent(cfg, step, structure) for step in range(cfg.steps))
-    return _heatmap_files([spectral.analyze(latent, n_bins).radial for latent in latents])
+def spectral_heatmap(cfg: TrajectoryConfig, sega_cfg: SegaConfig | None = None) -> dict:
+    """The heatmap command's files: the target radials of a run with no methods."""
+    return _heatmap_files([s.radial for s in run_trajectory(cfg, [], sega_cfg)])
 
 
 def trajectory_files(

@@ -188,17 +188,12 @@ def _normalize_field(arr: np.ndarray) -> np.ndarray:
     return arr / sd if sd > 1e-12 else np.zeros_like(arr)
 
 
-def json_number(value, name: str):
-    """value if it is an int or a float, a numpy number as the Python one it holds; not a bool."""
+def finite_number(value, name: str) -> float:
+    """value as a float if it is a finite int or float, numpy's too; not a bool."""
     value = value.item() if isinstance(value, np.number) else value
     if type(value) not in (int, float):
         raise ValueError(f"{name} must be a number")
-    return value
-
-
-def finite_number(value, name: str) -> float:
-    """value as a float if it is a finite number."""
-    if not abs(json_number(value, name)) <= sys.float_info.max:
+    if not abs(value) <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number")
     return float(value)
 

@@ -250,16 +250,18 @@ class TestSpectrum:
 
 
 class TestAttnMapAndEntropy:
-    @pytest.mark.parametrize("command", [["entropy"], ["attn-map", "--query-h", "3", "--query-w", "5"]],
-                             ids=["entropy", "attn_map"])
+    @pytest.mark.parametrize("command", [["entropy"], ["attn-map", "--query-h", "3", "--query-w", "5"],
+                                         ["heatmap"]], ids=["entropy", "attn_map", "heatmap"])
     def test_flatness_fault_exits_2(self, noise_latent, tmp_path, command):
         # Radial bins floored at 1e308 overflow the flatness's arithmetic mean.
         # Run as its own process, so stderr is what a user sees: the exit-2
-        # message alone, with no numpy warning before it.
+        # message alone, with no numpy warning before it. The heatmap gates each
+        # step as the trajectory does; it once skipped the gate and exited 0.
         config = tmp_path / "eps.json"
         config.write_text('{"sega": {"eps": 1e308}}')
-        res = run_cli([*command, "--latent", str(noise_latent), "--config", str(config),
-                       "--scaling", "sega"])
+        args = (["--out-dir", str(tmp_path / "out")] if command == ["heatmap"]
+                else ["--latent", str(noise_latent), "--scaling", "sega"])
+        res = run_cli([*command, "--config", str(config), *args])
         assert res.returncode == 2, res.stderr
         assert "flatness must lie in (0, 1]" in res.stderr
         assert "Warning" not in res.stderr, res.stderr
@@ -715,14 +717,21 @@ class TestMalformedConfigs:
         assert res.exit_code == 0, res.output
         assert (out / "spectral_heatmap.csv").read_text().splitlines()[0].count(",bin_") == 64
 
-    def test_n_bins_iso_past_a_sega_train_grid_exits_2_from_the_run(self, runner, tmp_path):
-        # 64 bins fit the 8x8 target grid, but not the 4x4 train grid at ratio 2
-        cfg = {**small_config({"methods": [{"name": "s", "scaling": "sega", "grid": "train"}]},
-                              {"ratio": 2.0}), "sega": {"n_bins_iso": 64}}
-        res, _ = run_config(runner, tmp_path, "trajectory", cfg)
+    @pytest.mark.parametrize("command", ["trajectory", "heatmap"])
+    def test_n_bins_iso_past_a_sega_train_grid_is_refused_at_load(self, runner, tmp_path, command):
+        # 64 bins fit the 8x8 target grid, but not the 4x4 train grid at ratio 2; the
+        # trajectory once made the out-dir and failed mid-run, and the heatmap ran
+        def cfg(scaling):
+            methods = [{"name": "s", "scaling": scaling, "grid": "train"}]
+            return {**small_config({"methods": methods}, {"ratio": 2.0}), "sega": {"n_bins_iso": 64}}
+
+        res, out = run_config(runner, tmp_path, command, cfg("sega"))
         assert res.exit_code == 2, res.output
-        assert "bins must lie in [2, 16], the latent's token count" in res.output
-        assert res.stdout == ""
+        assert "sega.n_bins_iso must not exceed the token count of the 4x4 train grid" in res.output
+        assert res.stdout == "" and not out.exists()
+        # a train grid that no sega method analyzes takes any bin count
+        res, out = run_config(runner, tmp_path, command, cfg("fixed"))
+        assert res.exit_code == 0, res.output
 
     @pytest.mark.parametrize("rope, baseline", [
         ({"ratio": 1.0}, {}),  # the train grid is the target grid

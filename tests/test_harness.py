@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from sega import (
     write_latent,
 )
 from sega.fmtio import canonical_json
+from sega.harness import run_grids
 from sega.tensorio import structure_field
 from conftest import SEEDS_16
 
@@ -182,6 +183,26 @@ class TestRunTrajectory:
         rec = run_trajectory(cfg, [warm, cool], rope=ROPE)
         for step in rec:
             assert step.methods["cool"].mean_entropy < step.methods["warm"].mean_entropy
+
+
+class TestRunGrids:
+    @pytest.mark.parametrize("shape, ratios, train", [
+        ((5, 7), (2.0, 2.0), (2, 4)),  # 2.5 and 3.5 round half to even
+        ((3, 3), (4.0, 4.0), (2, 2)),  # 0.75 rounds to 1, below the 2-token floor
+        ((16, 12), (2.0, 3.0), (8, 4)),  # each axis over its own ratio
+    ])
+    def test_train_grid_is_each_axis_over_its_ratio_at_ratio_1(self, shape, ratios, train):
+        cfg = small_cfg(height=shape[0], width=shape[1])
+        rope = RopeParams(dim=16, ratio_h=ratios[0], ratio_w=ratios[1])
+        grids = run_grids(cfg, rope, [SEGA_METHOD, BASELINE])
+        assert list(grids) == ["target", "train"]
+        assert grids["target"] == (cfg, rope)
+        assert grids["train"] == (replace(cfg, height=train[0], width=train[1]),
+                                  replace(rope, ratio_h=1.0, ratio_w=1.0))
+
+    def test_no_train_entry_unless_a_method_runs_on_it(self):
+        for methods in ([], [SEGA_METHOD, FIXED_METHOD]):
+            assert list(run_grids(small_cfg(), ROPE, methods)) == ["target"]
 
 
 class TestSpectralHeatmap:
@@ -357,6 +378,11 @@ class TestOneAnalysisPerLatent:
         draws.clear()
         run_trajectory(cfg, [BASELINE], rope=ROPE)  # the target is analyzed, never attended
         assert (len(analyses), len(draws)) == (3, 3)
+
+        analyses.clear()
+        draws.clear()
+        spectral_heatmap(cfg)  # the run with no methods: the target's profiles alone
+        assert (len(analyses), len(draws)) == (3, 0)
 
     def test_a_structure_file_is_read_once_per_run(self, monkeypatch, tmp_path):
         # each step once read it again, so a file rewritten mid-run mixed two fields
