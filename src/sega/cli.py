@@ -22,7 +22,7 @@ from . import spectral
 from .attention import rotary_attention_row, rotary_entropy
 from .config import ExperimentConfig, load_experiment_config
 from .fmtio import canonical_json, csv_text, fmt, write_csv, write_json
-from .harness import SCALING_MODES, axis_schedules, scaling_vectors, spectral_heatmap, trajectory_files
+from .harness import SCALING_MODES, MethodSpec, axis_schedules, method_inputs, spectral_heatmap, trajectory_files
 from .rope import MAX_DIM, METHODS, YarnParams, base_frequencies, make_schedule, yarn_weights
 from .tensorio import LatentIOError, read_latent, token_features
 
@@ -183,7 +183,7 @@ def modulate(latent_path, config_path, ratio):
 
 @main.command()
 @click.option("--latent", "latent_path", required=True, help="Path to a SEGL latent file.")
-@click.option("--bins", type=int, default=None, help="Radial bin count (default min(H,W)/2).")
+@click.option("--bins", type=int, default=None, help="Radial bin count (default max(2, min(H,W)//2)).")
 def spectrum(latent_path, bins):
     """Emit axis-wise and radial energy profiles as CSV (profile,bin,energy,occupied)."""
     profiles = spectral.analyze(read_latent(latent_path), bins)
@@ -210,15 +210,15 @@ def attention_flags(fn):
     return fn
 
 
-def _attention_setup(grid, config_path, scaling, feature_seed):
-    """(features, sched_h, sched_w, m_h, m_w) for the attention calls."""
+def _attention_setup(latent_path, config_path, scaling, feature_seed, logit_scale):
+    """The latent and the attention call's arguments: its features, then method_inputs of
+    the config's rope at t = 0, whose logit factor (1, with no temperature) scales logit_scale."""
+    grid = read_latent(latent_path)
     cfg = load_experiment_config({} if config_path is None else config_path)
-    rope_p = cfg.rope
-    sched_h, sched_w = axis_schedules(rope_p, rope_p.method, grid.height, grid.width)
-    profiles = spectral.analyze(grid, cfg.sega.n_bins_iso) if scaling == "sega" else None
-    m_h, m_w = scaling_vectors(scaling, profiles, sched_h, sched_w, rope_p.ratio_scalar, cfg.sega)
-    feats = token_features(grid, 2 * rope_p.dim, feature_seed, 0)
-    return feats, sched_h, sched_w, m_h, m_w
+    method = MethodSpec("cli", cfg.rope.method, scaling)
+    profiles = spectral.analyze(grid, cfg.sega.n_bins_iso) if method.reads_profiles else None
+    *kernel, factor = method_inputs(method, profiles, cfg.rope, grid.height, grid.width, 0.0, cfg.sega)
+    return grid, (token_features(grid, 2 * cfg.rope.dim, feature_seed, 0), *kernel, factor * logit_scale)
 
 
 @main.command("attn-map", epilog=CONFIG_EPILOG)
@@ -228,9 +228,8 @@ def _attention_setup(grid, config_path, scaling, feature_seed):
 @attention_flags
 def attn_map(latent_path, query_h, query_w, config_path, scaling, feature_seed, logit_scale):
     """Emit one query token's attention weights over the 2D grid as CSV."""
-    grid = read_latent(latent_path)
-    args = _attention_setup(grid, config_path, scaling, feature_seed)
-    row = rotary_attention_row(*args, logit_scale, query=(query_h, query_w))
+    grid, args = _attention_setup(latent_path, config_path, scaling, feature_seed, logit_scale)
+    row = rotary_attention_row(*args, query=(query_h, query_w))
     header = ["h"] + [f"w{j}" for j in range(grid.width)]
     _emit(csv_text(header, [np.arange(grid.height), *row.reshape(grid.height, grid.width).T]))
 
@@ -240,9 +239,8 @@ def attn_map(latent_path, query_h, query_w, config_path, scaling, feature_seed, 
 @attention_flags
 def entropy(latent_path, config_path, scaling, feature_seed, logit_scale):
     """Emit per-token attention entropies as CSV, with a trailing mean row."""
-    grid = read_latent(latent_path)
-    args = _attention_setup(grid, config_path, scaling, feature_seed)
-    per_row, mean = rotary_entropy(*args, logit_scale)
+    grid, args = _attention_setup(latent_path, config_path, scaling, feature_seed, logit_scale)
+    per_row, mean = rotary_entropy(*args)
     token = np.arange(per_row.size)
     table = csv_text(["token", "h", "w", "entropy"], [token, token // grid.width, token % grid.width, per_row])
     _emit(table + f"mean,,,{fmt(mean)}\n")

@@ -150,7 +150,7 @@ def load_experiment_config(source) -> ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"rope method {name!r}: {exc}") from exc
     # Past the token count of a grid a sega run analyzes, every extra radial bin is empty.
-    for kind, (grid, _) in run_grids(trajectory, rope, [m for m in runs if m.scaling == "sega"]).items():
+    for kind, (grid, _) in run_grids(trajectory, rope, [m for m in runs if m.reads_profiles]).items():
         if sega.n_bins_iso is not None and sega.n_bins_iso > grid.height * grid.width:
             raise ValueError("sega.n_bins_iso must not exceed trajectory height * width" if kind == "target"
                              else f"sega.n_bins_iso must not exceed the token count of the "

@@ -3,7 +3,7 @@
 Real diffusion latents are out of reach here, so each step blends seeded
 Gaussian noise with a deterministic structure field (noise-heavy early,
 structure-heavy late). Every step is analyzed spectrally, each configured
-method gets its schedules and scaling vectors, and attention entropy is
+method gets its kernel arguments from method_inputs, and attention entropy is
 measured on seeded Gaussian token features so it responds to positional
 scaling without a learned model.
 """
@@ -50,6 +50,11 @@ class MethodSpec:
         # A name is a raw cell of entropy_trace.csv's header, which starts with "step"
         if self.name == "step" or any(c in self.name for c in ',"\r\n'):
             raise ValueError('name must not be "step" or contain a comma, quote or line break')
+
+    @property
+    def reads_profiles(self) -> bool:
+        """Whether the magnitudes come from the latent's spectral analysis."""
+        return self.scaling == "sega"
 
 
 @dataclass(frozen=True)
@@ -127,23 +132,20 @@ def axis_schedules(
     return one(height, rope.ratio_h), one(width, rope.ratio_w)
 
 
-def scaling_vectors(
-    scaling: str,
-    profiles: SpectralProfiles | None,
-    sched_h: RopeSchedule,
-    sched_w: RopeSchedule,
-    ratio: float,
-    sega_cfg: SegaConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(m_h, m_w) for one scaling mode; only "sega" reads the latent's profiles."""
-    half = sched_h.dim // 2
-    if scaling == "none":
-        return np.ones(half), np.ones(half)
-    if scaling == "fixed":
-        value = reference_scale(ratio, sega_cfg)
-        return np.full(half, value), np.full(half, value)
-    result = spectral.modulate_detailed(profiles, sched_h, sched_w, ratio, sega_cfg)
-    return result.m_h, result.m_w
+def method_inputs(method: MethodSpec, profiles: SpectralProfiles | None, rope: RopeParams,
+                  height: int, width: int, t: float, sega_cfg: SegaConfig) -> tuple:
+    """(sched_h, sched_w, m_h, m_w, logit_factor), the arguments after the features of
+    rotary_entropy and rotary_attention_row, for one method on a height x width grid at
+    time t. profiles are the grid's analysis, read only when method.reads_profiles."""
+    ratio = rope.ratio_scalar
+    sched_h, sched_w = axis_schedules(rope, method.rope, height, width, t)
+    if method.reads_profiles:
+        result = spectral.modulate_detailed(profiles, sched_h, sched_w, ratio, sega_cfg)
+        m_h, m_w = result.m_h, result.m_w
+    else:
+        value = reference_scale(ratio, sega_cfg) if method.scaling == "fixed" else 1.0
+        m_h = m_w = np.full(rope.dim // 2, value)
+    return sched_h, sched_w, m_h, m_w, yarn_temperature(ratio) if method.temperature else 1.0
 
 
 def run_grids(cfg: TrajectoryConfig, rope: RopeParams, methods) -> dict:
@@ -169,11 +171,11 @@ def run_trajectory(
 
     The grids are run_grids over the methods, each one's structure field built
     once per run. Each step generates each latent once, analyzes those of
-    run_grids over the sega methods (the target always) once, and draws the
-    token features of each grid a method runs on once; the methods on a grid
-    share them. The features are TokenFeatures, whose token grid and projection
-    the attention kernel reads without forming an N x D matrix. Returns one
-    StepRecord per step.
+    run_grids over the methods that read profiles (the target always) once,
+    and draws the token features of each grid a method runs on once; the
+    methods on a grid share them. The features are TokenFeatures, whose
+    token grid and projection the attention kernel reads without forming an
+    N x D matrix. Returns one StepRecord per step.
     """
     sega_cfg = sega_cfg or SegaConfig()
     rope = rope or RopeParams()
@@ -183,7 +185,7 @@ def run_trajectory(
 
     used = {m.grid for m in methods}
     grids = run_grids(cfg, rope, methods)
-    analyzed = run_grids(cfg, rope, [m for m in methods if m.scaling == "sega"])
+    analyzed = run_grids(cfg, rope, [m for m in methods if m.reads_profiles])
     structures = {kind: structure_field(grid_cfg) for kind, (grid_cfg, _) in grids.items()}
 
     steps = []
@@ -202,12 +204,9 @@ def run_trajectory(
         step_rec = StepRecord(step, cfg.alpha(step), time, flatness, sigma, target.radial, {})
         for method in methods:
             latent, profiles, feats, grid_rope = inputs[method.grid]
-            ratio = grid_rope.ratio_scalar
-            sched_h, sched_w = axis_schedules(grid_rope, method.rope, latent.height, latent.width, time)
-            m_h, m_w = scaling_vectors(method.scaling, profiles, sched_h, sched_w, ratio, sega_cfg)
-            tau = yarn_temperature(ratio) if method.temperature else 1.0
-            mean_entropy = rotary_entropy(feats, sched_h, sched_w, m_h, m_w, tau)[1]
-            step_rec.methods[method.name] = MethodStepRecord(m_h, m_w, mean_entropy)
+            args = method_inputs(method, profiles, grid_rope, latent.height, latent.width, time, sega_cfg)
+            m_h, m_w = args[2:4]
+            step_rec.methods[method.name] = MethodStepRecord(m_h, m_w, rotary_entropy(feats, *args)[1])
         steps.append(step_rec)
     return steps
 

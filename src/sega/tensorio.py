@@ -18,6 +18,7 @@ import functools
 import math
 import struct
 import sys
+from copy import deepcopy
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
@@ -212,7 +213,7 @@ def check_fields(obj) -> None:
 
     int also takes a numpy integer, and float a finite real, numpy's too, stored
     as a Python float; neither takes a bool. bool, str and dict take their own
-    type (a dict is copied), Literal a str from its set, and X | None also None.
+    type (a dict is copied deeply), Literal a str from its set, and X | None also None.
     """
     for name, hint in _type_hints(type(obj)).items():
         value = getattr(obj, name)
@@ -233,7 +234,7 @@ def check_fields(obj) -> None:
         elif type(value) is not hint:
             raise ValueError(f"{name} must be {_KINDS[hint]}")
         elif hint is dict:
-            object.__setattr__(obj, name, dict(value))
+            object.__setattr__(obj, name, deepcopy(value))
 
 
 def checked_structure_params(cfg: TrajectoryConfig) -> dict:

@@ -24,6 +24,7 @@ import sega
 from sega import LatentGrid, TrajectoryConfig, write_latent
 from sega.cli import main
 from sega.config import load_experiment_config
+from sega.harness import SCALING_MODES, MethodSpec
 from sega.spectral import SegaConfig, reference_scale
 from sega.tensorio import MAX_STEPS, checked_structure_params
 from oracles import dense_softmax
@@ -322,6 +323,23 @@ class TestAttnMapAndEntropy:
         assert res.exit_code == 2, res.output
         assert "No such option" in res.output and "--fixed-value" in res.output
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("scaling", SCALING_MODES)
+    @pytest.mark.parametrize("command", ["attn-map", "entropy"])
+    def test_only_a_mode_that_reads_profiles_analyzes_the_latent(self, runner, noise_latent,
+                                                                 tmp_path, command, scaling):
+        # 1000 bins load against the default 64x64 grid; the 16x16 latent holds 256 tokens
+        config = tmp_path / "bins.json"
+        config.write_text('{"sega": {"n_bins_iso": 1000}}')
+        query = QUERY if command == "attn-map" else []
+        argv = [command, "--latent", str(noise_latent), "--config", str(config), "--scaling", scaling]
+        res = runner.invoke(main, [*argv, *query])
+        if MethodSpec("m", scaling=scaling).reads_profiles:
+            assert res.exit_code == 2, res.output
+            assert "bins must lie in [2, 256], the latent's token count" in res.output
+            assert res.stdout == ""
+        else:
+            assert res.exit_code == 0, res.output
 
     def test_entropy_rows_and_mean(self, runner, noise_latent):
         res = runner.invoke(main, ["entropy", "--latent", str(noise_latent)])

@@ -26,7 +26,8 @@ from sega import (
     write_latent,
 )
 from sega.fmtio import canonical_json
-from sega.harness import run_grids
+from sega.harness import SCALING_MODES, axis_schedules, method_inputs, run_grids
+from sega.rope import yarn_temperature
 from sega.tensorio import structure_field
 from conftest import SEEDS_16
 
@@ -203,6 +204,61 @@ class TestRunGrids:
     def test_no_train_entry_unless_a_method_runs_on_it(self):
         for methods in ([], [SEGA_METHOD, FIXED_METHOD]):
             assert list(run_grids(small_cfg(), ROPE, methods)) == ["target"]
+
+
+class TestMethodInputs:
+    """The kernel's arguments for one method, as run_trajectory, entropy and attn-map take them."""
+
+    CFG = small_cfg()
+    PROFILES = analyze(generate_latent(CFG, 3, structure_field(CFG)))
+
+    def inputs(self, method, profiles=None, rope=ROPE, t=0.5):
+        return method_inputs(method, profiles, rope, 16, 16, t, SegaConfig())
+
+    def test_only_sega_reads_profiles(self):
+        assert [mode for mode in SCALING_MODES if MethodSpec("m", scaling=mode).reads_profiles] == ["sega"]
+
+    def test_none_is_ones(self):
+        _, _, m_h, m_w, factor = self.inputs(MethodSpec("none", scaling="none"))
+        for m in (m_h, m_w):
+            assert m.shape == (ROPE.dim // 2,)
+            np.testing.assert_array_equal(m, 1.0)
+        assert factor == 1.0
+
+    def test_fixed_is_the_reference_scale_on_every_d_and_1_at_ratio_1(self):
+        fixed = MethodSpec("fixed", scaling="fixed")
+        m_ref = reference_scale(ROPE.ratio_scalar, SegaConfig())
+        assert m_ref > 1.0
+        train_rope = run_grids(self.CFG, ROPE, [replace(fixed, grid="train")])["train"][1]
+        for rope, value in ((ROPE, m_ref), (train_rope, 1.0)):
+            _, _, m_h, m_w, _ = self.inputs(fixed, rope=rope)
+            for m in (m_h, m_w):
+                assert m.shape == (ROPE.dim // 2,)
+                np.testing.assert_array_equal(m, value)
+
+    @pytest.mark.parametrize("rope", ["ntk_strong", "dype", "yarn"])
+    def test_sega_is_modulate_detailed_bit_for_bit(self, rope):
+        method = MethodSpec("sega", rope=rope, scaling="sega")
+        sched_h, sched_w, m_h, m_w, factor = self.inputs(method, self.PROFILES, t=0.5)
+        expect_h, expect_w = axis_schedules(ROPE, rope, 16, 16, 0.5)
+        np.testing.assert_array_equal(sched_h.theta, expect_h.theta)
+        np.testing.assert_array_equal(sched_w.theta, expect_w.theta)
+        result = modulate_detailed(self.PROFILES, expect_h, expect_w, ROPE.ratio_scalar, SegaConfig())
+        assert result.sigma > 0.01  # the correction is live
+        np.testing.assert_array_equal(m_h, result.m_h)
+        np.testing.assert_array_equal(m_w, result.m_w)
+        assert factor == 1.0
+
+    @pytest.mark.parametrize("scaling", SCALING_MODES)
+    def test_temperature_alone_sets_the_logit_factor(self, scaling):
+        warm = MethodSpec("warm", rope="yarn", scaling=scaling)
+        cool = replace(warm, name="cool", temperature=True)
+        *args_warm, factor_warm = self.inputs(warm, self.PROFILES)
+        *args_cool, factor_cool = self.inputs(cool, self.PROFILES)
+        assert factor_warm == 1.0
+        assert factor_cool == yarn_temperature(ROPE.ratio_scalar) > 1.0
+        for a, b in zip(args_warm, args_cool):
+            np.testing.assert_array_equal(getattr(a, "theta", a), getattr(b, "theta", b))
 
 
 class TestSpectralHeatmap:
@@ -383,6 +439,16 @@ class TestOneAnalysisPerLatent:
         draws.clear()
         spectral_heatmap(cfg)  # the run with no methods: the target's profiles alone
         assert (len(analyses), len(draws)) == (3, 0)
+
+    @pytest.mark.parametrize("scaling", SCALING_MODES)
+    def test_a_train_grid_is_analyzed_only_for_a_mode_that_reads_profiles(self, monkeypatch, scaling):
+        import sega.spectral
+
+        analyses = self.counter(monkeypatch, sega.spectral, "analyze")
+        train = MethodSpec("train", rope="ntk_strong", scaling=scaling, grid="train")
+        run_trajectory(small_cfg(steps=3), [SEGA_METHOD, train], rope=ROPE)
+        per_step = [(16, 16)] + ([(8, 8)] if train.reads_profiles else [])
+        assert [a[0].values.shape[:2] for a in analyses] == per_step * 3
 
     def test_a_structure_file_is_read_once_per_run(self, monkeypatch, tmp_path):
         # each step once read it again, so a file rewritten mid-run mixed two fields

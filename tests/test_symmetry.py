@@ -18,9 +18,11 @@ both axes or a uniform scale leaves m_h, m_w and sigma (gaps at most 4.1e-15).
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sega import LatentGrid, SegaConfig, TokenFeatures, analyze, make_schedule, modulate_detailed
-from sega.attention import rotary_entropy
+from sega.attention import BLOCK_LOGITS, rotary_entropy
 
 DIM = 32  # per axis
 RATIO = 2.0
@@ -30,6 +32,13 @@ SCHED_W = make_schedule(DIM, method="pi", ratio=RATIO)
 
 
 GRIDS = [(9, 7, 4), (3, 50, 4), (48, 64, 4), (33, 20, 16), (64, 64, 16), (2, 2, 1)]
+# Any grid from 2x2 to 64x64 at C in {1, 4, 16}. The examples are the two blocking
+# regimes: a query block is a whole grid column at 16x16, and a 16-row part of
+# one at 64x64. A 64x64 call at C = 16 takes ~0.1 s, so the sweep stays small.
+SHAPES = dict(height=st.integers(2, 64), width=st.integers(2, 64), channels=st.sampled_from([1, 4, 16]))
+SWEEP = settings(max_examples=8, deadline=None)
+WHOLE_COLUMN = example(height=16, width=16, channels=4)
+PART_COLUMN = example(height=64, width=64, channels=4)
 LATENTS = [(16, 16), (32, 24), (15, 13), (64, 48)]
 
 
@@ -69,6 +78,20 @@ def test_transposed_grid_gives_transposed_entropies(height, width, channels):
     assert mean_t == pytest.approx(mean, rel=1e-12, abs=0)
 
 
+def test_the_examples_are_the_two_blocking_regimes():
+    # rotary_entropy's block is min(H, BLOCK_LOGITS // N) query rows of one grid column
+    assert BLOCK_LOGITS // (16 * 16) >= 16
+    assert BLOCK_LOGITS // (64 * 64) == 16
+
+
+@WHOLE_COLUMN
+@PART_COLUMN
+@SWEEP
+@given(**SHAPES)
+def test_transposed_grid_gives_transposed_entropies_on_any_shape(height, width, channels):
+    test_transposed_grid_gives_transposed_entropies(height, width, channels)
+
+
 def _reflected(tokens, proj, axis, swap=True):
     """tokens flipped along grid axis 0 (H) or 1 (W); with swap, that axis's even and
     odd projection columns trade places, which turns each of its rotations back."""
@@ -89,6 +112,20 @@ def test_reflected_grid_gives_reflected_entropies(height, width, channels, axis)
 
     np.testing.assert_allclose(per_token_r, np.flip(per_token, axis), rtol=1e-12, atol=0)
     assert mean_r == pytest.approx(mean, rel=1e-12, abs=0)
+
+
+@WHOLE_COLUMN
+@PART_COLUMN
+@SWEEP
+@given(**SHAPES)
+def test_reflected_grid_gives_reflected_entropies_on_any_shape(height, width, channels):
+    tokens, proj, scale_h, scale_w = _features(height, width, channels)
+
+    per_token, mean = _entropies(tokens, proj, scale_h, scale_w)
+    for axis in (0, 1):
+        per_token_r, mean_r = _entropies(*_reflected(tokens, proj, axis), scale_h, scale_w)
+        np.testing.assert_allclose(per_token_r, np.flip(per_token, axis), rtol=1e-12, atol=0)
+        assert mean_r == pytest.approx(mean, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("axis", [0, 1], ids=["H", "W"])

@@ -214,6 +214,15 @@ class TestTrajectoryConfig:
         np.testing.assert_array_equal(structure_field(config(np.int64(2), np.uint8(3))),
                                       structure_field(config(2, 3)))
 
+    def test_blend_table_is_not_the_callers_list(self):
+        # a shallow copy kept the caller's list, so a weight set after the [0, 1]
+        # check reached alpha
+        values = [1.0, 0.5, 0.0]
+        cfg = TrajectoryConfig(steps=3, noise_blend={"kind": "table", "values": values})
+        values[2] = 7.0
+        assert cfg.alpha(2) == 0.0
+        assert cfg.noise_blend == {"kind": "table", "values": [1.0, 0.5, 0.0]}
+
     def test_linear_blend_endpoints(self):
         cfg = TrajectoryConfig(steps=5, seed=0)
         assert cfg.alpha(0) == 1.0
