@@ -213,8 +213,8 @@ def attention_flags(fn):
 def _attention_setup(latent_path, config_path, scaling, feature_seed, logit_scale):
     """The latent and the attention call's arguments: its features, then method_inputs of
     the config's rope at t = 0, whose logit factor (1, with no temperature) scales logit_scale."""
+    cfg = load_experiment_config({} if config_path is None else config_path)  # faults exit 2 first
     grid = read_latent(latent_path)
-    cfg = load_experiment_config({} if config_path is None else config_path)
     method = MethodSpec("cli", cfg.rope.method, scaling)
     profiles = spectral.analyze(grid, cfg.sega.n_bins_iso) if method.reads_profiles else None
     *kernel, factor = method_inputs(method, profiles, cfg.rope, grid.height, grid.width, 0.0, cfg.sega)

@@ -3,10 +3,11 @@
 The dataclass of each section (RopeParams, SegaConfig, TrajectoryConfig and
 MethodSpec) states its keys and defaults and checks each field against its
 annotation, for library callers too: nothing is coerced, except that an integer
-in a float field is stored as a float. The loader checks what JSON alone needs
-and reads the keys no dataclass holds. Unknown keys are rejected, in each
-section and inside the structure_params and noise_blend objects (where each
-kind reads its own keys), so a typo cannot silently fall back to a default.
+in a float field is stored as a float; TrajectoryConfig also refuses a
+noise_blend key its kind does not read. The loader checks what JSON alone needs,
+reads the keys no dataclass holds and rejects unknown keys in each section and in
+a structure_params the config gives (the default, {"cycles_w": 4.0}, is echoed
+whatever the structure kind), so a typo cannot silently fall back to a default.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from .harness import MethodSpec, RopeParams, axis_schedules, run_grids
 from .spectral import SegaConfig, reference_scale
-from .tensorio import BLEND_KEYS, TrajectoryConfig, checked_structure_params, finite_number
+from .tensorio import TrajectoryConfig, finite_number
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,9 @@ def load_experiment_config(source) -> ExperimentConfig:
     rope = _built(RopeParams, rope_raw, "rope")
     sega = _built(SegaConfig, sega_raw, "sega")
     trajectory = _built(TrajectoryConfig, traj_raw, "trajectory")
-    # A dict the config gives holds only keys its kind reads. The default
-    # structure_params, {"cycles_w": 4.0}, is echoed whatever the kind.
+    # given structure_params hold only keys their kind reads; the default is echoed whatever the kind
     if "structure_params" in traj_raw:
-        _check_keys(trajectory.structure_params, checked_structure_params(trajectory),
-                    "trajectory.structure_params")
-    blend = trajectory.noise_blend
-    _check_keys(blend, BLEND_KEYS[blend.get("kind", "linear")], "trajectory.noise_blend")
+        _check_keys(trajectory.structure_params, trajectory.structure, "trajectory.structure_params")
 
     try:
         reference_scale(rope.ratio_scalar, sega)
@@ -155,7 +152,7 @@ def load_experiment_config(source) -> ExperimentConfig:
             raise ValueError("sega.n_bins_iso must not exceed trajectory height * width" if kind == "target"
                              else f"sega.n_bins_iso must not exceed the token count of the "
                              f"{grid.height}x{grid.width} {kind} grid a sega method runs on")
-    # Only a file structure builds every run's grids here, as each build rechecks the blend.
+    # Only a file structure builds every run's grids here, as each build rechecks the config.
     shape = (trajectory.height, trajectory.width)
     if trajectory.structure_kind == "file" and any(
         (grid.height, grid.width) != shape for grid, _ in run_grids(trajectory, rope, runs).values()

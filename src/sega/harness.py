@@ -170,9 +170,9 @@ def run_trajectory(
     """Evaluate every method at every step of one simulated denoising run.
 
     The grids are run_grids over the methods, each one's structure field built
-    once per run. Each step generates each latent once, analyzes those of
-    run_grids over the methods that read profiles (the target always) once,
-    and draws the token features of each grid a method runs on once; the
+    once per run. Each step generates each latent once, analyzes the target's
+    latent and those a method reading profiles runs on once, and draws the
+    token features of each grid a method runs on once; the
     methods on a grid share them. The features are TokenFeatures, whose
     token grid and projection the attention kernel reads without forming an
     N x D matrix. Returns one StepRecord per step.
@@ -185,7 +185,7 @@ def run_trajectory(
 
     used = {m.grid for m in methods}
     grids = run_grids(cfg, rope, methods)
-    analyzed = run_grids(cfg, rope, [m for m in methods if m.reads_profiles])
+    analyzed = {"target", *(m.grid for m in methods if m.reads_profiles)}
     structures = {kind: structure_field(grid_cfg) for kind, (grid_cfg, _) in grids.items()}
 
     steps = []

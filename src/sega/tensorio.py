@@ -21,6 +21,7 @@ import sys
 from copy import deepcopy
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -106,7 +107,9 @@ class TrajectoryConfig:
     be non-increasing: noise dominates early steps, structure late ones.
     Supported descriptors: ``{"kind": "linear"}`` (1 at step 0 down to 0 at the
     final step), ``{"kind": "constant", "value": a}``, and
-    ``{"kind": "table", "values": [...]}`` with one entry per step.
+    ``{"kind": "table", "values": [...]}`` with one entry per step. Both dicts are
+    resolved once: ``alphas`` holds one checked weight per step and ``structure``
+    the checked structure parameters, read-only; the run reads only these.
     """
 
     steps: int = 8
@@ -122,54 +125,26 @@ class TrajectoryConfig:
         # Each message starts with the field it faults, which the config loader
         # prefixes with the section: "trajectory.steps must be >= 1".
         check_fields(self)
-        if not self.steps >= 1:
-            raise ValueError("steps must be >= 1")
-        if not self.steps <= MAX_STEPS:
-            raise ValueError(f"steps must be <= {MAX_STEPS}")
-        if not self.seed >= 0:
-            raise ValueError("seed must be unsigned")
-        for name, least in (("height", 2), ("width", 2), ("channels", 1)):
+        for name, least in (("steps", 1), ("seed", 0), ("height", 2), ("width", 2), ("channels", 1)):
             if not getattr(self, name) >= least:
                 raise ValueError(f"{name} must be >= {least}")
+        if not self.steps <= MAX_STEPS:
+            raise ValueError(f"steps must be <= {MAX_STEPS}")
         # as Python ints, which a numpy integer's product could wrap past
         if int(self.height) * int(self.width) * int(self.channels) * 8 > sys.maxsize:
             raise ValueError("height * width * channels * 8 bytes exceeds the addressable size")
-        checked_structure_params(self)
-        try:
-            # Linear weights fall from 1 to 0, and a constant is one weight: only
-            # a table has a weight per step to check.
-            tabled = self.noise_blend.get("kind", "linear") == "table"
-            alphas = [self._blend_at(t) for t in (range(self.steps) if tabled else (0,))]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"noise_blend is malformed: {self.noise_blend!r}") from exc
-        if not all(0.0 <= a <= 1.0 for a in alphas):
-            raise ValueError("noise_blend weights must lie in [0, 1]")
-        if any(b > a + 1e-12 for a, b in zip(alphas, alphas[1:])):
-            raise ValueError("noise_blend weights must be non-increasing in step index")
-
-    def _blend_at(self, step: int) -> float:
-        kind = self.noise_blend.get("kind", "linear")
-        if kind == "linear":
-            return self.time(step)  # the noise weight falls with the denoising time
-        if kind == "constant":
-            return finite_number(self.noise_blend["value"], "noise_blend.value")
-        if kind == "table":
-            values = self.noise_blend["values"]
-            if len(values) != self.steps:
-                raise ValueError("noise_blend.values must hold one weight per step")
-            return finite_number(values[step], f"noise_blend.values[{step}]")
-        raise ValueError(f"noise_blend.kind must be one of {tuple(BLEND_KEYS)}")
+        # attributes, not fields: asdict, the config echo and replace see the dicts as given
+        object.__setattr__(self, "structure", MappingProxyType(checked_structure_params(self)))
+        object.__setattr__(self, "alphas", checked_blend(self))
 
     def alpha(self, step: int) -> float:
         self._check_step(step)
-        return float(self._blend_at(step))
+        return self.alphas[step]
 
     def time(self, step: int) -> float:
         """Denoising time coordinate: 1.0 at the pure-noise end, 0.0 at the last step."""
         self._check_step(step)
-        if self.steps == 1:
-            return 1.0
-        return 1.0 - step / (self.steps - 1)
+        return 1.0 - step / max(self.steps - 1, 1)  # one step is pure noise
 
     def _check_step(self, step: int) -> None:
         if not 0 <= step < self.steps:
@@ -276,12 +251,40 @@ def checked_structure_params(cfg: TrajectoryConfig) -> dict:
         raise ValueError(f"structure_params for {kind!r}: {exc}") from exc
 
 
+def checked_blend(cfg: TrajectoryConfig) -> tuple:
+    """cfg's noise blend as one weight per step, each in [0, 1] and none above the one
+    before; the blend may hold only the keys its kind reads, as BLEND_KEYS lists them."""
+    blend = cfg.noise_blend
+    kind = blend.get("kind", "linear")
+    if kind not in tuple(BLEND_KEYS):
+        raise ValueError(f"noise_blend.kind must be one of {tuple(BLEND_KEYS)}")
+    unknown = ", ".join(sorted(map(str, set(blend) - set(BLEND_KEYS[kind]))))
+    if unknown:
+        raise ValueError(f"noise_blend has unknown key(s) for kind {kind!r}: {unknown}")
+    try:
+        if kind == "linear":  # the noise weight falls with the denoising time
+            alphas = tuple(map(cfg.time, range(cfg.steps)))
+        elif kind == "constant":
+            alphas = (finite_number(blend["value"], "noise_blend.value"),) * cfg.steps
+        elif len(blend["values"]) != cfg.steps:
+            raise ValueError("noise_blend.values must hold one weight per step")
+        else:
+            alphas = tuple(finite_number(blend["values"][t], f"noise_blend.values[{t}]")
+                           for t in range(cfg.steps))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"noise_blend is malformed: {blend!r}") from exc
+    if not all(0.0 <= a <= 1.0 for a in alphas):
+        raise ValueError("noise_blend weights must lie in [0, 1]")
+    if any(b > a + 1e-12 for a, b in zip(alphas, alphas[1:])):
+        raise ValueError("noise_blend weights must be non-increasing in step index")
+    return alphas
+
+
 def structure_field(cfg: TrajectoryConfig) -> np.ndarray:
     """The deterministic structure component, normalized, shape (H, W, C)."""
     h_idx = np.arange(cfg.height, dtype=np.float64)[:, None]
     w_idx = np.arange(cfg.width, dtype=np.float64)[None, :]
-    params = checked_structure_params(cfg)
-    kind = cfg.structure_kind
+    params, kind = cfg.structure, cfg.structure_kind
 
     if kind == "sinusoid":
         cyc_h, cyc_w, phase = params["cycles_h"], params["cycles_w"], params["phase"]

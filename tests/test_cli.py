@@ -26,7 +26,6 @@ from sega.cli import main
 from sega.config import load_experiment_config
 from sega.harness import SCALING_MODES, MethodSpec
 from sega.spectral import SegaConfig, reference_scale
-from sega.tensorio import MAX_STEPS, checked_structure_params
 from oracles import dense_softmax
 
 REPO = Path(__file__).resolve().parents[1]
@@ -251,6 +250,19 @@ class TestSpectrum:
 
 
 class TestAttnMapAndEntropy:
+    @pytest.mark.parametrize("command", [["modulate"], ["entropy"],
+                                         ["attn-map", "--query-h", "0", "--query-w", "0"]],
+                             ids=["modulate", "entropy", "attn_map"])
+    def test_config_fault_exits_2_before_the_latent_is_read(self, runner, tmp_path, command):
+        # entropy and attn-map once read the latent first, and a missing one exited 3
+        config = tmp_path / "dim.json"
+        config.write_text('{"rope": {"dim": 3}}')
+        res = runner.invoke(main, [*command, "--latent", str(tmp_path / "none.segl"),
+                                   "--config", str(config)])
+        assert res.exit_code == 2, res.output
+        assert "rope.dim must be an even integer in [4, 1024]" in res.output
+        assert res.stdout == ""
+
     @pytest.mark.parametrize("command", [["entropy"], ["attn-map", "--query-h", "3", "--query-w", "5"],
                                          ["heatmap"]], ids=["entropy", "attn_map", "heatmap"])
     def test_flatness_fault_exits_2(self, noise_latent, tmp_path, command):
@@ -449,6 +461,20 @@ class TestTrajectoryCommand:
             ["trajectory", "--config", str(tmp_path / "none.json"), "--out-dir", str(tmp_path / "o")],
         )
         assert res.exit_code == 2
+
+    def test_each_config_is_resolved_once(self, runner, tmp_path, monkeypatch):
+        # Once per TrajectoryConfig built, the loaded target and the run's train grid;
+        # the structure check once also ran for the loader's key check and each
+        # structure field, and the blend was read from its dict three times a step.
+        calls = []
+        for name in ("checked_structure_params", "checked_blend"):
+            check = getattr(sega.tensorio, name)
+            monkeypatch.setattr(sega.tensorio, name,
+                                lambda cfg, name=name, check=check: calls.append(name) or check(cfg))
+        res = runner.invoke(main, ["trajectory", "--config", str(TRAJECTORY_CONFIG),
+                                   "--out-dir", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert calls == ["checked_structure_params", "checked_blend"] * 2
 
 
 class TestHelpText:
@@ -853,35 +879,27 @@ class TestConfigSchema:
             assert res.exit_code == 0, (line, res.output)
         assert (tmp_path / "out" / "summary.json").is_file()
 
-    @pytest.mark.parametrize("blend", [{"kind": "linear"}, {"kind": "constant", "value": 0.5}])
-    def test_untabled_blend_loads_in_constant_memory(self, blend, monkeypatch):
-        # only a table has a weight per step to check; a million-step linear blend
-        # once built a 38.6 MiB table at load, so an untabled blend is checked at
-        # step 0 alone
-        blend_at, steps = TrajectoryConfig._blend_at, []
-        monkeypatch.setattr(TrajectoryConfig, "_blend_at",
-                            lambda cfg, step: steps.append(step) or blend_at(cfg, step))
-        load_experiment_config({"trajectory": {"steps": MAX_STEPS, "noise_blend": blend}})
-        assert steps == [0]
-
-    @pytest.mark.parametrize("trajectory, where", [
-        ({"structure_params": {"cycle_w": 3.0}}, "trajectory.structure_params"),
+    @pytest.mark.parametrize("trajectory, message", [
+        ({"structure_params": {"cycle_w": 3.0}},
+         "unknown key(s) in trajectory.structure_params: cycle_w"),
         ({"structure_kind": "checker", "structure_params": {"block_h": 2, "cycles_w": 4.0}},
-         "trajectory.structure_params"),
+         "unknown key(s) in trajectory.structure_params: cycles_w"),
         ({"structure_kind": "band_limited", "structure_params": {"low": 0.1, "hi": 0.3}},
-         "trajectory.structure_params"),
-        ({"noise_blend": {"kind": "linear", "value": 0.3}}, "trajectory.noise_blend"),
-        ({"noise_blend": {"value": 0.3}}, "trajectory.noise_blend"),
+         "unknown key(s) in trajectory.structure_params: hi"),
+        ({"noise_blend": {"kind": "linear", "value": 0.3}},
+         "trajectory.noise_blend has unknown key(s) for kind 'linear': value"),
+        ({"noise_blend": {"value": 0.3}},
+         "trajectory.noise_blend has unknown key(s) for kind 'linear': value"),
         ({"noise_blend": {"kind": "constant", "value": 0.3, "values": [1, 0.5, 0]}},
-         "trajectory.noise_blend"),
+         "trajectory.noise_blend has unknown key(s) for kind 'constant': values"),
         ({"noise_blend": {"kind": "table", "values": [1, 0.5, 0], "value": 1}},
-         "trajectory.noise_blend"),
+         "trajectory.noise_blend has unknown key(s) for kind 'table': value"),
     ], ids=["sinusoid", "checker", "band_limited", "linear", "kindless", "constant", "table"])
-    def test_key_its_kind_does_not_read_is_refused(self, runner, tmp_path, trajectory, where):
+    def test_key_its_kind_does_not_read_is_refused(self, runner, tmp_path, trajectory, message):
         # once loaded, and the run fell back to the default the typo meant to replace
         res, _ = run_config(runner, tmp_path, "heatmap", small_config(trajectory))
         assert res.exit_code == 2, res.output
-        assert f"unknown key(s) in {where}: " in res.output
+        assert message in res.output
         assert res.stdout == ""
 
     @pytest.mark.parametrize("kind", ["sinusoid", "band_limited", "checker"])
@@ -905,7 +923,7 @@ class TestConfigSchema:
                            "noise_blend": {"kind": "constant", "value": np.float64(0.5)}},
         })
         assert (cfg.rope.ratio_h, cfg.rope.ratio_w) == (2.0, 2.0)
-        assert checked_structure_params(cfg.trajectory)["cycles_w"] == 3.0
+        assert cfg.trajectory.structure["cycles_w"] == 3.0
         assert cfg.trajectory.alpha(0) == 0.5
 
 

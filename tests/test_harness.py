@@ -450,6 +450,17 @@ class TestOneAnalysisPerLatent:
         per_step = [(16, 16)] + ([(8, 8)] if train.reads_profiles else [])
         assert [a[0].values.shape[:2] for a in analyses] == per_step * 3
 
+    def test_each_grid_config_is_built_once_per_run(self, monkeypatch):
+        # the analyzed grids once came from a second run_grids, which built the train
+        # grid's TrajectoryConfig again when a sega method ran on it
+        import sega.tensorio
+
+        cfg = small_cfg(steps=3)
+        builds = self.counter(monkeypatch, sega.tensorio, "checked_blend")
+        train_sega = MethodSpec("train_sega", rope="ntk_strong", scaling="sega", grid="train")
+        run_trajectory(cfg, [SEGA_METHOD, train_sega], rope=ROPE)
+        assert [(c.height, c.width) for c, in builds] == [(8, 8)]
+
     def test_a_structure_file_is_read_once_per_run(self, monkeypatch, tmp_path):
         # each step once read it again, so a file rewritten mid-run mixed two fields
         import sega.tensorio

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from dataclasses import asdict, fields, replace
 from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -25,6 +26,7 @@ from sega import (
 )
 from sega.cli import main
 from sega.tensorio import (
+    MAX_STEPS,
     LatentIOError,
     _normalize_field,
     checked_structure_params,
@@ -222,6 +224,42 @@ class TestTrajectoryConfig:
         values[2] = 7.0
         assert cfg.alpha(2) == 0.0
         assert cfg.noise_blend == {"kind": "table", "values": [1.0, 0.5, 0.0]}
+
+    def test_dicts_changed_after_construction_do_not_change_the_run(self):
+        # the run read both dicts on every call, so a value set after the checks reached it
+        cfg = TrajectoryConfig(steps=3, height=8, width=8, channels=2,
+                               structure_params={"cycles_h": 1.0, "cycles_w": 2.0},
+                               noise_blend={"kind": "table", "values": [1.0, 0.5, 0.0]})
+        field = structure_field(cfg)
+        cfg.noise_blend["values"][2] = 7.0
+        cfg.structure_params["cycles_w"] = 1e308
+        assert cfg.alpha(2) == 0.0
+        assert structure_field(cfg).tobytes() == field.tobytes()
+        with pytest.raises(TypeError):
+            cfg.structure["cycles_w"] = 3.0
+
+    def test_resolved_values_are_not_fields(self):
+        # asdict, the config echo and replace see only the dicts as given
+        cfg = TrajectoryConfig(steps=2, noise_blend={"kind": "constant", "value": 0.5})
+        assert asdict(cfg)["noise_blend"] == {"kind": "constant", "value": 0.5}
+        assert set(asdict(cfg)) == {f.name for f in fields(TrajectoryConfig)}
+        assert replace(cfg, steps=3).alphas == (0.5, 0.5, 0.5)
+
+    def test_library_callers_get_the_blend_key_check(self):
+        # once accepted, and the run was linear
+        with pytest.raises(ValueError, match=r"^noise_blend has unknown key\(s\) for kind 'linear': value$"):
+            TrajectoryConfig(steps=3, noise_blend={"kind": "linear", "value": 0.3})
+
+    @pytest.mark.parametrize("blend", [{"kind": "linear"}, {"kind": "constant", "value": 0.5},
+                                       {"kind": "table", "values": [0.5] * MAX_STEPS}],
+                             ids=["linear", "constant", "table"])
+    def test_every_blend_kind_resolves_one_weight_per_step(self, blend):
+        cfg = TrajectoryConfig(steps=MAX_STEPS, height=2, width=2, channels=1, noise_blend=blend)
+        assert len(cfg.alphas) == MAX_STEPS
+        assert all(type(a) is float for a in cfg.alphas)
+        if blend["kind"] == "linear":
+            times = [cfg.time(t) for t in range(MAX_STEPS)]
+            assert np.array(cfg.alphas).tobytes() == np.array(times).tobytes()
 
     def test_linear_blend_endpoints(self):
         cfg = TrajectoryConfig(steps=5, seed=0)
