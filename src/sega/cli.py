@@ -1,16 +1,15 @@
 """Command-line interface: every pipeline stage as a subcommand.
 
 Exit codes: 0 success, 2 usage or config error, 3 I/O error (latent files,
-output files and directories); every subcommand's body is mapped to them
-once, by its command class. All numeric output is formatted at 9
-significant digits so identical configs yield byte-identical files: at one
-BLAS thread, and at the golden sizes, which are tested at one and two (two
-threads can move the low bits of larger grids' entropies; ROADMAP item 10).
+output files and directories, a stdout whose reader has gone); every
+subcommand's body is mapped to them once, by its command class. All numeric
+output is formatted at 9 significant digits so identical configs yield
+byte-identical files, at any BLAS thread count. Each command renders its
+whole stdout first and prints it in one flushed write, inside its body.
 """
 
 from __future__ import annotations
 
-import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -66,16 +65,6 @@ class _Group(click.Group):
     command_class = _Command
 
 
-def _emit(text: str) -> None:
-    """Write a command's whole stdout in one write.
-
-    The stream is passed explicitly: given none, click caches each stdout it
-    sees in a way that keeps the stream alive, so every in-process call with
-    a captured stdout would leak its buffer.
-    """
-    click.echo(text, file=sys.stdout, nl=False)
-
-
 def _bounded(lo, hi, message):
     """A flag callback that refuses a value outside [lo, hi]; NaN fails the test too."""
     def check(ctx, param, value):
@@ -101,29 +90,6 @@ def _given(**values) -> dict:
     return {key: value for key, value in values.items() if value is not None}
 
 
-def rope_flags(fn):
-    fn = click.option("--dype-strong", is_flag=True, default=False,
-                      help="Use the strengthened base exponent inside dype.")(fn)
-    fn = click.option("--dype-p", type=float, default=None, callback=_positive_finite,
-                      help="Ratio schedule exponent (dype only; default 1.0).")(fn)
-    fn = click.option("--dype-t", type=float, default=None, callback=_unit_interval,
-                      help="Denoising time in [0,1], 1 = pure noise (dype only; default 0.0).")(fn)
-    fn = click.option("--train-len", type=float, default=None, callback=_positive_finite,
-                      help="Training token count along the axis (yarn only).")(fn)
-    fn = click.option("--beta", type=float, default=None, callback=_positive_finite,
-                      help="Upper ramp bound (yarn only; default 32).")(fn)
-    fn = click.option("--alpha", type=float, default=None, callback=_positive_finite,
-                      help="Lower ramp bound (yarn only; default 1).")(fn)
-    fn = click.option("--ratio", type=float, default=None, callback=_ratio,
-                      help="Extrapolation ratio, target over training length "
-                           "(not with --method none; default 1).")(fn)
-    fn = click.option("--method", type=click.Choice(METHODS), default="none",
-                      show_default=True, help="Frequency recalibration method.")(fn)
-    fn = click.option("--base", type=float, default=10000.0, show_default=True,
-                      callback=_positive_finite, help="Rotary base b.")(fn)
-    return fn
-
-
 @click.group(cls=_Group)
 def main():
     """Spectral-energy guided rotary scaling: analysis and experiment tooling."""
@@ -132,7 +98,25 @@ def main():
 @main.command("rope-table")
 @click.option("--dim", type=int, required=True, callback=_even_dim,
               help=f"Embedding size per axis (even, at most {MAX_DIM}).")
-@rope_flags
+@click.option("--base", type=float, default=10000.0, show_default=True,
+              callback=_positive_finite, help="Rotary base b.")
+@click.option("--method", type=click.Choice(METHODS), default="none",
+              show_default=True, help="Frequency recalibration method.")
+@click.option("--ratio", type=float, default=None, callback=_ratio,
+              help="Extrapolation ratio, target over training length "
+                   "(not with --method none; default 1).")
+@click.option("--alpha", type=float, default=None, callback=_positive_finite,
+              help="Lower ramp bound (yarn only; default 1).")
+@click.option("--beta", type=float, default=None, callback=_positive_finite,
+              help="Upper ramp bound (yarn only; default 32).")
+@click.option("--train-len", type=float, default=None, callback=_positive_finite,
+              help="Training token count along the axis (yarn only).")
+@click.option("--dype-t", type=float, default=None, callback=_unit_interval,
+              help="Denoising time in [0,1], 1 = pure noise (dype only; default 0.0).")
+@click.option("--dype-p", type=float, default=None, callback=_positive_finite,
+              help="Ratio schedule exponent (dype only; default 1.0).")
+@click.option("--dype-strong", is_flag=True, default=False,
+              help="Use the strengthened base exponent inside dype.")
 def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p, dype_strong):
     """Dump (d, theta, theta', wavelength[, lambda]) for a schedule as CSV."""
     if method != "yarn" and any(v is not None for v in (alpha, beta, train_len)):
@@ -156,7 +140,7 @@ def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p,
     if method == "yarn":
         header.append("lambda")
         columns.append(yarn_weights(theta0, yarn))
-    _emit(csv_text(header, columns))
+    print(csv_text(header, columns), end="", flush=True)
 
 
 @main.command(epilog=CONFIG_EPILOG)
@@ -178,7 +162,7 @@ def modulate(latent_path, config_path, ratio):
          "s_corr": s, "m": m}
         for axis, s, m in (("H", result.s_h, result.m_h), ("W", result.s_w, result.m_w))
     ]
-    _emit(canonical_json({"axes": axes}) + "\n")
+    print(canonical_json({"axes": axes}) + "\n", end="", flush=True)
 
 
 @main.command()
@@ -195,7 +179,7 @@ def spectrum(latent_path, bins):
         np.concatenate(energies),
         np.concatenate([np.ones(sizes[0] + sizes[1], dtype=int), profiles.occupied.astype(int)]),
     ]
-    _emit(csv_text(["profile", "bin", "energy", "occupied"], columns))
+    print(csv_text(["profile", "bin", "energy", "occupied"], columns), end="", flush=True)
 
 
 def attention_flags(fn):
@@ -231,7 +215,8 @@ def attn_map(latent_path, query_h, query_w, config_path, scaling, feature_seed, 
     grid, args = _attention_setup(latent_path, config_path, scaling, feature_seed, logit_scale)
     row = rotary_attention_row(*args, query=(query_h, query_w))
     header = ["h"] + [f"w{j}" for j in range(grid.width)]
-    _emit(csv_text(header, [np.arange(grid.height), *row.reshape(grid.height, grid.width).T]))
+    table = csv_text(header, [np.arange(grid.height), *row.reshape(grid.height, grid.width).T])
+    print(table, end="", flush=True)
 
 
 @main.command(epilog=CONFIG_EPILOG)
@@ -243,48 +228,44 @@ def entropy(latent_path, config_path, scaling, feature_seed, logit_scale):
     per_row, mean = rotary_entropy(*args)
     token = np.arange(per_row.size)
     table = csv_text(["token", "h", "w", "entropy"], [token, token // grid.width, token % grid.width, per_row])
-    _emit(table + f"mean,,,{fmt(mean)}\n")
+    print(table + f"mean,,,{fmt(mean)}\n", end="", flush=True)
 
 
-def _prepare_out_dir(out_dir: str) -> Path:
-    path = Path(out_dir)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-        tempfile.TemporaryFile(dir=path).close()
-    except OSError as exc:
-        raise FileError(f"output directory not writable: {exc}")
-    return path
+def _run_command(name: str, doc: str, build):
+    """A command that writes the files build(cfg) makes into --out-dir, the config
+    echo first in each summary, and lists them. A config fault exits 2 before the
+    directory is probed, and an unwritable directory exits 3 before the run."""
+
+    @main.command(name, help=doc, epilog=CONFIG_EPILOG)
+    @click.option("--config", "config_path", required=True, help="Experiment config JSON.")
+    @click.option("--out-dir", required=True, help="Directory for CSV/JSON outputs.")
+    def run(config_path, out_dir):
+        cfg = load_experiment_config(config_path)
+        out = Path(out_dir)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            tempfile.TemporaryFile(dir=out).close()
+        except OSError as exc:
+            raise FileError(f"output directory not writable: {exc}")
+        files = build(cfg)
+        for file, content in files.items():
+            if file.endswith(".csv"):
+                write_csv(out / file, *content)
+            else:
+                write_json(out / file, {"config": cfg.snapshot(), **content})
+        print("".join(f"wrote {out / file}\n" for file in files), end="", flush=True)
+
+    return run
 
 
-def _write_files(out: Path, cfg: ExperimentConfig, files: dict) -> None:
-    """Write a run's files into out, the config echo first in its summary, and list them."""
-    for name, content in files.items():
-        if name.endswith(".csv"):
-            write_csv(out / name, *content)
-        else:
-            write_json(out / name, {"config": cfg.snapshot(), **content})
-    _emit("".join(f"wrote {out / name}\n" for name in files))
-
-
-@main.command(epilog=CONFIG_EPILOG)
-@click.option("--config", "config_path", required=True, help="Experiment config JSON.")
-@click.option("--out-dir", required=True, help="Directory for CSV/JSON outputs.")
-def trajectory(config_path, out_dir):
-    """Run a full simulated trajectory; write scaling maps, heatmap, entropy trace, summary."""
-    cfg = load_experiment_config(config_path)
-    out = _prepare_out_dir(out_dir)
-    files = trajectory_files(cfg.trajectory, cfg.methods, cfg.baseline, cfg.sega, cfg.rope)
-    _write_files(out, cfg, files)
-
-
-@main.command(epilog=CONFIG_EPILOG)
-@click.option("--config", "config_path", required=True, help="Experiment config JSON.")
-@click.option("--out-dir", required=True, help="Directory for CSV/JSON outputs.")
-def heatmap(config_path, out_dir):
-    """Write the per-step normalized radial spectrum matrix."""
-    cfg = load_experiment_config(config_path)
-    out = _prepare_out_dir(out_dir)
-    _write_files(out, cfg, spectral_heatmap(cfg.trajectory, cfg.sega))
+trajectory = _run_command(
+    "trajectory", "Run a full simulated trajectory; write scaling maps, heatmap, entropy trace, summary.",
+    lambda cfg: trajectory_files(cfg.trajectory, cfg.methods, cfg.baseline, cfg.sega, cfg.rope),
+)
+heatmap = _run_command(
+    "heatmap", "Write the per-step normalized radial spectrum matrix.",
+    lambda cfg: spectral_heatmap(cfg.trajectory, cfg.sega),
+)
 
 
 if __name__ == "__main__":

@@ -404,6 +404,33 @@ class TestBlockedRotary:
         per_row, _ = rotary_entropy(dense(feats, 24, 25), sh, sw, logit_scale=2.0)
         np.testing.assert_allclose(per_row, expected, rtol=0, atol=1e-12)
 
+    def test_parts_within_blas_bounds_match_dense(self, rng, monkeypatch):
+        # Bounds far below every product of a 7 x 9, C = 3, dim 16 call: the pairs
+        # GEMM and the per-row GEMM split into one-row parts of a few columns, the
+        # right operand and the tables into row parts, and each row's dot into 7.
+        monkeypatch.setattr(attention, "SERIAL_GEMM", 40)
+        monkeypatch.setattr(attention, "SERIAL_DOT", 10)
+        sh, sw = schedules("ntk_strong", 16)
+        mh, mw = rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8)
+        tokens, proj = rng.standard_normal((63, 3)), rng.standard_normal((3, 32))
+        expected, _ = dense_rotary(tokens @ proj, 7, 9, sh, sw, mh, mw, 1.3)
+        feats = TokenFeatures(tokens.reshape(7, 9, 3), proj)
+        per_row, _ = rotary_entropy(feats, sh, sw, mh, mw, 1.3)
+        np.testing.assert_allclose(per_row, expected, rtol=0, atol=1e-12)
+        weights = dense_softmax(rotary_logits(tokens @ proj, 7, 9, sh.theta, sw.theta, mh, mw, 1.3))
+        for query in (0, 40, 62):
+            row = rotary_attention_row(feats, sh, sw, mh, mw, 1.3, query=divmod(query, 9))
+            np.testing.assert_allclose(row, weights[query], rtol=0, atol=1e-12)
+
+    @given(st.integers(1, 60), st.integers(1, 25))
+    def test_parts_are_the_fewest_near_equal_slices(self, length, most):
+        parts = attention._parts(length, most)
+        sizes = [part.stop - part.start for part in parts]
+        assert parts[0].start == 0 and parts[-1].stop == length
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+        assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+        assert len(parts) == -(-length // most)
+
     def test_numpy_state_is_the_callers(self, rng):
         # The caller's buffer size and error state are back on return and after
         # the overflow error, which huge tokens raise past the (finite) tables,

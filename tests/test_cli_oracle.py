@@ -1,9 +1,10 @@
 """Every number the CLI prints, against tests/oracles.py rather than a rerun of the code.
 
 The latent values come from the package (a LatentGrid, written as a SEGL
-file); everything computed from them is recomputed by the oracle. A printed
-number passes within one unit of its 9th significant digit, the precision
-the CLI prints at.
+file), and so do the token features of sega entropy and sega attn-map
+(token_features, as in the kernel tests); everything computed from them is
+recomputed by the oracle. A printed number passes within one unit of its
+9th significant digit, the precision the CLI prints at.
 """
 
 import json
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sega import LatentGrid, write_latent
+from sega import LatentGrid, token_features, write_latent
 from sega.cli import main
 from conftest import CLAMPED_STEP, structured_latent
-from oracles import modulate_direct, ntk_base_direct
+from oracles import (decimal_entropy, dense_softmax, modulate_direct, ntk_base_direct, reference_scale_direct,
+                     rotary_logits, rotated_features)
 
 # (height, width, channels) of the random-plus-sinusoid latents.
 SHAPES = [(6, 6, 4), (5, 7, 2), (2, 3, 1), (15, 13, 3), (16, 12, 4)]
@@ -25,6 +27,10 @@ SHAPES = [(6, 6, 4), (5, 7, 2), (2, 3, 1), (15, 13, 3), (16, 12, 4)]
 # log-energies keeps only their order; dim 64 reads up to four bins, so the
 # energies themselves reach the printed s_corr.
 SETTINGS = [("power", 8), ("log", 16), ("power", 64)]
+# The latents of at most 64 tokens, which the decimal entropy oracle takes,
+# and the rope dim that sega entropy and sega attn-map run them at.
+SMALL = ["6x6x4", "5x7x2", "2x3x1"]
+ATTENTION_DIM = 16
 
 
 def sinusoid_plus_noise(h, w, c):
@@ -42,22 +48,32 @@ def assert_printed_close(printed, expected, name, absolute=0.0):
     assert abs(printed - expected) <= max(unit, absolute), f"{name}: printed {printed!r}, oracle {expected!r}"
 
 
+def run_cli(tmp_path, grid, config, *args):
+    """The stdout of `sega ARGS --latent L --config C`, with grid written to L and config to C."""
+    write_latent(grid, tmp_path / "latent.segl")
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    res = CliRunner().invoke(
+        main, [*args, "--latent", str(tmp_path / "latent.segl"), "--config", str(tmp_path / "config.json")]
+    )
+    assert res.exit_code == 0, res.output
+    return res.stdout
+
+
+def ntk_strong_theta(dim):
+    """theta_d of ntk_strong at ratio 2, from the oracle's base."""
+    base = ntk_base_direct(10000.0, 2.0, dim, strong=True)
+    return [base ** (-2.0 * d / dim) for d in range(dim // 2)]
+
+
 @pytest.mark.parametrize("ref_form,dim", SETTINGS, ids=[f"{f}_dim{d}" for f, d in SETTINGS])
 @pytest.mark.parametrize("name", list(LATENTS))
 def test_modulate_matches_oracle(tmp_path, name, ref_form, dim):
     grid = LATENTS[name]
-    write_latent(grid, tmp_path / "latent.segl")
     config = {"rope": {"dim": dim, "method": "ntk_strong", "ratio": 2.0}, "sega": {"ref_form": ref_form}}
-    (tmp_path / "config.json").write_text(json.dumps(config))
-    res = CliRunner().invoke(
-        main, ["modulate", "--latent", str(tmp_path / "latent.segl"), "--config", str(tmp_path / "config.json")]
-    )
-    assert res.exit_code == 0, res.output
+    printed = json.loads(run_cli(tmp_path, grid, config, "modulate"))
 
-    base = ntk_base_direct(10000.0, 2.0, dim, strong=True)
-    theta = [base ** (-2.0 * d / dim) for d in range(dim // 2)]
+    theta = ntk_strong_theta(dim)
     expected = modulate_direct(grid.values, theta, theta, 2.0, ref_form=ref_form)
-    printed = json.loads(res.stdout)
     assert [ax["axis"] for ax in printed["axes"]] == ["H", "W"]
     for got, want in zip(printed["axes"], expected["axes"]):
         assert list(got) == list(want)
@@ -67,3 +83,51 @@ def test_modulate_matches_oracle(tmp_path, name, ref_form, dim):
             assert len(got[key]) == len(want[key]) == dim // 2
             for d, (p, e) in enumerate(zip(got[key], want[key])):
                 assert_printed_close(p, e, f"{got['axis']}.{key}[{d}]", absolute)
+
+
+def attention_oracle(tmp_path, name, scaling, *args):
+    """The stdout of an attention command on latent `name` at ATTENTION_DIM under
+    ntk_strong at ratio 2, and the oracle's rotary arguments for it: the dense
+    features of the package's token_features, theta and the magnitudes."""
+    grid = LATENTS[name]
+    config = {"rope": {"dim": ATTENTION_DIM, "method": "ntk_strong", "ratio": 2.0}}
+    stdout = run_cli(tmp_path, grid, config, *args, "--scaling", scaling)
+    feats = token_features(grid, 2 * ATTENTION_DIM, 0, 0)
+    x = feats.tokens.reshape(grid.height * grid.width, grid.channels) @ feats.proj
+    theta = ntk_strong_theta(ATTENTION_DIM)
+    if scaling == "sega":
+        m_h, m_w = (axis["m"] for axis in modulate_direct(grid.values, theta, theta, 2.0)["axes"])
+    else:
+        m_h = m_w = [reference_scale_direct(2.0, "power") if scaling == "fixed" else 1.0] * len(theta)
+    return grid, stdout, (x, grid.height, grid.width, theta, theta, m_h, m_w)
+
+
+@pytest.mark.parametrize("scaling", ["none", "fixed", "sega"])
+@pytest.mark.parametrize("name", SMALL)
+def test_entropy_matches_oracle(tmp_path, name, scaling):
+    grid, stdout, rotary = attention_oracle(tmp_path, name, scaling, "entropy")
+    expected = decimal_entropy(rotated_features(*rotary))
+    header, *rows, mean = [line.split(",") for line in stdout.splitlines()]
+    assert header == ["token", "h", "w", "entropy"]
+    assert [row[:3] for row in rows] == [[str(i), str(i // grid.width), str(i % grid.width)]
+                                         for i in range(len(expected))]
+    for i, (row, want) in enumerate(zip(rows, expected)):
+        assert_printed_close(float(row[3]), want, f"entropy[{i}]")
+    assert mean[:3] == ["mean", "", ""]
+    assert_printed_close(float(mean[3]), math.fsum(expected) / len(expected), "mean")
+
+
+@pytest.mark.parametrize("scaling", ["none", "fixed", "sega"])
+@pytest.mark.parametrize("name", SMALL)
+def test_attn_map_matches_oracle(tmp_path, name, scaling):
+    h, w = LATENTS[name].height // 2, LATENTS[name].width - 1
+    grid, stdout, rotary = attention_oracle(
+        tmp_path, name, scaling, "attn-map", "--query-h", str(h), "--query-w", str(w)
+    )
+    expected = dense_softmax(rotary_logits(*rotary)[h * grid.width + w]).reshape(grid.height, grid.width)
+    header, *rows = [line.split(",") for line in stdout.splitlines()]
+    assert header == ["h"] + [f"w{j}" for j in range(grid.width)]
+    assert [row[0] for row in rows] == [str(i) for i in range(grid.height)]
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row[1:]):
+            assert_printed_close(float(cell), expected[i, j], f"weight[{i}, {j}]")
