@@ -30,10 +30,11 @@ BLOCK_LOGITS = 1 << 16
 # |s|, |t z| <= N t e^t stay below float64's largest value e^709.78 while t <=
 # 709.78 - ln(2**62 * t) ~ 660, and no e^-t nears the subnormals below e^-708.
 RAW_TOP = 640.0
-# OpenBLAS may run a GEMM of more than 2**18 multiply-adds (M * N * K) on more
-# than one thread, and a dot of more than 10000 terms, and a threaded split
-# rounds differently. Each larger product is cut into parts within these
-# bounds, chosen from its shape alone, so no bit depends on the thread count.
+# OpenBLAS 0.3.31 may run a GEMM of more than 2**18 multiply-adds (M * N * K)
+# on more than one thread, and a dot of more than 10000 terms, and a threaded
+# split rounds differently. Each larger product is cut into parts within these
+# bounds, chosen from its shape alone. The row sums Z are a gemv, which is not
+# cut; it gave the same bits at one and two threads on every core tested.
 SERIAL_GEMM = 1 << 18
 SERIAL_DOT = 10000
 
@@ -45,17 +46,21 @@ def _parts(length: int, most: int) -> list:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.matmul(a, b, out=out), each (M, K) @ (K, N) product cut into row (and,
-    if one row exceeds it, column) parts of at most SERIAL_GEMM multiply-adds.
-    A product within the bound is one call, so its bits are unchanged."""
+    """np.matmul(a, b, out), each (M, K) @ (K, N) product cut into row (and, if
+    one row exceeds it, column) parts of at most SERIAL_GEMM multiply-adds
+    while K is within it. Rows are counted against the widest column part."""
     (m, k), n = a.shape[-2:], b.shape[-1]
-    if m * k * n <= SERIAL_GEMM:
-        return np.matmul(a, b, out=out)
     cols = _parts(n, max(1, SERIAL_GEMM // k))
-    for r in _parts(m, max(1, SERIAL_GEMM // (k * cols[0].stop))):
+    for r in _parts(m, max(1, SERIAL_GEMM // (k * -(-n // len(cols))))):
         for c in cols:
             np.matmul(a[..., r, :], b[..., c], out=out[..., r, c])
     return out
+
+
+def _gemm(m: int, k: int, n: int):
+    """The matmul for (M, K) @ (K, N) products of at most these sizes: np.matmul,
+    one call, within SERIAL_GEMM multiply-adds, else _matmul."""
+    return np.matmul if m * k * n <= SERIAL_GEMM else _matmul
 
 
 def _axis_table(proj: np.ndarray, sched: RopeSchedule, scale, extent: int, c: float) -> np.ndarray:
@@ -73,7 +78,8 @@ def _axis_table(proj: np.ndarray, sched: RopeSchedule, scale, extent: int, c: fl
     left = np.concatenate([pe * cos[:, None] + po * sin[:, None],
                            po * cos[:, None] - pe * sin[:, None]], axis=2)
     right = np.concatenate([pe, po], axis=1).T
-    return _matmul(left, right, np.empty((*left.shape[:2], right.shape[1])))
+    out = np.empty((*left.shape[:2], right.shape[1]))
+    return _gemm(*left.shape[1:], right.shape[1])(left, right, out)
 
 
 def _tables(feats, sched_h, sched_w, scale_h, scale_w, logit_scale):
@@ -133,14 +139,17 @@ def _logit_blocks(grid: np.ndarray, m_h: np.ndarray, m_w: np.ndarray, step: int,
     eye = np.broadcast_to(np.eye(rank)[:, None], (rank, 2 * height - 1, rank))
     m_h_pairs = np.concatenate([eye, m_h.transpose(1, 0, 2)], axis=2).reshape(rank, -1)  # (C, (2H - 1) * 2C)
     firsts, columns = (range(0, height, step), range(width)) if query is None else ([query[0]], [query[1]])
+    # chosen once per call: a block's products take these shapes at q <= step rows
+    col_gemm, pairs_gemm, row_gemm = (_gemm(rank, rank, height), _gemm(step, rank, m_h_pairs.shape[1]),
+                                      _gemm(step, 2 * rank, width))
     for w in columns:
-        rhs[:, :rank] = _matmul(m_w[width - 1 - w : 2 * width - 1 - w], by_col, col_buf).transpose(2, 1, 0)
+        rhs[:, :rank] = col_gemm(m_w[width - 1 - w : 2 * width - 1 - w], by_col, col_buf).transpose(2, 1, 0)
         for first in firsts:
             queries = grid[first : first + step, w]
             q = queries.shape[0]
-            _matmul(queries, m_h_pairs, pairs_buf[:q].reshape(q, -1))
+            pairs_gemm(queries, m_h_pairs, pairs_buf[:q].reshape(q, -1))
             block = block_buf[:q]
-            _matmul(lhs_at[first, :, :q], rhs, block.reshape(q, height, width).transpose(1, 0, 2))
+            row_gemm(lhs_at[first, :, :q], rhs, block.reshape(q, height, width).transpose(1, 0, 2))
             yield w, first, block
 
 
@@ -170,7 +179,7 @@ def rotary_entropy(
     A block is one query grid column, or part of one within BLOCK_LOGITS, and
     stays in cache while its rows are reduced. The block size decides which rows
     share a GEMM, which BLAS may round differently, so it moves only the last bits.
-    The BLAS thread count moves none (SERIAL_GEMM, SERIAL_DOT).
+    One and two BLAS threads give the same bits (SERIAL_GEMM, SERIAL_DOT).
     """
     tokens, m_h, m_w = _tables(feats, sched_h, sched_w, scale_h, scale_w, logit_scale)
     height, width, _ = tokens.shape
@@ -191,10 +200,10 @@ def rotary_entropy(
             e = np.exp(logits, out=exp_buf[:r])
             e[top] = 0.0
             np.matmul(e, ones, out=z[first : first + r, w])
-            if len(dots) == 1:
-                np.vecdot(e, logits, out=s[first : first + r, w])
-            else:
-                s[first : first + r, w] = sum(np.vecdot(e[:, part], logits[:, part]) for part in dots)
+            dst = s[first : first + r, w]
+            np.vecdot(e[:, dots[0]], logits[:, dots[0]], out=dst)
+            for part in dots[1:]:
+                dst += np.vecdot(e[:, part], logits[:, part])
         scale = np.exp(-tops)  # 1 where tops is 0: then these steps are exact
         z, s = z * scale, (s - tops * z) * scale
         per_row = np.log1p(z) - s / (1.0 + z)

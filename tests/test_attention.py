@@ -31,6 +31,26 @@ def rotated(x, height, width, sh, sw, mh=None, mw=None):
     return rotated_features(x, height, width, sh.theta, sw.theta, mh, mw)
 
 
+def record_products(monkeypatch):
+    """From now on, the M * K * N of each np.matmul call on matrices and the
+    length of each np.vecdot call, as the kernels hand them to BLAS."""
+    gemms, dots = [], []
+    matmul, vecdot = np.matmul, np.vecdot
+
+    def recording_matmul(a, b, *args, **kwargs):
+        if a.ndim > 1 and b.ndim > 1:
+            gemms.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, *args, **kwargs)
+
+    def recording_vecdot(a, b, *args, **kwargs):
+        dots.append(a.shape[-1])
+        return vecdot(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    monkeypatch.setattr(np, "vecdot", recording_vecdot)
+    return gemms, dots
+
+
 def all_rows(x, height, width, sh, sw, mh=None, mw=None, logit_scale=1.0):
     feats = dense(x, height, width)
     return np.stack([
@@ -404,23 +424,40 @@ class TestBlockedRotary:
         per_row, _ = rotary_entropy(dense(feats, 24, 25), sh, sw, logit_scale=2.0)
         np.testing.assert_allclose(per_row, expected, rtol=0, atol=1e-12)
 
-    def test_parts_within_blas_bounds_match_dense(self, rng, monkeypatch):
+    @pytest.mark.parametrize("bound", [40, 50])
+    def test_parts_within_blas_bounds_match_dense(self, rng, monkeypatch, bound):
         # Bounds far below every product of a 7 x 9, C = 3, dim 16 call: the pairs
-        # GEMM and the per-row GEMM split into one-row parts of a few columns, the
+        # GEMM and the per-row GEMM split into row parts of a few columns, the
         # right operand and the tables into row parts, and each row's dot into 7.
-        monkeypatch.setattr(attention, "SERIAL_GEMM", 40)
+        # At 50 the per-row GEMM's 9 columns split 4 + 5, and two rows of the
+        # narrower part fit where two of the wider (60) would not.
+        monkeypatch.setattr(attention, "SERIAL_GEMM", bound)
         monkeypatch.setattr(attention, "SERIAL_DOT", 10)
         sh, sw = schedules("ntk_strong", 16)
         mh, mw = rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8)
         tokens, proj = rng.standard_normal((63, 3)), rng.standard_normal((3, 32))
         expected, _ = dense_rotary(tokens @ proj, 7, 9, sh, sw, mh, mw, 1.3)
+        weights = dense_softmax(rotary_logits(tokens @ proj, 7, 9, sh.theta, sw.theta, mh, mw, 1.3))
         feats = TokenFeatures(tokens.reshape(7, 9, 3), proj)
+        gemms, dots = record_products(monkeypatch)
         per_row, _ = rotary_entropy(feats, sh, sw, mh, mw, 1.3)
         np.testing.assert_allclose(per_row, expected, rtol=0, atol=1e-12)
-        weights = dense_softmax(rotary_logits(tokens @ proj, 7, 9, sh.theta, sw.theta, mh, mw, 1.3))
         for query in (0, 40, 62):
             row = rotary_attention_row(feats, sh, sw, mh, mw, 1.3, query=divmod(query, 9))
             np.testing.assert_allclose(row, weights[query], rtol=0, atol=1e-12)
+        assert 0 < max(gemms) <= bound
+        assert sorted(set(dots)) == [9]
+
+    @pytest.mark.parametrize("m, k, n", [(2, 32, 8193), (3, 64, 4097), (16, 16, 16385), (21, 16, 3040)])
+    def test_every_part_is_within_serial_gemm(self, rng, monkeypatch, m, k, n):
+        # Uneven column parts (the per-row GEMM of 2 x 8193 at C = 16 and of
+        # 3 x 4097 at C = 32, the right operand of H = 16385 at C = 16), and
+        # row parts alone (the pairs GEMM of 48 x 64 at C = 16).
+        a, b = rng.standard_normal((2, m, k)), rng.standard_normal((2, k, n))
+        gemms, _ = record_products(monkeypatch)
+        product = attention._gemm(m, k, n)(a, b, np.empty((2, m, n)))
+        assert m * k * n > attention.SERIAL_GEMM >= max(gemms)
+        np.testing.assert_allclose(product, a @ b, rtol=1e-13, atol=1e-12)
 
     @given(st.integers(1, 60), st.integers(1, 25))
     def test_parts_are_the_fewest_near_equal_slices(self, length, most):

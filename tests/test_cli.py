@@ -16,6 +16,7 @@ import warnings
 import weakref
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -48,12 +49,12 @@ def noise_latent(tmp_path):
     return path
 
 
-def run_cli(argv):
+def run_cli(argv, stdout=subprocess.PIPE, **popen):
     """`python -m sega.cli argv` in a new process, with the package's source on its path."""
     src = str(Path(sega.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "sega.cli", *argv], env=env, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", "sega.cli", *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120, **popen)
 
 
 def parse_csv(text):
@@ -1215,29 +1216,65 @@ class TestConstantLatent:
         assert json.loads((out / "summary.json").read_text())["degenerate_heatmap_rows"] == [2]
 
 
+COMMANDS = ["rope-table", "modulate", "spectrum", "attn-map", "entropy", "trajectory", "heatmap"]
+
+
+@pytest.fixture
+def command_args(noise_latent, tmp_path):
+    """Each command's arguments for one small successful run."""
+    latent = ["--latent", str(noise_latent)]
+    out = ["--out-dir", str(tmp_path / "out")]
+    return {
+        "rope-table": ["--dim", "8"],
+        "modulate": latent,
+        "spectrum": latent,
+        "attn-map": [*latent, *QUERY],
+        "entropy": latent,
+        "trajectory": ["--config", str(TRAJECTORY_CONFIG), *out],
+        "heatmap": ["--config", str(HEATMAP_CONFIG), *out],
+    }
+
+
+class GoneReader(io.StringIO):
+    """A buffered stdout whose reader has gone: writes are kept, flushing fails."""
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
 class TestInProcessStdout:
-    @pytest.mark.parametrize("command", [
-        "rope-table", "modulate", "spectrum", "attn-map", "entropy", "trajectory", "heatmap",
-    ])
-    def test_captured_stdout_is_released(self, noise_latent, tmp_path, command):
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_captured_stdout_is_released(self, command_args, command):
         # An in-process call must not keep the stream it wrote to alive; each
         # retained capture would grow a long-lived caller's memory.
-        latent = ["--latent", str(noise_latent)]
-        out = ["--out-dir", str(tmp_path / "out")]
-        argv = {
-            "rope-table": ["--dim", "8"],
-            "modulate": latent,
-            "spectrum": latent,
-            "attn-map": [*latent, *QUERY],
-            "entropy": latent,
-            "trajectory": ["--config", str(TRAJECTORY_CONFIG), *out],
-            "heatmap": ["--config", str(HEATMAP_CONFIG), *out],
-        }[command]
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            main.main([command, *argv], standalone_mode=False)
+            main.main([command, *command_args[command]], standalone_mode=False)
         assert buf.getvalue()
         ref = weakref.ref(buf)
         del buf
         gc.collect()
         assert ref() is None
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_gone_reader_exits_3_and_closed_stdout_is_skipped(self, command_args, command):
+        # Each command flushes its one write inside its body, so a reader that has
+        # gone fails there and exits 3; with no stdout at all (fd 1 closed, so
+        # sys.stdout is None) the write is skipped and the run succeeds.
+        argv = [command, *command_args[command]]
+        with contextlib.redirect_stdout(GoneReader()), pytest.raises(click.ClickException) as fault:
+            main.main(argv, standalone_mode=False)
+        assert fault.value.exit_code == 3 and "Broken pipe" in fault.value.message
+        with contextlib.redirect_stdout(None):
+            main.main(argv, standalone_mode=False)
+
+    def test_process_exit_codes_of_a_gone_reader_and_a_closed_stdout(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            gone = run_cli(["rope-table", "--dim", "8"], stdout=write)
+        finally:
+            os.close(write)
+        assert gone.returncode == 3 and gone.stderr == "Error: [Errno 32] Broken pipe\n"
+        closed = run_cli(["rope-table", "--dim", "8"], stdout=None, preexec_fn=lambda: os.close(1))
+        assert closed.returncode == 0 and closed.stderr == ""
