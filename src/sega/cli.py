@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 2 usage or config error, 3 I/O error (latent files,
 output files and directories, a stdout whose reader has gone); every
-subcommand's body is mapped to them once, by its command class. All numeric
-output is formatted at 9 significant digits so identical configs yield
-byte-identical files, at one BLAS thread or two (checked with numpy's
-OpenBLAS 0.3.31 on x86; see attention.SERIAL_GEMM). Each command renders its
-whole stdout first and prints it in one flushed write, inside its body.
+subcommand's body is mapped to them once, by its command class. A numeric
+flag's bound is checked only by the library function the flag feeds, whose
+ValueError exits 2 with that function's message. All numeric output is
+formatted at 9 significant digits so identical configs yield byte-identical
+files, at one BLAS thread or two (checked with numpy's OpenBLAS 0.3.31 on
+x86; see attention.SERIAL_GEMM). Each command renders its whole stdout first
+and prints it in one flushed write, inside its body.
 """
 
 from __future__ import annotations
@@ -66,26 +68,6 @@ class _Group(click.Group):
     command_class = _Command
 
 
-def _bounded(lo, hi, message):
-    """A flag callback that refuses a value outside [lo, hi]; NaN fails the test too."""
-    def check(ctx, param, value):
-        if value is not None and not lo <= value <= hi:
-            raise click.BadParameter(message)
-        return value
-    return check
-
-
-_positive_finite = _bounded(np.nextafter(0.0, 1.0), np.finfo(float).max, "must be finite and > 0")
-_ratio = _bounded(1.0, np.finfo(float).max, "must be finite and >= 1")
-_unit_interval = _bounded(0.0, 1.0, "must lie in [0, 1]")
-
-
-def _even_dim(ctx, param, value):
-    if not (2 <= value <= MAX_DIM and value % 2 == 0):
-        raise click.BadParameter(f"must be an even integer in [2, {MAX_DIM}]")
-    return value
-
-
 def _given(**values) -> dict:
     """The keyword arguments whose flags were given; the callee's defaults fill in the rest."""
     return {key: value for key, value in values.items() if value is not None}
@@ -97,25 +79,19 @@ def main():
 
 
 @main.command("rope-table")
-@click.option("--dim", type=int, required=True, callback=_even_dim,
-              help=f"Embedding size per axis (even, at most {MAX_DIM}).")
-@click.option("--base", type=float, default=10000.0, show_default=True,
-              callback=_positive_finite, help="Rotary base b.")
+@click.option("--dim", type=int, required=True, help=f"Embedding size per axis (even, at most {MAX_DIM}).")
+@click.option("--base", type=float, default=10000.0, show_default=True, help="Rotary base b.")
 @click.option("--method", type=click.Choice(METHODS), default="none",
               show_default=True, help="Frequency recalibration method.")
-@click.option("--ratio", type=float, default=None, callback=_ratio,
+@click.option("--ratio", type=float, default=None,
               help="Extrapolation ratio, target over training length "
                    "(not with --method none; default 1).")
-@click.option("--alpha", type=float, default=None, callback=_positive_finite,
-              help="Lower ramp bound (yarn only; default 1).")
-@click.option("--beta", type=float, default=None, callback=_positive_finite,
-              help="Upper ramp bound (yarn only; default 32).")
-@click.option("--train-len", type=float, default=None, callback=_positive_finite,
-              help="Training token count along the axis (yarn only).")
-@click.option("--dype-t", type=float, default=None, callback=_unit_interval,
+@click.option("--alpha", type=float, default=None, help="Lower ramp bound (yarn only; default 1).")
+@click.option("--beta", type=float, default=None, help="Upper ramp bound (yarn only; default 32).")
+@click.option("--train-len", type=float, default=None, help="Training token count along the axis (yarn only).")
+@click.option("--dype-t", type=float, default=None,
               help="Denoising time in [0,1], 1 = pure noise (dype only; default 0.0).")
-@click.option("--dype-p", type=float, default=None, callback=_positive_finite,
-              help="Ratio schedule exponent (dype only; default 1.0).")
+@click.option("--dype-p", type=float, default=None, help="Ratio schedule exponent (dype only; default 1.0).")
 @click.option("--dype-strong", is_flag=True, default=False,
               help="Use the strengthened base exponent inside dype.")
 def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p, dype_strong):
@@ -147,13 +123,12 @@ def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p,
 @main.command(epilog=CONFIG_EPILOG)
 @click.option("--latent", "latent_path", required=True, help="Path to a SEGL latent file.")
 @click.option("--config", "config_path", default=None, help="Experiment config JSON.")
-@click.option("--ratio", type=float, default=None, callback=_ratio,
-              help="Override the config's rope ratio.")
+@click.option("--ratio", type=float, default=None, help="Override the config's rope ratio.")
 def modulate(latent_path, config_path, ratio):
     """Emit per-axis scaling vectors for one latent as JSON."""
     cfg = load_experiment_config({} if config_path is None else config_path)
+    rope = replace(cfg.rope, **_given(ratio_h=ratio, ratio_w=ratio))  # a bad --ratio exits 2 first
     grid = read_latent(latent_path)
-    rope = replace(cfg.rope, **_given(ratio_h=ratio, ratio_w=ratio))
     sched_h, sched_w = axis_schedules(rope, rope.method, grid.height, grid.width)
     result = spectral.modulate_detailed(
         spectral.analyze(grid, cfg.sega.n_bins_iso), sched_h, sched_w, rope.ratio_scalar, cfg.sega
@@ -186,7 +161,7 @@ def spectrum(latent_path, bins):
 def attention_flags(fn):
     """The config and rotary-magnitude options that attn-map and entropy share."""
     fn = click.option("--logit-scale", type=float, default=1.0, show_default=True,
-                      callback=_positive_finite, help="Extra uniform logit factor.")(fn)
+                      help="Extra uniform logit factor.")(fn)
     fn = click.option("--feature-seed", type=click.IntRange(min=0), default=0, show_default=True,
                       help="Seed for the token feature projection.")(fn)
     fn = click.option("--scaling", type=click.Choice(SCALING_MODES), default="none",

@@ -42,8 +42,8 @@ class YarnParams:
     train_len: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < self.beta:
-            raise ValueError("need 0 < alpha < beta")
+        if not 0.0 < self.alpha < self.beta < math.inf:
+            raise ValueError("need 0 < alpha < beta < inf")
         if not 0.0 < self.train_len < math.inf:
             raise ValueError("train_len must be finite and > 0")
 
@@ -143,7 +143,7 @@ def dype_ratio(ratio: float, t: float, p: float = 1.0) -> float:
     schedule starts unmodified and reaches the full correction at t = 0.
     """
     if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
+        raise ValueError("dype time t must lie in [0, 1]")
     _check_ratio(ratio)
     if not 0.0 < p < math.inf:
         raise ValueError("dype_p must be finite and > 0")

@@ -8,8 +8,9 @@ already rotated, and the rotary embedding is applied one token at a time.
 The rotated features and their key product are the reference for the
 logits that the attention kernels build from relative-position tables, and
 an entropy evaluated in stdlib ``decimal`` is the reference for their
-reduction. ``sega modulate``'s spectral stage is recomputed from its formulas
-with one loop per sample and per rotary dimension.
+reduction. The profiles of ``sega spectrum`` and ``sega modulate``'s spectral
+stage are recomputed from their formulas with one loop per sample and per
+rotary dimension.
 """
 
 from __future__ import annotations
@@ -194,29 +195,21 @@ def flatness_direct(values) -> float:
     return gm / am
 
 
-def modulate_direct(values, theta_h, theta_w, ratio: float, kappa: float = 0.08, gamma: float = 1.5,
-                    ref_form: str = "power", eps: float = 1e-12, n_bins=None) -> dict:
-    """The payload of ``sega modulate`` for an (H, W, C) latent, from the spectral formulas.
+def profiles_direct(values, n_bins=None) -> tuple[list, list, list, list]:
+    """The profiles ``sega spectrum`` prints for an (H, W, C) latent, from their formulas.
 
     The channel mean less its spatial mean goes through naive_dft2; after that
-    every step is plain Python over samples and rotary dimensions:
+    every step is plain Python over samples:
     - axis profile bin i sums spectrum rows (columns) i and L - i, row 0 alone
       for i = 0, for i < L // 2;
     - radial bin of sample (i, j) is floor(rho * n_bins), at most n_bins - 1,
       with rho = sqrt(u^2 + v^2) / sqrt(0.5), u = min(i, H - i) / H and
       v = min(j, W - j) / W; DC is left out, a bin holds the mean of its
-      samples and an empty bin is unoccupied. n_bins defaults to
+      samples and an empty bin holds 0 and is unoccupied. n_bins defaults to
       max(2, min(H, W) // 2). rho is rounded before it is scaled, in that
       order: a sample whose exact rho * n_bins is an integer, such as (2, 2)
-      of a 6 x 6 grid at 3 bins, falls below the edge;
-    - SF is the geometric over the arithmetic mean of the occupied bins, each
-      floored at eps, at most 1; sigma = 1 - SF**gamma within [0, 1];
-    - m_ref is ratio**kappa, or 1 + kappa ln ratio for the log form;
-    - theta_d has c = theta_d L / (2 pi) cycles over its axis. Its band is 0
-      for c < 1, else floor(c + 1/2), at most L // 2 - 1;
-    - s_d is tanh of the standardized ln(E[band] + eps), less its mean (all
-      zeros when their standard deviation is below 1e-12);
-    - m_d = m_ref * max(1 - sigma s_d, 0.05).
+      of a 6 x 6 grid at 3 bins, falls below the edge.
+    Returns the H and W axis profiles, the radial bin means and their occupancy.
     """
     values = np.asarray(values, dtype=np.float64)
     h, w, c = values.shape
@@ -243,7 +236,28 @@ def modulate_direct(values, theta_h, theta_w, ratio: float, kappa: float = 0.08,
             b = min(int(rho * n_bins), n_bins - 1)
             sums[b] += power[i][j]
             counts[b] += 1
-    ring = [max(s / n, eps) for s, n in zip(sums, counts) if n]
+    radial = [s / n if n else 0.0 for s, n in zip(sums, counts)]
+    return profile_h, profile_w, radial, [n > 0 for n in counts]
+
+
+def modulate_direct(values, theta_h, theta_w, ratio: float, kappa: float = 0.08, gamma: float = 1.5,
+                    ref_form: str = "power", eps: float = 1e-12, n_bins=None) -> dict:
+    """The payload of ``sega modulate`` for an (H, W, C) latent, from the spectral formulas.
+
+    The profiles come from profiles_direct; after that every step is plain
+    Python over radial bins and rotary dimensions:
+    - SF is the geometric over the arithmetic mean of the occupied bins, each
+      floored at eps, at most 1; sigma = 1 - SF**gamma within [0, 1];
+    - m_ref is ratio**kappa, or 1 + kappa ln ratio for the log form;
+    - theta_d has c = theta_d L / (2 pi) cycles over its axis. Its band is 0
+      for c < 1, else floor(c + 1/2), at most L // 2 - 1;
+    - s_d is tanh of the standardized ln(E[band] + eps), less its mean (all
+      zeros when their standard deviation is below 1e-12);
+    - m_d = m_ref * max(1 - sigma s_d, 0.05).
+    """
+    h, w, _ = np.shape(values)
+    profile_h, profile_w, radial, occupied = profiles_direct(values, n_bins)
+    ring = [max(e, eps) for e, full in zip(radial, occupied) if full]
     arithmetic = math.fsum(ring) / len(ring)
     geometric = math.exp(math.fsum(math.log(e) for e in ring) / len(ring))
     flatness = min(geometric / arithmetic, 1.0)

@@ -456,6 +456,14 @@ class TestTrajectoryCommand:
                             for name in EXPECTED_FILES if name != "summary.json"])
         assert outputs[0] == outputs[1]
 
+    def test_empty_structure_params_are_echoed_empty(self, runner, tmp_path):
+        # a checker given no parameters loads with its defaults; the echo keeps the empty dict
+        cfg = small_config({"structure_kind": "checker", "structure_params": {}})
+        assert load_experiment_config(cfg).trajectory.structure_params == {}
+        res, out = run_config(runner, tmp_path, "trajectory", cfg)
+        assert res.exit_code == 0, res.output
+        assert re.search(r'^ *"structure_params": \{\},$', (out / "summary.json").read_text(), re.M)
+
     def test_missing_config_exits_2(self, runner, tmp_path):
         res = runner.invoke(
             main,
@@ -943,6 +951,14 @@ FLAG_FAULTS = {
 }
 
 
+def assert_refused(res, message):
+    """A flag fault: exit 2 with the message of the function that refused it, and no output."""
+    assert res.exit_code == 2, res.output
+    assert res.output.endswith(f"Error: {message}\n"), res.output
+    assert res.stdout == ""
+    assert "Traceback" not in res.output
+
+
 class TestFlagFaults:
     @pytest.mark.parametrize("case", sorted(FLAG_FAULTS))
     def test_exit_2_without_traceback(self, runner, noise_latent, case):
@@ -954,66 +970,55 @@ class TestFlagFaults:
 
     @pytest.mark.parametrize("dim", ["1026", str(10**18)])
     def test_rope_table_dim_above_bound_exits_2(self, runner, dim):
-        # refused by the flag's range, before dim / 2 frequencies are allocated
-        res = runner.invoke(main, ["rope-table", "--dim", dim])
-        assert res.exit_code == 2, res.output
-        assert "'--dim'" in res.output
-        assert res.stdout == ""
+        # refused by base_frequencies, before dim / 2 frequencies are allocated
+        assert_refused(runner.invoke(main, ["rope-table", "--dim", dim]), "dim must be <= 1024")
 
     def test_rope_table_ntk_overflow_exits_2(self, runner):
         res = runner.invoke(main, ["rope-table", "--dim", "8", "--method", "ntk", "--ratio", "1e300"])
         assert res.exit_code == 2, res.output
         assert "overflows" in res.output
 
-    @pytest.mark.parametrize("command, flags", [
-        ("rope-table", ["--method", "none"]),
-        ("rope-table", ["--method", "pi"]),
-        ("rope-table", ["--method", "ntk"]),
-        ("rope-table", ["--method", "yarn", "--train-len", "8"]),
-        ("modulate", []),
+    @pytest.mark.parametrize("command, flags, message", [
+        ("rope-table", ["--method", "none"], "--ratio is not valid with --method none, which has no ratio"),
+        ("rope-table", ["--method", "pi"], "ratio must be >= 1"),
+        ("rope-table", ["--method", "ntk"], "ratio must be >= 1"),
+        ("rope-table", ["--method", "yarn", "--train-len", "8"], "ratio must be >= 1"),
+        ("modulate", [], "ratio_h must be a finite number"),
     ], ids=["rope_table_none", "rope_table_pi", "rope_table_ntk", "rope_table_yarn", "modulate"])
-    def test_nan_ratio_exits_2(self, runner, noise_latent, command, flags):
+    def test_nan_ratio_exits_2(self, runner, noise_latent, command, flags, message):
         # NaN compares false with everything, so a `ratio < 1` check lets it through
         source = ["--dim", "8"] if command == "rope-table" else ["--latent", str(noise_latent)]
-        res = runner.invoke(main, [command, *source, *flags, "--ratio", "nan"])
-        assert res.exit_code == 2, res.output
-        assert "Invalid value for '--ratio': must be finite and >= 1" in res.output
+        assert_refused(runner.invoke(main, [command, *source, *flags, "--ratio", "nan"]), message)
 
     @pytest.mark.parametrize("flags, message", [
-        (["--method", "dype", "--ratio", "2", "--dype-p", "nan"], "'--dype-p': must be finite"),
+        (["--method", "dype", "--ratio", "2", "--dype-p", "nan"], "dype_p must be finite and > 0"),
         (["--method", "dype", "--ratio", "2", "--dype-p", "inf", "--dype-t", "0.5"],
-         "'--dype-p': must be finite"),
-        (["--method", "yarn", "--ratio", "2", "--train-len", "inf"], "'--train-len': must be finite"),
-        (["--method", "pi", "--ratio", "inf"], "'--ratio': must be finite"),
-        (["--method", "dype", "--ratio", "inf", "--dype-t", "1"], "'--ratio': must be finite"),
-        (["--base", "nan"], "'--base': must be finite"),
+         "dype_p must be finite and > 0"),
+        (["--method", "yarn", "--ratio", "2", "--train-len", "inf"], "train_len must be finite and > 0"),
+        (["--method", "pi", "--ratio", "inf"], "ratio must be finite"),
+        (["--method", "dype", "--ratio", "inf", "--dype-t", "1"], "ratio must be finite"),
+        (["--base", "nan"], "base must be finite and > 0"),
     ], ids=["dype_p_nan", "dype_p_inf", "train_len_inf", "pi_ratio_inf", "dype_ratio_inf",
             "base_nan"])
     def test_non_finite_rope_flag_exits_2(self, runner, flags, message):
-        res = runner.invoke(main, ["rope-table", "--dim", "8", *flags])
-        assert res.exit_code == 2, res.output
-        assert message in res.output
+        assert_refused(runner.invoke(main, ["rope-table", "--dim", "8", *flags]), message)
 
-    @pytest.mark.parametrize("flags, flag", [
-        (["--method", "dype", "--dype-t", "nan"], "'--dype-t'"),
-        (["--method", "dype", "--dype-t", "1.5"], "'--dype-t'"),
-        (["--method", "yarn", "--train-len", "8", "--alpha", "nan"], "'--alpha'"),
-        (["--method", "yarn", "--train-len", "8", "--alpha", "-1"], "'--alpha'"),
-        (["--method", "yarn", "--train-len", "8", "--beta", "nan"], "'--beta'"),
-        (["--method", "dype", "--dype-p", "nan"], "'--dype-p'"),
-        (["--method", "yarn", "--train-len", "inf"], "'--train-len'"),
-        (["--base", "nan"], "'--base'"),
-        (["--ratio", "nan"], "'--ratio'"),
-        (["--dim", "7"], "'--dim'"),
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "dype", "--dype-t", "nan"], "dype time t must lie in [0, 1]"),
+        (["--method", "dype", "--dype-t", "1.5"], "dype time t must lie in [0, 1]"),
+        (["--method", "yarn", "--train-len", "8", "--alpha", "nan"], "need 0 < alpha < beta < inf"),
+        (["--method", "yarn", "--train-len", "8", "--alpha", "-1"], "need 0 < alpha < beta < inf"),
+        (["--method", "yarn", "--train-len", "8", "--beta", "nan"], "need 0 < alpha < beta < inf"),
+        (["--method", "dype", "--dype-p", "nan"], "dype_p must be finite and > 0"),
+        (["--method", "yarn", "--train-len", "inf"], "train_len must be finite and > 0"),
+        (["--base", "nan"], "base must be finite and > 0"),
+        (["--ratio", "nan"], "--ratio is not valid with --method none, which has no ratio"),
+        (["--dim", "7"], "dim must be an even integer >= 2"),
     ], ids=["dype_t_nan", "dype_t_above_one", "alpha_nan", "alpha_negative", "beta_nan",
             "dype_p_nan", "train_len_inf", "base_nan", "ratio_nan", "dim_odd"])
-    def test_range_fault_names_its_flag(self, runner, flags, flag):
+    def test_range_fault_states_its_bound(self, runner, flags, message):
         # the last --dim given wins, so "--dim 7" replaces the 8
-        res = runner.invoke(main, ["rope-table", "--dim", "8", *flags])
-        assert res.exit_code == 2, res.output
-        assert flag in res.output
-        assert res.stdout == ""
-        assert "Traceback" not in res.output
+        assert_refused(runner.invoke(main, ["rope-table", "--dim", "8", *flags]), message)
 
     def test_cli_never_builds_the_dense_matrix(self, tmp_path):
         # One float64 N x N matrix at N = 4096 is 128 MiB; the blocked path peaks
@@ -1036,7 +1041,28 @@ class TestFlagFaults:
 
 # Every numeric flag of the latent and table commands, in each context that reads
 # it, takes each of these values; the last of a repeated flag wins.
-SWEEP_VALUES = ["nan", "inf", "-inf", "0", "-1", "-0.0", "1e308", str(2**63), "5e-324"]
+SWEEP_VALUES = ["nan", "inf", "-inf", "0", "-1", "-0.0", "1e308", str(2**63), "5e-324",
+                "0.5", "1.5", "2", "7", "1026", "x"]
+# The flags README bounds to finite positive numbers.
+POSITIVE_FLAGS = ("--base", "--train-len", "--dype-p", "--alpha", "--beta", "--logit-scale")
+
+
+def outside_documented_range(flag, value):
+    """Whether README's range for flag excludes value, which then must exit 2;
+    a value that is no number is outside every flag's range."""
+    try:
+        number = float(value)
+    except ValueError:
+        return True
+    if flag in POSITIVE_FLAGS:
+        return not 0.0 < number < math.inf
+    if flag == "--ratio":
+        return not 1.0 <= number < math.inf
+    if flag == "--dype-t":
+        return not 0.0 <= number <= 1.0
+    if flag == "--dim":
+        return not (value.lstrip("-").isdigit() and int(value) % 2 == 0 and 2 <= int(value) <= 1024)
+    return False
 ROPE_CONTEXTS = {
     "none": [],
     "pi": ["--method", "pi", "--ratio", "2"],
@@ -1069,7 +1095,8 @@ class TestFlagSweep:
     @pytest.mark.parametrize("case", sorted(FLAG_SWEEP))
     def test_every_value_exits_cleanly(self, runner, tmp_path, case):
         # A documented exit code, no traceback, and nothing on stdout unless the
-        # command succeeded, for every value; config keys are not swept here.
+        # command succeeded, for every value; exactly 2 for a value outside the
+        # flag's documented range. Config keys are not swept here.
         command, context, flag = FLAG_SWEEP[case]
         source = []
         if command != "rope-table":
@@ -1083,6 +1110,22 @@ class TestFlagSweep:
             assert res.exit_code in (0, 2, 3), (value, res.output, res.exception)
             assert "Traceback" not in res.output, value
             assert res.exit_code == 0 or res.stdout == "", (value, res.stdout)
+            if outside_documented_range(flag, value):
+                assert res.exit_code == 2, (value, res.output)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["entropy", "--logit-scale", "0"], 3),
+        (["attn-map", *QUERY, "--logit-scale", "nan"], 3),
+        (["modulate", "--ratio", "nan"], 2),
+    ], ids=["entropy_logit_scale", "attn_map_logit_scale", "modulate_ratio"])
+    def test_unreadable_latent(self, runner, tmp_path, argv, code):
+        # modulate builds its rope before it reads the latent; the kernel that
+        # refuses --logit-scale runs after it
+        command, *flags = argv
+        res = runner.invoke(main, [command, "--latent", str(tmp_path / "missing.segl"), *flags])
+        assert res.exit_code == code, res.output
+        assert res.stdout == ""
+        assert "Traceback" not in res.output
 
 
 # Every numeric config key, in a context that reads it, takes each of these values

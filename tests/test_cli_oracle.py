@@ -3,7 +3,8 @@
 The latent values come from the package (a LatentGrid, written as a SEGL
 file), and so do the token features of sega entropy and sega attn-map
 (token_features, as in the kernel tests); everything computed from them is
-recomputed by the oracle. A printed number passes within one unit of its
+recomputed by the oracle. rope-table's columns are closed forms of its
+flags. A printed number passes within one unit of its
 9th significant digit, the precision the CLI prints at.
 """
 
@@ -17,8 +18,8 @@ from click.testing import CliRunner
 from sega import LatentGrid, token_features, write_latent
 from sega.cli import main
 from conftest import CLAMPED_STEP, structured_latent
-from oracles import (decimal_entropy, dense_softmax, modulate_direct, ntk_base_direct, reference_scale_direct,
-                     rotary_logits, rotated_features)
+from oracles import (decimal_entropy, dense_softmax, modulate_direct, ntk_base_direct, profiles_direct,
+                     reference_scale_direct, rotary_logits, rotated_features)
 
 # (height, width, channels) of the random-plus-sinusoid latents.
 SHAPES = [(6, 6, 4), (5, 7, 2), (2, 3, 1), (15, 13, 3), (16, 12, 4)]
@@ -48,21 +49,28 @@ def assert_printed_close(printed, expected, name, absolute=0.0):
     assert abs(printed - expected) <= max(unit, absolute), f"{name}: printed {printed!r}, oracle {expected!r}"
 
 
-def run_cli(tmp_path, grid, config, *args):
-    """The stdout of `sega ARGS --latent L --config C`, with grid written to L and config to C."""
-    write_latent(grid, tmp_path / "latent.segl")
-    (tmp_path / "config.json").write_text(json.dumps(config))
-    res = CliRunner().invoke(
-        main, [*args, "--latent", str(tmp_path / "latent.segl"), "--config", str(tmp_path / "config.json")]
-    )
+def invoke(argv):
+    """The stdout of a successful `sega ARGV`."""
+    res = CliRunner().invoke(main, argv)
     assert res.exit_code == 0, res.output
     return res.stdout
 
 
+def run_cli(tmp_path, grid, config, *args):
+    """The stdout of `sega ARGS --latent L --config C`, with grid written to L and config to C."""
+    write_latent(grid, tmp_path / "latent.segl")
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    return invoke([*args, "--latent", str(tmp_path / "latent.segl"), "--config", str(tmp_path / "config.json")])
+
+
+def theta_direct(base, dim):
+    """theta_d = base ** (-2d / dim), d = 0 .. dim/2 - 1."""
+    return [base ** (-2.0 * d / dim) for d in range(dim // 2)]
+
+
 def ntk_strong_theta(dim):
     """theta_d of ntk_strong at ratio 2, from the oracle's base."""
-    base = ntk_base_direct(10000.0, 2.0, dim, strong=True)
-    return [base ** (-2.0 * d / dim) for d in range(dim // 2)]
+    return theta_direct(ntk_base_direct(10000.0, 2.0, dim, strong=True), dim)
 
 
 @pytest.mark.parametrize("ref_form,dim", SETTINGS, ids=[f"{f}_dim{d}" for f, d in SETTINGS])
@@ -83,6 +91,54 @@ def test_modulate_matches_oracle(tmp_path, name, ref_form, dim):
             assert len(got[key]) == len(want[key]) == dim // 2
             for d, (p, e) in enumerate(zip(got[key], want[key])):
                 assert_printed_close(p, e, f"{got['axis']}.{key}[{d}]", absolute)
+
+
+@pytest.mark.parametrize("bins", [None, 3], ids=["default_bins", "bins3"])
+@pytest.mark.parametrize("name", [f"{h}x{w}x{c}" for h, w, c in SHAPES])
+def test_spectrum_matches_oracle(tmp_path, name, bins):
+    grid = LATENTS[name]
+    write_latent(grid, tmp_path / "latent.segl")
+    stdout = invoke(["spectrum", "--latent", str(tmp_path / "latent.segl"),
+                     *([] if bins is None else ["--bins", str(bins)])])
+    profile_h, profile_w, radial, occupied = profiles_direct(grid.values, bins)
+    expected = [("axis_h", i, e, True) for i, e in enumerate(profile_h)]
+    expected += [("axis_w", i, e, True) for i, e in enumerate(profile_w)]
+    expected += [("radial", i, e, full) for i, (e, full) in enumerate(zip(radial, occupied))]
+    header, *rows = [line.split(",") for line in stdout.splitlines()]
+    assert header == ["profile", "bin", "energy", "occupied"]
+    assert [(p, b, o) for p, b, _, o in rows] == [(p, str(b), str(int(o))) for p, b, _, o in expected]
+    for (profile, b, energy, _), (_, _, want, _) in zip(rows, expected):
+        assert_printed_close(float(energy), want, f"{profile}[{b}]")
+
+
+# rope-table's flags for each method, and its theta' from base and dim; each runs at ratio 3.
+DYPE = ["--method", "dype", "--ratio", "3", "--dype-t", "0.25", "--dype-p", "2"]
+ROPE_TABLE = {
+    "none": ([], lambda base, dim: theta_direct(base, dim)),
+    "pi": (["--method", "pi", "--ratio", "3"], lambda base, dim: [t / 3.0 for t in theta_direct(base, dim)]),
+    "ntk": (["--method", "ntk", "--ratio", "3"],
+            lambda base, dim: theta_direct(ntk_base_direct(base, 3.0, dim, False), dim)),
+    "ntk_strong": (["--method", "ntk_strong", "--ratio", "3"],
+                   lambda base, dim: theta_direct(ntk_base_direct(base, 3.0, dim, True), dim)),
+    # dype's effective ratio is 1 + (3 - 1) * (1 - 0.25)**2 = 2.125
+    "dype": (DYPE, lambda base, dim: theta_direct(ntk_base_direct(base, 2.125, dim, False), dim)),
+    "dype_strong": ([*DYPE, "--dype-strong"],
+                    lambda base, dim: theta_direct(ntk_base_direct(base, 2.125, dim, True), dim)),
+}
+
+
+@pytest.mark.parametrize("base,dim", [(10000.0, 16), (500.0, 64)], ids=["base10000_dim16", "base500_dim64"])
+@pytest.mark.parametrize("case", list(ROPE_TABLE))
+def test_rope_table_matches_oracle(case, base, dim):
+    # yarn is left out: yarn_theta_direct copies the package's ramp argument
+    flags, theta_prime = ROPE_TABLE[case]
+    stdout = invoke(["rope-table", "--dim", str(dim), "--base", repr(base), *flags])
+    header, *rows = [line.split(",") for line in stdout.splitlines()]
+    assert header == ["d", "theta", "theta_prime", "wavelength"]
+    assert [row[0] for row in rows] == [str(d) for d in range(dim // 2)]
+    for d, (row, theta, prime) in enumerate(zip(rows, theta_direct(base, dim), theta_prime(base, dim))):
+        for name, printed, want in zip(header[1:], row[1:], (theta, prime, 2.0 * math.pi / theta)):
+            assert_printed_close(float(printed), want, f"{name}[{d}]")
 
 
 def attention_oracle(tmp_path, name, scaling, *args):

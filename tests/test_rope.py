@@ -150,8 +150,9 @@ class TestYarn:
             yarn_temperature(0.5)
 
     def test_params_validation(self):
-        with pytest.raises(ValueError, match="need 0 < alpha < beta"):
-            YarnParams(alpha=2.0, beta=1.0, train_len=64.0)
+        for alpha, beta in ((2.0, 1.0), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="need 0 < alpha < beta"):
+                YarnParams(alpha=alpha, beta=beta, train_len=64.0)
         for train_len in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="train_len must be finite and > 0"):
                 YarnParams(train_len=train_len)
