@@ -88,8 +88,8 @@ def _tables(feats, sched_h, sched_w, scale_h, scale_w, logit_scale):
     height, width, _ = tokens.shape
     if proj.shape[1] != sched_h.dim + sched_w.dim:
         raise ValueError(f"feature length {proj.shape[1]} != {sched_h.dim} + {sched_w.dim}")
-    if not logit_scale > 0:
-        raise ValueError("logit_scale must be positive")
+    if not 0 < logit_scale < np.inf:
+        raise ValueError("logit_scale must be finite and > 0")
     if not (np.all(np.isfinite(tokens)) and np.all(np.isfinite(proj))):
         raise ValueError("features contain non-finite values")
     c = logit_scale / np.sqrt(proj.shape[1])

@@ -7,8 +7,8 @@ flag's bound is checked only by the library function the flag feeds, whose
 ValueError exits 2 with that function's message. All numeric output is
 formatted at 9 significant digits so identical configs yield byte-identical
 files, at one BLAS thread or two (checked with numpy's OpenBLAS 0.3.31 on
-x86; see attention.SERIAL_GEMM). Each command renders its whole stdout first
-and prints it in one flushed write, inside its body.
+x86; see attention.SERIAL_GEMM). Each command's body returns its whole stdout,
+which its command class prints in one flushed write.
 """
 
 from __future__ import annotations
@@ -49,15 +49,13 @@ class FileError(click.ClickException):
 
 
 class _Command(click.Command):
-    """A subcommand whose faults exit with the documented codes, wherever its body raises them.
-
-    A latent-file or filesystem failure exits 3; a ValueError (a config fault
-    or a flag combination the math rejects) exits 2.
-    """
+    """A subcommand that prints the stdout its body returns in one flushed write. A fault
+    in the body or that write exits with its documented code: a latent-file or filesystem
+    failure 3, a ValueError (a config fault or a flag combination the math rejects) 2."""
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            print(super().invoke(ctx), end="", flush=True)
         except (LatentIOError, OSError) as exc:
             raise FileError(str(exc))
         except ValueError as exc:
@@ -117,7 +115,7 @@ def rope_table(dim, base, method, ratio, alpha, beta, train_len, dype_t, dype_p,
     if method == "yarn":
         header.append("lambda")
         columns.append(yarn_weights(theta0, yarn))
-    print(csv_text(header, columns), end="", flush=True)
+    return csv_text(header, columns)
 
 
 @main.command(epilog=CONFIG_EPILOG)
@@ -138,7 +136,7 @@ def modulate(latent_path, config_path, ratio):
          "s_corr": s, "m": m}
         for axis, s, m in (("H", result.s_h, result.m_h), ("W", result.s_w, result.m_w))
     ]
-    print(canonical_json({"axes": axes}) + "\n", end="", flush=True)
+    return canonical_json({"axes": axes}) + "\n"
 
 
 @main.command()
@@ -155,7 +153,7 @@ def spectrum(latent_path, bins):
         np.concatenate(energies),
         np.concatenate([np.ones(sizes[0] + sizes[1], dtype=int), profiles.occupied.astype(int)]),
     ]
-    print(csv_text(["profile", "bin", "energy", "occupied"], columns), end="", flush=True)
+    return csv_text(["profile", "bin", "energy", "occupied"], columns)
 
 
 def attention_flags(fn):
@@ -191,8 +189,7 @@ def attn_map(latent_path, query_h, query_w, config_path, scaling, feature_seed, 
     grid, args = _attention_setup(latent_path, config_path, scaling, feature_seed, logit_scale)
     row = rotary_attention_row(*args, query=(query_h, query_w))
     header = ["h"] + [f"w{j}" for j in range(grid.width)]
-    table = csv_text(header, [np.arange(grid.height), *row.reshape(grid.height, grid.width).T])
-    print(table, end="", flush=True)
+    return csv_text(header, [np.arange(grid.height), *row.reshape(grid.height, grid.width).T])
 
 
 @main.command(epilog=CONFIG_EPILOG)
@@ -204,13 +201,13 @@ def entropy(latent_path, config_path, scaling, feature_seed, logit_scale):
     per_row, mean = rotary_entropy(*args)
     token = np.arange(per_row.size)
     table = csv_text(["token", "h", "w", "entropy"], [token, token // grid.width, token % grid.width, per_row])
-    print(table + f"mean,,,{fmt(mean)}\n", end="", flush=True)
+    return table + f"mean,,,{fmt(mean)}\n"
 
 
 def _run_command(name: str, doc: str, build):
     """A command that writes the files build(cfg) makes into --out-dir, the config
-    echo first in each summary, and lists them. A config fault exits 2 before the
-    directory is probed, and an unwritable directory exits 3 before the run."""
+    echo first in each summary, and returns their listing. A config fault exits 2
+    before the directory is probed, and an unwritable directory exits 3 before the run."""
 
     @main.command(name, help=doc, epilog=CONFIG_EPILOG)
     @click.option("--config", "config_path", required=True, help="Experiment config JSON.")
@@ -222,14 +219,14 @@ def _run_command(name: str, doc: str, build):
             out.mkdir(parents=True, exist_ok=True)
             tempfile.TemporaryFile(dir=out).close()
         except OSError as exc:
-            raise FileError(f"output directory not writable: {exc}")
+            raise OSError(f"output directory not writable: {exc}")
         files = build(cfg)
         for file, content in files.items():
             if file.endswith(".csv"):
                 write_csv(out / file, *content)
             else:
                 write_json(out / file, {"config": cfg.snapshot(), **content})
-        print("".join(f"wrote {out / file}\n" for file in files), end="", flush=True)
+        return "".join(f"wrote {out / file}\n" for file in files)
 
     return run
 

@@ -189,6 +189,6 @@ def scale_vector(scale: np.ndarray | None, schedule: RopeSchedule) -> np.ndarray
     scale = np.asarray(scale, dtype=np.float64)
     if scale.shape != (half,):
         raise ValueError(f"scale must have length {half}")
-    if not np.all(scale > 0):
-        raise ValueError("scale entries must be positive")
+    if not np.all((scale > 0) & (scale < np.inf)):
+        raise ValueError("scale entries must be finite and > 0")
     return scale

@@ -138,16 +138,19 @@ class TestAttendRotary:
                 else:
                     seen[key] = logits[i, j]
 
-    @pytest.mark.parametrize("scale, message", [
-        (np.array([1.0, -1.0, 1.0, 1.0]), "scale entries must be positive"),
-        (np.ones(3), "scale must have length 4"),
+    @pytest.mark.parametrize("scale, logit_scale, message", [
+        (np.array([1.0, -1.0, 1.0, 1.0]), 1.0, "scale entries must be finite and > 0"),
+        (np.array([1.0, np.inf, 1.0, 1.0]), 1.0, "scale entries must be finite and > 0"),
+        (np.ones(3), 1.0, "scale must have length 4"),
+        (None, np.inf, "logit_scale must be finite and > 0"),
     ])
-    def test_rejects_bad_scale(self, rng, scale, message):
+    def test_rejects_bad_scale(self, rng, scale, logit_scale, message):
+        # an infinite magnitude or logit scale is refused by name, not as a logit overflow
         feats = dense(rng.standard_normal((16, 16)), 4, 4)
         with pytest.raises(ValueError, match=message):
-            rotary_entropy(feats, self.sh, self.sw, scale)
+            rotary_entropy(feats, self.sh, self.sw, scale, None, logit_scale)
         with pytest.raises(ValueError, match=message):
-            rotary_attention_row(feats, self.sh, self.sw, None, scale, query=(0, 0))
+            rotary_attention_row(feats, self.sh, self.sw, None, scale, logit_scale, query=(0, 0))
 
 
 class TestEntropy:

@@ -978,6 +978,17 @@ class TestFlagFaults:
         assert res.exit_code == 2, res.output
         assert "overflows" in res.output
 
+    @pytest.mark.parametrize("command", ["entropy", "attn-map"])
+    @pytest.mark.parametrize("value, message", [
+        ("inf", "logit_scale must be finite and > 0"),
+        ("1e308", "attention logits overflowed; lower the logit or rotary scale"),
+    ], ids=["inf", "overflow"])
+    def test_logit_scale_fault_is_named(self, runner, noise_latent, command, value, message):
+        # an infinite scale is refused as a value; a finite one too large overflows the logits
+        query = QUERY if command == "attn-map" else []
+        argv = [command, "--latent", str(noise_latent), *query, "--logit-scale", value]
+        assert_refused(runner.invoke(main, argv), message)
+
     @pytest.mark.parametrize("command, flags, message", [
         ("rope-table", ["--method", "none"], "--ratio is not valid with --method none, which has no ratio"),
         ("rope-table", ["--method", "pi"], "ratio must be >= 1"),
@@ -1300,10 +1311,22 @@ class TestInProcessStdout:
         assert ref() is None
 
     @pytest.mark.parametrize("command", COMMANDS)
+    def test_body_returns_its_stdout_and_writes_nothing(self, command_args, command):
+        # _Command is the one writer: a body called directly returns the whole stdout
+        cmd, argv = main.commands[command], command_args[command]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), cmd.make_context(command, list(argv)) as ctx:
+            text = ctx.invoke(cmd.callback, **ctx.params)
+        assert isinstance(text, str) and buf.getvalue() == ""
+        with contextlib.redirect_stdout(buf):
+            main.main([command, *argv], standalone_mode=False)
+        assert buf.getvalue() == text
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_gone_reader_exits_3_and_closed_stdout_is_skipped(self, command_args, command):
-        # Each command flushes its one write inside its body, so a reader that has
-        # gone fails there and exits 3; with no stdout at all (fd 1 closed, so
-        # sys.stdout is None) the write is skipped and the run succeeds.
+        # _Command flushes each command's one write inside its fault mapping, so a
+        # reader that has gone fails there and exits 3; with no stdout at all (fd 1
+        # closed, so sys.stdout is None) the write is skipped and the run succeeds.
         argv = [command, *command_args[command]]
         with contextlib.redirect_stdout(GoneReader()), pytest.raises(click.ClickException) as fault:
             main.main(argv, standalone_mode=False)
